@@ -11,10 +11,6 @@
 //! cargo run --release -p transpim-bench --bin decode_scaling
 //! cargo run --release -p transpim-bench --bin decode_scaling -- --reps 9
 //! ```
-//!
-//! Run in release: debug builds re-verify every compressed repeat against
-//! an unrolled re-pricing (the equivalence contract), which deliberately
-//! erases the asymptotic win being measured here.
 
 use std::time::Instant;
 use transpim::arch::{ArchConfig, ArchKind};
@@ -76,10 +72,6 @@ fn main() {
             }
         }
     }
-    if cfg!(debug_assertions) {
-        note("warning: debug build — compressed pricing re-verifies against unrolled, timings are meaningless");
-    }
-
     let arch = ArchConfig::new(ArchKind::TransPim);
     println!(
         "{:>10} {:>14} {:>14} {:>14} {:>14} {:>9}",

@@ -1,76 +1,33 @@
-//! Discrete-event phase engine.
+//! Phase engine: the one place simulation statistics accumulate.
 //!
 //! The dataflow compilers lower a Transformer into a sequence of *phases*
-//! (FC compute, a ring-broadcast step, a Softmax normalization, ...). Within
-//! a phase, operations on disjoint resources proceed in parallel and
-//! operations sharing a resource serialize; phases are barriers, matching the
-//! step-synchronous structure of the paper's dataflow (Section III). Each
-//! phase is attributed to one breakdown [`Category`], which is how the
-//! Figure 11 breakdowns are produced.
+//! (FC compute, a ring-broadcast step, a Softmax normalization, ...). The
+//! executor prices each phase in closed form — resource contention inside
+//! a phase, such as the Figure 9 ring schedule, is resolved by the
+//! schedulers in `transpim-acu` — and records it here as a *lump*: a
+//! makespan, an energy and a byte count, attributed to one breakdown
+//! [`Category`] (which is how the Figure 11 breakdowns are produced) and to
+//! the current scope. Phases are barriers, matching the step-synchronous
+//! structure of the paper's dataflow (Section III).
+//!
+//! # Exact accounting
+//!
+//! Lumps accumulate in integer fixed point (2^-64 ns, pJ and bytes; see
+//! `stats.rs`), so totals do not depend on the order of the additions. A
+//! repeated body therefore prices as body × count: take a [`Mark`], record
+//! one iteration, then [`Engine::repeat_since`]. The f64 [`SimStats`] and
+//! [`ScopedStats`] are built once, by [`Engine::into_stats`].
 //!
 //! # Observability
 //!
 //! The engine carries a [`SinkHandle`] (`transpim-obs`). With an enabled
-//! sink attached, every phase is emitted as a span on its category's track,
-//! and [`Phase::Scheduled`] phases additionally emit per-op spans and
-//! per-[`ResourceId`] occupancy counters on the resource tracks of
-//! [`tracks`]. With the default (null) handle, the emission paths are never
-//! entered and the engine behaves exactly as an uninstrumented one.
+//! sink attached, every lump is emitted as a span on its category's track,
+//! followed by a cumulative utilization counter. With the default (null)
+//! handle, the emission paths are never entered and the engine behaves
+//! exactly as an uninstrumented one.
 
-use crate::resource::ResourceId;
-use crate::stats::{Category, ScopedStats, SimStats};
-use std::collections::{HashMap, HashSet};
+use crate::stats::{Category, Lump, ScopedStats, SimStats, Tally};
 use transpim_obs::{CounterEvent, SinkHandle, SpanEvent};
-
-/// One operation inside a [`Phase::Scheduled`] phase: it occupies every
-/// listed resource for `latency_ns`, consumes `energy_pj`, and moves `bytes`
-/// through the memory system.
-#[derive(Debug, Clone, PartialEq)]
-pub struct PhaseOp {
-    /// Resources occupied for the duration of the op.
-    pub resources: Vec<ResourceId>,
-    /// Occupancy time in nanoseconds.
-    pub latency_ns: f64,
-    /// Energy in picojoules.
-    pub energy_pj: f64,
-    /// Bytes read/written (bandwidth accounting).
-    pub bytes: f64,
-}
-
-/// A barrier-synchronized execution phase.
-#[derive(Debug, Clone, PartialEq)]
-pub enum Phase {
-    /// Operations placed by greedy list scheduling with resource contention
-    /// (used for bus transfers, reductions across banks, ...). Ops are
-    /// started in order; each starts as soon as all its resources are free.
-    Scheduled {
-        /// Breakdown category of the whole phase.
-        category: Category,
-        /// Operations to schedule, in issue order.
-        ops: Vec<PhaseOp>,
-    },
-    /// A lock-step operation whose makespan is known in closed form — e.g.
-    /// "every bank executes this identical PIM batch in parallel" or a
-    /// memoized composite such as `n` identical ring steps. Latency is the
-    /// makespan; energy and bytes are system-wide totals.
-    Lump {
-        /// Breakdown category of the whole phase.
-        category: Category,
-        /// Phase makespan in nanoseconds.
-        latency_ns: f64,
-        /// Total energy in picojoules.
-        energy_pj: f64,
-        /// Total bytes moved.
-        bytes: f64,
-    },
-}
-
-impl Phase {
-    /// Convenience constructor for a [`Phase::Lump`].
-    pub fn lump(category: Category, latency_ns: f64, energy_pj: f64, bytes: f64) -> Self {
-        Phase::Lump { category, latency_ns, energy_pj, bytes }
-    }
-}
 
 /// Track layout of the simulator's trace emission. Keeping the layout in
 /// one place means every emitter (the phase engine, the ring scheduler in
@@ -103,117 +60,42 @@ pub mod tracks {
     }
 }
 
-/// Greedy list scheduler: returns the makespan of `ops` run under resource
-/// contention. Each op starts at the earliest time all of its resources are
-/// free (ops are considered in order), which reproduces the Figure 9 ring
-/// schedule when the hops are issued in the paper's slot order.
-pub fn schedule_makespan(ops: &[PhaseOp]) -> f64 {
-    let mut free_at: HashMap<ResourceId, f64> = HashMap::new();
-    let mut makespan = 0.0f64;
-    for op in ops {
-        let start = op
-            .resources
-            .iter()
-            .map(|r| free_at.get(r).copied().unwrap_or(0.0))
-            .fold(0.0f64, f64::max);
-        let end = start + op.latency_ns;
-        for r in &op.resources {
-            free_at.insert(*r, end);
-        }
-        makespan = makespan.max(end);
-    }
-    makespan
-}
-
-/// Start/end of one op as placed by the greedy list scheduler.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct OpPlacement {
-    /// Start time relative to the phase start (ns).
-    pub start_ns: f64,
-    /// End time relative to the phase start (ns).
-    pub end_ns: f64,
-}
-
-/// Full placement of a scheduled phase: the makespan plus one
-/// [`OpPlacement`] per op, in issue order. Same schedule as
-/// [`schedule_makespan`], with the per-op timeline retained for trace
-/// emission.
-#[derive(Debug, Clone, PartialEq, Default)]
-pub struct SchedulePlacements {
-    /// Phase makespan in nanoseconds.
-    pub makespan_ns: f64,
-    /// Per-op start/end, parallel to the input op slice.
-    pub ops: Vec<OpPlacement>,
-}
-
-/// Greedy list scheduling with the per-op placements retained.
-pub fn schedule_placements(ops: &[PhaseOp]) -> SchedulePlacements {
-    let mut free_at: HashMap<ResourceId, f64> = HashMap::new();
-    let mut placed = SchedulePlacements { makespan_ns: 0.0, ops: Vec::with_capacity(ops.len()) };
-    for op in ops {
-        let start = op
-            .resources
-            .iter()
-            .map(|r| free_at.get(r).copied().unwrap_or(0.0))
-            .fold(0.0f64, f64::max);
-        let end = start + op.latency_ns;
-        for r in &op.resources {
-            free_at.insert(*r, end);
-        }
-        placed.ops.push(OpPlacement { start_ns: start, end_ns: end });
-        placed.makespan_ns = placed.makespan_ns.max(end);
-    }
-    placed
-}
-
-/// The phase engine: runs phases, advances simulated time, and accumulates
-/// global and per-scope statistics.
+/// The phase engine: records lumps, advances simulated time, and
+/// accumulates global and per-scope statistics.
 ///
 /// # Example
 ///
 /// ```
-/// use transpim_hbm::engine::{Engine, Phase};
+/// use transpim_hbm::engine::Engine;
 /// use transpim_hbm::stats::Category;
 ///
 /// let mut e = Engine::new();
 /// e.set_scope("fc");
-/// e.run(Phase::lump(Category::Arithmetic, 100.0, 5_000.0, 0.0));
-/// assert_eq!(e.stats().latency_ns, 100.0);
-/// assert_eq!(e.scoped().get("fc").unwrap().latency_ns, 100.0);
+/// e.lump(Category::Arithmetic, 100.0, 5_000.0, 0.0);
+/// let (stats, scoped) = e.into_stats();
+/// assert_eq!(stats.latency_ns, 100.0);
+/// assert_eq!(scoped.get("fc").unwrap().latency_ns, 100.0);
 /// ```
 #[derive(Debug, Clone)]
 pub struct Engine {
-    stats: SimStats,
-    scoped: ScopedStats,
-    scope: String,
+    total: Tally,
+    /// One slot per scope label seen by [`Engine::set_scope`], so recording
+    /// a lump indexes a `Vec` instead of looking a label up.
+    scopes: Vec<(String, Tally)>,
+    scope: usize,
     sink: SinkHandle,
     latency_scale: f64,
     tracks_named: bool,
-    named_resources: HashSet<u32>,
     quiet: bool,
 }
 
-/// One recorded pricing action from a repeat body's first iteration: the
-/// exact statistics updates `Engine::run` applied, minus the step walk
-/// that produced them. Replaying the log repeats the identical f64
-/// operation sequence, so replayed statistics are byte-identical to
-/// re-pricing the body.
-#[derive(Debug, Clone, PartialEq)]
-pub enum LumpAction {
-    /// A `set_scope` call.
-    Scope(String),
-    /// A lump phase. `latency_ns` is pre-`latency_scale`; replay rescales
-    /// exactly as `run` does.
-    Lump {
-        /// Phase category.
-        category: Category,
-        /// Unscaled latency contribution.
-        latency_ns: f64,
-        /// Energy contribution.
-        energy_pj: f64,
-        /// Bytes-moved contribution.
-        bytes: f64,
-    },
+/// A snapshot of an [`Engine`]'s tallies, taken before pricing a repeat
+/// body; see [`Engine::repeat_since`].
+#[derive(Debug, Clone)]
+pub struct Mark {
+    scope: usize,
+    total: Tally,
+    scopes: Vec<Tally>,
 }
 
 impl Default for Engine {
@@ -223,22 +105,21 @@ impl Default for Engine {
 }
 
 impl Engine {
-    /// New engine at time zero, with the null (disabled) sink.
+    /// New engine at time zero, in scope `init`, with the null (disabled)
+    /// sink.
     pub fn new() -> Self {
         Self {
-            stats: SimStats::new(),
-            scoped: ScopedStats::new(),
-            scope: String::from("init"),
+            total: Tally::default(),
+            scopes: vec![(String::from("init"), Tally::default())],
+            scope: 0,
             sink: SinkHandle::null(),
             latency_scale: 1.0,
             tracks_named: false,
-            named_resources: HashSet::new(),
             quiet: false,
         }
     }
 
-    /// New engine that emits every phase (and, for scheduled phases, per-op
-    /// and per-resource occupancy events) to `sink`.
+    /// New engine that emits every lump to `sink`.
     pub fn with_sink(sink: SinkHandle) -> Self {
         Self { sink, ..Self::new() }
     }
@@ -261,24 +142,24 @@ impl Engine {
         self.quiet = quiet;
     }
 
-    /// Whether phases currently emit observability events: a sink is
+    /// Whether lumps currently emit observability events: a sink is
     /// attached and quiet mode is off.
     pub fn emitting(&self) -> bool {
         self.sink.is_enabled() && !self.quiet
     }
 
     /// Current simulated time: nanoseconds elapsed since the engine
-    /// started. The next phase's span starts here.
+    /// started. The next lump's span starts here.
     pub fn now_ns(&self) -> f64 {
-        self.stats.latency_ns
+        self.total.latency_ns()
     }
 
-    /// The latency stretch applied to every phase (≥ 1; refresh model).
+    /// The latency stretch applied to every lump (≥ 1; refresh model).
     pub fn latency_scale(&self) -> f64 {
         self.latency_scale
     }
 
-    /// Stretch every phase's latency by `scale` (≥ 1): used to model
+    /// Stretch every lump's latency by `scale` (≥ 1): used to model
     /// sustained-throughput losses such as DRAM refresh
     /// ([`crate::timing::TimingParams::refresh_overhead`]).
     ///
@@ -290,111 +171,65 @@ impl Engine {
         self.latency_scale = scale;
     }
 
-    /// Set the label under which subsequent phases are recorded (e.g. the
+    /// Set the label under which subsequent lumps are recorded (e.g. the
     /// current Transformer layer kind).
     pub fn set_scope(&mut self, scope: &str) {
-        if self.scope != scope {
-            self.scope.clear();
-            self.scope.push_str(scope);
+        if self.scopes[self.scope].0 == scope {
+            return;
         }
-    }
-
-    /// Run one phase; returns its makespan in nanoseconds.
-    pub fn run(&mut self, phase: Phase) -> f64 {
-        let start_ns = self.stats.latency_ns;
-        let emit = self.emitting();
-        if emit && !self.tracks_named {
-            self.name_category_tracks();
-        }
-        let (category, mut latency, energy, bytes) = match &phase {
-            Phase::Lump { category, latency_ns, energy_pj, bytes } => {
-                (*category, *latency_ns, *energy_pj, *bytes)
-            }
-            Phase::Scheduled { category, ops } => {
-                let latency = if emit {
-                    let placed = schedule_placements(ops);
-                    self.emit_scheduled(*category, ops, &placed, start_ns);
-                    placed.makespan_ns
-                } else {
-                    schedule_makespan(ops)
-                };
-                let energy = ops.iter().map(|o| o.energy_pj).sum();
-                let bytes = ops.iter().map(|o| o.bytes).sum();
-                (*category, latency, energy, bytes)
+        self.scope = match self.scopes.iter().position(|(label, _)| label == scope) {
+            Some(slot) => slot,
+            None => {
+                self.scopes.push((scope.to_owned(), Tally::default()));
+                self.scopes.len() - 1
             }
         };
-        debug_assert!(latency >= 0.0 && energy >= 0.0 && bytes >= 0.0);
-        latency *= self.latency_scale;
+    }
+
+    /// Record one phase of `category`: `latency_ns` of makespan (before the
+    /// latency stretch), `energy_pj` of energy and `bytes` moved.
+    ///
+    /// # Panics
+    ///
+    /// If a value is negative or not finite (a pricing bug), or a total
+    /// leaves the tally range of 2^64 ns (about 584 simulated years).
+    pub fn lump(&mut self, category: Category, latency_ns: f64, energy_pj: f64, bytes: f64) {
+        debug_assert!(latency_ns >= 0.0 && energy_pj >= 0.0 && bytes >= 0.0);
+        let latency = latency_ns * self.latency_scale;
+        let emit = self.emitting();
         if emit {
+            if !self.tracks_named {
+                self.name_category_tracks();
+            }
             self.sink.span(
                 SpanEvent::new(
-                    self.scope.clone(),
+                    self.scopes[self.scope].0.clone(),
                     category.label(),
                     tracks::category(category),
-                    start_ns,
+                    self.now_ns(),
                     latency,
                 )
-                .with_arg("energy_pj", energy)
+                .with_arg("energy_pj", energy_pj)
                 .with_arg("bytes", bytes),
             );
         }
-        self.stats.record(category, latency, energy, bytes);
-        self.scoped.record(&self.scope, category, latency, energy, bytes);
-        if emit && self.stats.latency_ns > 0.0 {
+        let lump = Lump::new(category, latency, energy_pj, bytes);
+        self.total.record(&lump);
+        self.scopes[self.scope].1.record(&lump);
+        if !emit {
+            return;
+        }
+        let now_ns = self.total.latency_ns();
+        if now_ns > 0.0 {
             // Cumulative busy fraction of this category so far — plotted by
             // trace viewers as a utilization-over-time curve.
             self.sink.counter(CounterEvent::sample(
                 format!("util.{}", category.label()),
                 tracks::category(category),
-                self.stats.latency_ns,
+                now_ns,
                 "busy_frac",
-                self.stats.time_ns[category.index()] / self.stats.latency_ns,
+                self.total.time_ns(category) / now_ns,
             ));
-        }
-        latency
-    }
-
-    /// Per-op spans on the occupied resources' tracks plus one occupancy
-    /// counter per resource (busy fraction of the phase makespan).
-    fn emit_scheduled(
-        &mut self,
-        category: Category,
-        ops: &[PhaseOp],
-        placed: &SchedulePlacements,
-        start_ns: f64,
-    ) {
-        let scale = self.latency_scale;
-        let mut busy: HashMap<ResourceId, f64> = HashMap::new();
-        for (i, (op, p)) in ops.iter().zip(&placed.ops).enumerate() {
-            for r in &op.resources {
-                *busy.entry(*r).or_default() += p.end_ns - p.start_ns;
-                if self.named_resources.insert(r.0) {
-                    self.sink.track_name(tracks::resource(*r), &format!("res{}", r.0));
-                }
-                self.sink.span(
-                    SpanEvent::new(
-                        format!("op{i}"),
-                        category.label(),
-                        tracks::resource(*r),
-                        start_ns + p.start_ns * scale,
-                        (p.end_ns - p.start_ns) * scale,
-                    )
-                    .with_arg("bytes", op.bytes),
-                );
-            }
-        }
-        if placed.makespan_ns > 0.0 {
-            let mut per_resource: Vec<(ResourceId, f64)> = busy.into_iter().collect();
-            per_resource.sort_by_key(|(r, _)| *r);
-            for (r, busy_ns) in per_resource {
-                self.sink.counter(CounterEvent::sample(
-                    format!("util.res{}", r.0),
-                    tracks::resource(r),
-                    start_ns,
-                    "busy_frac",
-                    busy_ns / placed.makespan_ns,
-                ));
-            }
         }
     }
 
@@ -406,44 +241,54 @@ impl Engine {
         self.tracks_named = true;
     }
 
-    /// Re-apply a recorded lump-action log `times` times.
-    ///
-    /// This is the compressed-pricing fast path: the executor prices a
-    /// zero-delta repeat body once through [`Engine::run`] while logging
-    /// each lump, then replays the log for the remaining iterations. The
-    /// replay performs the same f64 additions in the same order as `run`
-    /// would, so the resulting [`SimStats`]/[`ScopedStats`] are
-    /// byte-identical to walking the unrolled steps. Stats-only: callers
-    /// must not replay while emission is on (spans would be lost).
-    pub fn replay_lumps(&mut self, actions: &[LumpAction], times: u64) {
-        debug_assert!(!self.emitting(), "replay_lumps is stats-only; emit by re-running the body");
-        for _ in 0..times {
-            for action in actions {
-                match action {
-                    LumpAction::Scope(s) => self.set_scope(s),
-                    LumpAction::Lump { category, latency_ns, energy_pj, bytes } => {
-                        let latency = latency_ns * self.latency_scale;
-                        self.stats.record(*category, latency, *energy_pj, *bytes);
-                        self.scoped.record(&self.scope, *category, latency, *energy_pj, *bytes);
-                    }
-                }
-            }
+    /// Snapshot the tallies before recording a body that will repeat.
+    pub fn mark(&self) -> Mark {
+        Mark {
+            scope: self.scope,
+            total: self.total,
+            scopes: self.scopes.iter().map(|(_, t)| *t).collect(),
         }
     }
 
-    /// Global statistics accumulated so far.
-    pub fn stats(&self) -> &SimStats {
-        &self.stats
+    /// Whether the current scope is the one `mark` was taken in — the
+    /// condition for [`Engine::repeat_since`].
+    pub fn in_scope_of(&self, mark: &Mark) -> bool {
+        self.scope == mark.scope
     }
 
-    /// Per-scope statistics accumulated so far.
-    pub fn scoped(&self) -> &ScopedStats {
-        &self.scoped
+    /// Record everything recorded since `mark` another `times` times, in
+    /// O(scopes): exactly the statistics of recording the same lumps again
+    /// `times` times, since the tallies are integers. Stats-only: callers
+    /// must not use it while emission is on (spans would be lost).
+    ///
+    /// # Panics
+    ///
+    /// If `times` > 0 and the scope differs from the one at `mark` (a
+    /// repetition of the body would then start in another scope), or a
+    /// total leaves the tally range.
+    pub fn repeat_since(&mut self, mark: &Mark, times: u64) {
+        if times == 0 {
+            return;
+        }
+        debug_assert!(!self.emitting(), "repeat_since is stats-only; emit by re-running the body");
+        assert!(self.in_scope_of(mark), "a repeated body must end in the scope it started in");
+        self.total.repeat_since(&mark.total, times);
+        for (slot, (_, tally)) in self.scopes.iter_mut().enumerate() {
+            // A scope first seen inside the body started from zero.
+            tally.repeat_since(&mark.scopes.get(slot).copied().unwrap_or_default(), times);
+        }
     }
 
     /// Consume the engine, returning `(global, per-scope)` statistics.
+    /// Scopes that recorded no lump are left out.
     pub fn into_stats(self) -> (SimStats, ScopedStats) {
-        (self.stats, self.scoped)
+        let scoped = self
+            .scopes
+            .into_iter()
+            .filter(|(_, tally)| !tally.is_empty())
+            .map(|(label, tally)| (label, tally.to_stats()))
+            .collect();
+        (self.total.to_stats(), scoped)
     }
 }
 
@@ -452,96 +297,14 @@ mod tests {
     use super::*;
     use transpim_obs::{ChromeTraceSink, NullSink};
 
-    fn op(resources: &[u32], latency: f64) -> PhaseOp {
-        PhaseOp {
-            resources: resources.iter().map(|&r| ResourceId(r)).collect(),
-            latency_ns: latency,
-            energy_pj: 1.0,
-            bytes: 8.0,
-        }
-    }
-
-    #[test]
-    fn disjoint_ops_run_in_parallel() {
-        assert_eq!(schedule_makespan(&[op(&[0], 10.0), op(&[1], 7.0), op(&[2], 3.0)]), 10.0);
-    }
-
-    #[test]
-    fn shared_resource_serializes() {
-        assert_eq!(schedule_makespan(&[op(&[0, 5], 10.0), op(&[1, 5], 7.0)]), 17.0);
-    }
-
-    #[test]
-    fn placements_agree_with_makespan() {
-        let ops = vec![op(&[0, 5], 10.0), op(&[1, 5], 7.0), op(&[2], 3.0)];
-        let placed = schedule_placements(&ops);
-        assert_eq!(placed.makespan_ns, schedule_makespan(&ops));
-        assert_eq!(placed.ops.len(), 3);
-        assert_eq!(placed.ops[0].start_ns, 0.0);
-        assert_eq!(placed.ops[1].start_ns, 10.0); // waits for resource 5
-        assert_eq!(placed.ops[2].start_ns, 0.0); // disjoint, runs immediately
-    }
-
-    #[test]
-    fn figure9_ring_step_costs_3t_with_links_and_8t_without() {
-        use crate::geometry::{BankId, HbmGeometry};
-        use crate::resource::{BusParams, ResourceMap};
-        // 1 stack, 1 channel, 2 groups of 4 banks: the Figure 9 example.
-        let g = HbmGeometry {
-            stacks: 1,
-            channels_per_stack: 1,
-            groups_per_channel: 2,
-            banks_per_group: 4,
-            ..HbmGeometry::default()
-        };
-        // Uniform bandwidths so every hop costs the same time T.
-        let bus = BusParams {
-            channel_gbs: 16.0,
-            group_gbs: 16.0,
-            ring_link_gbs: 16.0,
-            stack_gbs: 16.0,
-            host_gbs: 16.0,
-        };
-        let t = 16.0; // 256 bytes at 16 GB/s
-        let hop = |m: &ResourceMap, s: u32, d: u32| {
-            let r = m.route(BankId(s), BankId(d));
-            let latency_ns = r.transfer_ns(256.0);
-            PhaseOp { resources: r.resources, latency_ns, energy_pj: 0.0, bytes: 256.0 }
-        };
-
-        // With ring links, issued in the paper's slot order:
-        // slot 1: 3→4 (buses), 0→1 and 6→7 (links);
-        // slot 2: 7→0 (buses), 2→3 and 4→5 (links);
-        // slot 3: 1→2 and 5→6 (links).
-        let m = ResourceMap::new(g, bus, true);
-        let ops = vec![
-            hop(&m, 3, 4),
-            hop(&m, 0, 1),
-            hop(&m, 6, 7),
-            hop(&m, 7, 0),
-            hop(&m, 2, 3),
-            hop(&m, 4, 5),
-            hop(&m, 1, 2),
-            hop(&m, 5, 6),
-        ];
-        assert!((schedule_makespan(&ops) - 3.0 * t).abs() < 1e-9);
-
-        // Without ring links every hop is mediated by the single shared
-        // channel bus and controller, so the eight hops fully serialize —
-        // the 8 T the paper quotes for the original HBM datapath.
-        let m = ResourceMap::new(g, bus, false);
-        let ops: Vec<PhaseOp> = (0..8u32).map(|i| hop(&m, i, (i + 1) % 8)).collect();
-        assert!((schedule_makespan(&ops) - 8.0 * t).abs() < 1e-9);
-    }
-
     #[test]
     fn sink_records_phases_in_order() {
         let chrome = ChromeTraceSink::shared();
         let mut e = Engine::with_sink(SinkHandle::from_shared(chrome.clone()));
         e.set_scope("fc");
-        e.run(Phase::lump(Category::Arithmetic, 5.0, 1.0, 0.0));
+        e.lump(Category::Arithmetic, 5.0, 1.0, 0.0);
         e.set_scope("attn");
-        e.run(Phase::lump(Category::DataMovement, 3.0, 2.0, 16.0));
+        e.lump(Category::DataMovement, 3.0, 2.0, 16.0);
         let events = chrome.borrow().sorted_events();
         let spans: Vec<_> = events.iter().filter(|e| e.ph == "X").collect();
         assert_eq!(spans.len(), 2);
@@ -554,78 +317,95 @@ mod tests {
         assert!(events
             .iter()
             .any(|e| e.ph == "M" && e.tid == tracks::category(Category::Arithmetic).0));
+        // The data-movement lump is 3 of the 8 ns so far.
+        let util = events.iter().find(|e| e.name == "util.data-movement").expect("counter");
+        assert_eq!(util.args["busy_frac"], transpim_obs::ArgValue::Num(3.0 / 8.0));
     }
 
-    #[test]
-    fn scheduled_phase_emits_per_resource_occupancy() {
-        let chrome = ChromeTraceSink::shared();
-        let mut e = Engine::with_sink(SinkHandle::from_shared(chrome.clone()));
-        e.set_scope("xfer");
-        e.run(Phase::Scheduled {
-            category: Category::DataMovement,
-            ops: vec![op(&[0, 5], 10.0), op(&[1, 5], 6.0)],
-        });
-        let events = chrome.borrow().sorted_events();
-        // Shared resource 5 is busy the whole 16 ns makespan; bank 0 only
-        // 10 — plus the cumulative per-category utilization sample.
-        let util: Vec<_> = events.iter().filter(|e| e.ph == "C").collect();
-        assert_eq!(util.len(), 4);
-        let busy = |name: &str| {
-            util.iter()
-                .find(|e| e.name == name)
-                .map(|e| match &e.args["busy_frac"] {
-                    transpim_obs::ArgValue::Num(v) => *v,
-                    other => panic!("non-numeric busy_frac: {other:?}"),
-                })
-                .unwrap()
-        };
-        assert!((busy("util.res5") - 1.0).abs() < 1e-12);
-        assert!((busy("util.res0") - 10.0 / 16.0).abs() < 1e-12);
-        // The whole run is one data-movement phase, so its cumulative
-        // utilization is 1.
-        assert!((busy("util.data-movement") - 1.0).abs() < 1e-12);
-        // Per-op spans land on the resource tracks.
-        assert!(events
-            .iter()
-            .any(|e| e.ph == "X" && e.tid >= tracks::RESOURCE_BASE && e.name == "op1"));
+    /// One repeat-body iteration: a scope that only the body uses, a lump
+    /// that lands in whatever scope the iteration starts in, and a
+    /// non-dyadic latency so f64 summation would round.
+    fn body(e: &mut Engine) {
+        e.lump(Category::Other, 0.7, 0.3, 64.0);
+        e.set_scope("dec.attn");
+        e.lump(Category::DataMovement, 3.9, 2.2, 17.0);
+        e.lump(Category::Arithmetic, 5.3, 1.7, 0.0);
     }
 
-    #[test]
-    fn replayed_lumps_match_rerun_lumps_exactly() {
-        // The compressed-pricing contract: replaying a recorded log N
-        // times is byte-identical to running the same lumps N times.
-        let log = vec![
-            LumpAction::Scope("dec.fc".to_string()),
-            LumpAction::Lump {
-                category: Category::Arithmetic,
-                latency_ns: 5.3,
-                energy_pj: 1.7,
-                bytes: 0.0,
-            },
-            LumpAction::Scope("dec.attn".to_string()),
-            LumpAction::Lump {
-                category: Category::DataMovement,
-                latency_ns: 3.9,
-                energy_pj: 2.2,
-                bytes: 17.0,
-            },
-        ];
-        let run_once = |e: &mut Engine| {
-            e.set_scope("dec.fc");
-            e.run(Phase::lump(Category::Arithmetic, 5.3, 1.7, 0.0));
-            e.set_scope("dec.attn");
-            e.run(Phase::lump(Category::DataMovement, 3.9, 2.2, 17.0));
-        };
-        let mut replayed = Engine::new();
-        replayed.set_latency_scale(1.25);
-        let mut rerun = replayed.clone();
-        run_once(&mut replayed);
-        replayed.replay_lumps(&log, 6);
-        for _ in 0..7 {
-            run_once(&mut rerun);
+    fn engine() -> Engine {
+        let mut e = Engine::new();
+        e.set_latency_scale(1.25);
+        e.set_scope("dec.fc");
+        e.lump(Category::Reduction, 1.1, 0.9, 0.0);
+        e
+    }
+
+    /// Record `count` iterations of `body` the way the executor prices a
+    /// zero-delta repeat: iteration 1 starts in the enclosing scope, the
+    /// rest in the one the body leaves, so when those differ iteration 2
+    /// is the one that repeats.
+    fn repeat(e: &mut Engine, count: u64, body: impl Fn(&mut Engine)) {
+        let mut mark = e.mark();
+        body(e);
+        let mut rest = count - 1;
+        if rest > 0 && !e.in_scope_of(&mark) {
+            mark = e.mark();
+            body(e);
+            rest -= 1;
         }
-        assert_eq!(replayed.stats(), rerun.stats());
-        assert_eq!(replayed.scoped(), rerun.scoped());
+        e.repeat_since(&mark, rest);
+    }
+
+    #[test]
+    fn repeat_since_equals_recording_the_body_count_times() {
+        for count in [1u64, 2, 7, 1000] {
+            let mut rerun = engine();
+            for _ in 0..count {
+                body(&mut rerun);
+            }
+            let mut repeated = engine();
+            repeat(&mut repeated, count, body);
+            assert_eq!(repeated.into_stats(), rerun.into_stats(), "count {count}");
+        }
+    }
+
+    #[test]
+    fn nested_repeats_multiply() {
+        let outer_body = |e: &mut Engine| {
+            e.set_scope("dec.fc");
+            e.lump(Category::Reduction, 0.2, 0.1, 0.0);
+            repeat(e, 3, body);
+        };
+        let mut rerun = engine();
+        for _ in 0..5 {
+            rerun.set_scope("dec.fc");
+            rerun.lump(Category::Reduction, 0.2, 0.1, 0.0);
+            for _ in 0..3 {
+                body(&mut rerun);
+            }
+        }
+        let mut repeated = engine();
+        repeat(&mut repeated, 5, outer_body);
+        assert_eq!(repeated.into_stats(), rerun.into_stats());
+    }
+
+    #[test]
+    #[should_panic(expected = "must end in the scope it started in")]
+    fn repeat_since_rejects_a_body_that_changes_scope() {
+        let mut e = engine();
+        let mark = e.mark();
+        body(&mut e);
+        e.repeat_since(&mark, 3);
+    }
+
+    #[test]
+    fn unused_scopes_are_not_reported() {
+        let mut e = Engine::new();
+        e.set_scope("never");
+        e.set_scope("fc");
+        e.lump(Category::Arithmetic, 0.0, 0.0, 0.0);
+        let (_, scoped) = e.into_stats();
+        assert_eq!(scoped.iter().map(|(k, _)| k).collect::<Vec<_>>(), ["fc"]);
     }
 
     #[test]
@@ -633,49 +413,42 @@ mod tests {
         let chrome = ChromeTraceSink::shared();
         let mut e = Engine::with_sink(SinkHandle::from_shared(chrome.clone()));
         e.set_scope("fc");
-        e.run(Phase::lump(Category::Arithmetic, 5.0, 1.0, 0.0));
+        e.lump(Category::Arithmetic, 5.0, 1.0, 0.0);
         e.set_quiet(true);
         assert!(!e.emitting());
-        e.run(Phase::lump(Category::Arithmetic, 5.0, 1.0, 0.0));
+        e.lump(Category::Arithmetic, 5.0, 1.0, 0.0);
         e.set_quiet(false);
-        e.run(Phase::lump(Category::Arithmetic, 5.0, 1.0, 0.0));
-        assert_eq!(e.stats().latency_ns, 15.0);
+        e.lump(Category::Arithmetic, 5.0, 1.0, 0.0);
+        assert_eq!(e.now_ns(), 15.0);
         let spans = chrome.borrow().sorted_events().iter().filter(|e| e.ph == "X").count();
         assert_eq!(spans, 2, "quiet phase emits no span");
     }
 
     #[test]
     fn null_sink_runs_match_untraced_runs_exactly() {
-        let phases = |e: &mut Engine| {
-            e.set_scope("a");
-            e.run(Phase::lump(Category::Arithmetic, 5.0, 1.0, 0.0));
-            e.set_scope("b");
-            e.run(Phase::Scheduled {
-                category: Category::DataMovement,
-                ops: vec![op(&[0], 3.0), op(&[0], 4.0)],
-            });
-        };
-        let mut plain = Engine::new();
-        phases(&mut plain);
+        let mut plain = engine();
+        body(&mut plain);
         let mut nulled = Engine::with_sink(SinkHandle::new(NullSink));
-        phases(&mut nulled);
-        assert_eq!(plain.stats(), nulled.stats());
-        assert_eq!(plain.scoped(), nulled.scoped());
+        nulled.set_latency_scale(1.25);
+        nulled.set_scope("dec.fc");
+        nulled.lump(Category::Reduction, 1.1, 0.9, 0.0);
+        body(&mut nulled);
+        assert_eq!(plain.into_stats(), nulled.into_stats());
     }
 
     #[test]
     fn engine_accumulates_by_scope() {
         let mut e = Engine::new();
         e.set_scope("a");
-        e.run(Phase::lump(Category::Arithmetic, 5.0, 1.0, 0.0));
+        e.lump(Category::Arithmetic, 5.0, 1.0, 0.0);
         e.set_scope("b");
-        e.run(Phase::Scheduled {
-            category: Category::DataMovement,
-            ops: vec![op(&[0], 3.0), op(&[0], 4.0)],
-        });
-        assert_eq!(e.stats().latency_ns, 12.0);
-        assert_eq!(e.scoped().get("a").unwrap().latency_ns, 5.0);
-        assert_eq!(e.scoped().get("b").unwrap().latency_ns, 7.0);
-        assert_eq!(e.scoped().get("b").unwrap().bytes_moved, 16.0);
+        e.lump(Category::DataMovement, 3.0, 1.0, 8.0);
+        e.lump(Category::DataMovement, 4.0, 1.0, 8.0);
+        let (stats, scoped) = e.into_stats();
+        assert_eq!(stats.latency_ns, 12.0);
+        assert_eq!(scoped.get("a").unwrap().latency_ns, 5.0);
+        assert_eq!(scoped.get("b").unwrap().latency_ns, 7.0);
+        assert_eq!(scoped.get("b").unwrap().bytes_moved, 16.0);
+        assert!(scoped.get("init").is_none());
     }
 }

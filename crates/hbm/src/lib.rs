@@ -12,9 +12,9 @@
 //!   buses, channel buses, ring links, stack links, the host bus),
 //! * [`command`] — DRAM command-level trace expansion and replay (pins the
 //!   closed-form costs to command-accurate behavior),
-//! * [`engine`] — a discrete-event engine that replays phases of operations
-//!   against those resources and accounts latency, energy, bytes moved, and
-//!   per-category busy time,
+//! * [`engine`] — the phase engine, which accounts each priced phase's
+//!   latency, energy and bytes moved per breakdown category and per scope,
+//!   in exact fixed point,
 //! * [`stats`] — the accounting types shared with the accelerator crates.
 //!
 //! The engine works at the granularity at which the paper's modified
@@ -43,7 +43,7 @@ pub mod timing;
 
 pub use config::{ConfigError, HbmConfig};
 pub use energy::EnergyParams;
-pub use engine::{Engine, LumpAction, Phase, PhaseOp};
+pub use engine::Engine;
 pub use geometry::{BankCoord, BankId, HbmGeometry};
 pub use resource::{ResourceId, ResourceMap};
 pub use stats::{Category, SimStats};

@@ -1,4 +1,7 @@
 //! Accounting types: operation categories, latency/energy/bandwidth counters.
+//!
+//! The phase engine accumulates into a private exact [`Tally`] and converts
+//! to the f64 [`SimStats`]/[`ScopedStats`] view once, at the end of a run.
 
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
@@ -84,14 +87,6 @@ impl SimStats {
     /// Empty statistics.
     pub fn new() -> Self {
         Self::default()
-    }
-
-    /// Record one engine phase.
-    pub fn record(&mut self, category: Category, latency_ns: f64, energy_pj: f64, bytes: f64) {
-        self.latency_ns += latency_ns;
-        self.time_ns[category.index()] += latency_ns;
-        self.energy_pj[category.index()] += energy_pj;
-        self.bytes_moved += bytes;
     }
 
     /// Total energy across categories, in picojoules.
@@ -185,31 +180,6 @@ impl ScopedStats {
         Self::default()
     }
 
-    /// Record a phase under `scope`.
-    ///
-    /// Allocation-free when the scope has been seen before — the hot path
-    /// for decode loops, which record millions of lumps across a handful
-    /// of scope labels.
-    pub fn record(
-        &mut self,
-        scope: &str,
-        category: Category,
-        latency_ns: f64,
-        energy_pj: f64,
-        bytes: f64,
-    ) {
-        self.entry_mut(scope).record(category, latency_ns, energy_pj, bytes);
-    }
-
-    /// The (created-if-absent) statistics entry for `scope`, cloning the
-    /// label only on first sight.
-    pub fn entry_mut(&mut self, scope: &str) -> &mut SimStats {
-        if !self.scopes.contains_key(scope) {
-            self.scopes.insert(scope.to_owned(), SimStats::default());
-        }
-        self.scopes.get_mut(scope).expect("entry just ensured")
-    }
-
     /// Statistics for one scope, if any phases were recorded under it.
     pub fn get(&self, scope: &str) -> Option<&SimStats> {
         self.scopes.get(scope)
@@ -226,16 +196,171 @@ impl ScopedStats {
     }
 }
 
+impl FromIterator<(String, SimStats)> for ScopedStats {
+    fn from_iter<I: IntoIterator<Item = (String, SimStats)>>(iter: I) -> Self {
+        Self { scopes: iter.into_iter().collect() }
+    }
+}
+
+/// One tally unit is 2^-64 ns, pJ or byte.
+const UNITS_PER_ONE: f64 = 18_446_744_073_709_551_616.0; // 2^64
+
+/// `x` in tally units. A normal `x` is `m · 2^(e - 1075)` for its 53-bit
+/// mantissa `m` and biased exponent `e`, so in units it is `m · 2^(e - 1011)`:
+/// a bit shift, exact for every `x` ≥ 2^-12 (its last mantissa bit is then
+/// worth at least 2^-64). Finer bits of smaller values are truncated.
+///
+/// # Panics
+///
+/// If `x` is negative, not finite, or ≥ 2^64 — outside what a tally holds.
+fn to_units(x: f64) -> u128 {
+    assert!(
+        (0.0..UNITS_PER_ONE).contains(&x),
+        "statistics value {x} is outside the tally range [0, 2^64)"
+    );
+    let bits = x.to_bits();
+    let shift = ((bits >> 52) & 0x7ff) as i32 - 1011;
+    let m = u128::from((bits & ((1 << 52) - 1)) | (1 << 52));
+    match shift {
+        0.. => m << shift,
+        -52..=-1 => m >> -shift,
+        // Zero, subnormals and anything below 2^-64.
+        _ => 0,
+    }
+}
+
+/// The nearest f64 to `u` tally units.
+fn from_units(u: u128) -> f64 {
+    u as f64 / UNITS_PER_ONE
+}
+
+const OVERFLOW: &str = "simulated totals exceed the tally range of 2^64 ns, pJ or bytes";
+
+/// `a + b`, or a panic naming the range when a total leaves it.
+fn add_units(a: u128, b: u128) -> u128 {
+    a.checked_add(b).expect(OVERFLOW)
+}
+
+/// One lump in tally units: converted once, recorded in several tallies.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Lump {
+    category: usize,
+    time: u128,
+    energy: u128,
+    bytes: u128,
+}
+
+impl Lump {
+    /// A lump of `category`.
+    ///
+    /// # Panics
+    ///
+    /// If a value is outside the tally range (see [`to_units`]).
+    pub(crate) fn new(category: Category, latency_ns: f64, energy_pj: f64, bytes: f64) -> Self {
+        Self {
+            category: category.index(),
+            time: to_units(latency_ns),
+            energy: to_units(energy_pj),
+            bytes: to_units(bytes),
+        }
+    }
+}
+
+/// Exact statistics accumulator: time and energy per [`Category`], bytes
+/// moved and lumps recorded, as `u128` counts of 2^-64 ns, pJ and bytes.
+///
+/// Integer addition is associative, so a tally does not depend on the order
+/// its lumps arrive in, and a repeated body adds exactly as body × count
+/// ([`Tally::repeat_since`]). Each field holds totals below 2^64 ns, pJ
+/// or bytes: 2^64 ns is about 584 simulated years.
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
+pub(crate) struct Tally {
+    time: [u128; 4],
+    energy: [u128; 4],
+    bytes: u128,
+    lumps: u128,
+}
+
+impl Tally {
+    /// Record one lump.
+    ///
+    /// # Panics
+    ///
+    /// If a total leaves the tally range.
+    pub(crate) fn record(&mut self, lump: &Lump) {
+        let c = lump.category;
+        self.time[c] = add_units(self.time[c], lump.time);
+        self.energy[c] = add_units(self.energy[c], lump.energy);
+        self.bytes = add_units(self.bytes, lump.bytes);
+        self.lumps += 1;
+    }
+
+    /// Whether any lump was recorded.
+    pub(crate) fn is_empty(&self) -> bool {
+        self.lumps == 0
+    }
+
+    /// Add what was recorded since the snapshot `before` another `times`
+    /// times.
+    ///
+    /// # Panics
+    ///
+    /// If a total leaves the tally range.
+    pub(crate) fn repeat_since(&mut self, before: &Tally, times: u64) {
+        for (x, b) in self.fields_mut().zip(before.fields()) {
+            *x = add_units(*x, (*x - b).checked_mul(u128::from(times)).expect(OVERFLOW));
+        }
+    }
+
+    fn fields(&self) -> impl Iterator<Item = u128> + '_ {
+        self.time.iter().chain(&self.energy).chain([&self.bytes, &self.lumps]).copied()
+    }
+
+    fn fields_mut(&mut self) -> impl Iterator<Item = &mut u128> {
+        self.time.iter_mut().chain(&mut self.energy).chain([&mut self.bytes, &mut self.lumps])
+    }
+
+    /// Total time recorded: the makespan, in ns.
+    pub(crate) fn latency_ns(&self) -> f64 {
+        from_units(self.time.iter().copied().fold(0, add_units))
+    }
+
+    /// Time recorded under `category`, in ns.
+    pub(crate) fn time_ns(&self, category: Category) -> f64 {
+        from_units(self.time[category.index()])
+    }
+
+    /// The f64 view.
+    pub(crate) fn to_stats(self) -> SimStats {
+        SimStats {
+            latency_ns: self.latency_ns(),
+            time_ns: self.time.map(from_units),
+            energy_pj: self.energy.map(from_units),
+            bytes_moved: from_units(self.bytes),
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
 
+    fn tally(lumps: &[(Category, f64, f64, f64)]) -> Tally {
+        let mut t = Tally::default();
+        for &(c, l, e, b) in lumps {
+            t.record(&Lump::new(c, l, e, b));
+        }
+        t
+    }
+
     #[test]
     fn record_partitions_latency() {
-        let mut s = SimStats::new();
-        s.record(Category::DataMovement, 10.0, 100.0, 64.0);
-        s.record(Category::Arithmetic, 30.0, 300.0, 0.0);
-        s.record(Category::Reduction, 10.0, 50.0, 0.0);
+        let s = tally(&[
+            (Category::DataMovement, 10.0, 100.0, 64.0),
+            (Category::Arithmetic, 30.0, 300.0, 0.0),
+            (Category::Reduction, 10.0, 50.0, 0.0),
+        ])
+        .to_stats();
         assert_eq!(s.latency_ns, 50.0);
         assert_eq!(s.time_ns.iter().sum::<f64>(), s.latency_ns);
         assert_eq!(s.total_energy_pj(), 450.0);
@@ -245,8 +370,7 @@ mod tests {
 
     #[test]
     fn power_is_energy_over_time() {
-        let mut s = SimStats::new();
-        s.record(Category::Arithmetic, 1e9, 5e12, 0.0); // 1 s, 5 J
+        let s = tally(&[(Category::Arithmetic, 1e9, 5e12, 0.0)]).to_stats(); // 1 s, 5 J
         assert!((s.average_power_w() - 5.0).abs() < 1e-12);
     }
 
@@ -256,17 +380,78 @@ mod tests {
         assert_eq!(s.average_power_w(), 0.0);
         assert_eq!(s.average_bandwidth_gbs(), 0.0);
         assert_eq!(s.compute_utilization(), 0.0);
+        assert!(Tally::default().is_empty());
+        assert_eq!(Tally::default().to_stats(), s);
     }
 
     #[test]
     fn scoped_total_matches_sum() {
-        let mut s = ScopedStats::new();
-        s.record("fc", Category::Arithmetic, 5.0, 10.0, 1.0);
-        s.record("attn", Category::DataMovement, 7.0, 20.0, 2.0);
-        s.record("fc", Category::Reduction, 3.0, 5.0, 0.0);
-        let t = s.total();
-        assert_eq!(t.latency_ns, 15.0);
+        let fc = SimStats { latency_ns: 8.0, time_ns: [0.0, 5.0, 3.0, 0.0], ..SimStats::new() };
+        let attn = SimStats { latency_ns: 7.0, time_ns: [7.0, 0.0, 0.0, 0.0], ..SimStats::new() };
+        let s: ScopedStats =
+            [("fc".to_owned(), fc), ("attn".to_owned(), attn)].into_iter().collect();
+        assert_eq!(s.total().latency_ns, 15.0);
         assert_eq!(s.get("fc").unwrap().latency_ns, 8.0);
         assert!(s.get("nope").is_none());
+        assert_eq!(s.iter().map(|(k, _)| k).collect::<Vec<_>>(), ["attn", "fc"]);
+    }
+
+    #[test]
+    fn conversion_is_exact_from_two_to_the_minus_twelve() {
+        let tiny = 2f64.powi(-12);
+        assert_eq!(to_units(0.0), 0);
+        assert_eq!(to_units(tiny), 1 << 52);
+        assert_eq!(from_units(to_units(tiny)), tiny);
+        // A subnormal is below the tally's resolution.
+        assert_eq!(to_units(f64::MIN_POSITIVE / 4.0), 0);
+        assert_eq!(from_units(to_units(1e18)), 1e18);
+        // Finer bits than 2^-64 are truncated, never rounded up.
+        assert_eq!(to_units(1.5 * 2f64.powi(-64)), 1);
+        assert_eq!(to_units(2f64.powi(-65)), 0);
+        assert_eq!(to_units(-0.0), 0);
+        assert_eq!(to_units(2f64.powi(63)), 1 << 127);
+        // Random values in [2^-12, 2^40] round-trip bit for bit.
+        let mut x = 0x9E37_79B9_7F4A_7C15u64;
+        for _ in 0..10_000 {
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            let v = 2f64.powf(-12.0 + 52.0 * (x >> 11) as f64 / (1u64 << 53) as f64);
+            assert_eq!(from_units(to_units(v)), v, "{v} did not round-trip");
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "outside the tally range")]
+    fn negative_values_are_rejected() {
+        to_units(-1.0);
+    }
+
+    #[test]
+    #[should_panic(expected = "outside the tally range")]
+    fn non_finite_values_are_rejected() {
+        to_units(f64::NAN);
+    }
+
+    #[test]
+    #[should_panic(expected = "exceed the tally range")]
+    fn repeat_overflow_is_caught() {
+        let before = Tally::default();
+        let mut t = tally(&[(Category::Other, 2f64.powi(40), 0.0, 0.0)]);
+        t.repeat_since(&before, 1 << 30);
+    }
+
+    #[test]
+    fn repeat_since_multiplies_the_recorded_delta() {
+        let mut t = tally(&[(Category::Arithmetic, 3.25, 1.5, 0.0)]);
+        let before = t;
+        let lump = Lump::new(Category::Reduction, 0.1, 0.2, 8.0);
+        t.record(&lump);
+        t.repeat_since(&before, 9);
+        let mut want = tally(&[(Category::Arithmetic, 3.25, 1.5, 0.0)]);
+        for _ in 0..10 {
+            want.record(&lump);
+        }
+        assert_eq!(t, want);
     }
 }

@@ -31,7 +31,7 @@ use transpim_acu::ring::{
 };
 use transpim_dataflow::ir::{BankRange, Program, Step, StepDelta};
 use transpim_fault::{FaultSession, FlipOutcome};
-use transpim_hbm::engine::{tracks, Engine, LumpAction, Phase};
+use transpim_hbm::engine::{tracks, Engine};
 use transpim_hbm::geometry::BankId;
 use transpim_hbm::resource::ResourceMap;
 use transpim_hbm::stats::{Category, ScopedStats, SimStats};
@@ -192,7 +192,7 @@ impl Executor {
     }
 
     fn run_on(&mut self, program: &Program, engine: &mut Engine) {
-        if let Err(e) = self.run_segment(program.steps(), engine, &mut None, &mut None) {
+        if let Err(e) = self.run_segment(program.steps(), engine, &mut None) {
             unreachable!("fault-free pricing cannot fail: {e}");
         }
     }
@@ -235,7 +235,7 @@ impl Executor {
     ) -> Result<(SimStats, ScopedStats), SimError> {
         let mut engine = Engine::with_sink(sink);
         engine.set_latency_scale(1.0 + self.arch.hbm.timing.refresh_overhead());
-        self.run_segment(program.steps(), &mut engine, &mut None, &mut Some(session))?;
+        self.run_segment(program.steps(), &mut engine, &mut Some(session))?;
         Ok(engine.into_stats())
     }
 
@@ -261,27 +261,9 @@ impl Executor {
         self.map_faulted = true;
     }
 
-    /// Record a lump into the replay log (when recording) and run it.
-    /// Every lump the executor prices flows through here so a recorded
-    /// repeat body replays the exact phase stream.
-    fn lump_out(engine: &mut Engine, log: &mut Option<&mut Vec<LumpAction>>, phase: Phase) {
-        if let Some(log) = log.as_deref_mut() {
-            if let Phase::Lump { category, latency_ns, energy_pj, bytes } = &phase {
-                log.push(LumpAction::Lump {
-                    category: *category,
-                    latency_ns: *latency_ns,
-                    energy_pj: *energy_pj,
-                    bytes: *bytes,
-                });
-            }
-        }
-        engine.run(phase);
-    }
-
     /// Gate every priced lump through the fault session (when one is
-    /// attached) and hand it to [`Executor::lump_out`]. With no session
-    /// this is exactly `lump_out` — the fault-free path stays
-    /// byte-identical.
+    /// attached) and record it on the engine. With no session the lump is
+    /// recorded as priced — the fault-free path stays byte-identical.
     ///
     /// # Errors
     ///
@@ -289,21 +271,17 @@ impl Executor {
     fn emit(
         &self,
         engine: &mut Engine,
-        log: &mut Option<&mut Vec<LumpAction>>,
         fault: &mut FaultCtx<'_>,
-        phase: Phase,
+        category: Category,
+        mut latency_ns: f64,
+        mut energy_pj: f64,
+        bytes: f64,
     ) -> Result<(), SimError> {
-        let Some(sess) = fault.as_deref_mut() else {
-            Self::lump_out(engine, log, phase);
-            return Ok(());
-        };
-        let Phase::Lump { category, latency_ns, energy_pj, bytes } = phase else {
-            Self::lump_out(engine, log, phase);
-            return Ok(());
-        };
-        let (latency_ns, energy_pj) =
-            self.degrade(engine, sess, category, latency_ns, energy_pj, bytes)?;
-        Self::lump_out(engine, log, Phase::lump(category, latency_ns, energy_pj, bytes));
+        if let Some(sess) = fault.as_deref_mut() {
+            (latency_ns, energy_pj) =
+                self.degrade(engine, sess, category, latency_ns, energy_pj, bytes)?;
+        }
+        engine.lump(category, latency_ns, energy_pj, bytes);
         Ok(())
     }
 
@@ -414,14 +392,11 @@ impl Executor {
     /// Price a step slice — a whole program or one repeat-body iteration.
     /// The pipelined-ring fusion window applies within the slice (compiled
     /// repeat bodies begin with a scope and end with a memory touch, so
-    /// fusion never wants to cross an iteration boundary). When `log` is
-    /// set, every priced lump and scope change is recorded for
-    /// [`Engine::replay_lumps`].
+    /// fusion never wants to cross an iteration boundary).
     fn run_segment(
         &mut self,
         steps: &[Step],
         engine: &mut Engine,
-        log: &mut Option<&mut Vec<LumpAction>>,
         fault: &mut FaultCtx<'_>,
     ) -> Result<(), SimError> {
         let mut i = 0;
@@ -469,26 +444,18 @@ impl Executor {
                     // could hide more of the ring than we credit).
                     self.emit(
                         engine,
-                        log,
                         fault,
-                        Phase::lump(
-                            Category::DataMovement,
-                            visible_ring,
-                            ring.energy_pj * *repeat as f64 * f64::from(*parallel),
-                            ring.bytes * *repeat as f64 * f64::from(*parallel),
-                        ),
+                        Category::DataMovement,
+                        visible_ring,
+                        ring.energy_pj * *repeat as f64 * f64::from(*parallel),
+                        ring.bytes * *repeat as f64 * f64::from(*parallel),
                     )?;
-                    self.emit(
-                        engine,
-                        log,
-                        fault,
-                        Phase::lump(Category::Arithmetic, mul_lat, mul_pj, 0.0),
-                    )?;
+                    self.emit(engine, fault, Category::Arithmetic, mul_lat, mul_pj, 0.0)?;
                     i += 2;
                     continue;
                 }
             }
-            self.price(&steps[i], engine, log, fault)?;
+            self.price(&steps[i], engine, fault)?;
             i += 1;
         }
         Ok(())
@@ -514,39 +481,33 @@ impl Executor {
         &mut self,
         step: &Step,
         engine: &mut Engine,
-        log: &mut Option<&mut Vec<LumpAction>>,
         fault: &mut FaultCtx<'_>,
     ) -> Result<(), SimError> {
         match *step {
-            Step::Scope(ref label) => {
-                if let Some(log) = log.as_deref_mut() {
-                    log.push(LumpAction::Scope(label.to_string()));
-                }
-                engine.set_scope(label);
-            }
+            Step::Scope(ref label) => engine.set_scope(label),
 
             Step::Repeat { count, ref body, ref delta } => {
-                self.price_repeat(count, body, delta, engine, log, fault)?;
+                self.price_repeat(count, body, delta, engine, fault)?;
             }
 
             Step::PointwiseMul { elems_per_bank, total_elems, a_bits, b_bits } => {
                 let (lat, pj) =
                     self.pointwise(PimOp::Mul { a_bits, b_bits }, elems_per_bank, total_elems);
-                self.emit(engine, log, fault, Phase::lump(Category::Arithmetic, lat, pj, 0.0))?;
+                self.emit(engine, fault, Category::Arithmetic, lat, pj, 0.0)?;
             }
             Step::PointwiseAdd { elems_per_bank, total_elems, bits } => {
                 let (lat, pj) = self.pointwise(PimOp::Add { bits }, elems_per_bank, total_elems);
-                self.emit(engine, log, fault, Phase::lump(Category::Arithmetic, lat, pj, 0.0))?;
+                self.emit(engine, fault, Category::Arithmetic, lat, pj, 0.0)?;
             }
             Step::Exp { elems_per_bank, total_elems, bits, order } => {
                 let (lat, pj) =
                     self.pointwise(PimOp::ExpTaylor { bits, order }, elems_per_bank, total_elems);
-                self.emit(engine, log, fault, Phase::lump(Category::Arithmetic, lat, pj, 0.0))?;
+                self.emit(engine, fault, Category::Arithmetic, lat, pj, 0.0)?;
             }
 
             Step::Reduce { vec_len, bits, vectors_per_bank, total_vectors } => {
                 let (lat, pj) = self.reduce(vec_len, bits, vectors_per_bank, total_vectors);
-                self.emit(engine, log, fault, Phase::lump(Category::Reduction, lat, pj, 0.0))?;
+                self.emit(engine, fault, Category::Reduction, lat, pj, 0.0)?;
             }
             Step::Recip { per_bank, total } => {
                 let (lat, pj) = match fault.as_deref_mut() {
@@ -557,7 +518,7 @@ impl Executor {
                     }
                     _ => self.recip(per_bank, total),
                 };
-                self.emit(engine, log, fault, Phase::lump(Category::Reduction, lat, pj, 0.0))?;
+                self.emit(engine, fault, Category::Reduction, lat, pj, 0.0)?;
             }
 
             Step::Replicate { value_bits, copies, count_per_bank, total_count } => {
@@ -571,31 +532,23 @@ impl Executor {
                 let lat = per_ns * count_per_bank as f64;
                 let pj = per_pj * total_count as f64;
                 let bytes = total_count as f64 * f64::from(copies) * f64::from(value_bits) / 8.0;
-                self.emit(engine, log, fault, Phase::lump(Category::DataMovement, lat, pj, bytes))?;
+                self.emit(engine, fault, Category::DataMovement, lat, pj, bytes)?;
             }
 
             Step::HostBroadcast { bytes, banks } => {
                 let (lat, pj) = self.host_broadcast(bytes, banks);
                 self.emit(
                     engine,
-                    log,
                     fault,
-                    Phase::lump(
-                        Category::DataMovement,
-                        lat,
-                        pj,
-                        bytes as f64 * f64::from(banks.max(1)),
-                    ),
+                    Category::DataMovement,
+                    lat,
+                    pj,
+                    bytes as f64 * f64::from(banks.max(1)),
                 )?;
             }
             Step::HostScatter { total_bytes } => {
                 let (lat, pj) = self.host_scatter(total_bytes);
-                self.emit(
-                    engine,
-                    log,
-                    fault,
-                    Phase::lump(Category::DataMovement, lat, pj, total_bytes as f64),
-                )?;
+                self.emit(engine, fault, Category::DataMovement, lat, pj, total_bytes as f64)?;
             }
 
             Step::RingBroadcast { banks, bytes_per_hop, repeat, parallel } => {
@@ -605,14 +558,11 @@ impl Executor {
                 }
                 self.emit(
                     engine,
-                    log,
                     fault,
-                    Phase::lump(
-                        Category::DataMovement,
-                        r.latency_ns * repeat as f64,
-                        r.energy_pj * repeat as f64 * f64::from(parallel),
-                        r.bytes * repeat as f64 * f64::from(parallel),
-                    ),
+                    Category::DataMovement,
+                    r.latency_ns * repeat as f64,
+                    r.energy_pj * repeat as f64 * f64::from(parallel),
+                    r.bytes * repeat as f64 * f64::from(parallel),
                 )?;
             }
             Step::OneToAll { src, banks, bytes, parallel } => {
@@ -628,14 +578,11 @@ impl Executor {
                 }
                 self.emit(
                     engine,
-                    log,
                     fault,
-                    Phase::lump(
-                        Category::DataMovement,
-                        r.latency_ns,
-                        r.energy_pj * f64::from(parallel),
-                        r.bytes * f64::from(parallel),
-                    ),
+                    Category::DataMovement,
+                    r.latency_ns,
+                    r.energy_pj * f64::from(parallel),
+                    r.bytes * f64::from(parallel),
                 )?;
             }
             Step::PairwiseReduceTree { banks, bytes, bits, elems, parallel } => {
@@ -645,28 +592,22 @@ impl Executor {
                 }
                 self.emit(
                     engine,
-                    log,
                     fault,
-                    Phase::lump(
-                        Category::DataMovement,
-                        r.latency_ns,
-                        r.energy_pj * f64::from(parallel),
-                        r.bytes * f64::from(parallel),
-                    ),
+                    Category::DataMovement,
+                    r.latency_ns,
+                    r.energy_pj * f64::from(parallel),
+                    r.bytes * f64::from(parallel),
                 )?;
                 // One in-bank add per tree level.
                 let levels = 32 - banks.count.max(1).leading_zeros() as u64;
                 let (lat, pj) = self.pointwise(PimOp::Add { bits }, elems, elems * levels);
                 self.emit(
                     engine,
-                    log,
                     fault,
-                    Phase::lump(
-                        Category::Reduction,
-                        lat * levels as f64,
-                        pj * f64::from(parallel),
-                        0.0,
-                    ),
+                    Category::Reduction,
+                    lat * levels as f64,
+                    pj * f64::from(parallel),
+                    0.0,
                 )?;
             }
 
@@ -674,14 +615,11 @@ impl Executor {
                 let (lat, pj) = self.broadcast_dup(bytes, banks);
                 self.emit(
                     engine,
-                    log,
                     fault,
-                    Phase::lump(
-                        Category::DataMovement,
-                        lat,
-                        pj,
-                        bytes as f64 * f64::from(banks.max(1)),
-                    ),
+                    Category::DataMovement,
+                    lat,
+                    pj,
+                    bytes as f64 * f64::from(banks.max(1)),
                 )?;
             }
             Step::IntraBankCopy { bytes_per_bank, total_bytes } => {
@@ -695,31 +633,16 @@ impl Executor {
                         self.rowclone.buffered_copy_energy_pj(total_bytes),
                     ),
                 };
-                self.emit(
-                    engine,
-                    log,
-                    fault,
-                    Phase::lump(Category::DataMovement, lat, pj, total_bytes as f64),
-                )?;
+                self.emit(engine, fault, Category::DataMovement, lat, pj, total_bytes as f64)?;
             }
             Step::ShuffleAll { total_bytes } => {
                 let (lat, pj) = self.shuffle_all(total_bytes);
-                self.emit(
-                    engine,
-                    log,
-                    fault,
-                    Phase::lump(Category::DataMovement, lat, pj, total_bytes as f64),
-                )?;
+                self.emit(engine, fault, Category::DataMovement, lat, pj, total_bytes as f64)?;
             }
 
             Step::MemTouch { bytes_per_bank, total_bytes } => {
                 let (lat, pj) = self.mem_touch(bytes_per_bank, total_bytes);
-                self.emit(
-                    engine,
-                    log,
-                    fault,
-                    Phase::lump(Category::Other, lat, pj, total_bytes as f64),
-                )?;
+                self.emit(engine, fault, Category::Other, lat, pj, total_bytes as f64)?;
             }
         }
         Ok(())
@@ -729,57 +652,48 @@ impl Executor {
     ///
     /// Three strategies, all denoting exactly the unrolled pricing:
     ///
-    /// * **replay** (zero deltas, nothing to emit, not already recording):
-    ///   price iteration 0 once while recording its lump stream, then
-    ///   [`Engine::replay_lumps`] the remaining `count - 1` iterations —
-    ///   the same f64 operations in the same order, so byte-identical
-    ///   statistics at O(body) step-walk cost;
-    /// * **in-place advance** (non-zero deltas, or emission is on): walk a
+    /// * **body × count** (zero deltas, nothing to emit, no fault session):
+    ///   every iteration records the same lumps, so price one and add it
+    ///   `count - 1` more times with [`Engine::repeat_since`] — O(body)
+    ///   whatever `count` is, and exact because the engine's tallies are
+    ///   integers;
+    /// * **in-place advance** (non-zero deltas, emission on, or a fault
+    ///   session, whose transient-flip draws advance per lump): walk a
     ///   scratch copy of the body per iteration, advancing its varying
     ///   fields by the deltas — cache-hot, no per-step allocation;
     /// * **collapsed emission** (tracing with [`Executor::set_collapse_repeats`]):
     ///   iteration 0 emits normally, iterations 1..N run quiet and are
     ///   represented by one summary span carrying the collapsed count.
     ///
-    /// Debug builds verify the replay against an actual re-pricing and the
-    /// final scratch body against [`Step::at`].
+    /// Debug builds check the final scratch body against [`Step::at`].
     fn price_repeat(
         &mut self,
         count: u64,
         body: &[Step],
         delta: &[StepDelta],
         engine: &mut Engine,
-        log: &mut Option<&mut Vec<LumpAction>>,
         fault: &mut FaultCtx<'_>,
     ) -> Result<(), SimError> {
         if count == 0 || body.is_empty() {
             return Ok(());
         }
-        let zero_delta = delta.iter().all(StepDelta::is_zero);
-        // A fault session disables the replay fast path: transient-flip
-        // draws advance per lump, so every iteration must be priced live.
-        if zero_delta && !engine.emitting() && log.is_none() && fault.is_none() {
-            let mut recorded = Vec::new();
-            self.run_segment(body, engine, &mut Some(&mut recorded), &mut None)?;
-            #[cfg(debug_assertions)]
-            let mut check = engine.clone();
-            engine.replay_lumps(&recorded, count - 1);
-            #[cfg(debug_assertions)]
-            {
-                for _ in 1..count {
-                    let _ = self.run_segment(body, &mut check, &mut None, &mut None);
-                }
-                debug_assert_eq!(check.stats(), engine.stats(), "replayed repeat stats diverged");
-                debug_assert_eq!(
-                    check.scoped(),
-                    engine.scoped(),
-                    "replayed repeat scopes diverged"
-                );
+        if delta.iter().all(StepDelta::is_zero) && !engine.emitting() && fault.is_none() {
+            let mut mark = engine.mark();
+            self.run_segment(body, engine, fault)?;
+            let mut rest = count - 1;
+            if rest > 0 && !engine.in_scope_of(&mark) {
+                // Iteration 0 started in the enclosing scope; the others
+                // start in the one the body leaves, so iteration 1 is the
+                // one that repeats.
+                mark = engine.mark();
+                self.run_segment(body, engine, fault)?;
+                rest -= 1;
             }
+            engine.repeat_since(&mark, rest);
             return Ok(());
         }
 
-        let collapse = self.collapse_repeats && count > 1 && engine.emitting() && log.is_none();
+        let collapse = self.collapse_repeats && count > 1 && engine.emitting();
         let mut scratch = body.to_vec();
         let mut summary_start = 0.0;
         for i in 0..count {
@@ -792,7 +706,7 @@ impl Executor {
                 summary_start = engine.now_ns();
                 engine.set_quiet(true);
             }
-            self.run_segment(&scratch, engine, log, fault)?;
+            self.run_segment(&scratch, engine, fault)?;
         }
         if collapse {
             engine.set_quiet(false);
@@ -1217,7 +1131,7 @@ impl Executor {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use transpim_dataflow::ir::Precision;
+    use transpim_dataflow::ir::{Precision, Program};
     use transpim_dataflow::{layer_flow, token_flow};
     use transpim_transformer::workload::Workload;
 
@@ -1470,6 +1384,67 @@ mod tests {
                 assert_eq!(a, b, "{kind}: compressed stats must equal unrolled stats");
                 assert_eq!(sa, sb, "{kind}: scoped stats must agree too");
             }
+        }
+    }
+
+    /// A repeat whose every iteration is identical.
+    fn zero_delta_repeat(count: u64, body: Vec<Step>) -> Step {
+        let delta = body.iter().map(|s| StepDelta::zeros(s.varying().len)).collect();
+        Step::repeat(count, body, delta)
+    }
+
+    fn program(steps: Vec<Step>) -> Program {
+        let mut prog = Program::new();
+        prog.extend(steps);
+        prog
+    }
+
+    #[test]
+    fn zero_delta_repeat_prices_as_body_times_count() {
+        let body = vec![
+            Step::scope("dec.ffn"),
+            Step::MemTouch { bytes_per_bank: 4096, total_bytes: 4096 * 2048 },
+            Step::PointwiseMul {
+                elems_per_bank: 300,
+                total_elems: 300 * 2048,
+                a_bits: 8,
+                b_bits: 8,
+            },
+        ];
+        let arch = ArchConfig::new(ArchKind::TransPim);
+        let (once, _) = Executor::new(arch.clone()).run(&program(body.clone()));
+        let count = 1_000_000_000u64;
+        let started = std::time::Instant::now();
+        let (stats, scoped) =
+            Executor::new(arch).run(&program(vec![zero_delta_repeat(count, body)]));
+        let elapsed = started.elapsed();
+        assert!(elapsed.as_secs_f64() < 1.0, "a billion iterations took {elapsed:?}");
+        // One lump per category, each exact in the tally: scaling by the
+        // count rounds once, exactly as the f64 product does.
+        let n = count as f64;
+        for c in [Category::Arithmetic, Category::Other] {
+            assert_eq!(stats.time_ns[c.index()], once.time_ns[c.index()] * n, "{c}");
+            assert_eq!(stats.energy_pj[c.index()], once.energy_pj[c.index()] * n, "{c}");
+        }
+        assert_eq!(stats.bytes_moved, once.bytes_moved * n);
+        assert!((stats.latency_ns - once.latency_ns * n).abs() <= 1e-15 * stats.latency_ns);
+        assert_eq!(scoped.get("dec.ffn"), Some(&stats));
+    }
+
+    #[test]
+    fn repeat_body_that_changes_scope_matches_unrolled() {
+        // The first lump of iteration 0 lands in `enc.fc`; in every later
+        // iteration it lands in `dec.attn`, where the body leaves off.
+        let body = vec![
+            Step::MemTouch { bytes_per_bank: 64, total_bytes: 512 },
+            Step::scope("dec.attn"),
+            Step::Reduce { vec_len: 64, bits: 16, vectors_per_bank: 3, total_vectors: 24 },
+        ];
+        for count in [1, 2, 9] {
+            let prog = program(vec![Step::scope("enc.fc"), zero_delta_repeat(count, body.clone())]);
+            let arch = ArchConfig::new(ArchKind::TransPim);
+            let compressed = Executor::new(arch.clone()).run(&prog);
+            assert_eq!(compressed, Executor::new(arch).run(&prog.unroll()), "count {count}");
         }
     }
 

@@ -156,9 +156,13 @@ mod tests {
     use super::*;
 
     fn report() -> SimReport {
-        let mut stats = SimStats::new();
-        stats.record(Category::Arithmetic, 1e6, 2e9, 0.0); // 1 ms, 2 mJ
-        stats.record(Category::DataMovement, 1e6, 1e9, 1e6);
+        // 1 ms of arithmetic (2 mJ) and 1 ms of data movement (1 mJ).
+        let stats = SimStats {
+            latency_ns: 2e6,
+            time_ns: [1e6, 1e6, 0.0, 0.0],
+            energy_pj: [1e9, 2e9, 0.0, 0.0],
+            bytes_moved: 1e6,
+        };
         SimReport {
             system: "Token-TransPIM".into(),
             arch: ArchKind::TransPim,

@@ -92,6 +92,7 @@ for required in \
   differential_fuzz::grid_pricing_is_job_count_invariant \
   differential_fuzz::correctable_faults_stay_within_error_budget \
   differential_fuzz::uncorrectable_faults_surface_as_sim_error \
+  differential_fuzz::lump_order_is_irrelevant \
   serde_roundtrips::random_programs_roundtrip_and_keep_wire_shape
 do
   if ! grep -q "^${required}$(printf '\t')" "$summary"; then
@@ -100,5 +101,22 @@ do
   fi
 done
 echo "    $(wc -l < "$summary") properties, case counts audited ($summary)"
+
+# The simulated machine's values must not move under a change that is not
+# meant to move the model. The benchmark's own tests run first; then one
+# short run per workload, whose output checks compare every simulated value
+# against perfbench/reference.json within 1e-9 relative and count any
+# mismatch as a failed request.
+echo "==> simulated-value reference (perfbench, seed 1)"
+cargo test --offline -q --manifest-path perfbench/Cargo.toml
+for workload in decode-4k paper-grid traced-lm degraded; do
+  result=$(cargo run --release --offline --quiet --manifest-path perfbench/Cargo.toml -- \
+    --workload "$workload" --seed 1 --seconds 1 --trace 0 | tail -n 1)
+  if [[ "$result" != *'"failed": 0,'* ]]; then
+    echo "error: perfbench $workload failed its output checks: $result" >&2
+    exit 1
+  fi
+  echo "    $workload: failed 0"
+done
 
 echo "All checks passed."

@@ -1,7 +1,7 @@
 //! Differential fuzz harness: randomized cross-checks between independent
 //! implementations of the same semantics.
 //!
-//! Six comparisons, each over ≥128 generated cases (fixed seeds in CI via
+//! Seven comparisons, each over ≥128 generated cases (fixed seeds in CI via
 //! `TRANSPIM_PROPTEST_SEED` in `scripts/check.sh`):
 //!
 //! 1. **banksim vs f32** — the bit-accurate Figure 8 datapath must agree
@@ -23,6 +23,9 @@
 //!    degradation overhead, and must never error.
 //! 6. **Uncorrectable faults** — an unprotected flip storm must surface as
 //!    a typed `SimError::Uncorrectable`, never a panic or silent success.
+//! 7. **Lump order** — the engine's statistics must not depend on the order
+//!    lumps are recorded in: the exact tally is what lets a repeat price as
+//!    body × count and keeps every job count byte-identical.
 
 use proptest::prelude::*;
 use transpim::accelerator::Accelerator;
@@ -35,6 +38,8 @@ use transpim_bench::{run_grid, GridCell};
 use transpim_dataflow::functional::encoder_layer_sharded;
 use transpim_dataflow::ir::{Program, RepeatCompressor, Step};
 use transpim_dataflow::layer_functional::encoder_layer_layerflow;
+use transpim_hbm::engine::Engine;
+use transpim_hbm::stats::{Category, ScopedStats, SimStats};
 use transpim_transformer::matrix::Matrix;
 use transpim_transformer::model::{ModelConfig, ModelWeights};
 use transpim_transformer::softmax::SoftmaxKind;
@@ -395,5 +400,42 @@ proptest! {
             .simulate_degraded(&w, DataflowKind::Token, &scenario)
             .expect_err("unprotected flip storm must fail");
         prop_assert!(matches!(err, SimError::Uncorrectable { .. }), "{}", err);
+    }
+}
+
+// ---------------------------------------------------------------------------
+// (7) Statistics accounting: lump order
+// ---------------------------------------------------------------------------
+
+const SCOPES: [&str; 4] = ["init", "enc.fc", "dec.attn", "dec.ffn"];
+
+/// (scope, category, latency mantissa, latency exponent, energy, bytes,
+/// sort key).
+type LumpSpec = (usize, usize, f64, i32, f64, f64, u64);
+
+fn record(lumps: &[LumpSpec], latency_scale: f64) -> (SimStats, ScopedStats) {
+    let mut e = Engine::new();
+    e.set_latency_scale(latency_scale);
+    for &(scope, category, mantissa, exponent, energy_pj, bytes, _) in lumps {
+        e.set_scope(SCOPES[scope]);
+        e.lump(Category::ALL[category], mantissa * 10f64.powi(exponent), energy_pj, bytes);
+    }
+    e.into_stats()
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(128))]
+
+    #[test]
+    fn lump_order_is_irrelevant(
+        mut lumps in proptest::collection::vec(
+            (0usize..4, 0usize..4, 0.0f64..1.0, -6i32..9, 0.0f64..1e9, 0.0f64..1e7, any::<u64>()),
+            1..64,
+        ),
+        latency_scale in 1.0f64..1.1,
+    ) {
+        let first = record(&lumps, latency_scale);
+        lumps.sort_by_key(|l| l.6);
+        prop_assert_eq!(first, record(&lumps, latency_scale));
     }
 }
