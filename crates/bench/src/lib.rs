@@ -20,7 +20,7 @@ use transpim::accelerator::Accelerator;
 use transpim::arch::{ArchConfig, ArchKind};
 use transpim::exec::Executor;
 use transpim::report::{DataflowKind, SimReport};
-use transpim::{ChromeTraceSink, FanoutSink, MetricsSink, SinkHandle};
+use transpim::{ChromeTraceSink, FaultScenario, MetricsSink, SinkHandle};
 use transpim_transformer::workload::Workload;
 
 /// Simulate one `dataflow`-`arch` system on `workload` with `stacks` HBM
@@ -93,9 +93,10 @@ pub struct CellOutput {
 /// the outputs **in submission order** — output is independent of `jobs`.
 ///
 /// Scheduling: cells sharing an `(arch, dataflow)` pair form one batch
-/// (one pool job) so a single [`Executor`]'s ring/broadcast/tree schedule
-/// caches amortize across the batch — e.g. across the sequence lengths of
-/// a sweep. Executor reuse is skipped when observability is requested,
+/// (one pool job) so a single [`Executor`]'s schedule memo amortizes
+/// across the batch — e.g. across the sequence lengths of a sweep. Every
+/// cell runs fault-free, through [`Accelerator::simulate_on`] with an
+/// empty scenario. Executor reuse is skipped when observability is requested,
 /// because the executor collapses repeated per-hop trace detail and reuse
 /// would change trace *verbosity* (never priced results) between runs;
 /// with sinks on, every cell gets a fresh executor and private sinks, so
@@ -125,56 +126,34 @@ pub fn run_grid(
         .into_iter()
         .map(|batch| {
             move || {
-                let mut exec: Option<Executor> = None;
+                let mut warm: Option<Executor> = None;
                 batch
                     .into_iter()
                     .map(|(index, cell)| {
-                        let acc = Accelerator::new(cell.arch.clone());
-                        let output = if reuse_executor {
-                            let exec = exec.get_or_insert_with(|| Executor::new(cell.arch.clone()));
-                            let report = acc.simulate_on(
+                        if !reuse_executor {
+                            warm = None;
+                        }
+                        let exec = warm.get_or_insert_with(|| Executor::new(cell.arch.clone()));
+                        // Sinks live and die inside this worker thread: the
+                        // Rc handles never cross threads, and the owned
+                        // sinks travel back with the result.
+                        let trace = want_trace.then(ChromeTraceSink::shared);
+                        let metrics = want_metrics.then(MetricsSink::shared);
+                        let sink = SinkHandle::fanout(vec![
+                            trace.clone().map_or_else(SinkHandle::null, SinkHandle::from_shared),
+                            metrics.clone().map_or_else(SinkHandle::null, SinkHandle::from_shared),
+                        ]);
+                        let report = Accelerator::new(cell.arch.clone())
+                            .simulate_on(
                                 exec,
                                 &cell.workload,
                                 cell.dataflow,
-                                SinkHandle::null(),
-                            );
-                            CellOutput { report, trace: None, metrics: None }
-                        } else {
-                            // Sinks live and die inside this worker thread:
-                            // the Rc handles never cross threads, and the
-                            // owned sinks travel back with the result.
-                            let trace = want_trace.then(ChromeTraceSink::shared);
-                            let metrics = want_metrics.then(MetricsSink::shared);
-                            let mut handles: Vec<SinkHandle> = Vec::new();
-                            if let Some(t) = &trace {
-                                handles.push(SinkHandle::from_shared(t.clone()));
-                            }
-                            if let Some(m) = &metrics {
-                                handles.push(SinkHandle::from_shared(m.clone()));
-                            }
-                            let sink = match handles.len() {
-                                0 => SinkHandle::null(),
-                                1 => handles.pop().expect("one handle"),
-                                _ => SinkHandle::new(FanoutSink::new(handles)),
-                            };
-                            let report =
-                                acc.simulate_with_sink(&cell.workload, cell.dataflow, sink);
-                            let unwrap_own = |rc: Rc<RefCell<ChromeTraceSink>>| {
-                                Rc::try_unwrap(rc)
-                                    .expect("simulation dropped its sink handle")
-                                    .into_inner()
-                            };
-                            let unwrap_own_m = |rc: Rc<RefCell<MetricsSink>>| {
-                                Rc::try_unwrap(rc)
-                                    .expect("simulation dropped its sink handle")
-                                    .into_inner()
-                            };
-                            CellOutput {
-                                report,
-                                trace: trace.map(unwrap_own),
-                                metrics: metrics.map(unwrap_own_m),
-                            }
-                        };
+                                &FaultScenario::empty(0),
+                                sink,
+                            )
+                            .expect("a fault-free simulation cannot fail");
+                        let output =
+                            CellOutput { report, trace: trace.map(own), metrics: metrics.map(own) };
                         (index, output)
                     })
                     .collect::<Vec<_>>()
@@ -190,6 +169,11 @@ pub fn run_grid(
         }
     }
     out.into_iter().map(|o| o.expect("every grid cell ran")).collect()
+}
+
+/// The sink a finished simulation released.
+fn own<T>(shared: Rc<RefCell<T>>) -> T {
+    Rc::try_unwrap(shared).ok().expect("simulation dropped its sink handle").into_inner()
 }
 
 /// Remove `--jobs N` from `args` and return the worker count — defaulting
@@ -292,18 +276,14 @@ impl ObsSession {
     /// The sink handle to attach to a simulation — null when no
     /// observability output was requested.
     pub fn sink(&self) -> SinkHandle {
-        let mut handles: Vec<SinkHandle> = Vec::new();
-        if let Some((_, c)) = &self.trace {
-            handles.push(SinkHandle::from_shared(c.clone()));
-        }
-        if let Some((_, m)) = &self.metrics {
-            handles.push(SinkHandle::from_shared(m.clone()));
-        }
-        match handles.len() {
-            0 => SinkHandle::null(),
-            1 => handles.pop().expect("one handle"),
-            _ => SinkHandle::new(FanoutSink::new(handles)),
-        }
+        SinkHandle::fanout(vec![
+            self.trace
+                .as_ref()
+                .map_or_else(SinkHandle::null, |(_, c)| SinkHandle::from_shared(c.clone())),
+            self.metrics
+                .as_ref()
+                .map_or_else(SinkHandle::null, |(_, m)| SinkHandle::from_shared(m.clone())),
+        ])
     }
 
     /// Whether `--trace` was requested.

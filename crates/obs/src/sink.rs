@@ -72,6 +72,18 @@ impl SinkHandle {
         Self { inner: Some(sink) }
     }
 
+    /// One handle feeding every enabled handle in `handles`: the null
+    /// handle when none is enabled, the handle itself when one is, and a
+    /// [`FanoutSink`] over them otherwise.
+    pub fn fanout(mut handles: Vec<SinkHandle>) -> Self {
+        handles.retain(SinkHandle::is_enabled);
+        match handles.len() {
+            0 => Self::null(),
+            1 => handles.swap_remove(0),
+            _ => Self::new(FanoutSink::new(handles)),
+        }
+    }
+
     /// Whether emissions reach a sink. Gate expensive event construction on
     /// this.
     pub fn is_enabled(&self) -> bool {
@@ -207,6 +219,25 @@ mod tests {
         fan.counter(CounterEvent::sample("u", TrackId(1), 1.0, "busy", 0.5));
         assert_eq!(a.borrow().len(), 3);
         assert_eq!(b.borrow().len(), 3);
+    }
+
+    #[test]
+    fn fanout_handle_wraps_only_when_needed() {
+        assert!(!SinkHandle::fanout(Vec::new()).is_enabled());
+        assert!(!SinkHandle::fanout(vec![SinkHandle::null()]).is_enabled());
+
+        let a = ChromeTraceSink::shared();
+        let one = SinkHandle::fanout(vec![SinkHandle::null(), SinkHandle::from_shared(a.clone())]);
+        let passed: Rc<RefCell<dyn Sink>> = a.clone();
+        assert!(Rc::ptr_eq(one.inner.as_ref().unwrap(), &passed), "one handle passes through");
+
+        let b = ChromeTraceSink::shared();
+        let two = SinkHandle::fanout(vec![
+            SinkHandle::from_shared(a.clone()),
+            SinkHandle::from_shared(b.clone()),
+        ]);
+        two.instant(InstantEvent::new("i", "c", TrackId(1), 1.0));
+        assert_eq!((a.borrow().len(), b.borrow().len()), (1, 1));
     }
 
     #[test]

@@ -5,9 +5,8 @@ use crate::error::SimError;
 use crate::exec::Executor;
 use crate::report::{DataflowKind, SimReport};
 use transpim_dataflow::ir::Program;
-use transpim_dataflow::{layer_flow, token_flow};
-use transpim_fault::{FaultScenario, FaultSession, SystemInfo};
-use transpim_obs::{ChromeTraceSink, ObsError, SinkHandle};
+use transpim_fault::{FaultScenario, FaultSession};
+use transpim_obs::SinkHandle;
 use transpim_transformer::workload::Workload;
 
 /// A configured memory-based accelerator.
@@ -48,11 +47,7 @@ impl Accelerator {
     /// O(layers), not O(decode_len × layers). Use
     /// [`transpim_dataflow::ir::Program::unroll`] for the explicit sequence.
     pub fn compile(&self, workload: &Workload, dataflow: DataflowKind) -> Program {
-        let banks = self.arch.hbm.geometry.total_banks();
-        match dataflow {
-            DataflowKind::Token => token_flow::compile(workload, banks),
-            DataflowKind::Layer => layer_flow::compile(workload, banks),
-        }
+        dataflow.compile(workload, self.arch.hbm.geometry.total_banks())
     }
 
     /// Compile `workload` under `dataflow` and simulate it.
@@ -71,59 +66,49 @@ impl Accelerator {
         sink: SinkHandle,
     ) -> SimReport {
         let mut exec = Executor::new(self.arch.clone());
-        self.simulate_on(&mut exec, workload, dataflow, sink)
-    }
-
-    /// Like [`Accelerator::simulate_with_sink`], running on a caller-owned
-    /// [`Executor`] so its ring/broadcast/tree schedule caches amortize
-    /// across simulations of the same architecture (e.g. a sweep over
-    /// sequence lengths). Priced results are identical to a fresh executor
-    /// — the caches are pure memoization — but trace *verbosity* is not:
-    /// the executor collapses repeated per-hop detail, so reuse an
-    /// executor across runs only when `sink` is disabled.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `exec` was built from a different [`ArchConfig`] than
-    /// this accelerator (cached schedules would be priced for the wrong
-    /// geometry).
-    pub fn simulate_on(
-        &self,
-        exec: &mut Executor,
-        workload: &Workload,
-        dataflow: DataflowKind,
-        sink: SinkHandle,
-    ) -> SimReport {
-        assert!(
-            exec.prices_arch(&self.arch),
-            "executor architecture does not match accelerator architecture"
-        );
-        let program = self.compile(workload, dataflow);
-        let (stats, scoped) = exec.run_with_sink(&program, sink);
-        SimReport {
-            system: self.arch.system_label(dataflow.label()),
-            arch: self.arch.kind,
-            dataflow,
-            workload: workload.name.clone(),
-            stats,
-            scoped,
-            total_ops: workload.total_ops(),
-            batch: workload.batch,
-            faults: None,
-        }
+        self.simulate_on(&mut exec, workload, dataflow, &FaultScenario::empty(0), sink)
+            .expect("a fault-free simulation cannot fail")
     }
 
     /// Simulate under an injected fault scenario with graceful
-    /// degradation: tokens re-shard around failed banks, ring traffic
-    /// re-routes around dead neighbor links over the shared channel bus
-    /// (Figure 9's 8T path), stuck bit-planes serialize the surviving
-    /// subarrays, broken ACU dividers fall back to in-array
-    /// Newton–Raphson, and transient flips are absorbed by the scenario's
-    /// ECC scheme. The report carries the fault accounting in
-    /// [`SimReport::faults`].
+    /// degradation (see [`Accelerator::simulate_on`]). An *empty* scenario
+    /// produces a report byte-identical to [`Accelerator::simulate`].
     ///
-    /// An *empty* scenario produces a report byte-identical to
-    /// [`Accelerator::simulate`].
+    /// # Errors
+    ///
+    /// See [`Accelerator::simulate_on`].
+    pub fn simulate_degraded(
+        &self,
+        workload: &Workload,
+        dataflow: DataflowKind,
+        scenario: &FaultScenario,
+    ) -> Result<SimReport, SimError> {
+        let mut exec = Executor::new(self.arch.clone());
+        self.simulate_on(&mut exec, workload, dataflow, scenario, SinkHandle::null())
+    }
+
+    /// Compile `workload` under `dataflow` and simulate it under
+    /// `scenario` on a caller-owned [`Executor`], streaming events into
+    /// `sink`. Every simulation goes through here; an empty scenario is
+    /// the fault-free run.
+    ///
+    /// Degradation reuses the paper's own mechanisms: tokens re-shard
+    /// around failed banks, ring traffic re-routes around dead neighbor
+    /// links over the shared channel bus (Figure 9's 8T path), stuck
+    /// bit-planes serialize the surviving subarrays, broken ACU dividers
+    /// fall back to in-array Newton–Raphson, and transient flips are
+    /// absorbed by the scenario's ECC scheme. The report carries the fault
+    /// accounting in [`SimReport::faults`] exactly when the scenario is
+    /// not empty. Fault events appear as instants on a dedicated trace
+    /// track, named lazily so fault-free traces never see it.
+    ///
+    /// Reusing one executor lets its schedule memo amortize across
+    /// simulations of the same architecture (e.g. a sweep over sequence
+    /// lengths). Priced results are identical to a fresh executor — the
+    /// memo is pure — but trace *verbosity* is not: the executor collapses
+    /// repeated per-hop detail, so reuse an executor only when `sink` is
+    /// disabled. A scenario with ring-link faults rewires the executor, so
+    /// it cannot be reused afterwards.
     ///
     /// # Errors
     ///
@@ -131,46 +116,29 @@ impl Accelerator {
     /// geometry does not have, [`SimError::Uncorrectable`] when a fault
     /// exceeds every degradation policy (no banks survive, a bank's
     /// subarrays all stuck, or an unprotected transient flip).
-    pub fn simulate_degraded(
-        &self,
-        workload: &Workload,
-        dataflow: DataflowKind,
-        scenario: &FaultScenario,
-    ) -> Result<SimReport, SimError> {
-        self.simulate_degraded_with_sink(workload, dataflow, scenario, SinkHandle::null())
-    }
-
-    /// [`Accelerator::simulate_degraded`] with an observability sink:
-    /// fault events (ECC corrections, parity retries) appear as instants
-    /// on a dedicated trace track, named lazily so fault-free traces stay
-    /// byte-identical.
     ///
-    /// # Errors
+    /// # Panics
     ///
-    /// See [`Accelerator::simulate_degraded`].
-    pub fn simulate_degraded_with_sink(
+    /// Panics if `exec` does not price this accelerator's [`ArchConfig`]
+    /// (cached schedules would be priced for the wrong machine).
+    pub fn simulate_on(
         &self,
+        exec: &mut Executor,
         workload: &Workload,
         dataflow: DataflowKind,
         scenario: &FaultScenario,
         sink: SinkHandle,
     ) -> Result<SimReport, SimError> {
-        let g = &self.arch.hbm.geometry;
-        let info = SystemInfo {
-            total_banks: g.total_banks(),
-            total_groups: g.total_groups(),
-            subarrays_per_bank: g.subarrays_per_bank,
-        };
-        let mut session = FaultSession::new(scenario, info)?;
+        assert!(
+            exec.prices_arch(&self.arch),
+            "executor architecture does not match accelerator architecture"
+        );
+        let mut session = FaultSession::new(scenario, self.arch.system_info())?;
         // Re-shard over the surviving pool (session validation guarantees
         // at least one healthy bank). The compiled program addresses the
         // healthy banks renumbered contiguously in ring order.
-        let healthy = g.total_banks() - session.failed_bank_count();
-        let program = match dataflow {
-            DataflowKind::Token => token_flow::compile(workload, healthy),
-            DataflowKind::Layer => layer_flow::compile(workload, healthy),
-        };
-        let mut exec = Executor::new(self.arch.clone());
+        let healthy = self.arch.hbm.geometry.total_banks() - session.failed_bank_count();
+        let program = dataflow.compile(workload, healthy);
         exec.apply_ring_faults(&session);
         let (stats, scoped) = exec.run_degraded_with_sink(&program, &mut session, sink)?;
         Ok(SimReport {
@@ -182,24 +150,8 @@ impl Accelerator {
             scoped,
             total_ops: workload.total_ops(),
             batch: workload.batch,
-            faults: if scenario.is_empty() { None } else { Some(session.stats()) },
+            faults: (!session.is_empty()).then(|| session.stats()),
         })
-    }
-
-    /// Like [`Accelerator::simulate`], but additionally returns a
-    /// Chrome-tracing JSON document of the phase timeline (loadable in
-    /// `chrome://tracing` or Perfetto). Serialization failures are
-    /// propagated, not swallowed.
-    pub fn simulate_traced(
-        &self,
-        workload: &Workload,
-        dataflow: DataflowKind,
-    ) -> Result<(SimReport, String), ObsError> {
-        let chrome = ChromeTraceSink::shared();
-        let report =
-            self.simulate_with_sink(workload, dataflow, SinkHandle::from_shared(chrome.clone()));
-        let trace = chrome.borrow().to_json_string()?;
-        Ok((report, trace))
     }
 }
 
@@ -207,6 +159,7 @@ impl Accelerator {
 mod tests {
     use super::*;
     use crate::arch::ArchKind;
+    use transpim_obs::ChromeTraceSink;
 
     #[test]
     fn simulate_produces_labeled_report() {
@@ -232,7 +185,9 @@ mod tests {
             for df in DataflowKind::ALL {
                 let mut w = Workload::synthetic_roberta(seq_len);
                 w.model.encoder_layers = 1;
-                let reused = acc.simulate_on(&mut shared, &w, df, transpim_obs::SinkHandle::null());
+                let reused = acc
+                    .simulate_on(&mut shared, &w, df, &FaultScenario::empty(0), SinkHandle::null())
+                    .unwrap();
                 let fresh = acc.simulate(&w, df);
                 assert_eq!(reused.stats, fresh.stats, "{df} @ {seq_len}");
                 assert_eq!(reused.scoped, fresh.scoped, "{df} @ {seq_len}");
@@ -246,11 +201,12 @@ mod tests {
         let mut w = Workload::imdb();
         w.model.encoder_layers = 1;
         let mut exec = crate::exec::Executor::new(ArchConfig::new(ArchKind::Nbp));
-        Accelerator::new(ArchConfig::new(ArchKind::TransPim)).simulate_on(
+        let _ = Accelerator::new(ArchConfig::new(ArchKind::TransPim)).simulate_on(
             &mut exec,
             &w,
             DataflowKind::Token,
-            transpim_obs::SinkHandle::null(),
+            &FaultScenario::empty(0),
+            SinkHandle::null(),
         );
     }
 
@@ -284,8 +240,14 @@ mod tests {
         w.model.encoder_layers = 1;
         let acc = Accelerator::new(ArchConfig::new(ArchKind::TransPim));
         let plain = acc.simulate(&w, DataflowKind::Token);
-        let (traced, trace) = acc.simulate_traced(&w, DataflowKind::Token).unwrap();
+        let chrome = ChromeTraceSink::shared();
+        let traced = acc.simulate_with_sink(
+            &w,
+            DataflowKind::Token,
+            SinkHandle::from_shared(chrome.clone()),
+        );
         assert_eq!(plain.stats, traced.stats);
+        let trace = chrome.borrow().to_json_string().unwrap();
         assert!(serde_json::from_str::<serde_json::Value>(&trace).is_ok());
     }
 }

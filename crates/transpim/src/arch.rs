@@ -4,6 +4,7 @@
 
 use serde::{Deserialize, Serialize};
 use transpim_acu::adder_tree::AcuParams;
+use transpim_fault::SystemInfo;
 use transpim_hbm::config::{ConfigError, HbmConfig};
 use transpim_pim::cost::PimCostParams;
 
@@ -118,6 +119,16 @@ impl ArchConfig {
     /// System label in the paper's "dataflow-architecture" notation.
     pub fn system_label(&self, dataflow: &str) -> String {
         format!("{dataflow}-{}", self.kind.label())
+    }
+
+    /// The slice of the geometry a fault scenario is validated against.
+    pub fn system_info(&self) -> SystemInfo {
+        let g = &self.hbm.geometry;
+        SystemInfo {
+            total_banks: g.total_banks(),
+            total_groups: g.total_groups(),
+            subarrays_per_bank: g.subarrays_per_bank,
+        }
     }
 
     /// Validate the configuration, returning it for chaining. User-facing

@@ -17,27 +17,68 @@
 //!
 //! Ring steps, one-to-all broadcasts and reduction trees are memoized by
 //! their structural key, since the decoder repeats them thousands of times.
+//!
+//! There is one pricing path. A fault-free run is a run under an empty
+//! [`FaultSession`]: the session is consulted only where a fault could
+//! change a price, and an empty one leaves every lump as priced.
 
 use crate::arch::{ArchConfig, ArchKind};
 use crate::calib;
 use crate::error::SimError;
 use std::collections::{HashMap, HashSet};
+use std::hash::{Hash, Hasher};
 use transpim_acu::adder_tree::AcuReduceModel;
 use transpim_acu::data_buffer::DataBufferModel;
 use transpim_acu::divider::DividerModel;
 use transpim_acu::ring::{
-    self, emit_hop_events, one_to_all_broadcast, pairwise_reduce_hops, schedule_hops,
-    schedule_hops_placed, Hop, HopPlacement, ScheduleResult, TransferCostModel,
+    self, emit_hop_events, one_to_all_broadcast, pairwise_reduce_hops, ring_step_hops,
+    schedule_hops_placed, HopPlacement, ScheduleResult, TransferCostModel,
 };
 use transpim_dataflow::ir::{BankRange, Program, Step, StepDelta};
-use transpim_fault::{FaultSession, FlipOutcome};
+use transpim_fault::{FaultScenario, FaultSession, FlipOutcome};
 use transpim_hbm::engine::{tracks, Engine};
 use transpim_hbm::geometry::BankId;
 use transpim_hbm::resource::ResourceMap;
 use transpim_hbm::stats::{Category, ScopedStats, SimStats};
-use transpim_obs::{ChromeTraceSink, InstantEvent, ObsError, SinkHandle, SpanEvent};
+use transpim_obs::{InstantEvent, SinkHandle, SpanEvent};
 use transpim_pim::cost::{PimCostModel, PimOp};
 use transpim_pim::rowclone::RowCloneModel;
+
+/// Which communication schedule a memo entry prices.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+enum Schedule {
+    /// One full ring step ([`Step::RingBroadcast`]).
+    Ring,
+    /// A one-to-all broadcast from bank `src` ([`Step::OneToAll`]); its
+    /// cost depends on where the source sits.
+    OneToAll { src: u32 },
+    /// The pairwise reduction tree's transfers ([`Step::PairwiseReduceTree`]).
+    Tree,
+}
+
+/// Key of the schedule memo: a schedule over a bank range with `bytes`
+/// per transfer.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct ScheduleKey {
+    kind: Schedule,
+    banks: BankRange,
+    bytes: u64,
+}
+
+impl Hash for ScheduleKey {
+    /// Three word writes: the memo is looked up once per priced
+    /// communication step, and a derived hash would write five fields.
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        let kind = match self.kind {
+            Schedule::Ring => 0,
+            Schedule::Tree => 1,
+            Schedule::OneToAll { src } => 2 << 32 | u64::from(src),
+        };
+        state.write_u64(kind);
+        state.write_u64(u64::from(self.banks.start) << 32 | u64::from(self.banks.count));
+        state.write_u64(self.bytes);
+    }
+}
 
 /// Prices dataflow programs on one architecture.
 #[derive(Debug)]
@@ -55,20 +96,14 @@ pub struct Executor {
     /// Broadcast writes are paced by this floor even on the buffered
     /// datapath — every receiving bank's array write is the bottleneck.
     stream_floor_gbs: f64,
-    ring_cache: HashMap<(u32, u32, u64), ScheduleResult>,
-    broadcast_cache: HashMap<(u32, u32, u64), ScheduleResult>,
-    tree_cache: HashMap<(u32, u32, u64), ScheduleResult>,
-    /// Per-hop placements for traced runs, keyed like the cost caches.
-    /// Only populated when a sink is attached.
-    ring_hop_cache: HashMap<(u32, u32, u64), Vec<HopPlacement>>,
-    tree_hop_cache: HashMap<(u32, u32, u64), Vec<HopPlacement>>,
-    /// Ring/tree topologies `(start, count)` that already emitted one
+    /// Communication schedules by structural key.
+    schedules: HashMap<ScheduleKey, ScheduleResult>,
+    /// Ring/tree topologies `(kind, start, count)` that already emitted one
     /// fully-detailed per-hop exemplar into the trace. The decoder prices
     /// the same topology thousands of times (with per-step byte counts);
     /// re-emitting every hop each time swamps the trace and dominates the
     /// traced run's cost, so later occurrences collapse to a summary span.
-    ring_detail_emitted: HashSet<(u32, u32)>,
-    tree_detail_emitted: HashSet<(u32, u32)>,
+    detail_emitted: HashSet<(Schedule, u32, u32)>,
     /// When tracing, collapse iterations 1..N of a [`Step::Repeat`] into a
     /// single summary span instead of emitting every iteration's phases —
     /// keeps trace size O(compiled steps) for long decode loops. Off by
@@ -81,11 +116,16 @@ pub struct Executor {
     map_faulted: bool,
 }
 
-/// Threaded fault context: `None` everywhere on the fault-free path, so
-/// pricing is byte-identical to a build without this subsystem.
-type FaultCtx<'a> = Option<&'a mut FaultSession>;
-
 impl Executor {
+    /// Row-cycle-bound streaming rate of one bank (GB/s): open the row,
+    /// stream it beat by beat, restore it.
+    fn row_cycle_gbs(arch: &ArchConfig) -> f64 {
+        let g = arch.hbm.geometry;
+        let t = arch.hbm.timing;
+        let beats = f64::from(g.row_bits()) / f64::from(g.dq_bits);
+        f64::from(g.row_bytes) / (2.0 * t.t_rc + beats * t.t_ccd_l)
+    }
+
     /// Normalize an input configuration to what the executor prices:
     /// bank-to-bank streaming rates differ with the communication
     /// hardware. Without the TransPIM buffers, every transfer is
@@ -94,13 +134,12 @@ impl Executor {
     /// the buffers, group segments pipeline independently at the
     /// column-access rate.
     fn normalized(mut arch: ArchConfig) -> ArchConfig {
-        let g = arch.hbm.geometry;
-        let t = arch.hbm.timing;
         if arch.kind.has_buffers() {
-            arch.hbm.bus.group_gbs = f64::from(g.dq_bits) / 8.0 / t.t_ccd_s; // 16 GB/s
+            let g = arch.hbm.geometry;
+            arch.hbm.bus.group_gbs = f64::from(g.dq_bits) / 8.0 / arch.hbm.timing.t_ccd_s;
+        // 16 GB/s
         } else {
-            let beats = f64::from(g.row_bits()) / f64::from(g.dq_bits);
-            let unbuffered_gbs = f64::from(g.row_bytes) / (2.0 * t.t_rc + beats * t.t_ccd_l);
+            let unbuffered_gbs = Self::row_cycle_gbs(&arch);
             arch.hbm.bus.group_gbs = unbuffered_gbs;
             arch.hbm.bus.channel_gbs = unbuffered_gbs;
         }
@@ -117,10 +156,6 @@ impl Executor {
     /// Build an executor for `arch`.
     pub fn new(arch: ArchConfig) -> Self {
         let arch = Self::normalized(arch);
-        let g = arch.hbm.geometry;
-        let t = arch.hbm.timing;
-        let beats = f64::from(g.row_bits()) / f64::from(g.dq_bits);
-        let stream_floor_gbs = f64::from(g.row_bytes) / (2.0 * t.t_rc + beats * t.t_ccd_l);
         let hbm = &arch.hbm;
         let map = hbm.resource_map(arch.kind.has_buffers());
         let pim = PimCostModel::new(hbm.geometry, hbm.timing, hbm.energy, arch.pim);
@@ -129,6 +164,7 @@ impl Executor {
         let rowclone = RowCloneModel::new(hbm.geometry, hbm.timing, hbm.energy);
         let xfer = TransferCostModel::new(hbm.geometry, hbm.energy, arch.kind.has_buffers());
         Self {
+            stream_floor_gbs: Self::row_cycle_gbs(&arch),
             arch,
             map,
             pim,
@@ -137,28 +173,11 @@ impl Executor {
             buffer,
             rowclone,
             xfer,
-            stream_floor_gbs,
-            ring_cache: HashMap::new(),
-            broadcast_cache: HashMap::new(),
-            tree_cache: HashMap::new(),
-            ring_hop_cache: HashMap::new(),
-            tree_hop_cache: HashMap::new(),
-            ring_detail_emitted: HashSet::new(),
-            tree_detail_emitted: HashSet::new(),
+            schedules: HashMap::new(),
+            detail_emitted: HashSet::new(),
             collapse_repeats: false,
             map_faulted: false,
         }
-    }
-
-    /// The resource map transfers are routed over (after any applied ring
-    /// faults).
-    pub fn resource_map(&self) -> &ResourceMap {
-        &self.map
-    }
-
-    /// The architecture being priced.
-    pub fn arch(&self) -> &ArchConfig {
-        &self.arch
     }
 
     /// Collapse traced repeat iterations 1..N into one summary span (see
@@ -175,7 +194,7 @@ impl Executor {
         self.run_with_sink(program, SinkHandle::null())
     }
 
-    /// Run a program with an observability sink attached: phase spans,
+    /// [`Executor::run`] with an observability sink attached: phase spans,
     /// per-resource occupancy counters and per-hop ring events are emitted
     /// to `sink` as the engine executes. A [`SinkHandle::null`] sink makes
     /// this identical to [`Executor::run`] — no events are built and the
@@ -185,48 +204,31 @@ impl Executor {
         program: &Program,
         sink: SinkHandle,
     ) -> (SimStats, ScopedStats) {
-        let mut engine = Engine::with_sink(sink);
-        engine.set_latency_scale(1.0 + self.arch.hbm.timing.refresh_overhead());
-        self.run_on(program, &mut engine);
-        engine.into_stats()
+        let mut session = FaultSession::new(&FaultScenario::empty(0), self.arch.system_info())
+            .expect("an empty scenario validates on any geometry that has banks");
+        self.run_degraded_with_sink(program, &mut session, sink)
+            .expect("pricing under an empty fault session cannot fail")
     }
 
-    fn run_on(&mut self, program: &Program, engine: &mut Engine) {
-        if let Err(e) = self.run_segment(program.steps(), engine, &mut None) {
-            unreachable!("fault-free pricing cannot fail: {e}");
-        }
-    }
-
-    /// Run a program under a fault session: every lump is repriced through
-    /// the degradation policies (stuck-plane serialization, ECC checks and
+    /// Run a program under a fault session, with an observability sink
+    /// attached. This is the one pricing body; an empty session is the
+    /// fault-free run.
+    ///
+    /// Under a non-empty session every lump is repriced through the
+    /// degradation policies (stuck-plane serialization, ECC checks and
     /// corrections, bounded parity retries, divider fallback), correctable
     /// faults are absorbed into the statistics, and uncorrectable ones
-    /// surface as a typed [`SimError`].
+    /// surface as a typed [`SimError`]. Fault events (ECC corrections,
+    /// parity retries) are emitted as instants on the dedicated fault
+    /// track alongside the usual phase spans and counters.
     ///
     /// Ring-link faults change *routing*, not lump repricing — apply them
-    /// first with [`Executor::apply_ring_faults`]. An empty session leaves
-    /// the run byte-identical to [`Executor::run`].
+    /// first with [`Executor::apply_ring_faults`].
     ///
     /// # Errors
     ///
     /// [`SimError::Uncorrectable`] when an injected fault exceeds the ECC
     /// scheme and every degradation policy.
-    pub fn run_degraded(
-        &mut self,
-        program: &Program,
-        session: &mut FaultSession,
-    ) -> Result<(SimStats, ScopedStats), SimError> {
-        self.run_degraded_with_sink(program, session, SinkHandle::null())
-    }
-
-    /// [`Executor::run_degraded`] with an observability sink attached:
-    /// fault events (ECC corrections, parity retries) are emitted as
-    /// instants on the dedicated fault track alongside the usual phase
-    /// spans and counters.
-    ///
-    /// # Errors
-    ///
-    /// See [`Executor::run_degraded`].
     pub fn run_degraded_with_sink(
         &mut self,
         program: &Program,
@@ -235,16 +237,16 @@ impl Executor {
     ) -> Result<(SimStats, ScopedStats), SimError> {
         let mut engine = Engine::with_sink(sink);
         engine.set_latency_scale(1.0 + self.arch.hbm.timing.refresh_overhead());
-        self.run_segment(program.steps(), &mut engine, &mut Some(session))?;
+        self.run_segment(program.steps(), &mut engine, session)?;
         Ok(engine.into_stats())
     }
 
     /// Rewire the resource map around the session's ring-link faults: dead
     /// links fall back to the shared channel bus (Figure 9's 8T path),
     /// degraded links keep their dedicated link at reduced bandwidth. The
-    /// communication memo caches are invalidated; the closed-form
-    /// one-to-all broadcast rides the channel buses already and is
-    /// unaffected by neighbor-link faults.
+    /// schedule memo is invalidated; the closed-form one-to-all broadcast
+    /// rides the channel buses already and is unaffected by neighbor-link
+    /// faults.
     pub fn apply_ring_faults(&mut self, session: &FaultSession) {
         if session.dead_links().is_empty() && session.degraded_links().is_empty() {
             return;
@@ -253,17 +255,12 @@ impl Executor {
         let degraded: Vec<(u32, f64)> =
             session.degraded_links().iter().map(|(&g, &f)| (g, f)).collect();
         self.map = self.map.clone().with_ring_faults(&dead, &degraded);
-        self.ring_cache.clear();
-        self.broadcast_cache.clear();
-        self.tree_cache.clear();
-        self.ring_hop_cache.clear();
-        self.tree_hop_cache.clear();
+        self.schedules.clear();
         self.map_faulted = true;
     }
 
-    /// Gate every priced lump through the fault session (when one is
-    /// attached) and record it on the engine. With no session the lump is
-    /// recorded as priced — the fault-free path stays byte-identical.
+    /// Gate every priced lump through the fault session and record it on
+    /// the engine. An empty session records the lump as priced.
     ///
     /// # Errors
     ///
@@ -271,15 +268,15 @@ impl Executor {
     fn emit(
         &self,
         engine: &mut Engine,
-        fault: &mut FaultCtx<'_>,
+        session: &mut FaultSession,
         category: Category,
         mut latency_ns: f64,
         mut energy_pj: f64,
         bytes: f64,
     ) -> Result<(), SimError> {
-        if let Some(sess) = fault.as_deref_mut() {
+        if !session.is_empty() {
             (latency_ns, energy_pj) =
-                self.degrade(engine, sess, category, latency_ns, energy_pj, bytes)?;
+                self.degrade(engine, session, category, latency_ns, energy_pj, bytes)?;
         }
         engine.lump(category, latency_ns, energy_pj, bytes);
         Ok(())
@@ -397,7 +394,7 @@ impl Executor {
         &mut self,
         steps: &[Step],
         engine: &mut Engine,
-        fault: &mut FaultCtx<'_>,
+        session: &mut FaultSession,
     ) -> Result<(), SimError> {
         let mut i = 0;
         while i < steps.len() {
@@ -413,7 +410,7 @@ impl Executor {
                     Some(Step::PointwiseMul { elems_per_bank, total_elems, a_bits, b_bits }),
                 ) = (steps.get(i), steps.get(i + 1))
                 {
-                    let ring = self.ring_step(*banks, *bytes_per_hop);
+                    let ring = self.schedule(Schedule::Ring, *banks, *bytes_per_hop);
                     let ring_lat = ring.latency_ns * *repeat as f64;
                     let (mul_lat, mul_pj) = self.pointwise(
                         PimOp::Mul { a_bits: *a_bits, b_bits: *b_bits },
@@ -444,81 +441,63 @@ impl Executor {
                     // could hide more of the ring than we credit).
                     self.emit(
                         engine,
-                        fault,
+                        session,
                         Category::DataMovement,
                         visible_ring,
                         ring.energy_pj * *repeat as f64 * f64::from(*parallel),
                         ring.bytes * *repeat as f64 * f64::from(*parallel),
                     )?;
-                    self.emit(engine, fault, Category::Arithmetic, mul_lat, mul_pj, 0.0)?;
+                    self.emit(engine, session, Category::Arithmetic, mul_lat, mul_pj, 0.0)?;
                     i += 2;
                     continue;
                 }
             }
-            self.price(&steps[i], engine, fault)?;
+            self.price(&steps[i], engine, session)?;
             i += 1;
         }
         Ok(())
-    }
-
-    /// Run a program with a full Chrome-trace timeline recorded; returns
-    /// the statistics plus a Chrome-tracing JSON document of the execution
-    /// (loadable in `chrome://tracing` or Perfetto).
-    ///
-    /// Serialization failures are propagated, not swallowed: a trace that
-    /// was asked for but cannot be produced is an error.
-    pub fn run_traced(
-        &mut self,
-        program: &Program,
-    ) -> Result<(SimStats, ScopedStats, String), ObsError> {
-        let chrome = ChromeTraceSink::shared();
-        let (stats, scoped) = self.run_with_sink(program, SinkHandle::from_shared(chrome.clone()));
-        let trace = chrome.borrow().to_json_string()?;
-        Ok((stats, scoped, trace))
     }
 
     fn price(
         &mut self,
         step: &Step,
         engine: &mut Engine,
-        fault: &mut FaultCtx<'_>,
+        session: &mut FaultSession,
     ) -> Result<(), SimError> {
         match *step {
             Step::Scope(ref label) => engine.set_scope(label),
 
             Step::Repeat { count, ref body, ref delta } => {
-                self.price_repeat(count, body, delta, engine, fault)?;
+                self.price_repeat(count, body, delta, engine, session)?;
             }
 
             Step::PointwiseMul { elems_per_bank, total_elems, a_bits, b_bits } => {
                 let (lat, pj) =
                     self.pointwise(PimOp::Mul { a_bits, b_bits }, elems_per_bank, total_elems);
-                self.emit(engine, fault, Category::Arithmetic, lat, pj, 0.0)?;
+                self.emit(engine, session, Category::Arithmetic, lat, pj, 0.0)?;
             }
             Step::PointwiseAdd { elems_per_bank, total_elems, bits } => {
                 let (lat, pj) = self.pointwise(PimOp::Add { bits }, elems_per_bank, total_elems);
-                self.emit(engine, fault, Category::Arithmetic, lat, pj, 0.0)?;
+                self.emit(engine, session, Category::Arithmetic, lat, pj, 0.0)?;
             }
             Step::Exp { elems_per_bank, total_elems, bits, order } => {
                 let (lat, pj) =
                     self.pointwise(PimOp::ExpTaylor { bits, order }, elems_per_bank, total_elems);
-                self.emit(engine, fault, Category::Arithmetic, lat, pj, 0.0)?;
+                self.emit(engine, session, Category::Arithmetic, lat, pj, 0.0)?;
             }
 
             Step::Reduce { vec_len, bits, vectors_per_bank, total_vectors } => {
                 let (lat, pj) = self.reduce(vec_len, bits, vectors_per_bank, total_vectors);
-                self.emit(engine, fault, Category::Reduction, lat, pj, 0.0)?;
+                self.emit(engine, session, Category::Reduction, lat, pj, 0.0)?;
             }
             Step::Recip { per_bank, total } => {
-                let (lat, pj) = match fault.as_deref_mut() {
-                    Some(sess)
-                        if self.arch.kind.has_acu() && !sess.broken_dividers().is_empty() =>
-                    {
-                        self.recip_degraded(per_bank, total, sess, engine.latency_scale())
-                    }
-                    _ => self.recip(per_bank, total),
+                let (lat, pj) = if self.arch.kind.has_acu() && !session.broken_dividers().is_empty()
+                {
+                    self.recip_degraded(per_bank, total, session, engine.latency_scale())
+                } else {
+                    self.recip(per_bank, total)
                 };
-                self.emit(engine, fault, Category::Reduction, lat, pj, 0.0)?;
+                self.emit(engine, session, Category::Reduction, lat, pj, 0.0)?;
             }
 
             Step::Replicate { value_bits, copies, count_per_bank, total_count } => {
@@ -532,14 +511,14 @@ impl Executor {
                 let lat = per_ns * count_per_bank as f64;
                 let pj = per_pj * total_count as f64;
                 let bytes = total_count as f64 * f64::from(copies) * f64::from(value_bits) / 8.0;
-                self.emit(engine, fault, Category::DataMovement, lat, pj, bytes)?;
+                self.emit(engine, session, Category::DataMovement, lat, pj, bytes)?;
             }
 
             Step::HostBroadcast { bytes, banks } => {
                 let (lat, pj) = self.host_broadcast(bytes, banks);
                 self.emit(
                     engine,
-                    fault,
+                    session,
                     Category::DataMovement,
                     lat,
                     pj,
@@ -548,17 +527,17 @@ impl Executor {
             }
             Step::HostScatter { total_bytes } => {
                 let (lat, pj) = self.host_scatter(total_bytes);
-                self.emit(engine, fault, Category::DataMovement, lat, pj, total_bytes as f64)?;
+                self.emit(engine, session, Category::DataMovement, lat, pj, total_bytes as f64)?;
             }
 
             Step::RingBroadcast { banks, bytes_per_hop, repeat, parallel } => {
-                let r = self.ring_step(banks, bytes_per_hop);
+                let r = self.schedule(Schedule::Ring, banks, bytes_per_hop);
                 if engine.emitting() {
                     self.emit_ring_hops(engine, banks, bytes_per_hop, repeat, &r);
                 }
                 self.emit(
                     engine,
-                    fault,
+                    session,
                     Category::DataMovement,
                     r.latency_ns * repeat as f64,
                     r.energy_pj * repeat as f64 * f64::from(parallel),
@@ -566,7 +545,7 @@ impl Executor {
                 )?;
             }
             Step::OneToAll { src, banks, bytes, parallel } => {
-                let r = self.one_to_all(src, banks, bytes);
+                let r = self.schedule(Schedule::OneToAll { src }, banks, bytes);
                 if engine.emitting() {
                     engine.sink().instant(
                         InstantEvent::new("one-to-all", "ring", tracks::RING, engine.now_ns())
@@ -578,7 +557,7 @@ impl Executor {
                 }
                 self.emit(
                     engine,
-                    fault,
+                    session,
                     Category::DataMovement,
                     r.latency_ns,
                     r.energy_pj * f64::from(parallel),
@@ -586,13 +565,13 @@ impl Executor {
                 )?;
             }
             Step::PairwiseReduceTree { banks, bytes, bits, elems, parallel } => {
-                let r = self.reduce_tree_moves(banks, bytes);
+                let r = self.schedule(Schedule::Tree, banks, bytes);
                 if engine.emitting() {
                     self.emit_tree_hops(engine, banks, bytes, r.latency_ns);
                 }
                 self.emit(
                     engine,
-                    fault,
+                    session,
                     Category::DataMovement,
                     r.latency_ns,
                     r.energy_pj * f64::from(parallel),
@@ -603,7 +582,7 @@ impl Executor {
                 let (lat, pj) = self.pointwise(PimOp::Add { bits }, elems, elems * levels);
                 self.emit(
                     engine,
-                    fault,
+                    session,
                     Category::Reduction,
                     lat * levels as f64,
                     pj * f64::from(parallel),
@@ -615,7 +594,7 @@ impl Executor {
                 let (lat, pj) = self.broadcast_dup(bytes, banks);
                 self.emit(
                     engine,
-                    fault,
+                    session,
                     Category::DataMovement,
                     lat,
                     pj,
@@ -633,16 +612,16 @@ impl Executor {
                         self.rowclone.buffered_copy_energy_pj(total_bytes),
                     ),
                 };
-                self.emit(engine, fault, Category::DataMovement, lat, pj, total_bytes as f64)?;
+                self.emit(engine, session, Category::DataMovement, lat, pj, total_bytes as f64)?;
             }
             Step::ShuffleAll { total_bytes } => {
                 let (lat, pj) = self.shuffle_all(total_bytes);
-                self.emit(engine, fault, Category::DataMovement, lat, pj, total_bytes as f64)?;
+                self.emit(engine, session, Category::DataMovement, lat, pj, total_bytes as f64)?;
             }
 
             Step::MemTouch { bytes_per_bank, total_bytes } => {
                 let (lat, pj) = self.mem_touch(bytes_per_bank, total_bytes);
-                self.emit(engine, fault, Category::Other, lat, pj, total_bytes as f64)?;
+                self.emit(engine, session, Category::Other, lat, pj, total_bytes as f64)?;
             }
         }
         Ok(())
@@ -652,13 +631,15 @@ impl Executor {
     ///
     /// Three strategies, all denoting exactly the unrolled pricing:
     ///
-    /// * **body × count** (zero deltas, nothing to emit, no fault session):
+    /// * **body × count** (zero deltas, nothing to emit, an empty fault
+    ///   session):
     ///   every iteration records the same lumps, so price one and add it
     ///   `count - 1` more times with [`Engine::repeat_since`] — O(body)
     ///   whatever `count` is, and exact because the engine's tallies are
     ///   integers;
-    /// * **in-place advance** (non-zero deltas, emission on, or a fault
-    ///   session, whose transient-flip draws advance per lump): walk a
+    /// * **in-place advance** (non-zero deltas, emission on, or a
+    ///   non-empty fault session, whose transient-flip draws advance per
+    ///   lump): walk a
     ///   scratch copy of the body per iteration, advancing its varying
     ///   fields by the deltas — cache-hot, no per-step allocation;
     /// * **collapsed emission** (tracing with [`Executor::set_collapse_repeats`]):
@@ -672,21 +653,21 @@ impl Executor {
         body: &[Step],
         delta: &[StepDelta],
         engine: &mut Engine,
-        fault: &mut FaultCtx<'_>,
+        session: &mut FaultSession,
     ) -> Result<(), SimError> {
         if count == 0 || body.is_empty() {
             return Ok(());
         }
-        if delta.iter().all(StepDelta::is_zero) && !engine.emitting() && fault.is_none() {
+        if delta.iter().all(StepDelta::is_zero) && !engine.emitting() && session.is_empty() {
             let mut mark = engine.mark();
-            self.run_segment(body, engine, fault)?;
+            self.run_segment(body, engine, session)?;
             let mut rest = count - 1;
             if rest > 0 && !engine.in_scope_of(&mark) {
                 // Iteration 0 started in the enclosing scope; the others
                 // start in the one the body leaves, so iteration 1 is the
                 // one that repeats.
                 mark = engine.mark();
-                self.run_segment(body, engine, fault)?;
+                self.run_segment(body, engine, session)?;
                 rest -= 1;
             }
             engine.repeat_since(&mark, rest);
@@ -706,7 +687,7 @@ impl Executor {
                 summary_start = engine.now_ns();
                 engine.set_quiet(true);
             }
-            self.run_segment(&scratch, engine, fault)?;
+            self.run_segment(&scratch, engine, session)?;
         }
         if collapse {
             engine.set_quiet(false);
@@ -811,19 +792,7 @@ impl Executor {
                 let per_divider = per_bank.div_ceil(u64::from(self.arch.acu.p_sub).max(1));
                 (self.divider.latency_ns(per_divider), self.divider.energy_pj(total))
             }
-            ArchKind::OriginalPim => {
-                // Newton–Raphson in the arrays: 2 multiplies + 1 add per
-                // iteration at Softmax width.
-                let mul = PimOp::Mul { a_bits: 16, b_bits: 16 };
-                let add = PimOp::Add { bits: 16 };
-                let iters = f64::from(calib::PIM_RECIP_ITERATIONS);
-                let lat = iters
-                    * (2.0 * self.pim.latency_ns(mul, per_bank)
-                        + self.pim.latency_ns(add, per_bank));
-                let pj =
-                    iters * (2.0 * self.pim.energy_pj(mul, total) + self.pim.energy_pj(add, total));
-                (lat, pj)
-            }
+            ArchKind::OriginalPim => self.pim_recip(per_bank, total),
             ArchKind::Nbp => {
                 let ops = 3.0 * f64::from(calib::PIM_RECIP_ITERATIONS);
                 let g = &self.arch.hbm.geometry;
@@ -834,6 +803,18 @@ impl Executor {
                 (lat, pj)
             }
         }
+    }
+
+    /// Newton–Raphson reciprocal in the arrays: 2 multiplies + 1 add per
+    /// iteration at Softmax width.
+    fn pim_recip(&self, per_bank: u64, total: u64) -> (f64, f64) {
+        let mul = PimOp::Mul { a_bits: 16, b_bits: 16 };
+        let add = PimOp::Add { bits: 16 };
+        let iters = f64::from(calib::PIM_RECIP_ITERATIONS);
+        let lat =
+            iters * (2.0 * self.pim.latency_ns(mul, per_bank) + self.pim.latency_ns(add, per_bank));
+        let pj = iters * (2.0 * self.pim.energy_pj(mul, total) + self.pim.energy_pj(add, total));
+        (lat, pj)
     }
 
     /// [`Executor::recip`] when some ACU dividers are broken: the affected
@@ -850,12 +831,7 @@ impl Executor {
         scale: f64,
     ) -> (f64, f64) {
         let (div_lat, div_pj) = self.recip(per_bank, total);
-        let mul = PimOp::Mul { a_bits: 16, b_bits: 16 };
-        let add = PimOp::Add { bits: 16 };
-        let iters = f64::from(calib::PIM_RECIP_ITERATIONS);
-        let nr_lat =
-            iters * (2.0 * self.pim.latency_ns(mul, per_bank) + self.pim.latency_ns(add, per_bank));
-        let nr_pj = iters * (2.0 * self.pim.energy_pj(mul, total) + self.pim.energy_pj(add, total));
+        let (nr_lat, nr_pj) = self.pim_recip(per_bank, total);
         let frac = sess.broken_divider_fraction();
         let lat = div_lat.max(nr_lat);
         let pj = div_pj * (1.0 - frac) + nr_pj * frac;
@@ -969,56 +945,84 @@ impl Executor {
 
     // ---- scheduled/memoized communication ---------------------------------
 
-    fn ring_step(&mut self, banks: BankRange, bytes: u64) -> ScheduleResult {
-        let key = (banks.start, banks.count, bytes);
-        if let Some(r) = self.ring_cache.get(&key) {
+    /// Cost of the `kind` schedule over `banks` with `bytes` per transfer,
+    /// memoized by its structural key.
+    fn schedule(&mut self, kind: Schedule, banks: BankRange, bytes: u64) -> ScheduleResult {
+        let key = ScheduleKey { kind, banks, bytes };
+        if let Some(r) = self.schedules.get(&key) {
             return *r;
         }
-        let ids = banks.to_vec();
-        let r = ring::ring_step(&self.map, &self.xfer, &ids, bytes);
-        self.ring_cache.insert(key, r);
+        let (r, _) = self.placed(kind, banks, bytes);
+        self.schedules.insert(key, r);
         r
     }
 
-    fn one_to_all(&mut self, src: u32, banks: BankRange, bytes: u64) -> ScheduleResult {
-        let key = (banks.start, banks.count, bytes);
-        if let Some(r) = self.broadcast_cache.get(&key) {
-            return *r;
-        }
+    /// Cost of the `kind` schedule with its per-hop placements. A ring
+    /// step is one slotted schedule; a tree's halving levels run back to
+    /// back, so each level's placements are offset by the levels before
+    /// it; a one-to-all broadcast is closed-form and places no hops.
+    fn placed(
+        &self,
+        kind: Schedule,
+        banks: BankRange,
+        bytes: u64,
+    ) -> (ScheduleResult, Vec<HopPlacement>) {
         let ids = banks.to_vec();
-        let r = one_to_all_broadcast(&self.map, &self.xfer, BankId(src), &ids, bytes);
-        self.broadcast_cache.insert(key, r);
-        r
-    }
-
-    fn reduce_tree_moves(&mut self, banks: BankRange, bytes: u64) -> ScheduleResult {
-        let key = (banks.start, banks.count, bytes);
-        if let Some(r) = self.tree_cache.get(&key) {
-            return *r;
+        match kind {
+            Schedule::Ring => {
+                schedule_hops_placed(&self.map, &self.xfer, &ring_step_hops(&ids, bytes))
+            }
+            Schedule::OneToAll { src } => {
+                let r = one_to_all_broadcast(&self.map, &self.xfer, BankId(src), &ids, bytes);
+                (r, Vec::new())
+            }
+            Schedule::Tree => {
+                let mut total = ScheduleResult::default();
+                let mut all = Vec::new();
+                let mut stride = 1usize;
+                while stride < ids.len() {
+                    let hops = pairwise_reduce_hops(&ids, stride, bytes);
+                    let (r, placed) = schedule_hops_placed(&self.map, &self.xfer, &hops);
+                    let offset = total.latency_ns;
+                    all.extend(placed.into_iter().map(|mut p| {
+                        p.start_ns += offset;
+                        p
+                    }));
+                    total.latency_ns += r.latency_ns;
+                    total.energy_pj += r.energy_pj;
+                    total.bytes += r.bytes;
+                    total.slots += r.slots;
+                    stride *= 2;
+                }
+                (total, all)
+            }
         }
-        let ids = banks.to_vec();
-        let mut total = ScheduleResult::default();
-        let mut stride = 1usize;
-        while stride < ids.len() {
-            let hops: Vec<Hop> = pairwise_reduce_hops(&ids, stride, bytes);
-            let r = schedule_hops(&self.map, &self.xfer, &hops);
-            total.latency_ns += r.latency_ns;
-            total.energy_pj += r.energy_pj;
-            total.bytes += r.bytes;
-            total.slots += r.slots;
-            stride *= 2;
-        }
-        self.tree_cache.insert(key, total);
-        total
     }
 
     // ---- trace emission ---------------------------------------------------
 
+    /// Emit the per-hop spans of a ring step or reduction tree at the
+    /// engine's current timestamp, for the first occurrence of its topology
+    /// only (see `detail_emitted`). Returns whether it emitted them.
+    fn emit_hops_once(
+        &mut self,
+        engine: &Engine,
+        kind: Schedule,
+        banks: BankRange,
+        bytes: u64,
+    ) -> bool {
+        if !self.detail_emitted.insert((kind, banks.start, banks.count)) {
+            return false;
+        }
+        let (_, placed) = self.placed(kind, banks, bytes);
+        emit_hop_events(engine.sink(), &self.map, engine.now_ns(), engine.latency_scale(), &placed);
+        true
+    }
+
     /// Emit per-hop span events for one ring step starting at the engine's
     /// current timestamp, plus a single summary span for the remaining
-    /// `repeat - 1` identical rounds. Per-hop detail is emitted for the
-    /// *first* occurrence of each ring topology only; later occurrences
-    /// collapse to one summary span (see `ring_detail_emitted`).
+    /// `repeat - 1` identical rounds. Later occurrences of the topology
+    /// collapse to one summary span.
     fn emit_ring_hops(
         &mut self,
         engine: &Engine,
@@ -1029,7 +1033,7 @@ impl Executor {
     ) {
         let scale = engine.latency_scale();
         let base = engine.now_ns();
-        if !self.ring_detail_emitted.insert((banks.start, banks.count)) {
+        if !self.emit_hops_once(engine, Schedule::Ring, banks, bytes) {
             engine.sink().span(
                 SpanEvent::new(
                     "ring",
@@ -1045,14 +1049,6 @@ impl Executor {
             );
             return;
         }
-        let key = (banks.start, banks.count, bytes);
-        if !self.ring_hop_cache.contains_key(&key) {
-            let ids = banks.to_vec();
-            let hops: Vec<Hop> = ring::ring_step_hops(&ids, bytes);
-            let (_, placed) = schedule_hops_placed(&self.map, &self.xfer, &hops);
-            self.ring_hop_cache.insert(key, placed);
-        }
-        emit_hop_events(engine.sink(), &self.map, base, scale, &self.ring_hop_cache[&key]);
         if repeat > 1 {
             engine.sink().span(
                 SpanEvent::new(
@@ -1069,62 +1065,36 @@ impl Executor {
         }
     }
 
-    /// Emit per-hop span events for the pairwise reduction tree: each
-    /// halving level's hops are placed by the slotted scheduler and offset
-    /// by the cumulative latency of the levels before it. As with rings,
-    /// only the first occurrence of a topology gets per-hop detail; later
-    /// occurrences emit one summary span of the scheduled latency.
+    /// Emit per-hop span events for the pairwise reduction tree; later
+    /// occurrences of the topology emit one summary span of the scheduled
+    /// latency.
     fn emit_tree_hops(&mut self, engine: &Engine, banks: BankRange, bytes: u64, total_ns: f64) {
-        let scale = engine.latency_scale();
-        let base = engine.now_ns();
-        if !self.tree_detail_emitted.insert((banks.start, banks.count)) {
+        if !self.emit_hops_once(engine, Schedule::Tree, banks, bytes) {
             engine.sink().span(
-                SpanEvent::new("reduce-tree", "ring", tracks::RING, base, total_ns * scale)
-                    .with_arg("banks", u64::from(banks.count))
-                    .with_arg("bytes", bytes),
+                SpanEvent::new(
+                    "reduce-tree",
+                    "ring",
+                    tracks::RING,
+                    engine.now_ns(),
+                    total_ns * engine.latency_scale(),
+                )
+                .with_arg("banks", u64::from(banks.count))
+                .with_arg("bytes", bytes),
             );
-            return;
         }
-        let key = (banks.start, banks.count, bytes);
-        if !self.tree_hop_cache.contains_key(&key) {
-            let ids = banks.to_vec();
-            let mut all = Vec::new();
-            let mut offset = 0.0;
-            let mut stride = 1usize;
-            while stride < ids.len() {
-                let hops: Vec<Hop> = pairwise_reduce_hops(&ids, stride, bytes);
-                let (r, placed) = schedule_hops_placed(&self.map, &self.xfer, &hops);
-                all.extend(placed.into_iter().map(|mut p| {
-                    p.start_ns += offset;
-                    p
-                }));
-                offset += r.latency_ns;
-                stride *= 2;
-            }
-            self.tree_hop_cache.insert(key, all);
-        }
-        emit_hop_events(engine.sink(), &self.map, base, scale, &self.tree_hop_cache[&key]);
     }
 
     /// Expose the ring-step scheduler for ablation benches: cost of one
     /// full ring step over `banks` with `bytes` per hop.
     pub fn ring_step_cost(&mut self, banks: BankRange, bytes: u64) -> ScheduleResult {
-        self.ring_step(banks, bytes)
-    }
-
-    /// Validate a ring schedule invariant used by tests: the full ring hop
-    /// set of this architecture is conflict-free per slot (delegates to the
-    /// scheduler; the slot count must be ≥ the per-group serialization
-    /// lower bound).
-    pub fn ring_slots(&mut self, banks: BankRange, bytes: u64) -> u32 {
-        self.ring_step(banks, bytes).slots
+        self.schedule(Schedule::Ring, banks, bytes)
     }
 
     /// Expose the decoder's pairwise reduction-tree transfer cost for
     /// ablation benches (movement only; the in-bank adds are priced
     /// separately by [`Step::PairwiseReduceTree`]).
     pub fn reduce_tree_cost(&mut self, banks: BankRange, bytes: u64) -> ScheduleResult {
-        self.reduce_tree_moves(banks, bytes)
+        self.schedule(Schedule::Tree, banks, bytes)
     }
 }
 
@@ -1133,6 +1103,7 @@ mod tests {
     use super::*;
     use transpim_dataflow::ir::{Precision, Program};
     use transpim_dataflow::{layer_flow, token_flow};
+    use transpim_obs::{ChromeTraceSink, ObsError};
     use transpim_transformer::workload::Workload;
 
     fn run(kind: ArchKind, token: bool, w: &Workload) -> SimStats {
@@ -1142,6 +1113,17 @@ mod tests {
             if token { token_flow::compile(w, banks) } else { layer_flow::compile(w, banks) };
         let mut ex = Executor::new(arch);
         ex.run(&prog).0
+    }
+
+    /// Statistics plus the Chrome-trace document of one traced run.
+    fn run_traced(
+        ex: &mut Executor,
+        prog: &Program,
+    ) -> Result<(SimStats, ScopedStats, String), ObsError> {
+        let chrome = ChromeTraceSink::shared();
+        let (stats, scoped) = ex.run_with_sink(prog, SinkHandle::from_shared(chrome.clone()));
+        let trace = chrome.borrow().to_json_string()?;
+        Ok((stats, scoped, trace))
     }
 
     fn small_workload() -> Workload {
@@ -1282,7 +1264,7 @@ mod tests {
         let prog = token_flow::compile(&w, banks);
         let (plain, plain_scoped) = Executor::new(arch.clone()).run(&prog);
         let (traced, traced_scoped, trace) =
-            Executor::new(arch).run_traced(&prog).expect("trace must serialize");
+            run_traced(&mut Executor::new(arch), &prog).expect("trace must serialize");
         assert_eq!(plain, traced, "tracing must not perturb the statistics");
         assert_eq!(plain_scoped, traced_scoped);
         let parsed: serde_json::Value = serde_json::from_str(&trace).unwrap();
@@ -1414,11 +1396,24 @@ mod tests {
         let arch = ArchConfig::new(ArchKind::TransPim);
         let (once, _) = Executor::new(arch.clone()).run(&program(body.clone()));
         let count = 1_000_000_000u64;
-        let started = std::time::Instant::now();
-        let (stats, scoped) =
-            Executor::new(arch).run(&program(vec![zero_delta_repeat(count, body)]));
-        let elapsed = started.elapsed();
-        assert!(elapsed.as_secs_f64() < 1.0, "a billion iterations took {elapsed:?}");
+        let prog = program(vec![zero_delta_repeat(count, body)]);
+        let timed = |price: &mut dyn FnMut() -> (SimStats, ScopedStats)| {
+            let started = std::time::Instant::now();
+            let priced = price();
+            let elapsed = started.elapsed();
+            assert!(elapsed.as_secs_f64() < 1.0, "a billion iterations took {elapsed:?}");
+            priced
+        };
+        let (stats, scoped) = timed(&mut || Executor::new(arch.clone()).run(&prog));
+        // An explicitly built empty session is the same fault-free run.
+        let from_empty = timed(&mut || {
+            let mut empty =
+                FaultSession::new(&FaultScenario::empty(7), arch.system_info()).unwrap();
+            Executor::new(arch.clone())
+                .run_degraded_with_sink(&prog, &mut empty, SinkHandle::null())
+                .unwrap()
+        });
+        assert_eq!(from_empty, (stats, scoped.clone()));
         // One lump per category, each exact in the tally: scaling by the
         // count rounds once, exactly as the f64 product does.
         let n = count as f64;
@@ -1429,6 +1424,21 @@ mod tests {
         assert_eq!(stats.bytes_moved, once.bytes_moved * n);
         assert!((stats.latency_ns - once.latency_ns * n).abs() <= 1e-15 * stats.latency_ns);
         assert_eq!(scoped.get("dec.ffn"), Some(&stats));
+    }
+
+    #[test]
+    fn one_to_all_memo_distinguishes_sources() {
+        // A broadcast's cost depends on where its source sits: bank 1024 is
+        // outside the stack of banks 0..8, bank 0 is one of them.
+        let banks = BankRange::new(0, 8);
+        let step = |src| program(vec![Step::OneToAll { src, banks, bytes: 4096, parallel: 1 }]);
+        let arch = ArchConfig::new(ArchKind::TransPim);
+        let fresh = |src| Executor::new(arch.clone()).run(&step(src)).0;
+        let mut warm = Executor::new(arch.clone());
+        for src in [0, 1024] {
+            assert_eq!(warm.run(&step(src)).0, fresh(src), "src {src}");
+        }
+        assert_ne!(fresh(0), fresh(1024), "the two sources must price differently");
     }
 
     #[test]
@@ -1458,8 +1468,8 @@ mod tests {
         let banks = arch.hbm.geometry.total_banks();
         let prog = token_flow::compile(&w, banks);
         let unrolled = prog.unroll();
-        let (s1, sc1, t1) = Executor::new(arch.clone()).run_traced(&prog).unwrap();
-        let (s2, sc2, t2) = Executor::new(arch).run_traced(&unrolled).unwrap();
+        let (s1, sc1, t1) = run_traced(&mut Executor::new(arch.clone()), &prog).unwrap();
+        let (s2, sc2, t2) = run_traced(&mut Executor::new(arch), &unrolled).unwrap();
         assert_eq!(s1, s2);
         assert_eq!(sc1, sc2);
         assert_eq!(t1, t2, "default tracing must not observe the compression");

@@ -2,8 +2,11 @@
 
 use crate::arch::ArchKind;
 use serde::{Deserialize, Serialize};
+use transpim_dataflow::ir::Program;
+use transpim_dataflow::{layer_flow, token_flow};
 use transpim_fault::FaultStats;
 use transpim_hbm::stats::{Category, ScopedStats, SimStats};
+use transpim_transformer::workload::Workload;
 
 /// Which dataflow a simulation used (the paper's "Token-"/"Layer-" prefix).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
@@ -23,6 +26,14 @@ impl DataflowKind {
         match self {
             DataflowKind::Token => "Token",
             DataflowKind::Layer => "Layer",
+        }
+    }
+
+    /// Compile `workload` under this dataflow for `banks` banks.
+    pub fn compile(self, workload: &Workload, banks: u32) -> Program {
+        match self {
+            DataflowKind::Token => token_flow::compile(workload, banks),
+            DataflowKind::Layer => layer_flow::compile(workload, banks),
         }
     }
 }

@@ -59,6 +59,28 @@ echo "==> fault suite (byte-invisible when off, deterministic when on)"
 TRANSPIM_FAULT_SEED="${TRANSPIM_FAULT_SEED:-20220402}" \
   cargo test --offline -q --test fault_equivalence --test fault_degradation
 
+# A run without --faults is the run under an empty scenario, through the
+# same entry point: stdout and every written file must be byte-identical
+# whether the empty scenario is implicit or passed as a file.
+echo "==> CLI: no scenario ≡ empty scenario"
+cli_dir=$(mktemp -d)
+trap 'rm -rf "$cli_dir"' EXIT
+echo '{"seed": 7, "faults": []}' > "$cli_dir/empty-scenario.json"
+for system in "--workload imdb" "--workload imdb --arch pim --dataflow layer"; do
+  for run in plain empty; do
+    faults=()
+    [[ $run == empty ]] && faults=(--faults "$cli_dir/empty-scenario.json")
+    # shellcheck disable=SC2086 # $system is a list of arguments
+    cargo run --release --offline --quiet --bin transpim-sim -- $system "${faults[@]}" \
+      --json "$cli_dir/$run.report.json" --trace "$cli_dir/$run.trace.json" \
+      --metrics "$cli_dir/$run.metrics.json" > "$cli_dir/$run.stdout" 2>/dev/null
+  done
+  for file in stdout report.json trace.json metrics.json; do
+    cmp "$cli_dir/plain.$file" "$cli_dir/empty.$file"
+  done
+  echo "    $system: identical"
+done
+
 # Property suites, by name and under a pinned seed, with a case-count
 # audit. The vendored proptest engine appends "<test>\t<cases>" for every
 # proptest! property to $TRANSPIM_PROPTEST_SUMMARY; if any property

@@ -14,7 +14,8 @@
 
 use std::process::ExitCode;
 use transpim::accelerator::Accelerator;
-use transpim::{ChromeTraceSink, FanoutSink, MetricsSink, SinkHandle};
+use transpim::exec::Executor;
+use transpim::{ChromeTraceSink, FaultScenario, MetricsSink, SinkHandle};
 use transpim_bench::{run_grid, GridCell};
 
 /// Capacity warning helper (token dataflow per-bank working set).
@@ -333,27 +334,24 @@ fn main() -> ExitCode {
     }
 
     // Load the fault scenario up front so a bad file is a one-line
-    // diagnostic before any simulation work starts.
+    // diagnostic before any simulation work starts. Without --faults the
+    // run is the empty scenario: the fault-free simulation.
     let scenario = match &opts.faults {
-        Some(path) => match transpim::fault::FaultScenario::from_json_file(path) {
-            Ok(s) => Some(s),
+        Some(path) => match FaultScenario::from_json_file(path) {
+            Ok(s) => s,
             Err(e) => {
                 eprintln!("error: {path}: {e}");
                 return ExitCode::from(2);
             }
         },
-        None => None,
+        None => FaultScenario::empty(0),
     };
 
     let acc = Accelerator::new(make_arch(opts.arch));
 
     // Optional IR dump: the compiled dataflow program, before pricing.
     if let Some(path) = &opts.dump_ir {
-        let banks = acc.arch().hbm.geometry.total_banks();
-        let prog = match opts.dataflow {
-            DataflowKind::Token => transpim_dataflow::token_flow::compile(&opts.workload, banks),
-            DataflowKind::Layer => transpim_dataflow::layer_flow::compile(&opts.workload, banks),
-        };
+        let prog = acc.compile(&opts.workload, opts.dataflow);
         match serde_json::to_string_pretty(&prog) {
             Ok(json) => {
                 if let Err(e) = std::fs::write(path, json) {
@@ -380,28 +378,18 @@ fn main() -> ExitCode {
     // pays nothing for instrumentation.
     let chrome = opts.trace.as_ref().map(|_| ChromeTraceSink::shared());
     let metrics = opts.metrics.as_ref().map(|_| MetricsSink::shared());
-    let mut handles: Vec<SinkHandle> = Vec::new();
-    if let Some(c) = &chrome {
-        handles.push(SinkHandle::from_shared(c.clone()));
-    }
-    if let Some(m) = &metrics {
-        handles.push(SinkHandle::from_shared(m.clone()));
-    }
-    let sink = match handles.len() {
-        0 => SinkHandle::null(),
-        1 => handles.pop().expect("one handle"),
-        _ => SinkHandle::new(FanoutSink::new(handles)),
-    };
+    let sink = SinkHandle::fanout(vec![
+        chrome.clone().map_or_else(SinkHandle::null, SinkHandle::from_shared),
+        metrics.clone().map_or_else(SinkHandle::null, SinkHandle::from_shared),
+    ]);
 
-    let report = match &scenario {
-        Some(s) => match acc.simulate_degraded_with_sink(&opts.workload, opts.dataflow, s, sink) {
-            Ok(r) => r,
-            Err(e) => {
-                eprintln!("error: {e}");
-                return ExitCode::from(1);
-            }
-        },
-        None => acc.simulate_with_sink(&opts.workload, opts.dataflow, sink),
+    let mut exec = Executor::new(acc.arch().clone());
+    let report = match acc.simulate_on(&mut exec, &opts.workload, opts.dataflow, &scenario, sink) {
+        Ok(r) => r,
+        Err(e) => {
+            eprintln!("error: {e}");
+            return ExitCode::from(1);
+        }
     };
     println!("{}", report.summary());
     if let Some(f) = &report.faults {

@@ -5,19 +5,14 @@
 
 use transpim::arch::{ArchConfig, ArchKind};
 use transpim::exec::Executor;
-use transpim::fault::{EccScheme, Fault, FaultScenario, FaultSession, SystemInfo};
+use transpim::fault::{EccScheme, Fault, FaultScenario, FaultSession};
+use transpim::SinkHandle;
 use transpim_dataflow::ir::{BankRange, Program, RepeatCompressor, Step};
 use transpim_hbm::stats::SimStats;
 
 fn session(arch: &ArchConfig, faults: Vec<Fault>, ecc: EccScheme) -> FaultSession {
-    let g = &arch.hbm.geometry;
-    let info = SystemInfo {
-        total_banks: g.total_banks(),
-        total_groups: g.total_groups(),
-        subarrays_per_bank: g.subarrays_per_bank,
-    };
     let scenario = FaultScenario { seed: 20220402, ecc, faults };
-    FaultSession::new(&scenario, info).expect("valid scenario")
+    FaultSession::new(&scenario, arch.system_info()).expect("valid scenario")
 }
 
 fn ring_program(banks: u32, repeat: u64) -> Program {
@@ -37,7 +32,8 @@ fn price_degraded(program: &Program, faults: Vec<Fault>) -> SimStats {
     let mut sess = session(&arch, faults, EccScheme::None);
     let mut exec = Executor::new(arch);
     exec.apply_ring_faults(&sess);
-    let (stats, _) = exec.run_degraded(program, &mut sess).expect("correctable");
+    let (stats, _) =
+        exec.run_degraded_with_sink(program, &mut sess, SinkHandle::null()).expect("correctable");
     stats
 }
 
@@ -122,7 +118,9 @@ fn compressed_and_unrolled_degraded_schedules_price_identically() {
         let mut sess = session(&arch, faults(), EccScheme::Secded);
         let mut exec = Executor::new(arch.clone());
         exec.apply_ring_faults(&sess);
-        let (stats, scoped) = exec.run_degraded(program, &mut sess).expect("correctable");
+        let (stats, scoped) = exec
+            .run_degraded_with_sink(program, &mut sess, SinkHandle::null())
+            .expect("correctable");
         (stats, scoped, sess.stats())
     };
     let c = run(&compressed);

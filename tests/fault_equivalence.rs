@@ -1,11 +1,12 @@
 //! The fault subsystem must be invisible until used, and deterministic
 //! when used:
 //!
-//! * **fault-free byte identity** — simulating with injection disabled
-//!   (an empty scenario) produces a report, trace, and metrics document
-//!   byte-identical to a plain simulation: the `Option<&mut FaultSession>`
-//!   threading through the executor must not perturb a single f64 or emit
-//!   a single extra event;
+//! * **fault-free byte identity** — a plain simulation *is* a simulation
+//!   under an empty scenario (`Accelerator::simulate_on` is the one entry
+//!   point), so passing an empty scenario explicitly must produce a report,
+//!   trace, and metrics document byte-identical to a plain simulation: not
+//!   a single f64 perturbed, not a single extra event, and no `faults`
+//!   field in the report;
 //! * **determinism under faults** — the same seed and scenario produce
 //!   byte-identical degraded reports at any job count, because each cell
 //!   builds its own session and the flip stream is a pure function of
@@ -13,6 +14,7 @@
 
 use transpim::accelerator::Accelerator;
 use transpim::arch::{ArchConfig, ArchKind};
+use transpim::exec::Executor;
 use transpim::fault::{EccScheme, Fault, FaultScenario};
 use transpim::report::DataflowKind;
 use transpim::{ChromeTraceSink, FanoutSink, MetricsSink, SinkHandle};
@@ -34,9 +36,11 @@ fn render(acc: &Accelerator, w: &Workload, scenario: Option<&FaultScenario>) -> 
         SinkHandle::from_shared(metrics.clone()),
     ]));
     let report = match scenario {
-        Some(s) => acc
-            .simulate_degraded_with_sink(w, DataflowKind::Token, s, sink)
-            .expect("scenario is correctable"),
+        Some(s) => {
+            let mut exec = Executor::new(acc.arch().clone());
+            acc.simulate_on(&mut exec, w, DataflowKind::Token, s, sink)
+                .expect("scenario is correctable")
+        }
         None => acc.simulate_with_sink(w, DataflowKind::Token, sink),
     };
     let mut doc = report.to_json().expect("serialize report");

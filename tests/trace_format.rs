@@ -5,7 +5,7 @@
 
 use transpim::accelerator::Accelerator;
 use transpim::arch::{ArchConfig, ArchKind};
-use transpim::report::DataflowKind;
+use transpim::report::{DataflowKind, SimReport};
 use transpim::{ChromeTraceSink, MetricsSink, SinkHandle};
 use transpim_hbm::stats::Category;
 use transpim_transformer::workload::Workload;
@@ -16,11 +16,17 @@ fn small_workload() -> Workload {
     w
 }
 
+/// Report and Chrome-trace document of one traced simulation.
+fn simulate_traced(acc: &Accelerator, w: &Workload, df: DataflowKind) -> (SimReport, String) {
+    let chrome = ChromeTraceSink::shared();
+    let report = acc.simulate_with_sink(w, df, SinkHandle::from_shared(chrome.clone()));
+    let trace = chrome.borrow().to_json_string().expect("trace serializes");
+    (report, trace)
+}
+
 fn traced_json(kind: ArchKind) -> String {
     let acc = Accelerator::new(ArchConfig::new(kind));
-    let (_, trace) =
-        acc.simulate_traced(&small_workload(), DataflowKind::Token).expect("trace serializes");
-    trace
+    simulate_traced(&acc, &small_workload(), DataflowKind::Token).1
 }
 
 #[test]
@@ -135,7 +141,7 @@ fn null_sink_runs_are_bit_identical_to_untraced_runs() {
             let nulled = acc.simulate_with_sink(&w, df, SinkHandle::null());
             assert_eq!(plain.stats, nulled.stats, "{kind:?}/{df:?} stats diverged");
             assert_eq!(plain.scoped, nulled.scoped, "{kind:?}/{df:?} scoped stats diverged");
-            let (traced, _) = acc.simulate_traced(&w, df).expect("trace serializes");
+            let (traced, _) = simulate_traced(&acc, &w, df);
             assert_eq!(plain.stats, traced.stats, "{kind:?}/{df:?} tracing perturbed stats");
         }
     }
