@@ -172,6 +172,11 @@ pub fn schedule_hops_placed(
 /// refresh factor, so hop spans nest inside their phase span). The Figure 9
 /// 3T-vs-8T schedule is directly visible from these events in a trace
 /// viewer: the `slot` argument and the span starts group hops into slots.
+///
+/// Hop names (`hop 3->4`) and per-bank counter names (`util.bank 3`) end
+/// in an instance label, and slots and bank ids are label arguments
+/// ([`transpim_obs::ArgValue::Label`]): metrics fold them into one `hop`
+/// count and total and one `util.bank` min/p50/max.
 pub fn emit_hop_events(
     sink: &SinkHandle,
     map: &ResourceMap,
@@ -191,8 +196,8 @@ pub fn emit_hop_events(
                 base_ns + p.start_ns * scale,
                 p.dur_ns * scale,
             )
-            .with_arg("slot", p.slot)
-            .with_arg("dst_bank", p.dst.0),
+            .with_label("slot", u64::from(p.slot))
+            .with_label("dst_bank", u64::from(p.dst.0)),
         );
     }
     // Per-bank occupancy over this transfer set: the fraction of the
@@ -205,7 +210,7 @@ pub fn emit_hop_events(
         }
         for (bank, busy_ns) in busy {
             sink.counter(CounterEvent::sample(
-                format!("util.bank{bank}"),
+                format!("util.bank {bank}"),
                 tracks::resource(map.bank(BankId(bank))),
                 base_ns,
                 "busy_frac",

@@ -302,10 +302,10 @@ pub enum Step {
 
     /// `count` iterations of `body`, where iteration `i`'s step `j` is
     /// `body[j]` advanced `i` times by `delta[j]` ([`Step::at`]). Denotes
-    /// exactly the unrolled sequence — the executor prices it either by
-    /// replaying the first iteration's phase stream (all deltas zero) or by
-    /// advancing a scratch copy of the body in place, both byte-identical
-    /// to pricing the unrolled program.
+    /// exactly the unrolled sequence — the executor prices it either as
+    /// body × count (all deltas zero) or by advancing a scratch copy of the
+    /// body in place, both with statistics byte-identical to pricing the
+    /// unrolled program.
     Repeat {
         /// Number of iterations.
         count: u64,

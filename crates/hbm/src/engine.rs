@@ -25,8 +25,13 @@
 //! followed by a cumulative utilization counter. With the default (null)
 //! handle, the emission paths are never entered and the engine behaves
 //! exactly as an uninstrumented one.
+//!
+//! A window of lumps can run quiet ([`Engine::set_quiet`]) and be emitted
+//! afterwards as one summary ([`Engine::emit_summary`]): the executor
+//! prices iterations 1..N of a repeat that way, so a trace grows with the
+//! compiled program, not with the unrolled decode length.
 
-use crate::stats::{Category, Lump, ScopedStats, SimStats, Tally};
+use crate::stats::{from_units, Category, Lump, ScopedStats, SimStats, Tally};
 use transpim_obs::{CounterEvent, SinkHandle, SpanEvent};
 
 /// Track layout of the simulator's trace emission. Keeping the layout in
@@ -135,9 +140,9 @@ impl Engine {
     }
 
     /// Suppress (or re-enable) span/counter emission while keeping the
-    /// statistics accounting bit-for-bit unchanged. Used by the executor's
-    /// repeat collapsing: iterations 1..N of a repeat run quietly and are
-    /// represented by one summary span.
+    /// statistics accounting bit-for-bit unchanged. The executor prices
+    /// iterations 1..N of every repeat quietly, then reports them with
+    /// [`Engine::emit_summary`].
     pub fn set_quiet(&mut self, quiet: bool) {
         self.quiet = quiet;
     }
@@ -198,9 +203,7 @@ impl Engine {
         let latency = latency_ns * self.latency_scale;
         let emit = self.emitting();
         if emit {
-            if !self.tracks_named {
-                self.name_category_tracks();
-            }
+            self.name_category_tracks();
             self.sink.span(
                 SpanEvent::new(
                     self.scopes[self.scope].0.clone(),
@@ -216,13 +219,16 @@ impl Engine {
         let lump = Lump::new(category, latency, energy_pj, bytes);
         self.total.record(&lump);
         self.scopes[self.scope].1.record(&lump);
-        if !emit {
-            return;
+        if emit {
+            self.sample_utilization(category);
         }
-        let now_ns = self.total.latency_ns();
+    }
+
+    /// Sample the cumulative busy fraction of `category` so far — plotted
+    /// by trace viewers as a utilization-over-time curve.
+    fn sample_utilization(&self, category: Category) {
+        let now_ns = self.now_ns();
         if now_ns > 0.0 {
-            // Cumulative busy fraction of this category so far — plotted by
-            // trace viewers as a utilization-over-time curve.
             self.sink.counter(CounterEvent::sample(
                 format!("util.{}", category.label()),
                 tracks::category(category),
@@ -234,11 +240,68 @@ impl Engine {
     }
 
     fn name_category_tracks(&mut self) {
+        if self.tracks_named {
+            return;
+        }
         for c in Category::ALL {
             self.sink.track_name(tracks::category(c), &format!("phase:{}", c.label()));
         }
         self.sink.track_name(tracks::RING, "ring hops");
         self.tracks_named = true;
+    }
+
+    /// Emit what was recorded quietly since `start` as the summary of a
+    /// collapsed window of `iterations` repeat iterations:
+    ///
+    /// * one `repeat` span on the ring track covering the window, whose
+    ///   `count` argument is `iterations`;
+    /// * per category, one span per scope that recorded a lump in the
+    ///   window, carrying that scope's time (as its duration), energy and
+    ///   bytes, with the lump count as its `count` argument. A category's
+    ///   spans sit back to back from the window's start, in scope order,
+    ///   so they end inside the window;
+    /// * every category's utilization counter, sampled at the window's end.
+    ///
+    /// Phase aggregates over the summary spans (weighting each by its
+    /// `count`) therefore equal those over the lumps' own spans. Does
+    /// nothing unless the engine is emitting.
+    pub fn emit_summary(&mut self, start: &Mark, iterations: u64) {
+        if !self.emitting() {
+            return;
+        }
+        self.name_category_tracks();
+        let start_units = start.total.time_units();
+        let start_ns = from_units(start_units);
+        self.sink.span(
+            SpanEvent::new("repeat", "repeat", tracks::RING, start_ns, self.now_ns() - start_ns)
+                .with_count(iterations),
+        );
+        for c in Category::ALL {
+            let mut at = start_units;
+            for (slot, (label, tally)) in self.scopes.iter().enumerate() {
+                let before = start.scopes.get(slot).copied().unwrap_or_default();
+                let d = tally.since(&before, c);
+                if d.lumps == 0 {
+                    continue;
+                }
+                self.sink.span(
+                    SpanEvent::new(
+                        label.clone(),
+                        c.label(),
+                        tracks::category(c),
+                        from_units(at),
+                        from_units(d.time),
+                    )
+                    .with_arg("energy_pj", d.energy_pj)
+                    .with_arg("bytes", d.bytes)
+                    .with_count(d.lumps),
+                );
+                at += d.time;
+            }
+        }
+        for c in Category::ALL {
+            self.sample_utilization(c);
+        }
     }
 
     /// Snapshot the tallies before recording a body that will repeat.
@@ -258,8 +321,9 @@ impl Engine {
 
     /// Record everything recorded since `mark` another `times` times, in
     /// O(scopes): exactly the statistics of recording the same lumps again
-    /// `times` times, since the tallies are integers. Stats-only: callers
-    /// must not use it while emission is on (spans would be lost).
+    /// `times` times, since the tallies are integers. It emits nothing, so
+    /// call it with the engine quiet ([`Engine::set_quiet`]) and let the
+    /// window's [`Engine::emit_summary`] report what it added.
     ///
     /// # Panics
     ///
@@ -270,7 +334,7 @@ impl Engine {
         if times == 0 {
             return;
         }
-        debug_assert!(!self.emitting(), "repeat_since is stats-only; emit by re-running the body");
+        debug_assert!(!self.emitting(), "repeat_since emits nothing; run it inside a quiet window");
         assert!(self.in_scope_of(mark), "a repeated body must end in the scope it started in");
         self.total.repeat_since(&mark.total, times);
         for (slot, (_, tally)) in self.scopes.iter_mut().enumerate() {
@@ -422,6 +486,50 @@ mod tests {
         assert_eq!(e.now_ns(), 15.0);
         let spans = chrome.borrow().sorted_events().iter().filter(|e| e.ph == "X").count();
         assert_eq!(spans, 2, "quiet phase emits no span");
+    }
+
+    #[test]
+    fn summary_covers_the_quiet_window() {
+        let chrome = ChromeTraceSink::shared();
+        let mut e = Engine::with_sink(SinkHandle::from_shared(chrome.clone()));
+        e.set_scope("dec.fc");
+        e.lump(Category::Reduction, 1.0, 0.5, 0.0);
+        let start = e.mark();
+        e.set_quiet(true);
+        repeat(&mut e, 5, body);
+        e.set_quiet(false);
+        e.emit_summary(&start, 5);
+        let end_ns = e.now_ns();
+        let events = chrome.borrow().sorted_events();
+        let num = |e: &transpim_obs::ChromeEvent, key: &str| match e.args.get(key) {
+            Some(transpim_obs::ArgValue::Num(n)) => *n,
+            other => panic!("{key}: {other:?}"),
+        };
+        let window = events.iter().find(|e| e.name == "repeat").expect("window span");
+        assert_eq!((window.ts, num(window, "count")), (0.001, 5.0));
+        // Iteration 0 records its first lump in dec.fc, the others in
+        // dec.attn: one span per (scope, category), weighted by lumps.
+        let summary: Vec<_> = events
+            .iter()
+            .filter(|e| e.ph == "X" && e.name != "repeat" && e.ts >= window.ts)
+            .map(|e| (e.cat.as_str(), e.name.as_str(), num(e, "count")))
+            .collect();
+        assert_eq!(
+            summary,
+            [
+                ("data-movement", "dec.attn", 5.0),
+                ("arithmetic", "dec.attn", 5.0),
+                ("other", "dec.fc", 1.0),
+                ("other", "dec.attn", 4.0),
+            ]
+        );
+        let movement = events.iter().find(|e| e.cat == "data-movement").unwrap();
+        assert!((num(movement, "bytes") - 85.0).abs() < 1e-9);
+        assert!((movement.dur.unwrap() - 5.0 * 3.9e-3).abs() < 1e-12);
+        // Every category is sampled again at the window's end.
+        let samples: Vec<_> = events.iter().filter(|e| e.ph == "C" && e.ts > window.ts).collect();
+        assert_eq!(samples.len(), 4);
+        assert!(samples.iter().all(|c| c.ts == end_ns / 1000.0));
     }
 
     #[test]

@@ -230,7 +230,7 @@ fn to_units(x: f64) -> u128 {
 }
 
 /// The nearest f64 to `u` tally units.
-fn from_units(u: u128) -> f64 {
+pub(crate) fn from_units(u: u128) -> f64 {
     u as f64 / UNITS_PER_ONE
 }
 
@@ -266,8 +266,9 @@ impl Lump {
     }
 }
 
-/// Exact statistics accumulator: time and energy per [`Category`], bytes
-/// moved and lumps recorded, as `u128` counts of 2^-64 ns, pJ and bytes.
+/// Exact statistics accumulator: time, energy, bytes moved and lumps
+/// recorded per [`Category`], as `u128` counts of 2^-64 ns, pJ and bytes
+/// (lumps are plain counts).
 ///
 /// Integer addition is associative, so a tally does not depend on the order
 /// its lumps arrive in, and a repeated body adds exactly as body × count
@@ -277,8 +278,22 @@ impl Lump {
 pub(crate) struct Tally {
     time: [u128; 4],
     energy: [u128; 4],
-    bytes: u128,
-    lumps: u128,
+    bytes: [u128; 4],
+    lumps: [u128; 4],
+}
+
+/// What one [`Category`] recorded between two snapshots of a [`Tally`]
+/// (see [`Tally::since`]).
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub(crate) struct CategoryDelta {
+    /// Time, in tally units, so deltas can be laid end to end exactly.
+    pub(crate) time: u128,
+    /// Energy, in pJ.
+    pub(crate) energy_pj: f64,
+    /// Bytes moved.
+    pub(crate) bytes: f64,
+    /// Lumps recorded.
+    pub(crate) lumps: u64,
 }
 
 impl Tally {
@@ -291,13 +306,24 @@ impl Tally {
         let c = lump.category;
         self.time[c] = add_units(self.time[c], lump.time);
         self.energy[c] = add_units(self.energy[c], lump.energy);
-        self.bytes = add_units(self.bytes, lump.bytes);
-        self.lumps += 1;
+        self.bytes[c] = add_units(self.bytes[c], lump.bytes);
+        self.lumps[c] += 1;
     }
 
     /// Whether any lump was recorded.
     pub(crate) fn is_empty(&self) -> bool {
-        self.lumps == 0
+        self.lumps == [0; 4]
+    }
+
+    /// What `category` recorded since the snapshot `before`.
+    pub(crate) fn since(&self, before: &Tally, category: Category) -> CategoryDelta {
+        let c = category.index();
+        CategoryDelta {
+            time: self.time[c] - before.time[c],
+            energy_pj: from_units(self.energy[c] - before.energy[c]),
+            bytes: from_units(self.bytes[c] - before.bytes[c]),
+            lumps: (self.lumps[c] - before.lumps[c]) as u64,
+        }
     }
 
     /// Add what was recorded since the snapshot `before` another `times`
@@ -313,16 +339,21 @@ impl Tally {
     }
 
     fn fields(&self) -> impl Iterator<Item = u128> + '_ {
-        self.time.iter().chain(&self.energy).chain([&self.bytes, &self.lumps]).copied()
+        self.time.iter().chain(&self.energy).chain(&self.bytes).chain(&self.lumps).copied()
     }
 
     fn fields_mut(&mut self) -> impl Iterator<Item = &mut u128> {
-        self.time.iter_mut().chain(&mut self.energy).chain([&mut self.bytes, &mut self.lumps])
+        self.time.iter_mut().chain(&mut self.energy).chain(&mut self.bytes).chain(&mut self.lumps)
+    }
+
+    /// Total time recorded, in tally units.
+    pub(crate) fn time_units(&self) -> u128 {
+        self.time.iter().copied().fold(0, add_units)
     }
 
     /// Total time recorded: the makespan, in ns.
     pub(crate) fn latency_ns(&self) -> f64 {
-        from_units(self.time.iter().copied().fold(0, add_units))
+        from_units(self.time_units())
     }
 
     /// Time recorded under `category`, in ns.
@@ -336,7 +367,7 @@ impl Tally {
             latency_ns: self.latency_ns(),
             time_ns: self.time.map(from_units),
             energy_pj: self.energy.map(from_units),
-            bytes_moved: from_units(self.bytes),
+            bytes_moved: from_units(self.bytes.iter().copied().fold(0, add_units)),
         }
     }
 }

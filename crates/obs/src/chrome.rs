@@ -67,6 +67,7 @@ impl ChromeEvent {
                 out.push(':');
                 match value {
                     ArgValue::Num(n) => json::write_f64(out, *n),
+                    ArgValue::Label(id) => json::write_f64(out, *id as f64),
                     ArgValue::Str(s) => json::write_str(out, s),
                 }
             }
@@ -79,8 +80,14 @@ impl ChromeEvent {
 const PID: u32 = 1;
 const NS_PER_US: f64 = 1000.0;
 
+/// Event arguments as trace-event args: a label is just a number there.
 fn args_map(args: Vec<(String, ArgValue)>) -> BTreeMap<String, ArgValue> {
-    args.into_iter().collect()
+    args.into_iter()
+        .map(|(key, value)| match value {
+            ArgValue::Label(id) => (key, ArgValue::Num(id as f64)),
+            value => (key, value),
+        })
+        .collect()
 }
 
 /// Sink that accumulates trace-event records and serializes them as one

@@ -30,6 +30,10 @@ pub enum ArgValue {
     Num(f64),
     /// String payload (labels, resource names).
     Str(String),
+    /// Numeric label (a bank id, a schedule slot): exported as a number,
+    /// but it names something rather than measuring it, so metrics never
+    /// sum it.
+    Label(u64),
 }
 
 impl From<f64> for ArgValue {
@@ -105,9 +109,15 @@ impl SpanEvent {
         self
     }
 
-    /// Mark this span as summarizing `count` collapsed repetitions (repeat
-    /// collapsing keeps traces bounded for long decode loops; the count
-    /// lets viewers and post-processors recover the multiplicity).
+    /// Attach one numeric label argument (builder style); see
+    /// [`ArgValue::Label`].
+    pub fn with_label(self, key: impl Into<String>, id: u64) -> Self {
+        self.with_arg(key, ArgValue::Label(id))
+    }
+
+    /// Give this span a multiplicity: it stands for `count` events, such
+    /// as the lumps of a collapsed repeat window. Metrics count it `count`
+    /// times; a trace shows it once, with a `count` argument.
     pub fn with_count(self, count: u64) -> Self {
         self.with_arg("count", count)
     }
@@ -188,8 +198,15 @@ mod tests {
 
     #[test]
     fn with_count_attaches_count_arg() {
-        let s = SpanEvent::new("repeat x7", "repeat", TrackId(16), 0.0, 5.0).with_count(7);
+        let s = SpanEvent::new("repeat", "repeat", TrackId(16), 0.0, 5.0).with_count(7);
         assert_eq!(s.args, vec![("count".to_owned(), ArgValue::Num(7.0))]);
+    }
+
+    #[test]
+    fn labels_are_numeric_args() {
+        let s = SpanEvent::new("hop 0->1", "ring", TrackId(64), 0.0, 5.0).with_label("slot", 2);
+        assert_eq!(s.args, vec![("slot".to_owned(), ArgValue::Label(2))]);
+        assert_eq!(serde_json::to_string(&ArgValue::Label(2)).unwrap(), "2");
     }
 
     #[test]

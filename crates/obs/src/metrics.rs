@@ -1,10 +1,20 @@
 //! Flat key→value metrics sink with JSON and CSV export.
 //!
 //! Aggregates the event stream into the shape the `results/` pipeline
-//! consumes: per-`(category, name)` span totals and counts, last-value
+//! consumes: per-`(category, kind)` span totals and counts, last-value
 //! counters, instant counts, plus caller-supplied summary metrics. Keys are
-//! dotted paths (`span.<category>.<name>.total_ns`), stable and sorted, so
+//! dotted paths (`span.<category>.<kind>.total_ns`), stable and sorted, so
 //! diffs between runs are line diffs.
+//!
+//! An event's *kind* is its name up to the first space; the rest labels
+//! one instance (`hop 3->4`, `util.bank 3`), which a trace shows and the
+//! metrics fold: spans of a kind into one count and total, and a counter's
+//! per-instance last values into their `min`, `p50` and `max`.
+//!
+//! A span's `count` argument is its multiplicity ([`SpanEvent::with_count`]):
+//! `count` grows by it, so a summary of n events counts n times. Other
+//! numeric arguments are summed, except [`ArgValue::Label`]s and an
+//! argument named `total_ns`: `count` and `total_ns` are reserved keys.
 
 use crate::event::{ArgValue, CounterEvent, InstantEvent, SpanEvent};
 use crate::sink::Sink;
@@ -15,17 +25,27 @@ use std::rc::Rc;
 
 #[derive(Debug, Default, Clone, PartialEq)]
 struct SpanAccum {
+    /// Events recorded, each weighted by its multiplicity.
     count: u64,
     total_ns: f64,
     /// Sums of numeric span arguments (e.g. `energy_pj`, `bytes`).
     arg_sums: BTreeMap<String, f64>,
 }
 
+/// Argument names that would collide with a span's own keys.
+const RESERVED: [&str; 2] = ["count", "total_ns"];
+
+/// An event name's kind and instance label (empty when it has none).
+fn kind_and_label(name: &str) -> (&str, &str) {
+    name.split_once(' ').unwrap_or((name, ""))
+}
+
 /// Sink that folds the event stream into flat metrics.
 #[derive(Debug, Default)]
 pub struct MetricsSink {
     spans: BTreeMap<(String, String), SpanAccum>,
-    counters: BTreeMap<String, f64>,
+    /// Last value per `<kind>.<series>` and instance label.
+    counters: BTreeMap<String, BTreeMap<String, f64>>,
     instants: BTreeMap<String, u64>,
     extra: BTreeMap<String, f64>,
 }
@@ -64,8 +84,8 @@ impl MetricsSink {
                 *a.arg_sums.entry(arg).or_default() += sum;
             }
         }
-        for (name, value) in other.counters {
-            self.counters.insert(name, value);
+        for (key, instances) in other.counters {
+            self.counters.entry(key).or_default().extend(instances);
         }
         for (name, count) in other.instants {
             *self.instants.entry(name).or_default() += count;
@@ -86,8 +106,17 @@ impl MetricsSink {
                 out.insert(format!("{base}.{arg}"), *sum);
             }
         }
-        for (name, value) in &self.counters {
-            out.insert(format!("counter.{name}"), *value);
+        for (key, instances) in &self.counters {
+            if let (1, Some(value)) = (instances.len(), instances.get("")) {
+                out.insert(format!("counter.{key}"), *value);
+                continue;
+            }
+            let mut values: Vec<f64> = instances.values().copied().collect();
+            values.sort_by(f64::total_cmp);
+            let n = values.len();
+            for (stat, i) in [("min", 0), ("p50", (n - 1) / 2), ("max", n - 1)] {
+                out.insert(format!("counter.{key}.{stat}"), values[i]);
+            }
         }
         for (name, count) in &self.instants {
             out.insert(format!("event.{name}.count"), *count as f64);
@@ -151,23 +180,31 @@ impl MetricsSink {
 
 impl Sink for MetricsSink {
     fn span(&mut self, event: SpanEvent) {
-        let a = self.spans.entry((event.category, event.name)).or_default();
-        a.count += 1;
-        a.total_ns += event.dur_ns;
+        let kind = kind_and_label(&event.name).0.to_owned();
+        let a = self.spans.entry((event.category, kind)).or_default();
+        let mut multiplicity = 1;
         for (key, value) in event.args {
-            if let ArgValue::Num(v) = value {
-                *a.arg_sums.entry(key).or_default() += v;
+            match value {
+                ArgValue::Num(n) if key == "count" => multiplicity = n as u64,
+                ArgValue::Num(v) if !RESERVED.contains(&key.as_str()) => {
+                    *a.arg_sums.entry(key).or_default() += v;
+                }
+                _ => {}
             }
         }
+        a.count += multiplicity;
+        a.total_ns += event.dur_ns;
     }
 
     fn instant(&mut self, event: InstantEvent) {
-        *self.instants.entry(event.name).or_default() += 1;
+        *self.instants.entry(kind_and_label(&event.name).0.to_owned()).or_default() += 1;
     }
 
     fn counter(&mut self, event: CounterEvent) {
+        let (kind, label) = kind_and_label(&event.name);
         for (series, value) in event.values {
-            self.counters.insert(format!("{}.{series}", event.name), value);
+            let instances = self.counters.entry(format!("{kind}.{series}")).or_default();
+            instances.insert(label.to_owned(), value);
         }
     }
 }
@@ -203,6 +240,53 @@ mod tests {
         assert_eq!(flat["event.ring-step.count"], 1.0);
         assert_eq!(flat["counter.util.busy"], 0.75); // last value wins
         assert_eq!(flat["sim.latency_ns"], 22.0);
+    }
+
+    #[test]
+    fn count_is_a_multiplicity_and_labels_are_not_summed() {
+        let mut m = MetricsSink::new();
+        m.span(
+            SpanEvent::new("dec.attn", "arithmetic", TrackId(1), 0.0, 30.0)
+                .with_arg("energy_pj", 6.0)
+                .with_count(23),
+        );
+        m.span(SpanEvent::new("dec.attn", "arithmetic", TrackId(1), 30.0, 2.0));
+        for (hop, slot) in [("hop 0->1", 0), ("hop 1->2", 1)] {
+            m.span(
+                SpanEvent::new(hop, "ring", TrackId(64), 0.0, 4.0)
+                    .with_label("slot", slot)
+                    .with_arg("total_ns", 1e9),
+            );
+        }
+        let flat = m.to_flat();
+        assert_eq!(flat["span.arithmetic.dec.attn.count"], 24.0);
+        assert_eq!(flat["span.arithmetic.dec.attn.total_ns"], 32.0);
+        assert_eq!(flat["span.arithmetic.dec.attn.energy_pj"], 6.0);
+        // Per-instance names fold into their kind; labels and reserved
+        // argument names never become keys of their own.
+        assert_eq!(flat["span.ring.hop.count"], 2.0);
+        assert_eq!(flat["span.ring.hop.total_ns"], 8.0);
+        assert_eq!(flat.len(), 5, "{flat:?}");
+    }
+
+    #[test]
+    fn labelled_counters_fold_into_min_median_max() {
+        let mut m = MetricsSink::new();
+        for (bank, busy) in [(0, 0.5), (1, 0.25), (2, 1.0), (1, 0.75), (3, 0.125)] {
+            m.counter(CounterEvent::sample(
+                format!("util.bank {bank}"),
+                TrackId(64),
+                0.0,
+                "busy",
+                busy,
+            ));
+        }
+        let flat = m.to_flat();
+        // Bank 1's last value, 0.75, replaced its first.
+        assert_eq!(flat["counter.util.bank.busy.min"], 0.125);
+        assert_eq!(flat["counter.util.bank.busy.p50"], 0.5);
+        assert_eq!(flat["counter.util.bank.busy.max"], 1.0);
+        assert_eq!(flat.len(), 3, "{flat:?}");
     }
 
     #[test]

@@ -18,8 +18,7 @@
 //! * [`cost`] — the latency/energy model that turns AAP counts into
 //!   nanoseconds and picojoules using the Table I constants,
 //! * [`rowclone`] — in-DRAM bulk row copy (RowClone FPM) and the
-//!   row-buffer-mediated shifted copy used by PIM-only reductions,
-//! * [`layout`] — capacity bookkeeping for the column-wise layout.
+//!   row-buffer-mediated shifted copy used by PIM-only reductions.
 //!
 //! Because the cost model consumes the *same* AAP counts that the functional
 //! ALU produces, the simulator's timing cannot drift away from an actually
@@ -30,7 +29,6 @@ pub mod alu;
 pub mod bitplane;
 pub mod cost;
 pub mod ecc;
-pub mod layout;
 pub mod rowclone;
 
 pub use alu::{AapTrace, PimAlu};

@@ -105,9 +105,11 @@ impl Accelerator {
     /// Reusing one executor lets its schedule memo amortize across
     /// simulations of the same architecture (e.g. a sweep over sequence
     /// lengths). Priced results are identical to a fresh executor — the
-    /// memo is pure — but trace *verbosity* is not: the executor collapses
-    /// repeated per-hop detail, so reuse an executor only when `sink` is
-    /// disabled. A scenario with ring-link faults rewires the executor, so
+    /// memo is pure — but trace *verbosity* is not: an executor emits
+    /// per-hop detail only for the first occurrence of each ring or tree
+    /// topology it prices, so reuse an executor only when `sink` is
+    /// disabled. (Repeat collapsing keeps no such state: every run traces
+    /// iteration 0 of each repeat and summarizes the rest.) A scenario with ring-link faults rewires the executor, so
     /// it cannot be reused afterwards.
     ///
     /// # Errors

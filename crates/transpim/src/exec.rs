@@ -104,12 +104,6 @@ pub struct Executor {
     /// re-emitting every hop each time swamps the trace and dominates the
     /// traced run's cost, so later occurrences collapse to a summary span.
     detail_emitted: HashSet<(Schedule, u32, u32)>,
-    /// When tracing, collapse iterations 1..N of a [`Step::Repeat`] into a
-    /// single summary span instead of emitting every iteration's phases —
-    /// keeps trace size O(compiled steps) for long decode loops. Off by
-    /// default so traced compressed runs stay byte-identical to traced
-    /// unrolled runs.
-    collapse_repeats: bool,
     /// Whether [`Executor::apply_ring_faults`] rewired the resource map.
     /// A degraded executor prices a different machine than any
     /// [`ArchConfig`] describes, so it is never reused across cells.
@@ -175,16 +169,8 @@ impl Executor {
             xfer,
             schedules: HashMap::new(),
             detail_emitted: HashSet::new(),
-            collapse_repeats: false,
             map_faulted: false,
         }
-    }
-
-    /// Collapse traced repeat iterations 1..N into one summary span (see
-    /// the `collapse_repeats` field). Statistics are unaffected; only
-    /// span/counter emission changes.
-    pub fn set_collapse_repeats(&mut self, collapse: bool) {
-        self.collapse_repeats = collapse;
     }
 
     /// Run a program, returning global and per-scope statistics. Phase
@@ -629,22 +615,24 @@ impl Executor {
 
     /// Price `count` iterations of a repeat body.
     ///
-    /// Three strategies, all denoting exactly the unrolled pricing:
+    /// Iteration 0 is priced (and emitted) like any other steps. The other
+    /// iterations run with the engine quiet, and a traced run sees them as
+    /// one summary ([`Engine::emit_summary`]): the trace is bounded by the
+    /// compiled program, while statistics and phase aggregates still cover
+    /// every lump. The quiet iterations take one of two paths, both
+    /// denoting exactly the unrolled pricing:
     ///
-    /// * **body × count** (zero deltas, nothing to emit, an empty fault
-    ///   session):
-    ///   every iteration records the same lumps, so price one and add it
-    ///   `count - 1` more times with [`Engine::repeat_since`] — O(body)
-    ///   whatever `count` is, and exact because the engine's tallies are
-    ///   integers;
-    /// * **in-place advance** (non-zero deltas, emission on, or a
-    ///   non-empty fault session, whose transient-flip draws advance per
-    ///   lump): walk a
+    /// * **body × count** (zero deltas and an empty fault session): every
+    ///   iteration records the same lumps, so add iteration 0 `count - 1`
+    ///   more times with [`Engine::repeat_since`] — O(body) whatever
+    ///   `count` is, and exact because the engine's tallies are integers.
+    ///   Iteration 0 starts in the enclosing scope and the others in the
+    ///   one the body leaves; when those differ, iteration 1 is priced and
+    ///   repeated instead;
+    /// * **in-place advance** (non-zero deltas, or a non-empty fault
+    ///   session, whose transient-flip draws advance per lump): walk a
     ///   scratch copy of the body per iteration, advancing its varying
-    ///   fields by the deltas — cache-hot, no per-step allocation;
-    /// * **collapsed emission** (tracing with [`Executor::set_collapse_repeats`]):
-    ///   iteration 0 emits normally, iterations 1..N run quiet and are
-    ///   represented by one summary span carrying the collapsed count.
+    ///   fields by the deltas — cache-hot, no per-step allocation.
     ///
     /// Debug builds check the final scratch body against [`Step::at`].
     fn price_repeat(
@@ -658,52 +646,35 @@ impl Executor {
         if count == 0 || body.is_empty() {
             return Ok(());
         }
-        if delta.iter().all(StepDelta::is_zero) && !engine.emitting() && session.is_empty() {
-            let mut mark = engine.mark();
-            self.run_segment(body, engine, session)?;
+        let body_times_count = delta.iter().all(StepDelta::is_zero) && session.is_empty();
+        let mut mark = body_times_count.then(|| engine.mark());
+        self.run_segment(body, engine, session)?;
+        if count == 1 {
+            return Ok(());
+        }
+        let window = engine.emitting().then(|| engine.mark());
+        if window.is_some() {
+            engine.set_quiet(true);
+        }
+        if let Some(mark) = &mut mark {
             let mut rest = count - 1;
-            if rest > 0 && !engine.in_scope_of(&mark) {
-                // Iteration 0 started in the enclosing scope; the others
-                // start in the one the body leaves, so iteration 1 is the
-                // one that repeats.
-                mark = engine.mark();
+            if !engine.in_scope_of(mark) {
+                // Iteration 1 starts in the scope the body leaves, like
+                // every later one: it is the iteration that repeats.
+                *mark = engine.mark();
                 self.run_segment(body, engine, session)?;
                 rest -= 1;
             }
-            engine.repeat_since(&mark, rest);
-            return Ok(());
-        }
-
-        let collapse = self.collapse_repeats && count > 1 && engine.emitting();
-        let mut scratch = body.to_vec();
-        let mut summary_start = 0.0;
-        for i in 0..count {
-            if i > 0 {
+            engine.repeat_since(mark, rest);
+        } else {
+            let mut scratch = body.to_vec();
+            for _ in 1..count {
                 for (s, d) in scratch.iter_mut().zip(delta) {
                     s.advance(d);
                 }
+                self.run_segment(&scratch, engine, session)?;
             }
-            if collapse && i == 1 {
-                summary_start = engine.now_ns();
-                engine.set_quiet(true);
-            }
-            self.run_segment(&scratch, engine, session)?;
-        }
-        if collapse {
-            engine.set_quiet(false);
-            engine.sink().span(
-                SpanEvent::new(
-                    format!("repeat x{}", count - 1),
-                    "repeat",
-                    tracks::RING,
-                    summary_start,
-                    engine.now_ns() - summary_start,
-                )
-                .with_count(count - 1),
-            );
-        }
-        #[cfg(debug_assertions)]
-        if count > 1 {
+            #[cfg(debug_assertions)]
             for (j, s) in scratch.iter().enumerate() {
                 debug_assert_eq!(
                     *s,
@@ -711,6 +682,10 @@ impl Executor {
                     "in-place advance diverged from Step::at"
                 );
             }
+        }
+        if let Some(start) = window {
+            engine.set_quiet(false);
+            engine.emit_summary(&start, count - 1);
         }
         Ok(())
     }
@@ -1103,7 +1078,7 @@ mod tests {
     use super::*;
     use transpim_dataflow::ir::{Precision, Program};
     use transpim_dataflow::{layer_flow, token_flow};
-    use transpim_obs::{ChromeTraceSink, ObsError};
+    use transpim_obs::{ArgValue, ChromeTraceSink, ObsError};
     use transpim_transformer::workload::Workload;
 
     fn run(kind: ArchKind, token: bool, w: &Workload) -> SimStats {
@@ -1414,6 +1389,12 @@ mod tests {
                 .unwrap()
         });
         assert_eq!(from_empty, (stats, scoped.clone()));
+        // A traced run takes the same body x count path.
+        let traced = timed(&mut || {
+            let sink = SinkHandle::from_shared(ChromeTraceSink::shared());
+            Executor::new(arch.clone()).run_with_sink(&prog, sink)
+        });
+        assert_eq!(traced, (stats, scoped.clone()));
         // One lump per category, each exact in the tally: scaling by the
         // count rounds once, exactly as the f64 product does.
         let n = count as f64;
@@ -1458,25 +1439,30 @@ mod tests {
         }
     }
 
-    #[test]
-    fn traced_compressed_matches_traced_unrolled() {
-        // With collapsing off (the default), tracing a compressed program
-        // walks every iteration and must produce a byte-identical trace
-        // document.
-        let w = decode_workload();
-        let arch = ArchConfig::new(ArchKind::TransPim);
-        let banks = arch.hbm.geometry.total_banks();
-        let prog = token_flow::compile(&w, banks);
-        let unrolled = prog.unroll();
-        let (s1, sc1, t1) = run_traced(&mut Executor::new(arch.clone()), &prog).unwrap();
-        let (s2, sc2, t2) = run_traced(&mut Executor::new(arch), &unrolled).unwrap();
-        assert_eq!(s1, s2);
-        assert_eq!(sc1, sc2);
-        assert_eq!(t1, t2, "default tracing must not observe the compression");
+    /// Phase lumps a trace accounts for: one per phase span, or its
+    /// `count` for a summary span.
+    fn traced_lumps(events: &[transpim_obs::ChromeEvent]) -> f64 {
+        let phases: Vec<&str> = Category::ALL.iter().map(|c| c.label()).collect();
+        events
+            .iter()
+            .filter(|e| e.ph == "X" && phases.contains(&e.cat.as_str()))
+            .map(|e| match e.args.get("count") {
+                Some(ArgValue::Num(n)) => *n,
+                _ => 1.0,
+            })
+            .sum()
+    }
+
+    fn traced_events(prog: &Program) -> ((SimStats, ScopedStats), Vec<transpim_obs::ChromeEvent>) {
+        let chrome = ChromeTraceSink::shared();
+        let mut ex = Executor::new(ArchConfig::new(ArchKind::TransPim));
+        let stats = ex.run_with_sink(prog, SinkHandle::from_shared(chrome.clone()));
+        let events = chrome.borrow().sorted_events();
+        (stats, events)
     }
 
     #[test]
-    fn collapse_repeats_bounds_trace_without_touching_stats() {
+    fn traced_repeats_emit_iteration_zero_and_one_summary() {
         let body = vec![
             Step::scope("dec.attn"),
             Step::RingBroadcast {
@@ -1493,29 +1479,25 @@ mod tests {
             StepDelta { d: [16, 0, 0], len: 2 },
             StepDelta { d: [0, 0, 0], len: 2 },
         ];
-        let mut prog = transpim_dataflow::ir::Program::new();
-        prog.push(Step::repeat(40, body, delta));
-
-        let run = |collapse: bool| {
-            let mut ex = Executor::new(ArchConfig::new(ArchKind::TransPim));
-            ex.set_collapse_repeats(collapse);
-            let chrome = ChromeTraceSink::shared();
-            let stats = ex.run_with_sink(&prog, SinkHandle::from_shared(chrome.clone()));
-            let events = chrome.borrow().sorted_events();
-            (stats, events)
-        };
-        let (full_stats, full_events) = run(false);
-        let (col_stats, col_events) = run(true);
-        assert_eq!(full_stats, col_stats, "collapsing is a tracing concern only");
-        assert!(
-            col_events.iter().any(|e| e.name == "repeat x39"),
-            "summary span should carry the collapsed count"
-        );
-        assert!(
-            col_events.len() * 4 < full_events.len(),
-            "collapsed trace ({}) should be far smaller than full ({})",
-            col_events.len(),
-            full_events.len()
-        );
+        for (prog, iterations) in [
+            (program(vec![Step::repeat(40, body.clone(), delta)]), 39.0),
+            (program(vec![Step::scope("enc.fc"), zero_delta_repeat(1000, body)]), 999.0),
+        ] {
+            let (stats, events) = traced_events(&prog);
+            let (unrolled_stats, unrolled_events) = traced_events(&prog.unroll());
+            let untraced = Executor::new(ArchConfig::new(ArchKind::TransPim)).run(&prog);
+            assert_eq!(stats, untraced, "tracing must not perturb the statistics");
+            assert_eq!(stats, unrolled_stats);
+            let windows: Vec<_> = events.iter().filter(|e| e.name == "repeat").collect();
+            assert_eq!(windows.len(), 1, "one summary per collapsed repeat");
+            assert_eq!(windows[0].args["count"], ArgValue::Num(iterations));
+            assert_eq!(traced_lumps(&events), traced_lumps(&unrolled_events));
+            assert!(
+                events.len() * 4 < unrolled_events.len(),
+                "collapsed trace ({}) should be far smaller than unrolled ({})",
+                events.len(),
+                unrolled_events.len()
+            );
+        }
     }
 }

@@ -47,9 +47,10 @@ cargo test --offline --workspace -q
 echo "==> parallel determinism (jobs=1 vs jobs=N byte-identical)"
 cargo test --offline -q --test parallel_determinism
 
-# Same rationale: the loop-compressed decode path must price, report, and
-# trace byte-identically to unrolled programs, and fail loudly by name.
-echo "==> repeat equivalence (compressed vs unrolled byte-identical)"
+# Same rationale: the loop-compressed decode path must price and report
+# byte-identically to unrolled programs, and trace them with each collapsed
+# repeat summarized, and fail loudly by name.
+echo "==> repeat equivalence (compressed vs unrolled)"
 cargo test --offline -q --test repeat_equivalence
 
 # Fault suite: injection disabled must be byte-invisible, degraded runs
@@ -80,6 +81,21 @@ for system in "--workload imdb" "--workload imdb --arch pim --dataflow layer"; d
   done
   echo "    $system: identical"
 done
+
+# A traced decode is bounded by the compiled program, not by the unrolled
+# decode length: the default traced LM run must write a trace under 1 MB
+# and fewer than 500 metric keys (one per line in the pretty JSON).
+echo "==> bounded trace (transpim-sim --workload lm --trace --metrics)"
+cargo run --release --offline --quiet --bin transpim-sim -- --workload lm \
+  --trace "$cli_dir/lm.trace.json" --metrics "$cli_dir/lm.metrics.json" >/dev/null 2>&1
+trace_bytes=$(wc -c < "$cli_dir/lm.trace.json")
+metric_keys=$(grep -c '^  "' "$cli_dir/lm.metrics.json")
+if (( trace_bytes >= 1000000 || metric_keys >= 500 )); then
+  echo "error: traced LM run wrote a $trace_bytes-byte trace and $metric_keys metric" >&2
+  echo "keys; the bounds are 1 MB and 500 keys." >&2
+  exit 1
+fi
+echo "    trace $trace_bytes bytes, $metric_keys metric keys"
 
 # Property suites, by name and under a pinned seed, with a case-count
 # audit. The vendored proptest engine appends "<test>\t<cases>" for every
