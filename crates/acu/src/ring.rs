@@ -134,18 +134,22 @@ pub fn schedule_hops_placed(
     let mut remaining: Vec<usize> = order;
     let mut latency = 0.0;
     let mut slots = 0u32;
+    // `taken[r]` is one past the last slot that occupied resource `r`, so a
+    // resource is busy in the current slot iff `taken[r] == slots + 1` —
+    // no per-slot set to build or clear.
+    let mut taken = vec![0u32; map.len() as usize];
     while !remaining.is_empty() {
-        let mut used = std::collections::HashSet::new();
+        let mark = slots + 1;
         let mut slot_dur = 0.0f64;
         let mut next = Vec::new();
         for &i in &remaining {
             let route = &routed[i];
-            if route.resources.iter().any(|r| used.contains(r)) {
+            if route.resources.iter().any(|r| taken[r.0 as usize] == mark) {
                 next.push(i);
                 continue;
             }
             for r in &route.resources {
-                used.insert(*r);
+                taken[r.0 as usize] = mark;
             }
             let dur = route.transfer_ns(hops[i].bytes as f64);
             slot_dur = slot_dur.max(dur);

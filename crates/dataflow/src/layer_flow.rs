@@ -43,19 +43,18 @@ pub fn compile_with(workload: &Workload, total_banks: u32, p: Precision) -> Prog
     }
 
     if cfg.decoder_layers > 0 && workload.decode_len > 0 {
-        // Loop-compressed emission: the per-token block (all layers) is fed
-        // to the compressor, which folds consecutive blocks whenever every
-        // step is affine in its predecessor. The `ceil((l+t)/N)` per-bank
-        // sizes are only piecewise-affine, so runs flush at plateau edges —
-        // compression is opportunistic, the denoted step sequence is
-        // unchanged either way.
+        // Loop-compressed emission: the decoder layers of token `t` are
+        // identical, so one layer block is committed `decoder_layers` times
+        // as a zero-delta repeat (the executor prices it as body × count).
+        // A plateau is one token: the duplicated K/V (`ShuffleAll`) and the
+        // `ctx`-sized work grow with every `t`, so consecutive tokens never
+        // share a block.
+        let layers = cfg.decoder_layers as u64;
         let mut comp = RepeatCompressor::new();
         let mut block = Vec::new();
         for t in 0..workload.decode_len as u64 {
-            for _ in 0..cfg.decoder_layers {
-                decoder_step_layer(&mut block, cfg, workload.seq_len as u64, t, b, total_banks, p);
-            }
-            comp.push_block(&mut prog, &mut block);
+            decoder_step_layer(&mut block, cfg, workload.seq_len as u64, t, b, total_banks, p);
+            comp.push_block_times(&mut prog, &mut block, layers);
         }
         comp.flush(&mut prog);
     }
@@ -388,6 +387,7 @@ fn decoder_step_layer(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::ir::StepDelta;
     use crate::token_flow;
     use transpim_transformer::workload::Workload;
 
@@ -423,6 +423,44 @@ mod tests {
         };
         let ratio = at(2048) / at(512);
         assert!((ratio - 16.0).abs() < 1.0, "softmax reload ratio {ratio} should be ~16 for 4x L");
+    }
+
+    #[test]
+    fn decode_commits_one_layer_per_token_as_a_zero_delta_repeat() {
+        let mut w = Workload::lm();
+        w.model.decoder_layers = 3;
+        w.seq_len = 16;
+        w.decode_len = 5;
+        let (banks, p) = (64, Precision::default());
+        let (cfg, l) = (&w.model, w.seq_len as u64);
+
+        let mut want = Program::new();
+        want.push(Step::scope("load.input"));
+        want.push(Step::HostScatter {
+            total_bytes: w.batch_tokens() * cfg.d_model as u64 * u64::from(p.act_bits) / 8,
+        });
+        for _ in 0..cfg.decoder_layers {
+            encoder_layer(&mut want, cfg, l, 1, banks, p);
+        }
+        let prefill = want.len();
+        let mut layer = Vec::new();
+        for t in 0..w.decode_len as u64 {
+            for _ in 0..cfg.decoder_layers {
+                decoder_step_layer(&mut layer, cfg, l, t, 1, banks, p);
+                want.extend(layer.drain(..));
+            }
+        }
+
+        let prog = compile(&w, banks);
+        assert_eq!(prog.unroll(), want);
+        assert_eq!(prog.len(), prefill + w.decode_len);
+        for (t, step) in prog.steps()[prefill..].iter().enumerate() {
+            let Step::Repeat { count, delta, .. } = step else {
+                panic!("token {t} is not one repeat: {step:?}");
+            };
+            assert_eq!(*count, cfg.decoder_layers as u64, "token {t}");
+            assert!(delta.iter().all(StepDelta::is_zero), "token {t}: non-zero delta");
+        }
     }
 
     #[test]

@@ -83,19 +83,25 @@ for system in "--workload imdb" "--workload imdb --arch pim --dataflow layer"; d
 done
 
 # A traced decode is bounded by the compiled program, not by the unrolled
-# decode length: the default traced LM run must write a trace under 1 MB
-# and fewer than 500 metric keys (one per line in the pretty JSON).
-echo "==> bounded trace (transpim-sim --workload lm --trace --metrics)"
-cargo run --release --offline --quiet --bin transpim-sim -- --workload lm \
-  --trace "$cli_dir/lm.trace.json" --metrics "$cli_dir/lm.metrics.json" >/dev/null 2>&1
-trace_bytes=$(wc -c < "$cli_dir/lm.trace.json")
-metric_keys=$(grep -c '^  "' "$cli_dir/lm.metrics.json")
-if (( trace_bytes >= 1000000 || metric_keys >= 500 )); then
-  echo "error: traced LM run wrote a $trace_bytes-byte trace and $metric_keys metric" >&2
-  echo "keys; the bounds are 1 MB and 500 keys." >&2
-  exit 1
-fi
-echo "    trace $trace_bytes bytes, $metric_keys metric keys"
+# decode length: the default traced Token-LM run must write a trace under
+# 1 MB, and the Layer-LM run (one zero-delta layer repeat per token, so its
+# trace grows per token but not per layer) one under 3 MB; both fewer than
+# 500 metric keys (one per line in the pretty JSON).
+echo "==> bounded trace (transpim-sim --workload lm [--dataflow layer] --trace --metrics)"
+for bound in "token 1000000" "layer 3000000"; do
+  read -r dataflow max_bytes <<< "$bound"
+  cargo run --release --offline --quiet --bin transpim-sim -- --workload lm \
+    --dataflow "$dataflow" --trace "$cli_dir/lm.trace.json" \
+    --metrics "$cli_dir/lm.metrics.json" >/dev/null 2>&1
+  trace_bytes=$(wc -c < "$cli_dir/lm.trace.json")
+  metric_keys=$(grep -c '^  "' "$cli_dir/lm.metrics.json")
+  if (( trace_bytes >= max_bytes || metric_keys >= 500 )); then
+    echo "error: traced $dataflow LM run wrote a $trace_bytes-byte trace and" >&2
+    echo "$metric_keys metric keys; the bounds are $max_bytes bytes and 500 keys." >&2
+    exit 1
+  fi
+  echo "    $dataflow: trace $trace_bytes bytes, $metric_keys metric keys"
+done
 
 # Property suites, by name and under a pinned seed, with a case-count
 # audit. The vendored proptest engine appends "<test>\t<cases>" for every

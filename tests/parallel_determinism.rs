@@ -1,8 +1,8 @@
 //! The job pool must be a pure wall-clock optimization: every `--jobs`
 //! level yields byte-identical reports, metrics, and traces, because
 //! `run_grid` returns cells in submission order and per-cell sinks merge
-//! in that same order. These tests pin that contract at the library level
-//! (the `scripts/bench_wallclock.sh` sweep pins it end-to-end).
+//! in that same order. These tests pin that contract at the library level;
+//! `scripts/check.sh` runs them as a named gate.
 
 use transpim::arch::{ArchConfig, ArchKind};
 use transpim::report::DataflowKind;

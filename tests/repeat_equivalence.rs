@@ -231,6 +231,37 @@ fn traced_decode_is_bounded_by_the_compiled_program() {
 }
 
 #[test]
+fn layer_decode_trace_grows_per_token_not_per_layer() {
+    // Layer-LM decode compiles one zero-delta repeat of one decoder layer
+    // per token, so its trace grows with the decode length but not with
+    // the layer count: at most 80 events per extra generated token (one
+    // layer's events plus the repeat's summary), where spelling out all
+    // 24 layers would take about 600.
+    let acc = Accelerator::new(ArchConfig::new(ArchKind::TransPim));
+    let events = |decode_len: usize| {
+        let mut w = Workload::lm();
+        w.decode_len = decode_len;
+        let chrome = ChromeTraceSink::shared();
+        let traced = acc.simulate_with_sink(
+            &w,
+            DataflowKind::Layer,
+            SinkHandle::from_shared(chrome.clone()),
+        );
+        let untraced = acc.simulate(&w, DataflowKind::Layer);
+        assert_eq!(traced.stats, untraced.stats, "decode {decode_len}: stats diverged");
+        assert_eq!(traced.scoped, untraced.scoped, "decode {decode_len}: scoped diverged");
+        let n = chrome.borrow().len();
+        n
+    };
+    let (short, long) = (events(128), events(1024));
+    let per_token = (long - short) as f64 / (1024 - 128) as f64;
+    assert!(
+        per_token <= 80.0,
+        "{per_token:.1} trace events per extra token ({short} at decode 128, {long} at 1024)"
+    );
+}
+
+#[test]
 fn suite_grid_is_deterministic_across_job_counts() {
     // The compressed decode loops must not perturb the job pool's
     // determinism contract: jobs=1 and jobs=8 render identical report and

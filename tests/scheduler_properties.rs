@@ -1,9 +1,14 @@
 //! Property tests for the communication scheduler and routing layer:
-//! makespans must respect structural bounds on arbitrary hop sets, and
-//! routes must be well-formed for every bank pair.
+//! makespans must respect structural bounds on arbitrary hop sets, routes
+//! must be well-formed for every bank pair, and the slot scheduler must
+//! place hops exactly like a straightforward per-slot `HashSet` scheduler.
 
 use proptest::prelude::*;
-use transpim_acu::ring::{ring_step_hops, schedule_hops, Hop, TransferCostModel};
+use std::collections::HashSet;
+use transpim_acu::ring::{
+    pairwise_reduce_hops, ring_step_hops, schedule_hops, schedule_hops_placed, Hop, HopPlacement,
+    ScheduleResult, TransferCostModel,
+};
 use transpim_hbm::energy::EnergyParams;
 use transpim_hbm::geometry::{BankId, HbmGeometry};
 use transpim_hbm::resource::{BusParams, ResourceMap};
@@ -26,8 +31,87 @@ fn setup(buffered: bool) -> (ResourceMap, TransferCostModel) {
     )
 }
 
+/// The greedy slot scheduler spelled out with a fresh `HashSet` of taken
+/// resources per slot: the same priority order, placements and f64
+/// operation order that `schedule_hops_placed` must reproduce.
+fn reference_schedule(
+    map: &ResourceMap,
+    xfer: &TransferCostModel,
+    hops: &[Hop],
+) -> (ScheduleResult, Vec<HopPlacement>) {
+    if hops.is_empty() {
+        return (ScheduleResult::default(), Vec::new());
+    }
+    let bpg = map.geometry().banks_per_group;
+    let routed: Vec<_> = hops.iter().map(|h| map.route(h.src, h.dst)).collect();
+    let mut remaining: Vec<usize> = (0..hops.len()).collect();
+    remaining.sort_by_key(|&i| {
+        let pos = hops[i].src.0 % bpg;
+        (usize::MAX - routed[i].resources.len(), pos % 2, pos, hops[i].src.0)
+    });
+    let mut placements = Vec::new();
+    let (mut latency, mut slots) = (0.0, 0u32);
+    while !remaining.is_empty() {
+        let mut used = HashSet::new();
+        let mut slot_dur = 0.0f64;
+        let mut next = Vec::new();
+        for &i in &remaining {
+            let route = &routed[i];
+            if route.resources.iter().any(|r| used.contains(r)) {
+                next.push(i);
+                continue;
+            }
+            used.extend(route.resources.iter().copied());
+            let dur = route.transfer_ns(hops[i].bytes as f64);
+            slot_dur = slot_dur.max(dur);
+            placements.push(HopPlacement {
+                src: hops[i].src,
+                dst: hops[i].dst,
+                slot: slots,
+                start_ns: latency,
+                dur_ns: dur,
+            });
+        }
+        latency += slot_dur;
+        slots += 1;
+        remaining = next;
+    }
+    let energy_pj = hops.iter().map(|h| xfer.hop_energy_pj(h.bytes)).sum();
+    let bytes = hops.iter().map(|h| h.bytes as f64).sum();
+    (ScheduleResult { latency_ns: latency, energy_pj, bytes, slots }, placements)
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(128))]
+
+    #[test]
+    fn slot_scheduler_matches_hashset_reference(
+        first in 0u32..32,
+        count in 0u32..33,
+        bytes in 64u64..8192,
+        ring_links in any::<bool>(),
+        dead in proptest::collection::vec(0u32..8, 0..3),
+        degraded in proptest::collection::vec((0u32..8, 0.05f64..1.0), 0..3),
+    ) {
+        let g = small_geometry();
+        let map = ResourceMap::new(g, BusParams::default(), ring_links)
+            .with_ring_faults(&dead, &degraded);
+        let xfer = TransferCostModel::new(g, EnergyParams::default(), ring_links);
+        let ids: Vec<BankId> = (first..(first + count).min(32)).map(BankId).collect();
+        // One ring step, then every level of the pairwise reduction tree.
+        let mut sets = vec![ring_step_hops(&ids, bytes)];
+        let mut stride = 1;
+        while stride < ids.len() {
+            sets.push(pairwise_reduce_hops(&ids, stride, bytes));
+            stride *= 2;
+        }
+        for hops in &sets {
+            let (got, placed) = schedule_hops_placed(&map, &xfer, hops);
+            let (want, want_placed) = reference_schedule(&map, &xfer, hops);
+            prop_assert_eq!(got, want);
+            prop_assert_eq!(placed, want_placed);
+        }
+    }
 
     #[test]
     fn makespan_is_bounded_by_hop_extremes(
