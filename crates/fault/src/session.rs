@@ -4,6 +4,7 @@
 use std::collections::{BTreeMap, BTreeSet};
 
 use serde::{Deserialize, Serialize};
+use transpim_hbm::stats::{from_signed_units, to_signed_units};
 use transpim_pim::ecc::EccScheme;
 
 use crate::scenario::{Fault, FaultError, FaultScenario};
@@ -19,10 +20,12 @@ pub struct SystemInfo {
 /// Degraded-mode accounting attached to a `SimReport`.
 ///
 /// `overhead_latency_ns`/`overhead_energy_pj` are the *incremental* cost of
-/// degradation accumulated lump by lump (ECC checks, retries, corrections,
-/// stuck-plane serialization, divider fallback) — for scenarios that do not
+/// degradation (ECC checks, retries, corrections, stuck-plane
+/// serialization, divider fallback), summed exactly in the engine's
+/// fixed-point units and converted to f64 once. For scenarios that do not
 /// change the program shape (no failed banks, no link faults) the degraded
-/// run equals the fault-free run plus exactly this overhead.
+/// run equals the fault-free run plus this overhead, up to the rounding of
+/// each lump's own degraded price.
 #[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
 pub struct FaultStats {
     /// Individual fault events injected (static faults + drawn flips).
@@ -58,6 +61,16 @@ pub enum FlipOutcome {
     Uncorrectable(u64),
 }
 
+/// A snapshot of a [`FaultSession`]'s draw counter, event counters and
+/// overhead, taken before pricing a repeat-body iteration; see
+/// [`FaultSession::repeat_since`].
+#[derive(Debug, Clone)]
+pub struct Mark {
+    draws: u64,
+    injected: u64,
+    overhead: [i128; 2],
+}
+
 fn splitmix64(mut x: u64) -> u64 {
     x = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
     let mut z = x;
@@ -67,6 +80,18 @@ fn splitmix64(mut x: u64) -> u64 {
 }
 
 const BYTES_PER_GIB: f64 = (1u64 << 30) as f64;
+
+/// Flips drawn by draw number `draw` of a transfer that expects `expected`
+/// flips: the integer part always, plus one more with probability equal to
+/// the fractional part. The one flip predicate, shared by
+/// [`FaultSession::observe_transfer`] and [`FaultSession::clean_iterations`].
+fn drawn_flips(seed: u64, draw: u64, expected: f64) -> u64 {
+    let base = expected.floor();
+    let h = splitmix64(seed ^ draw);
+    // 53 uniform mantissa bits → [0, 1).
+    let u = (h >> 11) as f64 * (1.0 / (1u64 << 53) as f64);
+    base as u64 + u64::from(u < expected - base)
+}
 
 /// A validated fault scenario bound to a machine, ready to be consulted by
 /// the executor while pricing a program.
@@ -92,8 +117,11 @@ pub struct FaultSession {
     detected: u64,
     corrected: u64,
     uncorrectable: u64,
-    overhead_latency_ns: f64,
-    overhead_energy_pj: f64,
+    /// Overhead latency and energy, in signed 2^-64 ns/pJ tally units.
+    overhead: [i128; 2],
+    /// Expected flips of each draw since [`FaultSession::mark`], until
+    /// [`FaultSession::take_log`].
+    log: Option<Vec<f64>>,
     track_named: bool,
 }
 
@@ -127,8 +155,8 @@ impl FaultSession {
             detected: 0,
             corrected: 0,
             uncorrectable: 0,
-            overhead_latency_ns: 0.0,
-            overhead_energy_pj: 0.0,
+            overhead: [0; 2],
+            log: None,
             track_named: false,
         };
         for fault in &scenario.faults {
@@ -282,12 +310,11 @@ impl FaultSession {
             return FlipOutcome::None;
         }
         let expected = bytes * self.flip_per_gib / BYTES_PER_GIB;
-        let base = expected.floor();
+        if let Some(log) = &mut self.log {
+            log.push(expected);
+        }
         self.draws = self.draws.wrapping_add(1);
-        let h = splitmix64(self.seed ^ self.draws);
-        // 53 uniform mantissa bits → [0, 1).
-        let u = (h >> 11) as f64 * (1.0 / (1u64 << 53) as f64);
-        let flips = base as u64 + u64::from(u < expected - base);
+        let flips = drawn_flips(self.seed, self.draws, expected);
         if flips == 0 {
             return FlipOutcome::None;
         }
@@ -309,9 +336,75 @@ impl FaultSession {
     }
 
     /// Record incremental degradation cost (already in scaled engine time).
+    /// The energy may be negative: a fallback can cost less energy than
+    /// the path it replaces.
+    ///
+    /// # Panics
+    ///
+    /// If a value is not finite or its magnitude is 2^63 or more.
     pub fn add_overhead(&mut self, latency_ns: f64, energy_pj: f64) {
-        self.overhead_latency_ns += latency_ns;
-        self.overhead_energy_pj += energy_pj;
+        self.overhead[0] += to_signed_units(latency_ns);
+        self.overhead[1] += to_signed_units(energy_pj);
+    }
+
+    /// Snapshot the session before pricing a repeat-body iteration, and
+    /// start a fresh draw log: the expected flips of each draw from here
+    /// on, until [`FaultSession::take_log`].
+    pub fn mark(&mut self) -> Mark {
+        self.log = Some(Vec::new());
+        Mark { draws: self.draws, injected: self.injected, overhead: self.overhead }
+    }
+
+    /// Stop the draw log started by [`FaultSession::mark`] and return it.
+    pub fn take_log(&mut self) -> Vec<f64> {
+        self.log.take().unwrap_or_default()
+    }
+
+    /// Whether a draw since `mark` flipped.
+    pub fn flipped_since(&self, mark: &Mark) -> bool {
+        self.injected != mark.injected
+    }
+
+    /// How many of the next iterations, up to `max`, draw no flip, when
+    /// each iteration draws exactly the transfers of `log` in order (see
+    /// [`FaultSession::take_log`]). A pure scan of the flip predicate: one
+    /// hash per draw, nothing priced. An empty log never flips.
+    pub fn clean_iterations(&self, log: &[f64], max: u64) -> u64 {
+        if log.is_empty() {
+            return max;
+        }
+        let mut draw = self.draws;
+        for i in 0..max {
+            for &expected in log {
+                draw = draw.wrapping_add(1);
+                if drawn_flips(self.seed, draw, expected) > 0 {
+                    return i;
+                }
+            }
+        }
+        max
+    }
+
+    /// Account everything since `mark` another `times` times: the draws of
+    /// one more flip-free iteration and its overhead, exactly, per time.
+    /// [`FaultSession::clean_iterations`] says how many next iterations
+    /// are flip-free.
+    ///
+    /// # Panics
+    ///
+    /// If `times` > 0 and a draw since `mark` flipped: only a flip-free
+    /// iteration repeats without repricing.
+    pub fn repeat_since(&mut self, mark: &Mark, times: u64) {
+        if times == 0 {
+            return;
+        }
+        assert!(!self.flipped_since(mark), "a repeated iteration must draw no flip");
+        let per_iteration = self.draws.wrapping_sub(mark.draws);
+        self.draws = self.draws.wrapping_add(per_iteration.wrapping_mul(times));
+        for (total, before) in self.overhead.iter_mut().zip(mark.overhead) {
+            let repeated = (*total - before).checked_mul(i128::from(times));
+            *total = repeated.and_then(|r| total.checked_add(r)).expect("fault overhead overflow");
+        }
     }
 
     /// Returns true exactly once, for naming the fault trace track lazily
@@ -336,8 +429,8 @@ impl FaultSession {
             dead_links: self.dead_links.len() as u32,
             degraded_links: self.degraded_links.len() as u32,
             broken_dividers: self.broken_dividers.len() as u32,
-            overhead_latency_ns: self.overhead_latency_ns,
-            overhead_energy_pj: self.overhead_energy_pj,
+            overhead_latency_ns: from_signed_units(self.overhead[0]),
+            overhead_energy_pj: from_signed_units(self.overhead[1]),
         }
     }
 }
@@ -431,6 +524,126 @@ mod tests {
         assert_eq!(stats.dead_links, 1);
         assert_eq!(stats.degraded_links, 1);
         assert_eq!(stats.broken_dividers, 1);
+    }
+
+    /// Transfer sizes of one repeat-body iteration, from a xorshift state:
+    /// tiny, mid-sized, just under and at or over one GiB.
+    fn iteration_bytes(x: &mut u64) -> Vec<f64> {
+        let mut next = || {
+            *x ^= *x << 13;
+            *x ^= *x >> 7;
+            *x ^= *x << 17;
+            *x
+        };
+        let n = 1 + next() % 5;
+        (0..n)
+            .map(|_| {
+                let r = next();
+                (match r % 4 {
+                    0 => 1 + r % 16,
+                    1 => 1 + r % (1 << 24),
+                    2 => (1 << 30) - r % 64,
+                    _ => (1 << 30) + r % (1 << 31),
+                }) as f64
+            })
+            .collect()
+    }
+
+    #[test]
+    fn clean_iterations_agrees_with_observe_transfer() {
+        // Expected flips per draw: exactly 0 (a subnormal rate underflows),
+        // tiny, near 1 and at least 1, at rates that make each class occur.
+        let mut x = 0x9E37_79B9_7F4A_7C15u64;
+        for per_gib in [f64::from_bits(1), 1e-3, 0.5, 1.0, 3.0] {
+            for seed in 0..40 {
+                let faults = vec![Fault::TransientFlips { per_gib }];
+                let scenario = FaultScenario { seed, ecc: EccScheme::Secded, faults };
+                let mut s = FaultSession::new(&scenario, sys()).expect("valid");
+                let bytes = iteration_bytes(&mut x);
+                s.mark();
+                for &b in &bytes {
+                    s.observe_transfer(b);
+                }
+                let log = s.take_log();
+                assert_eq!(log.len(), bytes.len(), "one log entry per draw");
+                let max = 64;
+                let predicted = s.clean_iterations(&log, max);
+                // Walk the next iterations draw by draw; before each, the
+                // scan must say whether that iteration is flip-free.
+                let mut first_flip = max;
+                for i in 0..max {
+                    let clean = s.clean_iterations(&log, 1) == 1;
+                    // Draw every transfer: a flip must not skip later draws.
+                    let outcomes: Vec<_> = bytes.iter().map(|&b| s.observe_transfer(b)).collect();
+                    let flipped = outcomes.iter().any(|&o| o != FlipOutcome::None);
+                    assert_eq!(clean, !flipped, "rate {per_gib}, seed {seed}, iteration {i}");
+                    if flipped && first_flip == max {
+                        first_flip = i;
+                    }
+                }
+                assert_eq!(predicted, first_flip, "rate {per_gib}, seed {seed}");
+            }
+        }
+    }
+
+    #[test]
+    fn repeat_since_equals_walking_the_clean_iterations() {
+        let faults = vec![Fault::TransientFlips { per_gib: 0.05 }];
+        let mut x = 0x2545_F491_4F6C_DD1Du64;
+        for seed in 0..40 {
+            let scenario = FaultScenario { seed, ecc: EccScheme::Parity, faults: faults.clone() };
+            let mut walked = FaultSession::new(&scenario, sys()).expect("valid");
+            let mut repeated = walked.clone();
+            let bytes = iteration_bytes(&mut x);
+            // One iteration: its draws and a mixed-sign, non-dyadic overhead.
+            let iteration = |s: &mut FaultSession| {
+                for &b in &bytes {
+                    s.observe_transfer(b);
+                }
+                s.add_overhead(0.1, -0.3);
+                s.add_overhead(7.7e-3, 1.9e6);
+            };
+            let mark = repeated.mark();
+            iteration(&mut repeated);
+            let log = repeated.take_log();
+            if repeated.flipped_since(&mark) {
+                continue;
+            }
+            let clean = repeated.clean_iterations(&log, 1000);
+            repeated.repeat_since(&mark, clean);
+            for _ in 0..=clean {
+                iteration(&mut walked);
+            }
+            assert_eq!(repeated.stats(), walked.stats(), "seed {seed}");
+            // Both sessions continue with the same draw.
+            for &b in bytes.iter().cycle().take(64) {
+                assert_eq!(repeated.observe_transfer(b), walked.observe_transfer(b));
+            }
+        }
+    }
+
+    #[test]
+    fn overhead_is_exact_whatever_the_order() {
+        let mut a = session(vec![], EccScheme::None).expect("valid");
+        let mut b = a.clone();
+        let terms = [(0.1, 1e9), (0.2, -0.7), (0.3, 3.3e-3), (1e6, 0.1)];
+        for &(ns, pj) in &terms {
+            a.add_overhead(ns, pj);
+        }
+        for &(ns, pj) in terms.iter().rev() {
+            b.add_overhead(ns, pj);
+        }
+        assert_eq!(a.stats(), b.stats());
+    }
+
+    #[test]
+    #[should_panic(expected = "must draw no flip")]
+    fn repeat_since_rejects_an_iteration_that_flipped() {
+        let mut s = session(vec![Fault::TransientFlips { per_gib: 8.0 }], EccScheme::Secded)
+            .expect("valid");
+        let mark = s.mark();
+        s.observe_transfer((1u64 << 30) as f64); // 8 expected flips: always flips
+        s.repeat_since(&mark, 1);
     }
 
     #[test]

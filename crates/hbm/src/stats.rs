@@ -234,6 +234,31 @@ pub(crate) fn from_units(u: u128) -> f64 {
     u as f64 / UNITS_PER_ONE
 }
 
+/// `x` in signed tally units, for a sum whose terms may be negative:
+/// [`to_units`] of `|x|`, negated when `x` is negative.
+///
+/// # Panics
+///
+/// If `|x|` is outside the tally range (see [`to_units`]) or ≥ 2^63.
+pub fn to_signed_units(x: f64) -> i128 {
+    let u = i128::try_from(to_units(x.abs())).expect(OVERFLOW);
+    if x < 0.0 {
+        -u
+    } else {
+        u
+    }
+}
+
+/// The nearest f64 to `u` signed tally units.
+pub fn from_signed_units(u: i128) -> f64 {
+    let x = from_units(u.unsigned_abs());
+    if u < 0 {
+        -x
+    } else {
+        x
+    }
+}
+
 const OVERFLOW: &str = "simulated totals exceed the tally range of 2^64 ns, pJ or bytes";
 
 /// `a + b`, or a panic naming the range when a total leaves it.

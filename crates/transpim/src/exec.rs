@@ -20,7 +20,10 @@
 //!
 //! There is one pricing path. A fault-free run is a run under an empty
 //! [`FaultSession`]: the session is consulted only where a fault could
-//! change a price, and an empty one leaves every lump as priced.
+//! change a price, and an empty one leaves every lump as priced. Repeats
+//! take one path under any session too: a zero-delta repeat prices as
+//! body × count, split only at the iterations whose transient-flip draws
+//! flip, which are priced like any other steps.
 
 use crate::arch::{ArchConfig, ArchKind};
 use crate::calib;
@@ -622,17 +625,24 @@ impl Executor {
     /// every lump. The quiet iterations take one of two paths, both
     /// denoting exactly the unrolled pricing:
     ///
-    /// * **body × count** (zero deltas and an empty fault session): every
-    ///   iteration records the same lumps, so add iteration 0 `count - 1`
-    ///   more times with [`Engine::repeat_since`] — O(body) whatever
-    ///   `count` is, and exact because the engine's tallies are integers.
-    ///   Iteration 0 starts in the enclosing scope and the others in the
-    ///   one the body leaves; when those differ, iteration 1 is priced and
-    ///   repeated instead;
-    /// * **in-place advance** (non-zero deltas, or a non-empty fault
-    ///   session, whose transient-flip draws advance per lump): walk a
-    ///   scratch copy of the body per iteration, advancing its varying
-    ///   fields by the deltas — cache-hot, no per-step allocation.
+    /// * **body × count** (zero deltas): every iteration prices the same
+    ///   lumps, so a *template* — a walked iteration that drew no flip and
+    ///   ends in the scope it started in — is added again once per
+    ///   following flip-free iteration, with [`Engine::repeat_since`] and
+    ///   [`FaultSession::repeat_since`]. Exact, because the engine's
+    ///   tallies and the session's overhead are integers. The session's
+    ///   pure scan [`FaultSession::clean_iterations`] says how many
+    ///   iterations in a row draw no flip; the flipping iteration after
+    ///   them is walked, so its outcome, fault events and error time are
+    ///   the unrolled ones, and the next walked iteration that qualifies
+    ///   becomes the template. Iteration 0 is the template when it
+    ///   qualifies; it does not when it starts in another scope than the
+    ///   rest. Without flip draws (any empty session) this is one walk and
+    ///   one repeat — O(body) whatever `count` is;
+    /// * **in-place advance** (non-zero deltas, or a body that nests a
+    ///   repeat): walk a scratch copy of the body per iteration, advancing
+    ///   its varying fields by the deltas — cache-hot, no per-step
+    ///   allocation.
     ///
     /// Debug builds check the final scratch body against [`Step::at`].
     fn price_repeat(
@@ -646,26 +656,31 @@ impl Executor {
         if count == 0 || body.is_empty() {
             return Ok(());
         }
-        let body_times_count = delta.iter().all(StepDelta::is_zero) && session.is_empty();
-        let mut mark = body_times_count.then(|| engine.mark());
+        let body_times_count = delta.iter().all(StepDelta::is_zero)
+            && !body.iter().any(|s| matches!(s, Step::Repeat { .. }));
+        let mut marks = body_times_count.then(|| (engine.mark(), session.mark()));
         self.run_segment(body, engine, session)?;
-        if count == 1 {
-            return Ok(());
-        }
-        let window = engine.emitting().then(|| engine.mark());
+        let window = (count > 1 && engine.emitting()).then(|| engine.mark());
         if window.is_some() {
             engine.set_quiet(true);
         }
-        if let Some(mark) = &mut mark {
-            let mut rest = count - 1;
-            if !engine.in_scope_of(mark) {
-                // Iteration 1 starts in the scope the body leaves, like
-                // every later one: it is the iteration that repeats.
-                *mark = engine.mark();
+        if let Some((engine_mark, session_mark)) = &mut marks {
+            let mut left = count - 1;
+            loop {
+                let log = session.take_log();
+                if engine.in_scope_of(engine_mark) && !session.flipped_since(session_mark) {
+                    let clean = session.clean_iterations(&log, left);
+                    engine.repeat_since(engine_mark, clean);
+                    session.repeat_since(session_mark, clean);
+                    left -= clean;
+                }
+                if left == 0 {
+                    break;
+                }
+                (*engine_mark, *session_mark) = (engine.mark(), session.mark());
                 self.run_segment(body, engine, session)?;
-                rest -= 1;
+                left -= 1;
             }
-            engine.repeat_since(mark, rest);
         } else {
             let mut scratch = body.to_vec();
             for _ in 1..count {
@@ -1078,6 +1093,7 @@ mod tests {
     use super::*;
     use transpim_dataflow::ir::{Precision, Program};
     use transpim_dataflow::{layer_flow, token_flow};
+    use transpim_fault::{EccScheme, Fault, FaultStats};
     use transpim_obs::{ArgValue, ChromeTraceSink, ObsError};
     use transpim_transformer::workload::Workload;
 
@@ -1405,6 +1421,107 @@ mod tests {
         assert_eq!(stats.bytes_moved, once.bytes_moved * n);
         assert!((stats.latency_ns - once.latency_ns * n).abs() <= 1e-15 * stats.latency_ns);
         assert_eq!(scoped.get("dec.ffn"), Some(&stats));
+    }
+
+    /// Price `prog` on TransPIM under `scenario`, returning the statistics
+    /// and the session's fault accounting.
+    fn run_under(
+        prog: &Program,
+        scenario: &FaultScenario,
+    ) -> Result<((SimStats, ScopedStats), FaultStats), SimError> {
+        let arch = ArchConfig::new(ArchKind::TransPim);
+        let mut session = FaultSession::new(scenario, arch.system_info()).unwrap();
+        let mut ex = Executor::new(arch);
+        ex.apply_ring_faults(&session);
+        let priced = ex.run_degraded_with_sink(prog, &mut session, SinkHandle::null())?;
+        Ok((priced, session.stats()))
+    }
+
+    #[test]
+    fn flip_free_degraded_repeat_prices_as_body_times_count() {
+        // One lump per category, each degraded: stuck planes slow the
+        // multiply, SECDED taxes the copy, a broken divider reroutes the
+        // reciprocal. No flip rate, so no iteration can differ.
+        let body = vec![
+            Step::scope("dec.attn"),
+            Step::MemTouch { bytes_per_bank: 4096, total_bytes: 4096 * 2048 },
+            Step::PointwiseMul {
+                elems_per_bank: 300,
+                total_elems: 300 * 2048,
+                a_bits: 8,
+                b_bits: 8,
+            },
+            Step::IntraBankCopy { bytes_per_bank: 2048, total_bytes: 2048 * 2048 },
+            Step::Recip { per_bank: 16, total: 16 * 2048 },
+        ];
+        let scenario = FaultScenario {
+            seed: 3,
+            ecc: EccScheme::Secded,
+            faults: vec![
+                Fault::StuckBitPlanes { bank: 5, planes: 8 },
+                Fault::BrokenDivider { bank: 9 },
+            ],
+        };
+        let (once, once_faults) = run_under(&program(body.clone()), &scenario).unwrap();
+        assert!(once_faults.overhead_latency_ns > 0.0 && once_faults.overhead_energy_pj != 0.0);
+        // A power of two, so scaling one iteration's f64 totals by it is
+        // exact too and the comparison below can be bitwise.
+        let count = 1u64 << 30;
+        let prog = program(vec![zero_delta_repeat(count, body)]);
+        let started = std::time::Instant::now();
+        let ((stats, scoped), faults) = run_under(&prog, &scenario).unwrap();
+        let elapsed = started.elapsed();
+        assert!(elapsed.as_secs_f64() < 1.0, "a billion degraded iterations took {elapsed:?}");
+        let n = count as f64;
+        for c in Category::ALL {
+            assert_eq!(stats.time_ns[c.index()], once.0.time_ns[c.index()] * n, "{c}");
+            assert_eq!(stats.energy_pj[c.index()], once.0.energy_pj[c.index()] * n, "{c}");
+        }
+        assert_eq!(stats.bytes_moved, once.0.bytes_moved * n);
+        assert_eq!(stats.latency_ns, once.0.latency_ns * n);
+        assert_eq!(scoped.get("dec.attn"), Some(&stats));
+        assert_eq!(faults.overhead_latency_ns, once_faults.overhead_latency_ns * n);
+        assert_eq!(faults.overhead_energy_pj, once_faults.overhead_energy_pj * n);
+        assert_eq!(
+            FaultStats { overhead_latency_ns: 0.0, overhead_energy_pj: 0.0, ..faults },
+            FaultStats { overhead_latency_ns: 0.0, overhead_energy_pj: 0.0, ..once_faults },
+            "static-fault counters do not scale with the count"
+        );
+    }
+
+    #[test]
+    fn repeat_whose_first_iteration_flips_matches_unrolled() {
+        // About one flip per two iterations: iteration 0 flips, so the
+        // template is a later iteration, and further flips split the rest.
+        let body = vec![
+            Step::scope("dec.ffn"),
+            Step::IntraBankCopy { bytes_per_bank: 1 << 20, total_bytes: 1 << 30 },
+            Step::PointwiseAdd { elems_per_bank: 64, total_elems: 64 * 2048, bits: 16 },
+        ];
+        let scenario = |seed| FaultScenario {
+            seed,
+            ecc: EccScheme::Secded,
+            faults: vec![
+                Fault::TransientFlips { per_gib: 0.5 },
+                Fault::StuckBitPlanes { bank: 1, planes: 4 },
+            ],
+        };
+        let flips = |prog: &Program, seed| {
+            let (_, faults) = run_under(prog, &scenario(seed)).unwrap();
+            faults.injected - 1 // the stuck-plane fault
+        };
+        let first = program(body.clone());
+        let seed = (0..64).find(|&seed| flips(&first, seed) > 0).expect("a seed whose draw flips");
+        let count = 40;
+        for prefix in [vec![], vec![Step::scope("enc.fc")]] {
+            let mut steps = prefix;
+            steps.push(zero_delta_repeat(count, body.clone()));
+            let prog = program(steps);
+            let compressed = run_under(&prog, &scenario(seed)).unwrap();
+            let flipped = compressed.1.injected - 1;
+            assert!(flipped > 1 && flipped < count, "{flipped} of {count} iterations flipped");
+            assert_eq!(compressed, run_under(&prog.unroll(), &scenario(seed)).unwrap());
+        }
     }
 
     #[test]

@@ -137,6 +137,7 @@ for required in \
   differential_fuzz::correctable_faults_stay_within_error_budget \
   differential_fuzz::uncorrectable_faults_surface_as_sim_error \
   differential_fuzz::lump_order_is_irrelevant \
+  differential_fuzz::degraded_compression_is_an_exact_encoding \
   serde_roundtrips::random_programs_roundtrip_and_keep_wire_shape
 do
   if ! grep -q "^${required}$(printf '\t')" "$summary"; then

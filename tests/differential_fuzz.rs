@@ -1,7 +1,7 @@
 //! Differential fuzz harness: randomized cross-checks between independent
 //! implementations of the same semantics.
 //!
-//! Seven comparisons, each over ≥128 generated cases (fixed seeds in CI via
+//! Eight comparisons, each over ≥128 generated cases (fixed seeds in CI via
 //! `TRANSPIM_PROPTEST_SEED` in `scripts/check.sh`):
 //!
 //! 1. **banksim vs f32** — the bit-accurate Figure 8 datapath must agree
@@ -26,17 +26,25 @@
 //! 7. **Lump order** — the engine's statistics must not depend on the order
 //!    lumps are recorded in: the exact tally is what lets a repeat price as
 //!    body × count and keeps every job count byte-identical.
+//! 8. **Degraded compression vs unrolled** — under any fault scenario, a
+//!    program with zero-delta, affine, scope-changing and nested repeats
+//!    must price exactly as its unrolled form: statistics, fault
+//!    accounting, and an uncorrectable error's message and time. Flip-free
+//!    repeat iterations price as body × count; the flipping ones are
+//!    walked.
 
 use proptest::prelude::*;
 use transpim::accelerator::Accelerator;
 use transpim::banksim::{attention_row, attention_row_reference, predicted_aaps, tolerance};
-use transpim::fault::{EccScheme, Fault, FaultScenario};
+use transpim::exec::Executor;
+use transpim::fault::{EccScheme, Fault, FaultScenario, FaultSession, FaultStats};
 use transpim::report::DataflowKind;
 use transpim::SimError;
+use transpim::SinkHandle;
 use transpim_bench::fuzz::{affine_step, arch_for, delta_for, small_workload, AFFINE_STEP_KINDS};
 use transpim_bench::{run_grid, GridCell};
 use transpim_dataflow::functional::encoder_layer_sharded;
-use transpim_dataflow::ir::{Program, RepeatCompressor, Step};
+use transpim_dataflow::ir::{Program, RepeatCompressor, Step, StepDelta};
 use transpim_dataflow::layer_functional::encoder_layer_layerflow;
 use transpim_hbm::engine::Engine;
 use transpim_hbm::stats::{Category, ScopedStats, SimStats};
@@ -437,5 +445,105 @@ proptest! {
         let first = record(&lumps, latency_scale);
         lumps.sort_by_key(|l| l.6);
         prop_assert_eq!(first, record(&lumps, latency_scale));
+    }
+}
+
+// ---------------------------------------------------------------------------
+// (8) Degraded pricing: compressed vs unrolled
+// ---------------------------------------------------------------------------
+
+/// One generated program segment: kind (plain steps, zero-delta repeat,
+/// affine repeat, zero-delta repeat nested in an affine one), the body's
+/// steps each with a scope selector (below 3 opens a scope before the
+/// step), and the repeat counts.
+type SegmentSpec = (u8, Vec<(StepSpec, u8)>, u64, u64);
+
+/// The steps of a segment body and their per-iteration deltas; `affine`
+/// keeps the generated deltas, otherwise every delta is zero.
+fn segment_body(specs: &[(StepSpec, u8)], affine: bool) -> (Vec<Step>, Vec<StepDelta>) {
+    let mut body = Vec::new();
+    let mut delta = Vec::new();
+    for (spec, scope) in specs {
+        if let Some(label) = SCOPES.get(usize::from(*scope)) {
+            body.push(Step::scope(*label));
+            delta.push(StepDelta::none());
+        }
+        let (step, d) = spec_step(spec);
+        delta.push(if affine { d } else { StepDelta::zeros(d.len) });
+        body.push(step);
+    }
+    (body, delta)
+}
+
+fn segment_steps((kind, specs, count, outer): &SegmentSpec) -> Vec<Step> {
+    match kind % 4 {
+        0 => segment_body(specs, false).0,
+        1 | 2 => {
+            let (body, delta) = segment_body(specs, kind % 4 == 2);
+            vec![Step::repeat(*count, body, delta)]
+        }
+        _ => {
+            let (inner, inner_delta) = segment_body(specs, false);
+            let (head, head_delta) = segment_body(&specs[..1], true);
+            let body = [head, vec![Step::repeat(*count, inner, inner_delta)]].concat();
+            let delta = [head_delta, vec![StepDelta::none()]].concat();
+            vec![Step::repeat(*outer, body, delta)]
+        }
+    }
+}
+
+/// Price `program` under `scenario`: the statistics or the error, and the
+/// session's accounting either way.
+fn price_under(
+    arch: &transpim::arch::ArchConfig,
+    program: &Program,
+    scenario: &FaultScenario,
+) -> (Result<(SimStats, ScopedStats), SimError>, FaultStats) {
+    let mut session = FaultSession::new(scenario, arch.system_info()).expect("valid scenario");
+    let mut exec = Executor::new(arch.clone());
+    exec.apply_ring_faults(&session);
+    let priced = exec.run_degraded_with_sink(program, &mut session, SinkHandle::null());
+    (priced, session.stats())
+}
+
+/// Flip rates per GiB: none; rare; about one per fuzz-sized transfer, so
+/// iteration 0 often flips; and at least one per byte, so every moving
+/// lump flips.
+const FLIP_RATES: [f64; 4] = [0.0, 1.0, 1024.0, (1u64 << 30) as f64];
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(128))]
+
+    #[test]
+    fn degraded_compression_is_an_exact_encoding(
+        arch in 0u8..4,
+        segments in proptest::collection::vec(
+            (0u8..4, proptest::collection::vec((step_spec(), 0u8..8), 1..4), 1u64..24, 1u64..5),
+            1..4,
+        ),
+        (rate, ecc) in (0usize..4, 0u8..3),
+        stuck in proptest::collection::vec((any::<u32>(), 1u32..16), 0..3),
+        dividers in proptest::collection::vec(any::<u32>(), 0..3),
+        dead in proptest::collection::vec(0u32..8, 0..3),
+        seed in any::<u64>(),
+    ) {
+        let arch = arch_for(arch);
+        let sys = arch.system_info();
+        let mut program = Program::new();
+        program.extend(segments.iter().flat_map(segment_steps));
+        let mut scenario = FaultScenario::empty(seed);
+        scenario.ecc = [EccScheme::Secded, EccScheme::Parity, EccScheme::None][usize::from(ecc)];
+        scenario.faults = stuck
+            .iter()
+            .map(|&(bank, planes)| Fault::StuckBitPlanes { bank: bank % sys.total_banks, planes })
+            .chain(dividers.iter().map(|&bank| Fault::BrokenDivider { bank: bank % sys.total_banks }))
+            .chain(dead.iter().map(|&group| Fault::DeadLink { group }))
+            .chain((rate > 0).then(|| Fault::TransientFlips { per_gib: FLIP_RATES[rate] }))
+            .collect();
+
+        let (compressed, compressed_faults) = price_under(&arch, &program, &scenario);
+        let (unrolled, unrolled_faults) = price_under(&arch, &program.unroll(), &scenario);
+        prop_assert_eq!(compressed, unrolled);
+        prop_assert_eq!(compressed_faults, unrolled_faults);
     }
 }

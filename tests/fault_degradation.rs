@@ -95,10 +95,10 @@ fn dead_supersedes_degraded_on_the_same_link() {
 
 #[test]
 fn compressed_and_unrolled_degraded_schedules_price_identically() {
-    // A fault session disables the repeat replay fast path, so the
-    // loop-compressed program must walk every iteration live — and land on
-    // exactly the unrolled pricing, flips included (the flip stream is a
-    // function of the lump sequence, which is identical).
+    // Under flips the loop-compressed program prices its flip-free
+    // iterations as body × count and walks the ones that flip; it must
+    // land on exactly the unrolled pricing, flips included (the flip
+    // stream is a function of the lump sequence, which is identical).
     let ring = Step::RingBroadcast {
         banks: BankRange::new(0, 6),
         bytes_per_hop: 2048,
