@@ -82,6 +82,17 @@ for system in "--workload imdb" "--workload imdb --arch pim --dataflow layer"; d
   echo "    $system: identical"
 done
 
+# What is committed under results/ is what the code produces: rerun every
+# figure, ablation and fault binary into a temporary directory and compare
+# each JSON file value by value (strings and integers exact, other numbers
+# within 1e-9 relative) and all_figures.txt byte for byte. After a change
+# that is meant to move the model, regenerate with scripts/regen_results.sh.
+echo "==> results freshness (scripts/regen_results.sh vs results/)"
+./scripts/regen_results.sh "$cli_dir/fresh"
+"${CARGO_TARGET_DIR:-target}/release/results_diff" results "$cli_dir/fresh/results"
+diff -u results/all_figures.txt "$cli_dir/fresh/results/all_figures.txt"
+echo "    $(ls results/*.json | wc -l) JSON files and all_figures.txt match"
+
 # A traced decode is bounded by the compiled program, not by the unrolled
 # decode length: the default traced Token-LM run must write a trace under
 # 1 MB, and the Layer-LM run (one zero-delta layer repeat per token, so its
