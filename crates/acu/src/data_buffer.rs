@@ -11,7 +11,7 @@ use serde::{Deserialize, Serialize};
 use transpim_hbm::energy::EnergyParams;
 use transpim_hbm::timing::TimingParams;
 
-/// Functional + timing model of the data buffer.
+/// Timing and energy model of the data buffer.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct DataBufferModel {
     timing: TimingParams,
@@ -82,64 +82,6 @@ impl DataBufferModel {
     }
 }
 
-/// Functional shift-register buffer used by the tests and the functional
-/// co-simulation: an 8×256 b store with ACU-side (8-bit) and array-side
-/// (256-bit) ports.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct DataBuffer {
-    rows: Vec<Vec<u8>>, // 8 rows × 32 bytes
-    cursor: usize,
-}
-
-impl Default for DataBuffer {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl DataBuffer {
-    /// Empty buffer.
-    pub fn new() -> Self {
-        Self { rows: vec![vec![0u8; 32]; 8], cursor: 0 }
-    }
-
-    /// Push one byte from the ACU port; bytes fill rows in order and wrap.
-    pub fn push_acu_byte(&mut self, b: u8) {
-        let row = (self.cursor / 32) % 8;
-        let col = self.cursor % 32;
-        self.rows[row][col] = b;
-        self.cursor = (self.cursor + 1) % (8 * 32);
-    }
-
-    /// Load a full 256-bit row from the sense amplifiers.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `row >= 8` or `data.len() != 32`.
-    pub fn load_row(&mut self, row: usize, data: &[u8]) {
-        assert!(row < 8, "row {row} out of range");
-        assert_eq!(data.len(), 32, "a buffer row is 32 bytes");
-        self.rows[row].copy_from_slice(data);
-    }
-
-    /// Read a full row back.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `row >= 8`.
-    pub fn row(&self, row: usize) -> &[u8] {
-        assert!(row < 8, "row {row} out of range");
-        &self.rows[row]
-    }
-
-    /// Replicate the first byte of row 0 across the entire row (the
-    /// hardware's reciprocal-spreading configuration).
-    pub fn replicate_first_byte(&mut self) {
-        let b = self.rows[0][0];
-        self.rows[0].fill(b);
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -182,31 +124,5 @@ mod tests {
         let one = m.replicate_ns(16, 256);
         let four = m.replicate_ns(16, 1024);
         assert!(one > 0.0 && four > one);
-    }
-
-    #[test]
-    fn functional_buffer_roundtrip() {
-        let mut b = DataBuffer::new();
-        let data: Vec<u8> = (0..32).collect();
-        b.load_row(3, &data);
-        assert_eq!(b.row(3), &data[..]);
-    }
-
-    #[test]
-    fn functional_acu_port_wraps() {
-        let mut b = DataBuffer::new();
-        for i in 0..(8 * 32 + 5) {
-            b.push_acu_byte((i % 251) as u8);
-        }
-        // The 257th byte wrapped to row 0.
-        assert_eq!(b.row(0)[0], ((8 * 32) % 251) as u8);
-    }
-
-    #[test]
-    fn functional_replication() {
-        let mut b = DataBuffer::new();
-        b.push_acu_byte(0xAB);
-        b.replicate_first_byte();
-        assert!(b.row(0).iter().all(|&x| x == 0xAB));
     }
 }

@@ -96,11 +96,8 @@ pub struct CellOutput {
 /// (one pool job) so a single [`Executor`]'s schedule memo amortizes
 /// across the batch — e.g. across the sequence lengths of a sweep. Every
 /// cell runs fault-free, through [`Accelerator::simulate_on`] with an
-/// empty scenario. Executor reuse is skipped when observability is requested,
-/// because the executor collapses repeated per-hop trace detail and reuse
-/// would change trace *verbosity* (never priced results) between runs;
-/// with sinks on, every cell gets a fresh executor and private sinks, so
-/// merging them in submission order reproduces a serial run's stream.
+/// empty scenario. With observability on, every cell gets private sinks,
+/// so merging them in submission order reproduces a serial run's stream.
 pub fn run_grid(
     jobs: usize,
     want_trace: bool,
@@ -121,7 +118,6 @@ pub fn run_grid(
         }
     }
 
-    let reuse_executor = !(want_trace || want_metrics);
     let pool_jobs: Vec<_> = batches
         .into_iter()
         .map(|batch| {
@@ -130,9 +126,6 @@ pub fn run_grid(
                 batch
                     .into_iter()
                     .map(|(index, cell)| {
-                        if !reuse_executor {
-                            warm = None;
-                        }
                         let exec = warm.get_or_insert_with(|| Executor::new(cell.arch.clone()));
                         // Sinks live and die inside this worker thread: the
                         // Rc handles never cross threads, and the owned

@@ -2,7 +2,7 @@
 
 use crate::energy::EnergyParams;
 use crate::geometry::HbmGeometry;
-use crate::resource::{BusParams, ResourceMap};
+use crate::resource::BusParams;
 use crate::timing::TimingParams;
 use serde::{Deserialize, Serialize};
 use std::fmt;
@@ -63,14 +63,6 @@ impl HbmConfig {
     /// Start building a configuration from the Table I defaults.
     pub fn builder() -> HbmConfigBuilder {
         HbmConfigBuilder { cfg: HbmConfig::default() }
-    }
-
-    /// Construct the resource map for this configuration.
-    ///
-    /// `ring_links` selects whether the TransPIM broadcast hardware is
-    /// present (see [`ResourceMap`]).
-    pub fn resource_map(&self, ring_links: bool) -> ResourceMap {
-        ResourceMap::new(self.geometry, self.bus, ring_links)
     }
 
     /// Aggregated external bandwidth of the system in GB/s

@@ -104,13 +104,11 @@ impl Accelerator {
     ///
     /// Reusing one executor lets its schedule memo amortize across
     /// simulations of the same architecture (e.g. a sweep over sequence
-    /// lengths). Priced results are identical to a fresh executor — the
-    /// memo is pure — but trace *verbosity* is not: an executor emits
-    /// per-hop detail only for the first occurrence of each ring or tree
-    /// topology it prices, so reuse an executor only when `sink` is
-    /// disabled. (Repeat collapsing keeps no such state: every run traces
-    /// iteration 0 of each repeat and summarizes the rest.) A scenario with ring-link faults rewires the executor, so
-    /// it cannot be reused afterwards.
+    /// lengths). Priced results and traces are identical to a fresh
+    /// executor's: the memo is pure, and the per-hop trace detail each
+    /// ring or tree topology gets once is tracked per run. A scenario with
+    /// ring-link faults rewires the executor, so it cannot be reused
+    /// afterwards.
     ///
     /// # Errors
     ///
@@ -178,11 +176,18 @@ mod tests {
     #[test]
     fn executor_reuse_never_changes_priced_results() {
         // One executor reused across sequence lengths and both dataflows
-        // (warm ring/broadcast/tree schedule caches) must price exactly
-        // what a fresh executor prices for every cell.
+        // (warm ring/broadcast/tree schedule caches) must price — and
+        // trace — exactly what a fresh executor does for every cell.
         let arch = ArchConfig::new(ArchKind::TransPim);
         let acc = Accelerator::new(arch.clone());
-        let mut shared = crate::exec::Executor::new(arch);
+        let mut shared = Executor::new(arch.clone());
+        let traced = |exec: &mut Executor, w: &Workload, df| {
+            let chrome = ChromeTraceSink::shared();
+            let sink = SinkHandle::from_shared(chrome.clone());
+            let report = acc.simulate_on(exec, w, df, &FaultScenario::empty(0), sink).unwrap();
+            let trace = chrome.borrow().to_json_string().unwrap();
+            (report, trace)
+        };
         for seq_len in [96usize, 192, 96] {
             for df in DataflowKind::ALL {
                 let mut w = Workload::synthetic_roberta(seq_len);
@@ -193,6 +198,10 @@ mod tests {
                 let fresh = acc.simulate(&w, df);
                 assert_eq!(reused.stats, fresh.stats, "{df} @ {seq_len}");
                 assert_eq!(reused.scoped, fresh.scoped, "{df} @ {seq_len}");
+                let (reused, reused_trace) = traced(&mut shared, &w, df);
+                let (fresh, fresh_trace) = traced(&mut Executor::new(arch.clone()), &w, df);
+                assert_eq!(reused.stats, fresh.stats, "{df} @ {seq_len}, traced");
+                assert!(reused_trace == fresh_trace, "{df} @ {seq_len}: trace bytes differ");
             }
         }
     }

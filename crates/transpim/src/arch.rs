@@ -2,10 +2,12 @@
 //! (Section V-A2): TransPIM and its no-buffer ablation, the PIM-only
 //! baseline, and the Newton-like near-bank-processing baseline.
 
+use crate::calib;
 use serde::{Deserialize, Serialize};
 use transpim_acu::adder_tree::AcuParams;
 use transpim_fault::SystemInfo;
 use transpim_hbm::config::{ConfigError, HbmConfig};
+use transpim_hbm::resource::BusParams;
 use transpim_pim::cost::PimCostParams;
 
 /// Which hardware the memory system has.
@@ -41,22 +43,6 @@ impl ArchKind {
             ArchKind::OriginalPim => "OriginalPIM",
             ArchKind::Nbp => "NBP",
         }
-    }
-
-    /// Whether point-wise arithmetic runs inside the subarrays (PIM) as
-    /// opposed to near-bank units.
-    pub fn computes_in_memory(self) -> bool {
-        !matches!(self, ArchKind::Nbp)
-    }
-
-    /// Whether ACUs (adder trees + dividers) are present.
-    pub fn has_acu(self) -> bool {
-        matches!(self, ArchKind::TransPim | ArchKind::TransPimNb)
-    }
-
-    /// Whether the data buffers / ring broadcast units are present.
-    pub fn has_buffers(self) -> bool {
-        matches!(self, ArchKind::TransPim | ArchKind::Nbp)
     }
 }
 
@@ -131,9 +117,9 @@ impl ArchConfig {
         }
     }
 
-    /// Validate the configuration, returning it for chaining. User-facing
-    /// entry points (CLI, scenario files) call this instead of letting a
-    /// zero dimension panic deep inside pricing.
+    /// Validate the configuration, returning it for chaining. The CLI
+    /// builds its architecture through this instead of letting a zero
+    /// dimension panic deep inside pricing.
     ///
     /// # Errors
     ///
@@ -159,17 +145,122 @@ impl ArchConfig {
     }
 }
 
+/// The unit that serves a compute job.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Unit {
+    /// Bit-serial in-subarray PIM.
+    Pim,
+    /// The TransPIM ACUs next to each bank: adder trees and dividers.
+    Acu,
+    /// The near-bank vector unit at each channel's periphery.
+    NearBank,
+}
+
+/// One architecture's row of the cost-model table (docs/cost-model.md §4):
+/// which unit does each compute job, and what the datapath charges to move
+/// bytes. The executor resolves it once per architecture and prices every
+/// step from it.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct CostTable {
+    /// Unit for point-wise arithmetic (multiplies, adds, Taylor exponent).
+    pub arithmetic: Unit,
+    /// Unit for reductions.
+    pub reduction: Unit,
+    /// Unit for the Softmax reciprocal.
+    pub reciprocal: Unit,
+    /// Whether the data buffers and ring broadcast links are present.
+    pub buffered: bool,
+    /// Bus rates as priced. Without the buffers every bank-to-bank
+    /// transfer is row-cycle bound: open the source row, stream it beat by
+    /// beat over the shared bus, open and restore the destination row.
+    /// With them, bank-group segments pipeline independently at the
+    /// column-access rate.
+    pub bus: BusParams,
+    /// Multiplier on loads and shuffles into bit-serial layout
+    /// ([`calib::LAYOUT_REORG_OVERHEAD`] when arithmetic runs in PIM).
+    pub layout_factor: f64,
+    /// Bank writes per channel that one broadcast costs: 1 when every bank
+    /// of the channel latches the bus at once, one per bank otherwise.
+    pub broadcast_copies: f64,
+    /// Rate (GB/s) at which a channel writes broadcast or scattered data
+    /// into its banks: the bus, floored by the banks' row-cycle-bound
+    /// streaming rate — every receiving bank's array write is the
+    /// bottleneck, even on the buffered datapath.
+    pub write_gbs: f64,
+    /// Aggregate rate (GB/s) of an all-to-all shuffle: every bank-group
+    /// segment with the buffers, every channel bus without them.
+    pub shuffle_gbs: f64,
+    /// Elements per ns one channel's near-bank units process.
+    pub near_bank_rate: f64,
+}
+
+impl CostTable {
+    /// Resolve `arch`'s row of the table.
+    pub fn new(arch: &ArchConfig) -> Self {
+        use Unit::{Acu, NearBank, Pim};
+        let (arithmetic, reduction, reciprocal, buffered) = match arch.kind {
+            ArchKind::TransPim => (Pim, Acu, Acu, true),
+            ArchKind::TransPimNb => (Pim, Acu, Acu, false),
+            ArchKind::OriginalPim => (Pim, Pim, Pim, false),
+            ArchKind::Nbp => (NearBank, NearBank, NearBank, true),
+        };
+        let g = arch.hbm.geometry;
+        let t = arch.hbm.timing;
+        // One bank's row-cycle-bound streaming rate: open the row, stream
+        // it beat by beat, restore it.
+        let beats = f64::from(g.row_bits()) / f64::from(g.dq_bits);
+        let row_cycle_gbs = f64::from(g.row_bytes) / (2.0 * t.t_rc + beats * t.t_ccd_l);
+        let mut bus = arch.hbm.bus;
+        if buffered {
+            bus.group_gbs = f64::from(g.dq_bits) / 8.0 / t.t_ccd_s;
+        } else {
+            bus.group_gbs = row_cycle_gbs;
+            bus.channel_gbs = row_cycle_gbs;
+        }
+        Self {
+            arithmetic,
+            reduction,
+            reciprocal,
+            buffered,
+            bus,
+            layout_factor: if arithmetic == Pim { calib::LAYOUT_REORG_OVERHEAD } else { 1.0 },
+            broadcast_copies: if buffered { 1.0 } else { f64::from(g.banks_per_channel()) },
+            write_gbs: row_cycle_gbs.min(bus.channel_gbs),
+            shuffle_gbs: if buffered {
+                f64::from(g.total_groups()) * bus.group_gbs
+            } else {
+                f64::from(g.total_channels()) * bus.channel_gbs
+            },
+            near_bank_rate: f64::from(calib::NBP_LANES)
+                * calib::NBP_CLOCK_GHZ
+                * f64::from(calib::NBP_UNITS_PER_CHANNEL),
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
 
     #[test]
     fn feature_matrix_matches_paper() {
-        assert!(ArchKind::TransPim.has_acu() && ArchKind::TransPim.has_buffers());
-        assert!(ArchKind::TransPimNb.has_acu() && !ArchKind::TransPimNb.has_buffers());
-        assert!(!ArchKind::OriginalPim.has_acu() && !ArchKind::OriginalPim.has_buffers());
-        assert!(!ArchKind::Nbp.has_acu() && ArchKind::Nbp.has_buffers());
-        assert!(!ArchKind::Nbp.computes_in_memory());
+        // Section V-A2 / docs/cost-model.md §4: (arithmetic, reduction,
+        // reciprocal, broadcast bank writes per channel). 32 banks per
+        // channel serialize a broadcast without the buffers.
+        use Unit::{Acu, NearBank, Pim};
+        for (kind, units, copies) in [
+            (ArchKind::TransPim, (Pim, Acu, Acu), 1.0),
+            (ArchKind::TransPimNb, (Pim, Acu, Acu), 32.0),
+            (ArchKind::OriginalPim, (Pim, Pim, Pim), 32.0),
+            (ArchKind::Nbp, (NearBank, NearBank, NearBank), 1.0),
+        ] {
+            let t = CostTable::new(&ArchConfig::new(kind));
+            assert_eq!((t.arithmetic, t.reduction, t.reciprocal), units, "{kind}");
+            assert_eq!(t.broadcast_copies, copies, "{kind}");
+            assert_eq!(t.buffered, copies == 1.0, "{kind}");
+            let layout = if kind == ArchKind::Nbp { 1.0 } else { calib::LAYOUT_REORG_OVERHEAD };
+            assert_eq!(t.layout_factor, layout, "{kind}");
+        }
     }
 
     #[test]

@@ -10,8 +10,8 @@
 /// bit-serial layout reorganization: data arriving row-major must be
 /// re-laid column-wise (bit-transposed) before in-situ ops can touch it.
 /// The dominant serialization (row-cycle-bound streaming on the unbuffered
-/// datapath) is modeled structurally in `exec::Executor::new`; this factor
-/// covers only the residual transpose passes. Calibrated against
+/// datapath) is modeled structurally in [`crate::arch::CostTable`]; this
+/// factor covers only the residual transpose passes. Calibrated against
 /// Figure 3(a)'s layer-based movement share.
 pub const LAYOUT_REORG_OVERHEAD: f64 = 1.5;
 
@@ -23,12 +23,15 @@ pub const NBP_LANES: u32 = 16;
 /// (`t_CCD_L = 4 ns` → 0.25 GHz effective beat rate).
 pub const NBP_CLOCK_GHZ: f64 = 0.25;
 
-/// NBP units per channel. The paper's NBP baseline has markedly lower
-/// parallelism than PIM ("the throughput is limited by the number of NMC
-/// processing elements as well as the bandwidth of the data link",
-/// Section II-B); one unit at each channel's periphery, fed over the
-/// shared channel datapath, reproduces the reported PIM-vs-NBP arithmetic
-/// gap (paper: 13.2×) and reduction gap (56.1×) within small factors.
+/// NBP units per channel; with [`NBP_LANES`] and [`NBP_CLOCK_GHZ`] it sets
+/// the one near-bank rate that arithmetic, reductions and reciprocals
+/// share ([`crate::arch::CostTable::near_bank_rate`]). The paper's NBP
+/// baseline has markedly lower parallelism than PIM ("the throughput is
+/// limited by the number of NMC processing elements as well as the
+/// bandwidth of the data link", Section II-B); one unit at each channel's
+/// periphery, fed over the shared channel datapath, reproduces the
+/// reported PIM-vs-NBP arithmetic gap (paper: 13.2×) and reduction gap
+/// (56.1×) within small factors.
 pub const NBP_UNITS_PER_CHANNEL: u32 = 1;
 
 /// NBP per-element logic energy in pJ (multiply-accumulate at 16 b in the

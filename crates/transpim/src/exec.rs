@@ -1,19 +1,20 @@
 //! The execution engine: prices each dataflow [`Step`] on a concrete
 //! architecture and drives the phase engine in `transpim-hbm`.
 //!
-//! Pricing rules per architecture follow Section IV and the baselines of
-//! Section V-A2:
+//! Pricing rules follow Section IV and the baselines of Section V-A2. The
+//! architectures differ only in which unit serves each job and which
+//! datapath moves the bytes; [`Executor::new`] resolves that once into a
+//! [`CostTable`], and every price below reads the table:
 //!
 //! * point-wise arithmetic → bit-serial in-situ PIM batches
-//!   (`transpim-pim`) on PIM architectures, or the per-channel near-bank
-//!   vector unit on NBP;
-//! * reductions → ACU adder trees when present, the in-array shift-add
-//!   tree on OriginalPIM, the near-bank tree on NBP;
+//!   (`transpim-pim`) or the per-channel near-bank vector unit;
+//! * reductions → ACU adder trees, the in-array shift-add tree, or the
+//!   near-bank tree;
 //! * Softmax reciprocals → the ACU divider, iterative PIM Newton–Raphson,
 //!   or near-bank multiplies;
-//! * communication → the ring/broadcast scheduler of `transpim-acu` on
-//!   architecture-specific resource maps (ring links only when the
-//!   broadcast hardware exists).
+//! * communication → the ring/broadcast scheduler of `transpim-acu` on the
+//!   table's resource map (ring links only when the broadcast hardware
+//!   exists) and the table's movement rates.
 //!
 //! Ring steps, one-to-all broadcasts and reduction trees are memoized by
 //! their structural key, since the decoder repeats them thousands of times.
@@ -25,7 +26,7 @@
 //! body × count, split only at the iterations whose transient-flip draws
 //! flip, which are priced like any other steps.
 
-use crate::arch::{ArchConfig, ArchKind};
+use crate::arch::{ArchConfig, CostTable, Unit};
 use crate::calib;
 use crate::error::SimError;
 use std::collections::{HashMap, HashSet};
@@ -87,6 +88,7 @@ impl Hash for ScheduleKey {
 #[derive(Debug)]
 pub struct Executor {
     arch: ArchConfig,
+    table: CostTable,
     map: ResourceMap,
     pim: PimCostModel,
     acu: AcuReduceModel,
@@ -94,18 +96,15 @@ pub struct Executor {
     buffer: Option<DataBufferModel>,
     rowclone: RowCloneModel,
     xfer: TransferCostModel,
-    /// Row-cycle-bound per-bank streaming rate (GB/s): the pace at which a
-    /// bank can sustainably read or write rows through its row buffer.
-    /// Broadcast writes are paced by this floor even on the buffered
-    /// datapath — every receiving bank's array write is the bottleneck.
-    stream_floor_gbs: f64,
     /// Communication schedules by structural key.
     schedules: HashMap<ScheduleKey, ScheduleResult>,
     /// Ring/tree topologies `(kind, start, count)` that already emitted one
-    /// fully-detailed per-hop exemplar into the trace. The decoder prices
-    /// the same topology thousands of times (with per-step byte counts);
-    /// re-emitting every hop each time swamps the trace and dominates the
-    /// traced run's cost, so later occurrences collapse to a summary span.
+    /// fully-detailed per-hop exemplar into the current run's trace. The
+    /// decoder prices the same topology thousands of times (with per-step
+    /// byte counts); re-emitting every hop each time swamps the trace and
+    /// dominates the traced run's cost, so later occurrences collapse to a
+    /// summary span. Cleared at the start of every run, so a reused
+    /// executor traces exactly what a fresh one does.
     detail_emitted: HashSet<(Schedule, u32, u32)>,
     /// Whether [`Executor::apply_ring_faults`] rewired the resource map.
     /// A degraded executor prices a different machine than any
@@ -114,55 +113,25 @@ pub struct Executor {
 }
 
 impl Executor {
-    /// Row-cycle-bound streaming rate of one bank (GB/s): open the row,
-    /// stream it beat by beat, restore it.
-    fn row_cycle_gbs(arch: &ArchConfig) -> f64 {
-        let g = arch.hbm.geometry;
-        let t = arch.hbm.timing;
-        let beats = f64::from(g.row_bits()) / f64::from(g.dq_bits);
-        f64::from(g.row_bytes) / (2.0 * t.t_rc + beats * t.t_ccd_l)
-    }
-
-    /// Normalize an input configuration to what the executor prices:
-    /// bank-to-bank streaming rates differ with the communication
-    /// hardware. Without the TransPIM buffers, every transfer is
-    /// row-cycle bound: open the source row, stream it beat by beat
-    /// over the shared bus, open and restore the destination row. With
-    /// the buffers, group segments pipeline independently at the
-    /// column-access rate.
-    fn normalized(mut arch: ArchConfig) -> ArchConfig {
-        if arch.kind.has_buffers() {
-            let g = arch.hbm.geometry;
-            arch.hbm.bus.group_gbs = f64::from(g.dq_bits) / 8.0 / arch.hbm.timing.t_ccd_s;
-        // 16 GB/s
-        } else {
-            let unbuffered_gbs = Self::row_cycle_gbs(&arch);
-            arch.hbm.bus.group_gbs = unbuffered_gbs;
-            arch.hbm.bus.channel_gbs = unbuffered_gbs;
-        }
-        arch
-    }
-
     /// Whether this executor prices exactly the architecture `arch`
-    /// describes (modulo the bus-rate normalization [`Executor::new`]
-    /// applies) — i.e. whether reusing it for `arch` is sound.
+    /// describes — i.e. whether reusing it for `arch` is sound.
     pub fn prices_arch(&self, arch: &ArchConfig) -> bool {
-        !self.map_faulted && self.arch == Self::normalized(arch.clone())
+        !self.map_faulted && self.arch == *arch
     }
 
     /// Build an executor for `arch`.
     pub fn new(arch: ArchConfig) -> Self {
-        let arch = Self::normalized(arch);
+        let table = CostTable::new(&arch);
         let hbm = &arch.hbm;
-        let map = hbm.resource_map(arch.kind.has_buffers());
+        let map = ResourceMap::new(hbm.geometry, table.bus, table.buffered);
         let pim = PimCostModel::new(hbm.geometry, hbm.timing, hbm.energy, arch.pim);
         let acu = AcuReduceModel::new(hbm.geometry, hbm.timing, hbm.energy, arch.acu);
-        let buffer = arch.kind.has_buffers().then(|| DataBufferModel::new(hbm.timing, hbm.energy));
+        let buffer = table.buffered.then(|| DataBufferModel::new(hbm.timing, hbm.energy));
         let rowclone = RowCloneModel::new(hbm.geometry, hbm.timing, hbm.energy);
-        let xfer = TransferCostModel::new(hbm.geometry, hbm.energy, arch.kind.has_buffers());
+        let xfer = TransferCostModel::new(hbm.geometry, hbm.energy, table.buffered);
         Self {
-            stream_floor_gbs: Self::row_cycle_gbs(&arch),
             arch,
+            table,
             map,
             pim,
             acu,
@@ -224,6 +193,7 @@ impl Executor {
         session: &mut FaultSession,
         sink: SinkHandle,
     ) -> Result<(SimStats, ScopedStats), SimError> {
+        self.detail_emitted.clear();
         let mut engine = Engine::with_sink(sink);
         engine.set_latency_scale(1.0 + self.arch.hbm.timing.refresh_overhead());
         self.run_segment(program.steps(), &mut engine, session)?;
@@ -276,8 +246,8 @@ impl Executor {
     /// equals the end-to-end latency delta for shape-preserving
     /// scenarios):
     ///
-    /// * in-memory arithmetic (and in-array reductions on PIM-only)
-    ///   serializes over the subarrays surviving stuck bit-planes;
+    /// * a compute category served by [`Unit::Pim`] serializes over the
+    ///   subarrays surviving stuck bit-planes;
     /// * data movement pays the ECC check-bit bandwidth tax, per-flip
     ///   SECDED corrections (one extra row cycle + activation each), and
     ///   one bounded retry of the whole transfer when parity detects a
@@ -297,65 +267,57 @@ impl Executor {
         bytes: f64,
     ) -> Result<(f64, f64), SimError> {
         let scale = engine.latency_scale();
-        let in_memory = self.arch.kind.computes_in_memory();
-        let in_array_reduce = in_memory && !self.arch.kind.has_acu();
-        match category {
-            Category::Arithmetic if in_memory => {
-                let slow = sess.pim_slowdown();
-                if slow > 1.0 {
-                    let extra = latency_ns * (slow - 1.0);
-                    latency_ns += extra;
-                    sess.add_overhead(extra * scale, 0.0);
-                }
+        let in_array = match category {
+            Category::Arithmetic => self.table.arithmetic == Unit::Pim,
+            Category::Reduction => self.table.reduction == Unit::Pim,
+            Category::DataMovement | Category::Other => false,
+        };
+        if in_array {
+            let slow = sess.pim_slowdown();
+            if slow > 1.0 {
+                let extra = latency_ns * (slow - 1.0);
+                latency_ns += extra;
+                sess.add_overhead(extra * scale, 0.0);
             }
-            Category::Reduction if in_array_reduce => {
-                let slow = sess.pim_slowdown();
-                if slow > 1.0 {
-                    let extra = latency_ns * (slow - 1.0);
-                    latency_ns += extra;
-                    sess.add_overhead(extra * scale, 0.0);
-                }
+        }
+        if category == Category::DataMovement {
+            let tax = sess.ecc_overhead_fraction();
+            if tax > 0.0 {
+                let extra_lat = latency_ns * tax;
+                let extra_pj = energy_pj * tax;
+                latency_ns += extra_lat;
+                energy_pj += extra_pj;
+                sess.add_overhead(extra_lat * scale, extra_pj);
             }
-            Category::DataMovement => {
-                let tax = sess.ecc_overhead_fraction();
-                if tax > 0.0 {
-                    let extra_lat = latency_ns * tax;
-                    let extra_pj = energy_pj * tax;
+            match sess.observe_transfer(bytes) {
+                FlipOutcome::None => {}
+                FlipOutcome::Corrected(flips) => {
+                    let extra_lat = flips as f64 * self.arch.hbm.timing.t_rc;
+                    let extra_pj = flips as f64 * self.arch.hbm.energy.e_act;
                     latency_ns += extra_lat;
                     energy_pj += extra_pj;
                     sess.add_overhead(extra_lat * scale, extra_pj);
+                    Self::fault_event(engine, sess, "ecc-correct", flips);
                 }
-                match sess.observe_transfer(bytes) {
-                    FlipOutcome::None => {}
-                    FlipOutcome::Corrected(flips) => {
-                        let extra_lat = flips as f64 * self.arch.hbm.timing.t_rc;
-                        let extra_pj = flips as f64 * self.arch.hbm.energy.e_act;
-                        latency_ns += extra_lat;
-                        energy_pj += extra_pj;
-                        sess.add_overhead(extra_lat * scale, extra_pj);
-                        Self::fault_event(engine, sess, "ecc-correct", flips);
-                    }
-                    FlipOutcome::Retry(flips) => {
-                        // One bounded re-read of the transfer (check bits
-                        // included); the retry itself is not re-drawn.
-                        sess.add_overhead(latency_ns * scale, energy_pj);
-                        latency_ns *= 2.0;
-                        energy_pj *= 2.0;
-                        Self::fault_event(engine, sess, "parity-retry", flips);
-                    }
-                    FlipOutcome::Uncorrectable(flips) => {
-                        Self::fault_event(engine, sess, "uncorrectable-flip", flips);
-                        return Err(SimError::Uncorrectable {
-                            fault: format!(
-                                "{flips} transient bit flip(s) on a {bytes:.0}-byte transfer \
-                                 with no correcting ECC scheme"
-                            ),
-                            at_ns: Some(engine.now_ns()),
-                        });
-                    }
+                FlipOutcome::Retry(flips) => {
+                    // One bounded re-read of the transfer (check bits
+                    // included); the retry itself is not re-drawn.
+                    sess.add_overhead(latency_ns * scale, energy_pj);
+                    latency_ns *= 2.0;
+                    energy_pj *= 2.0;
+                    Self::fault_event(engine, sess, "parity-retry", flips);
+                }
+                FlipOutcome::Uncorrectable(flips) => {
+                    Self::fault_event(engine, sess, "uncorrectable-flip", flips);
+                    return Err(SimError::Uncorrectable {
+                        fault: format!(
+                            "{flips} transient bit flip(s) on a {bytes:.0}-byte transfer \
+                             with no correcting ECC scheme"
+                        ),
+                        at_ns: Some(engine.now_ns()),
+                    });
                 }
             }
-            _ => {}
         }
         Ok((latency_ns, energy_pj))
     }
@@ -480,7 +442,8 @@ impl Executor {
                 self.emit(engine, session, Category::Reduction, lat, pj, 0.0)?;
             }
             Step::Recip { per_bank, total } => {
-                let (lat, pj) = if self.arch.kind.has_acu() && !session.broken_dividers().is_empty()
+                let (lat, pj) = if self.table.reciprocal == Unit::Acu
+                    && !session.broken_dividers().is_empty()
                 {
                     self.recip_degraded(per_bank, total, session, engine.latency_scale())
                 } else {
@@ -725,22 +688,25 @@ impl Executor {
         }
     }
 
+    /// Near-bank cost of `per_bank` (`total`) elements at `ops` unit
+    /// operations each: every bank of a channel funnels into the channel's
+    /// units, and each op reads its `bits`-wide operand through the column
+    /// path (0 bits: the operands are already in the unit).
+    fn near_bank(&self, per_bank: u64, total: u64, ops: f64, bits: u32) -> (f64, f64) {
+        let per_channel = per_bank * u64::from(self.arch.hbm.geometry.banks_per_channel());
+        let e = &self.arch.hbm.energy;
+        let lat = per_channel as f64 * ops / self.table.near_bank_rate;
+        let pj = total as f64
+            * ops
+            * (f64::from(bits) * (e.e_pre_gsa + e.e_post_gsa) + calib::NBP_LOGIC_PJ_PER_OP);
+        (lat, pj)
+    }
+
     fn pointwise(&self, op: PimOp, elems_per_bank: u64, total_elems: u64) -> (f64, f64) {
-        if self.arch.kind.computes_in_memory() {
-            (self.pim.latency_ns(op, elems_per_bank), self.pim.energy_pj(op, total_elems))
+        if self.table.arithmetic == Unit::NearBank {
+            self.near_bank(elems_per_bank, total_elems, Self::nbp_ops(op), Self::op_bits(op))
         } else {
-            let g = &self.arch.hbm.geometry;
-            let per_channel = elems_per_bank * u64::from(g.banks_per_channel());
-            let rate = f64::from(calib::NBP_LANES)
-                * calib::NBP_CLOCK_GHZ
-                * f64::from(calib::NBP_UNITS_PER_CHANNEL); // elems/ns/channel
-            let lat = per_channel as f64 * Self::nbp_ops(op) / rate;
-            let pj = total_elems as f64
-                * Self::nbp_ops(op)
-                * (f64::from(Self::op_bits(op))
-                    * (self.arch.hbm.energy.e_pre_gsa + self.arch.hbm.energy.e_post_gsa)
-                    + calib::NBP_LOGIC_PJ_PER_OP);
-            (lat, pj)
+            (self.pim.latency_ns(op, elems_per_bank), self.pim.energy_pj(op, total_elems))
         }
     }
 
@@ -751,46 +717,39 @@ impl Executor {
         vectors_per_bank: u64,
         total_vectors: u64,
     ) -> (f64, f64) {
-        match self.arch.kind {
-            ArchKind::TransPim | ArchKind::TransPimNb => (
+        match self.table.reduction {
+            Unit::Acu => (
                 self.acu.bank_latency_ns(vec_len, bits, vectors_per_bank),
                 self.acu.energy_pj(vec_len, bits, total_vectors),
             ),
-            ArchKind::OriginalPim => (
+            Unit::Pim => (
                 self.pim.reduce_tree_latency_ns(vec_len, bits, vectors_per_bank),
                 self.pim.reduce_tree_energy_pj(vec_len, bits, total_vectors),
             ),
-            ArchKind::Nbp => {
-                let g = &self.arch.hbm.geometry;
-                let per_channel = vectors_per_bank * u64::from(g.banks_per_channel());
-                let elems = per_channel * u64::from(vec_len);
-                let rate = f64::from(calib::NBP_LANES) * calib::NBP_CLOCK_GHZ;
-                let lat = elems as f64 / rate + per_channel as f64 * calib::NBP_VECTOR_RESTART_NS;
-                let total_elems = total_vectors * u64::from(vec_len);
-                let pj = total_elems as f64
-                    * (f64::from(bits)
-                        * (self.arch.hbm.energy.e_pre_gsa + self.arch.hbm.energy.e_post_gsa)
-                        + calib::NBP_LOGIC_PJ_PER_OP);
-                (lat, pj)
+            Unit::NearBank => {
+                let len = u64::from(vec_len);
+                let (lat, pj) =
+                    self.near_bank(vectors_per_bank * len, total_vectors * len, 1.0, bits);
+                // The tree's pipeline restarts between consecutive vectors.
+                let vectors =
+                    vectors_per_bank * u64::from(self.arch.hbm.geometry.banks_per_channel());
+                (lat + vectors as f64 * calib::NBP_VECTOR_RESTART_NS, pj)
             }
         }
     }
 
     fn recip(&self, per_bank: u64, total: u64) -> (f64, f64) {
-        match self.arch.kind {
-            ArchKind::TransPim | ArchKind::TransPimNb => {
+        match self.table.reciprocal {
+            Unit::Acu => {
                 let per_divider = per_bank.div_ceil(u64::from(self.arch.acu.p_sub).max(1));
                 (self.divider.latency_ns(per_divider), self.divider.energy_pj(total))
             }
-            ArchKind::OriginalPim => self.pim_recip(per_bank, total),
-            ArchKind::Nbp => {
+            Unit::Pim => self.pim_recip(per_bank, total),
+            Unit::NearBank => {
+                // Newton–Raphson as multiplies on values the reduction
+                // left in the unit.
                 let ops = 3.0 * f64::from(calib::PIM_RECIP_ITERATIONS);
-                let g = &self.arch.hbm.geometry;
-                let per_channel = per_bank * u64::from(g.banks_per_channel());
-                let rate = f64::from(calib::NBP_LANES) * calib::NBP_CLOCK_GHZ;
-                let lat = per_channel as f64 * ops / rate;
-                let pj = total as f64 * ops * calib::NBP_LOGIC_PJ_PER_OP;
-                (lat, pj)
+                self.near_bank(per_bank, total, ops, 0)
             }
         }
     }
@@ -831,35 +790,17 @@ impl Executor {
 
     // ---- movement pricing ------------------------------------------------
 
-    fn layout_factor(&self) -> f64 {
-        if self.arch.kind.computes_in_memory() {
-            calib::LAYOUT_REORG_OVERHEAD
-        } else {
-            1.0
-        }
-    }
-
+    /// Host → every bank: one pass per channel when the banks latch the
+    /// broadcast together, one serialized pass per bank otherwise.
     fn host_broadcast(&self, bytes: u64, banks: u32) -> (f64, f64) {
         let g = &self.arch.hbm.geometry;
-        let bus = &self.arch.hbm.bus;
+        let t = &self.table;
         let b = bytes as f64;
         let bits = b * 8.0;
-        let channels = f64::from(g.total_channels());
-        let base = b / bus.host_gbs + b / bus.stack_gbs;
-        let (lat, bus_traversals) = if self.arch.kind.has_buffers() {
-            // Broadcast write: one channel-bus pass per channel, all banks
-            // of the channel latch simultaneously — paced by the banks'
-            // row-write rate, not the bus burst rate.
-            (base + self.layout_factor() * b / self.stream_floor_gbs.min(bus.channel_gbs), channels)
-        } else {
-            // Original datapath: one serialized, row-cycle-bound pass per
-            // bank on each channel's shared bus.
-            let per_chan = f64::from(g.banks_per_channel());
-            (
-                base + self.layout_factor() * per_chan * b / bus.channel_gbs,
-                channels * f64::from(g.banks_per_channel()),
-            )
-        };
+        let lat = b / t.bus.host_gbs
+            + b / t.bus.stack_gbs
+            + t.layout_factor * t.broadcast_copies * b / t.write_gbs;
+        let bus_traversals = f64::from(g.total_channels()) * t.broadcast_copies;
         let e = &self.arch.hbm.energy;
         let pj = bits * e.e_io * (1.0 + f64::from(g.stacks))
             + bits * e.e_post_gsa * bus_traversals
@@ -869,11 +810,10 @@ impl Executor {
 
     fn host_scatter(&self, total_bytes: u64) -> (f64, f64) {
         let g = &self.arch.hbm.geometry;
-        let bus = &self.arch.hbm.bus;
+        let t = &self.table;
         let b = total_bytes as f64;
         let per_channel = b / f64::from(g.total_channels());
-        let lat = b / bus.host_gbs
-            + self.layout_factor() * per_channel / self.stream_floor_gbs.min(bus.channel_gbs);
+        let lat = b / t.bus.host_gbs + t.layout_factor * per_channel / t.write_gbs;
         let e = &self.arch.hbm.energy;
         let bits = b * 8.0;
         let pj = bits * (e.e_io + e.e_post_gsa) + self.xfer.bank_write_energy_pj(total_bytes);
@@ -882,15 +822,7 @@ impl Executor {
 
     fn shuffle_all(&self, total_bytes: u64) -> (f64, f64) {
         let g = &self.arch.hbm.geometry;
-        let bus = &self.arch.hbm.bus;
-        // With buffers every bank-group segment streams independently;
-        // without them each channel's shared bus is the unit of transfer.
-        let agg = if self.arch.kind.has_buffers() {
-            f64::from(g.total_groups()) * bus.group_gbs
-        } else {
-            f64::from(g.total_channels()) * bus.channel_gbs
-        };
-        let lat = self.layout_factor() * total_bytes as f64 / agg;
+        let lat = self.table.layout_factor * total_bytes as f64 / self.table.shuffle_gbs;
         let e = &self.arch.hbm.energy;
         let bits = total_bytes as f64 * 8.0;
         // Read out of one bank, across the bus, into another.
@@ -901,22 +833,13 @@ impl Executor {
 
     fn broadcast_dup(&self, bytes: u64, banks: u32) -> (f64, f64) {
         let g = &self.arch.hbm.geometry;
-        let bus = &self.arch.hbm.bus;
+        let t = &self.table;
         let b = bytes as f64;
-        let copies_per_channel = if self.arch.kind.has_buffers() {
-            1.0 // broadcast write reaches all banks of the channel at once
-        } else {
-            f64::from(g.banks_per_channel())
-        };
-        // Broadcast writes are paced by the receiving banks' row-write
-        // rate (channel_gbs already equals it on unbuffered datapaths).
-        let lat = b / bus.stack_gbs
-            + self.layout_factor() * copies_per_channel * b
-                / self.stream_floor_gbs.min(bus.channel_gbs);
+        let lat = b / t.bus.stack_gbs + t.layout_factor * t.broadcast_copies * b / t.write_gbs;
         let e = &self.arch.hbm.energy;
         let bits = b * 8.0;
         let pj = bits * (e.e_pre_gsa + e.e_post_gsa) // gather source read
-            + bits * e.e_post_gsa * f64::from(g.total_channels()) * copies_per_channel
+            + bits * e.e_post_gsa * f64::from(g.total_channels()) * t.broadcast_copies
             + f64::from(banks) * self.xfer.bank_write_energy_pj(bytes);
         (lat, pj)
     }
@@ -1091,6 +1014,7 @@ impl Executor {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::arch::ArchKind;
     use transpim_dataflow::ir::{Precision, Program};
     use transpim_dataflow::{layer_flow, token_flow};
     use transpim_fault::{EccScheme, Fault, FaultStats};

@@ -18,13 +18,37 @@ use transpim::exec::Executor;
 use transpim::{ChromeTraceSink, FaultScenario, MetricsSink, SinkHandle};
 use transpim_bench::{run_grid, GridCell};
 
-/// Capacity warning helper (token dataflow per-bank working set).
+/// Capacity checks: the batch's input must fit the memory (an error), the
+/// token dataflow's per-bank working set should fit a bank (a warning).
 mod transpim_repro_capacity {
     use transpim::arch::ArchConfig;
     use transpim_dataflow::footprint::token_flow_footprint;
     use transpim_dataflow::ir::Precision;
     use transpim_dataflow::sharding::Sharding;
     use transpim_transformer::workload::Workload;
+
+    /// The batch's activations — every prompt and generated token at the
+    /// activation width — must fit the memory system, or there is no
+    /// mapping to price.
+    pub fn fits(w: &Workload, arch: &ArchConfig) -> Result<(), String> {
+        let tokens = w.batch as f64 * (w.seq_len as f64 + w.decode_len as f64);
+        let bytes =
+            tokens * w.model.d_model as f64 * f64::from(Precision::default().act_bits) / 8.0;
+        let capacity = arch.hbm.geometry.capacity_bytes() as f64;
+        if bytes <= capacity {
+            return Ok(());
+        }
+        let gib = f64::from(1u32 << 30);
+        Err(format!(
+            "--batch {} x (--seq-len {} + --decode {}) tokens need {:.1} GiB of activations; \
+             the memory holds {:.0} GiB",
+            w.batch,
+            w.seq_len,
+            w.decode_len,
+            bytes / gib,
+            capacity / gib
+        ))
+    }
 
     pub fn check(w: &Workload, arch: &ArchConfig) {
         let banks = arch.hbm.geometry.total_banks();
@@ -230,9 +254,6 @@ fn parse_args(args: &[String]) -> Result<Options, String> {
     if o.workload.batch == 0 || o.workload.seq_len == 0 {
         return Err("batch and seq-len must be positive".into());
     }
-    if o.stacks == 0 {
-        return Err("--stacks must be positive".into());
-    }
     if o.faults.is_some() && o.all {
         return Err("--faults runs one system at a time; drop --all".into());
     }
@@ -282,15 +303,26 @@ fn main() -> ExitCode {
         }
     };
 
-    let make_arch = |kind: ArchKind| {
-        ArchConfig::new(kind).with_stacks(opts.stacks).with_acu(opts.p_sub, opts.p_add)
+    let arch = ArchConfig::new(opts.arch)
+        .with_stacks(opts.stacks)
+        .with_acu(opts.p_sub, opts.p_add)
+        .validated()
+        .map_err(|e| e.to_string())
+        .and_then(|arch| transpim_repro_capacity::fits(&opts.workload, &arch).map(|()| arch));
+    let arch = match arch {
+        Ok(arch) => arch,
+        Err(msg) => {
+            eprintln!("error: {msg}");
+            return ExitCode::from(2);
+        }
     };
 
     if opts.all {
         let mut cells = Vec::new();
         for kind in ArchKind::ALL {
             for df in DataflowKind::ALL {
-                cells.push(GridCell::custom(make_arch(kind), df, &opts.workload));
+                let arch = ArchConfig { kind, ..arch.clone() };
+                cells.push(GridCell::custom(arch, df, &opts.workload));
             }
         }
         let outputs = run_grid(opts.jobs, opts.trace.is_some(), opts.metrics.is_some(), cells);
@@ -347,7 +379,7 @@ fn main() -> ExitCode {
         None => FaultScenario::empty(0),
     };
 
-    let acc = Accelerator::new(make_arch(opts.arch));
+    let acc = Accelerator::new(arch);
 
     // Optional IR dump: the compiled dataflow program, before pricing.
     if let Some(path) = &opts.dump_ir {

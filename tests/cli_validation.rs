@@ -1,0 +1,39 @@
+//! `transpim-sim` rejects invalid flags with exit code 2 and a one-line
+//! diagnostic naming what is wrong, before any simulation work starts —
+//! it never prints a report for an invalid machine, and never panics or
+//! aborts on an oversized workload.
+
+use std::process::Command;
+
+/// Exit code and stderr of `transpim-sim args`.
+fn run(args: &[&str]) -> (Option<i32>, String) {
+    let out = Command::new(env!("CARGO_BIN_EXE_transpim-sim"))
+        .args(args)
+        .output()
+        .expect("transpim-sim runs");
+    (out.status.code(), String::from_utf8_lossy(&out.stderr).into_owned())
+}
+
+fn assert_rejected(args: &[&str], names: &str) {
+    let (code, stderr) = run(args);
+    assert_eq!(code, Some(2), "{args:?} must exit 2; stderr: {stderr}");
+    let first = stderr.lines().next().unwrap_or_default();
+    assert!(first.starts_with("error: ") && first.contains(names), "{args:?}: {first}");
+    assert!(!stderr.contains("panicked"), "{args:?} panicked: {stderr}");
+}
+
+#[test]
+fn zero_design_knobs_name_the_field() {
+    assert_rejected(&["--p-sub", "0"], "acu.p_sub");
+    assert_rejected(&["--p-add", "0"], "acu.p_add");
+    assert_rejected(&["--stacks", "0"], "geometry.stacks");
+    assert_rejected(&["--all", "--p-add", "0"], "acu.p_add");
+}
+
+#[test]
+fn oversized_workloads_are_an_error_not_a_crash() {
+    // Each needs terabytes of activations; the default 8 stacks hold 64 GiB.
+    assert_rejected(&["--seq-len", "4294967295"], "--seq-len 4294967295");
+    assert_rejected(&["--batch", "4294967295"], "--batch 4294967295");
+    assert_rejected(&["--workload", "lm", "--decode", "4294967295"], "--decode 4294967295");
+}
