@@ -10,6 +10,12 @@
 //! hardware and 8 T without — [`schedule_hops`] reproduces both, and the
 //! same scheduler also places the decoder's pairwise partial-sum reduction
 //! hops and arbitrary transfer sets.
+//!
+//! Which slot a hop lands in depends only on its route, never on its
+//! payload, so a set of equal-payload hops is scheduled once into a
+//! [`SlotProfile`] and priced at any byte count from it. That price is
+//! exact, not an approximation: a slot lasts `b / bw` of its slowest route
+//! because correctly rounded division by a positive number is monotone.
 
 use crate::data_buffer::DataBufferModel;
 use serde::{Deserialize, Serialize};
@@ -121,18 +127,52 @@ pub fn schedule_hops_placed(
     if hops.is_empty() {
         return (ScheduleResult::default(), Vec::new());
     }
-    let bpg = map.geometry().banks_per_group;
-    let mut order: Vec<usize> = (0..hops.len()).collect();
-    let routed: Vec<_> = hops.iter().map(|h| map.route(h.src, h.dst)).collect();
-    order.sort_by_key(|&i| {
-        let h = &hops[i];
-        let pos = h.src.0 % bpg;
-        (usize::MAX - routed[i].resources.len(), pos % 2, pos, h.src.0)
-    });
-
     let mut placements = Vec::with_capacity(hops.len());
-    let mut remaining: Vec<usize> = order;
-    let mut latency = 0.0;
+    let (mut latency, mut slot_dur, mut slot) = (0.0, 0.0f64, 0u32);
+    for (i, s, bw) in assign_slots(map, hops) {
+        if s != slot {
+            latency += slot_dur;
+            slot_dur = 0.0;
+            slot = s;
+        }
+        let dur = hops[i].bytes as f64 / bw;
+        slot_dur = slot_dur.max(dur);
+        placements.push(HopPlacement {
+            src: hops[i].src,
+            dst: hops[i].dst,
+            slot: s,
+            start_ns: latency,
+            dur_ns: dur,
+        });
+    }
+    latency += slot_dur;
+
+    let energy = hops.iter().map(|h| xfer.hop_energy_pj(h.bytes)).sum();
+    let bytes = hops.iter().map(|h| h.bytes as f64).sum();
+    (ScheduleResult { latency_ns: latency, energy_pj: energy, bytes, slots: slot + 1 }, placements)
+}
+
+/// The slot scheduler's core: every hop of `hops` (payloads ignored), in
+/// placement order, as `(index into hops, slot, route bandwidth)`. Slots
+/// are numbered from 0 and appear in order, each non-empty.
+fn assign_slots(map: &ResourceMap, hops: &[Hop]) -> Vec<(usize, u32, f64)> {
+    let bpg = map.geometry().banks_per_group;
+    let routed: Vec<_> = hops.iter().map(|h| map.route(h.src, h.dst)).collect();
+    // The priority key is built once per hop; the index keeps the sort
+    // stable.
+    let mut keyed: Vec<_> = hops
+        .iter()
+        .zip(&routed)
+        .enumerate()
+        .map(|(i, (h, route))| {
+            let pos = h.src.0 % bpg;
+            (usize::MAX - route.resources.len(), pos % 2, pos, h.src.0, i)
+        })
+        .collect();
+    keyed.sort_unstable();
+
+    let mut placed = Vec::with_capacity(hops.len());
+    let mut remaining: Vec<usize> = keyed.into_iter().map(|k| k.4).collect();
     let mut slots = 0u32;
     // `taken[r]` is one past the last slot that occupied resource `r`, so a
     // resource is busy in the current slot iff `taken[r] == slots + 1` —
@@ -140,7 +180,6 @@ pub fn schedule_hops_placed(
     let mut taken = vec![0u32; map.len() as usize];
     while !remaining.is_empty() {
         let mark = slots + 1;
-        let mut slot_dur = 0.0f64;
         let mut next = Vec::new();
         for &i in &remaining {
             let route = &routed[i];
@@ -151,24 +190,60 @@ pub fn schedule_hops_placed(
             for r in &route.resources {
                 taken[r.0 as usize] = mark;
             }
-            let dur = route.transfer_ns(hops[i].bytes as f64);
-            slot_dur = slot_dur.max(dur);
-            placements.push(HopPlacement {
-                src: hops[i].src,
-                dst: hops[i].dst,
-                slot: slots,
-                start_ns: latency,
-                dur_ns: dur,
-            });
+            placed.push((i, slots, route.bandwidth_gbs));
         }
-        latency += slot_dur;
         slots += 1;
         remaining = next;
     }
+    placed
+}
 
-    let energy = hops.iter().map(|h| xfer.hop_energy_pj(h.bytes)).sum();
-    let bytes = hops.iter().map(|h| h.bytes as f64).sum();
-    (ScheduleResult { latency_ns: latency, energy_pj: energy, bytes, slots }, placements)
+/// The payload-independent shape of a set of hops that all carry the same
+/// payload: the bottleneck (slowest) route bandwidth of each slot the
+/// scheduler fills, in slot order, and the hop count.
+/// [`SlotProfile::price`] prices the set at any byte count `b` exactly as
+/// [`schedule_hops`] prices it. A slot lasts as long as its slowest hop,
+/// and `max_i(b / bw_i) == b / min_i(bw_i)` in f64 because correctly
+/// rounded division by a positive number is monotone; every other
+/// operation runs in the scheduler's order.
+#[derive(Debug, Clone, PartialEq, Default)]
+pub struct SlotProfile {
+    slot_gbs: Vec<f64>,
+    hops: usize,
+}
+
+impl SlotProfile {
+    /// Schedule `hops` once; their payloads are ignored.
+    pub fn new(map: &ResourceMap, hops: &[Hop]) -> Self {
+        let mut slot_gbs: Vec<f64> = Vec::new();
+        for (_, s, bw) in assign_slots(map, hops) {
+            match slot_gbs.get_mut(s as usize) {
+                Some(min) => *min = min.min(bw),
+                None => slot_gbs.push(bw),
+            }
+        }
+        Self { slot_gbs, hops: hops.len() }
+    }
+
+    /// The schedule with `bytes` on every hop: bit for bit what
+    /// [`schedule_hops`] returns for the profiled hops at that payload.
+    pub fn price(&self, xfer: &TransferCostModel, bytes: u64) -> ScheduleResult {
+        if self.hops == 0 {
+            return ScheduleResult::default();
+        }
+        let b = bytes as f64;
+        let mut latency = 0.0;
+        for bw in &self.slot_gbs {
+            latency += b / bw;
+        }
+        let energy = std::iter::repeat_n(xfer.hop_energy_pj(bytes), self.hops).sum();
+        ScheduleResult {
+            latency_ns: latency,
+            energy_pj: energy,
+            bytes: std::iter::repeat_n(b, self.hops).sum(),
+            slots: self.slot_gbs.len() as u32,
+        }
+    }
 }
 
 /// Emit one span per placed hop to `sink`, on the source bank's resource

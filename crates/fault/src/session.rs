@@ -4,7 +4,7 @@
 use std::collections::{BTreeMap, BTreeSet};
 
 use serde::{Deserialize, Serialize};
-use transpim_hbm::stats::{from_signed_units, to_signed_units};
+use transpim_hbm::stats::{from_signed_units, to_signed_units, OutOfRange};
 use transpim_pim::ecc::EccScheme;
 
 use crate::scenario::{Fault, FaultError, FaultScenario};
@@ -119,6 +119,9 @@ pub struct FaultSession {
     uncorrectable: u64,
     /// Overhead latency and energy, in signed 2^-64 ns/pJ tally units.
     overhead: [i128; 2],
+    /// Whether an overhead value or total left the tally range: sticky,
+    /// checked once per run ([`FaultSession::overhead_in_range`]).
+    overhead_out_of_range: bool,
     /// Expected flips of each draw since [`FaultSession::mark`], until
     /// [`FaultSession::take_log`].
     log: Option<Vec<f64>>,
@@ -156,6 +159,7 @@ impl FaultSession {
             corrected: 0,
             uncorrectable: 0,
             overhead: [0; 2],
+            overhead_out_of_range: false,
             log: None,
             track_named: false,
         };
@@ -337,14 +341,29 @@ impl FaultSession {
 
     /// Record incremental degradation cost (already in scaled engine time).
     /// The energy may be negative: a fallback can cost less energy than
-    /// the path it replaces.
-    ///
-    /// # Panics
-    ///
-    /// If a value is not finite or its magnitude is 2^63 or more.
+    /// the path it replaces. A value or total outside the tally range is
+    /// left out and fails [`FaultSession::overhead_in_range`].
     pub fn add_overhead(&mut self, latency_ns: f64, energy_pj: f64) {
-        self.overhead[0] += to_signed_units(latency_ns);
-        self.overhead[1] += to_signed_units(energy_pj);
+        for (total, x) in self.overhead.iter_mut().zip([latency_ns, energy_pj]) {
+            match to_signed_units(x).and_then(|u| total.checked_add(u)) {
+                Some(sum) => *total = sum,
+                None => self.overhead_out_of_range = true,
+            }
+        }
+    }
+
+    /// Whether every overhead recorded so far, and its total, stayed
+    /// inside the tally range.
+    ///
+    /// # Errors
+    ///
+    /// [`OutOfRange`] otherwise.
+    pub fn overhead_in_range(&self) -> Result<(), OutOfRange> {
+        if self.overhead_out_of_range {
+            Err(OutOfRange)
+        } else {
+            Ok(())
+        }
     }
 
     /// Snapshot the session before pricing a repeat-body iteration, and
@@ -403,7 +422,10 @@ impl FaultSession {
         self.draws = self.draws.wrapping_add(per_iteration.wrapping_mul(times));
         for (total, before) in self.overhead.iter_mut().zip(mark.overhead) {
             let repeated = (*total - before).checked_mul(i128::from(times));
-            *total = repeated.and_then(|r| total.checked_add(r)).expect("fault overhead overflow");
+            match repeated.and_then(|r| total.checked_add(r)) {
+                Some(sum) => *total = sum,
+                None => self.overhead_out_of_range = true,
+            }
         }
     }
 
@@ -634,6 +656,22 @@ mod tests {
             b.add_overhead(ns, pj);
         }
         assert_eq!(a.stats(), b.stats());
+    }
+
+    #[test]
+    fn overhead_outside_the_tally_range_fails_once_at_the_end() {
+        let mut s = session(vec![], EccScheme::None).expect("valid");
+        s.add_overhead(1.0, -2.0);
+        assert_eq!(s.overhead_in_range(), Ok(()));
+        s.add_overhead(1e30, 0.0);
+        s.add_overhead(1.0, 0.0);
+        assert_eq!(s.overhead_in_range(), Err(OutOfRange));
+        // A repeat whose product leaves the range.
+        let mut s = session(vec![], EccScheme::None).expect("valid");
+        let mark = s.mark();
+        s.add_overhead(1e18, 0.0);
+        s.repeat_since(&mark, u64::MAX);
+        assert_eq!(s.overhead_in_range(), Err(OutOfRange));
     }
 
     #[test]

@@ -16,7 +16,10 @@
 //! `stats.rs`), so totals do not depend on the order of the additions. A
 //! repeated body therefore prices as body × count: take a [`Mark`], record
 //! one iteration, then [`Engine::repeat_since`]. The f64 [`SimStats`] and
-//! [`ScopedStats`] are built once, by [`Engine::into_stats`].
+//! [`ScopedStats`] are built once, by [`Engine::into_stats`]. A value or
+//! total past the tally's range (2^64 ns, pJ or bytes) does not panic where
+//! it is recorded: the tally saturates and flags it, and
+//! [`Engine::into_stats`] returns the error once per run.
 //!
 //! # Observability
 //!
@@ -31,7 +34,7 @@
 //! prices iterations 1..N of a repeat that way, so a trace grows with the
 //! compiled program, not with the unrolled decode length.
 
-use crate::stats::{from_units, Category, Lump, ScopedStats, SimStats, Tally};
+use crate::stats::{from_units, Category, Lump, OutOfRange, ScopedStats, SimStats, Tally};
 use transpim_obs::{CounterEvent, SinkHandle, SpanEvent};
 
 /// Track layout of the simulator's trace emission. Keeping the layout in
@@ -77,7 +80,7 @@ pub mod tracks {
 /// let mut e = Engine::new();
 /// e.set_scope("fc");
 /// e.lump(Category::Arithmetic, 100.0, 5_000.0, 0.0);
-/// let (stats, scoped) = e.into_stats();
+/// let (stats, scoped) = e.into_stats().expect("in range");
 /// assert_eq!(stats.latency_ns, 100.0);
 /// assert_eq!(scoped.get("fc").unwrap().latency_ns, 100.0);
 /// ```
@@ -194,10 +197,9 @@ impl Engine {
     /// Record one phase of `category`: `latency_ns` of makespan (before the
     /// latency stretch), `energy_pj` of energy and `bytes` moved.
     ///
-    /// # Panics
-    ///
-    /// If a value is negative or not finite (a pricing bug), or a total
-    /// leaves the tally range of 2^64 ns (about 584 simulated years).
+    /// A value outside the tally range — negative or not finite (a pricing
+    /// bug), or 2^64 ns, pJ or bytes (about 584 simulated years) and more —
+    /// fails the run in [`Engine::into_stats`].
     pub fn lump(&mut self, category: Category, latency_ns: f64, energy_pj: f64, bytes: f64) {
         debug_assert!(latency_ns >= 0.0 && energy_pj >= 0.0 && bytes >= 0.0);
         let latency = latency_ns * self.latency_scale;
@@ -296,7 +298,7 @@ impl Engine {
                     .with_arg("bytes", d.bytes)
                     .with_count(d.lumps),
                 );
-                at += d.time;
+                at = at.saturating_add(d.time);
             }
         }
         for c in Category::ALL {
@@ -328,8 +330,7 @@ impl Engine {
     /// # Panics
     ///
     /// If `times` > 0 and the scope differs from the one at `mark` (a
-    /// repetition of the body would then start in another scope), or a
-    /// total leaves the tally range.
+    /// repetition of the body would then start in another scope).
     pub fn repeat_since(&mut self, mark: &Mark, times: u64) {
         if times == 0 {
             return;
@@ -345,14 +346,22 @@ impl Engine {
 
     /// Consume the engine, returning `(global, per-scope)` statistics.
     /// Scopes that recorded no lump are left out.
-    pub fn into_stats(self) -> (SimStats, ScopedStats) {
+    ///
+    /// # Errors
+    ///
+    /// [`OutOfRange`] if any value recorded, or any total, left the tally
+    /// range.
+    pub fn into_stats(self) -> Result<(SimStats, ScopedStats), OutOfRange> {
+        // Every lump and repeat enters the total too, so it carries the
+        // range flag of every scope.
+        let total = self.total.to_stats()?;
         let scoped = self
             .scopes
             .into_iter()
             .filter(|(_, tally)| !tally.is_empty())
-            .map(|(label, tally)| (label, tally.to_stats()))
-            .collect();
-        (self.total.to_stats(), scoped)
+            .map(|(label, tally)| Ok((label, tally.to_stats()?)))
+            .collect::<Result<_, OutOfRange>>()?;
+        Ok((total, scoped))
     }
 }
 
@@ -468,7 +477,7 @@ mod tests {
         e.set_scope("never");
         e.set_scope("fc");
         e.lump(Category::Arithmetic, 0.0, 0.0, 0.0);
-        let (_, scoped) = e.into_stats();
+        let (_, scoped) = e.into_stats().unwrap();
         assert_eq!(scoped.iter().map(|(k, _)| k).collect::<Vec<_>>(), ["fc"]);
     }
 
@@ -552,7 +561,7 @@ mod tests {
         e.set_scope("b");
         e.lump(Category::DataMovement, 3.0, 1.0, 8.0);
         e.lump(Category::DataMovement, 4.0, 1.0, 8.0);
-        let (stats, scoped) = e.into_stats();
+        let (stats, scoped) = e.into_stats().unwrap();
         assert_eq!(stats.latency_ns, 12.0);
         assert_eq!(scoped.get("a").unwrap().latency_ns, 5.0);
         assert_eq!(scoped.get("b").unwrap().latency_ns, 7.0);

@@ -239,13 +239,22 @@ impl HbmGeometry {
 
     /// Global channel index of a bank (stacks × channels flattened).
     pub fn channel_of(&self, id: BankId) -> u32 {
-        let c = self.coord(id);
-        c.stack * self.channels_per_stack + c.channel
+        self.channel_at(self.coord(id))
     }
 
     /// Global bank-group index of a bank.
     pub fn group_of(&self, id: BankId) -> u32 {
-        self.channel_of(id) * self.groups_per_channel + self.coord(id).group
+        self.group_at(self.coord(id))
+    }
+
+    /// Global channel index of the bank at `c`.
+    pub fn channel_at(&self, c: BankCoord) -> u32 {
+        c.stack * self.channels_per_stack + c.channel
+    }
+
+    /// Global bank-group index of the bank at `c`.
+    pub fn group_at(&self, c: BankCoord) -> u32 {
+        self.channel_at(c) * self.groups_per_channel + c.group
     }
 
     /// Iterator over all bank ids in ring order.

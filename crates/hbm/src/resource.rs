@@ -228,10 +228,8 @@ impl ResourceMap {
         let mut resources = vec![self.bank(src), self.bank(dst)];
         let mut bw = f64::INFINITY;
 
-        let src_group = g.group_of(src);
-        let dst_group = g.group_of(dst);
-        let src_channel = g.channel_of(src);
-        let dst_channel = g.channel_of(dst);
+        let (src_group, dst_group) = (g.group_at(sc), g.group_at(dc));
+        let (src_channel, dst_channel) = (g.channel_at(sc), g.channel_at(dc));
 
         let neighbors = src.0.abs_diff(dst.0) == 1;
         if src_group == dst_group && self.ring_links && neighbors && !self.link_dead(src_group) {

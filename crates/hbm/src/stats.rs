@@ -210,23 +210,21 @@ const UNITS_PER_ONE: f64 = 18_446_744_073_709_551_616.0; // 2^64
 /// a bit shift, exact for every `x` ≥ 2^-12 (its last mantissa bit is then
 /// worth at least 2^-64). Finer bits of smaller values are truncated.
 ///
-/// # Panics
-///
-/// If `x` is negative, not finite, or ≥ 2^64 — outside what a tally holds.
-fn to_units(x: f64) -> u128 {
-    assert!(
-        (0.0..UNITS_PER_ONE).contains(&x),
-        "statistics value {x} is outside the tally range [0, 2^64)"
-    );
+/// `None` if `x` is negative, not finite, or ≥ 2^64 — outside what a tally
+/// holds.
+fn to_units(x: f64) -> Option<u128> {
+    if !(0.0..UNITS_PER_ONE).contains(&x) {
+        return None;
+    }
     let bits = x.to_bits();
     let shift = ((bits >> 52) & 0x7ff) as i32 - 1011;
     let m = u128::from((bits & ((1 << 52) - 1)) | (1 << 52));
-    match shift {
+    Some(match shift {
         0.. => m << shift,
         -52..=-1 => m >> -shift,
         // Zero, subnormals and anything below 2^-64.
         _ => 0,
-    }
+    })
 }
 
 /// The nearest f64 to `u` tally units.
@@ -235,18 +233,11 @@ pub(crate) fn from_units(u: u128) -> f64 {
 }
 
 /// `x` in signed tally units, for a sum whose terms may be negative:
-/// [`to_units`] of `|x|`, negated when `x` is negative.
-///
-/// # Panics
-///
-/// If `|x|` is outside the tally range (see [`to_units`]) or ≥ 2^63.
-pub fn to_signed_units(x: f64) -> i128 {
-    let u = i128::try_from(to_units(x.abs())).expect(OVERFLOW);
-    if x < 0.0 {
-        -u
-    } else {
-        u
-    }
+/// [`to_units`] of `|x|`, negated when `x` is negative. `None` if `|x|`
+/// is outside the tally range.
+pub fn to_signed_units(x: f64) -> Option<i128> {
+    let u = i128::try_from(to_units(x.abs())?).ok()?;
+    Some(if x < 0.0 { -u } else { u })
 }
 
 /// The nearest f64 to `u` signed tally units.
@@ -259,11 +250,26 @@ pub fn from_signed_units(u: i128) -> f64 {
     }
 }
 
-const OVERFLOW: &str = "simulated totals exceed the tally range of 2^64 ns, pJ or bytes";
+/// A simulated value or total left the tally range: 2^64 ns (about 584
+/// simulated years), pJ or bytes.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct OutOfRange;
 
-/// `a + b`, or a panic naming the range when a total leaves it.
-fn add_units(a: u128, b: u128) -> u128 {
-    a.checked_add(b).expect(OVERFLOW)
+impl fmt::Display for OutOfRange {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.write_str("simulated totals exceed the tally range of 2^64 ns, pJ or bytes")
+    }
+}
+
+impl std::error::Error for OutOfRange {}
+
+/// `a + b`, saturating and raising `out_of_range` when the total leaves
+/// the tally range.
+fn add_units(a: u128, b: u128, out_of_range: &mut bool) -> u128 {
+    a.checked_add(b).unwrap_or_else(|| {
+        *out_of_range = true;
+        u128::MAX
+    })
 }
 
 /// One lump in tally units: converted once, recorded in several tallies.
@@ -273,20 +279,21 @@ pub(crate) struct Lump {
     time: u128,
     energy: u128,
     bytes: u128,
+    /// Whether every value was inside the tally range; one that was not is
+    /// recorded as zero and marks each tally it enters.
+    in_range: bool,
 }
 
 impl Lump {
     /// A lump of `category`.
-    ///
-    /// # Panics
-    ///
-    /// If a value is outside the tally range (see [`to_units`]).
     pub(crate) fn new(category: Category, latency_ns: f64, energy_pj: f64, bytes: f64) -> Self {
+        let (time, energy, bytes) = (to_units(latency_ns), to_units(energy_pj), to_units(bytes));
         Self {
             category: category.index(),
-            time: to_units(latency_ns),
-            energy: to_units(energy_pj),
-            bytes: to_units(bytes),
+            in_range: time.is_some() && energy.is_some() && bytes.is_some(),
+            time: time.unwrap_or(0),
+            energy: energy.unwrap_or(0),
+            bytes: bytes.unwrap_or(0),
         }
     }
 }
@@ -298,13 +305,16 @@ impl Lump {
 /// Integer addition is associative, so a tally does not depend on the order
 /// its lumps arrive in, and a repeated body adds exactly as body × count
 /// ([`Tally::repeat_since`]). Each field holds totals below 2^64 ns, pJ
-/// or bytes: 2^64 ns is about 584 simulated years.
+/// or bytes: 2^64 ns is about 584 simulated years. A value or total
+/// outside that range saturates and sets a sticky flag instead of
+/// panicking, and [`Tally::to_stats`] reports it once, at the end of a run.
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub(crate) struct Tally {
     time: [u128; 4],
     energy: [u128; 4],
     bytes: [u128; 4],
     lumps: [u128; 4],
+    out_of_range: bool,
 }
 
 /// What one [`Category`] recorded between two snapshots of a [`Tally`]
@@ -323,15 +333,13 @@ pub(crate) struct CategoryDelta {
 
 impl Tally {
     /// Record one lump.
-    ///
-    /// # Panics
-    ///
-    /// If a total leaves the tally range.
     pub(crate) fn record(&mut self, lump: &Lump) {
         let c = lump.category;
-        self.time[c] = add_units(self.time[c], lump.time);
-        self.energy[c] = add_units(self.energy[c], lump.energy);
-        self.bytes[c] = add_units(self.bytes[c], lump.bytes);
+        let flag = &mut self.out_of_range;
+        *flag |= !lump.in_range;
+        self.time[c] = add_units(self.time[c], lump.time, flag);
+        self.energy[c] = add_units(self.energy[c], lump.energy, flag);
+        self.bytes[c] = add_units(self.bytes[c], lump.bytes, flag);
         self.lumps[c] += 1;
     }
 
@@ -353,14 +361,16 @@ impl Tally {
 
     /// Add what was recorded since the snapshot `before` another `times`
     /// times.
-    ///
-    /// # Panics
-    ///
-    /// If a total leaves the tally range.
     pub(crate) fn repeat_since(&mut self, before: &Tally, times: u64) {
+        let mut flag = self.out_of_range;
         for (x, b) in self.fields_mut().zip(before.fields()) {
-            *x = add_units(*x, (*x - b).checked_mul(u128::from(times)).expect(OVERFLOW));
+            let delta = (*x - b).checked_mul(u128::from(times)).unwrap_or_else(|| {
+                flag = true;
+                u128::MAX
+            });
+            *x = add_units(*x, delta, &mut flag);
         }
+        self.out_of_range = flag;
     }
 
     fn fields(&self) -> impl Iterator<Item = u128> + '_ {
@@ -371,9 +381,10 @@ impl Tally {
         self.time.iter_mut().chain(&mut self.energy).chain(&mut self.bytes).chain(&mut self.lumps)
     }
 
-    /// Total time recorded, in tally units.
+    /// Total time recorded, in tally units (saturating: a total past the
+    /// range fails [`Tally::to_stats`]).
     pub(crate) fn time_units(&self) -> u128 {
-        self.time.iter().copied().fold(0, add_units)
+        self.time.iter().fold(0, |a, &b| a.saturating_add(b))
     }
 
     /// Total time recorded: the makespan, in ns.
@@ -387,13 +398,24 @@ impl Tally {
     }
 
     /// The f64 view.
-    pub(crate) fn to_stats(self) -> SimStats {
-        SimStats {
-            latency_ns: self.latency_ns(),
+    ///
+    /// # Errors
+    ///
+    /// [`OutOfRange`] if a recorded value, or a total, ever left the tally
+    /// range.
+    pub(crate) fn to_stats(self) -> Result<SimStats, OutOfRange> {
+        let mut flag = self.out_of_range;
+        let time = self.time.iter().fold(0, |a, &b| add_units(a, b, &mut flag));
+        let bytes = self.bytes.iter().fold(0, |a, &b| add_units(a, b, &mut flag));
+        if flag {
+            return Err(OutOfRange);
+        }
+        Ok(SimStats {
+            latency_ns: from_units(time),
             time_ns: self.time.map(from_units),
             energy_pj: self.energy.map(from_units),
-            bytes_moved: from_units(self.bytes.iter().copied().fold(0, add_units)),
-        }
+            bytes_moved: from_units(bytes),
+        })
     }
 }
 
@@ -416,7 +438,8 @@ mod tests {
             (Category::Arithmetic, 30.0, 300.0, 0.0),
             (Category::Reduction, 10.0, 50.0, 0.0),
         ])
-        .to_stats();
+        .to_stats()
+        .unwrap();
         assert_eq!(s.latency_ns, 50.0);
         assert_eq!(s.time_ns.iter().sum::<f64>(), s.latency_ns);
         assert_eq!(s.total_energy_pj(), 450.0);
@@ -426,7 +449,7 @@ mod tests {
 
     #[test]
     fn power_is_energy_over_time() {
-        let s = tally(&[(Category::Arithmetic, 1e9, 5e12, 0.0)]).to_stats(); // 1 s, 5 J
+        let s = tally(&[(Category::Arithmetic, 1e9, 5e12, 0.0)]).to_stats().unwrap(); // 1 s, 5 J
         assert!((s.average_power_w() - 5.0).abs() < 1e-12);
     }
 
@@ -437,7 +460,7 @@ mod tests {
         assert_eq!(s.average_bandwidth_gbs(), 0.0);
         assert_eq!(s.compute_utilization(), 0.0);
         assert!(Tally::default().is_empty());
-        assert_eq!(Tally::default().to_stats(), s);
+        assert_eq!(Tally::default().to_stats(), Ok(s));
     }
 
     #[test]
@@ -454,18 +477,19 @@ mod tests {
 
     #[test]
     fn conversion_is_exact_from_two_to_the_minus_twelve() {
+        let units = |x| to_units(x).unwrap();
         let tiny = 2f64.powi(-12);
-        assert_eq!(to_units(0.0), 0);
-        assert_eq!(to_units(tiny), 1 << 52);
-        assert_eq!(from_units(to_units(tiny)), tiny);
+        assert_eq!(units(0.0), 0);
+        assert_eq!(units(tiny), 1 << 52);
+        assert_eq!(from_units(units(tiny)), tiny);
         // A subnormal is below the tally's resolution.
-        assert_eq!(to_units(f64::MIN_POSITIVE / 4.0), 0);
-        assert_eq!(from_units(to_units(1e18)), 1e18);
+        assert_eq!(units(f64::MIN_POSITIVE / 4.0), 0);
+        assert_eq!(from_units(units(1e18)), 1e18);
         // Finer bits than 2^-64 are truncated, never rounded up.
-        assert_eq!(to_units(1.5 * 2f64.powi(-64)), 1);
-        assert_eq!(to_units(2f64.powi(-65)), 0);
-        assert_eq!(to_units(-0.0), 0);
-        assert_eq!(to_units(2f64.powi(63)), 1 << 127);
+        assert_eq!(units(1.5 * 2f64.powi(-64)), 1);
+        assert_eq!(units(2f64.powi(-65)), 0);
+        assert_eq!(units(-0.0), 0);
+        assert_eq!(units(2f64.powi(63)), 1 << 127);
         // Random values in [2^-12, 2^40] round-trip bit for bit.
         let mut x = 0x9E37_79B9_7F4A_7C15u64;
         for _ in 0..10_000 {
@@ -473,28 +497,50 @@ mod tests {
             x ^= x >> 7;
             x ^= x << 17;
             let v = 2f64.powf(-12.0 + 52.0 * (x >> 11) as f64 / (1u64 << 53) as f64);
-            assert_eq!(from_units(to_units(v)), v, "{v} did not round-trip");
+            assert_eq!(from_units(units(v)), v, "{v} did not round-trip");
         }
     }
 
     #[test]
-    #[should_panic(expected = "outside the tally range")]
-    fn negative_values_are_rejected() {
-        to_units(-1.0);
+    fn values_outside_the_range_are_rejected() {
+        for x in [-1.0, f64::NAN, f64::INFINITY, UNITS_PER_ONE] {
+            assert_eq!(to_units(x), None, "{x}");
+        }
+        assert_eq!(to_units(UNITS_PER_ONE - 4096.0), Some(u128::MAX - (1 << 64) * 4096 + 1));
     }
 
     #[test]
-    #[should_panic(expected = "outside the tally range")]
-    fn non_finite_values_are_rejected() {
-        to_units(f64::NAN);
+    fn an_out_of_range_lump_fails_the_run_once_at_the_end() {
+        let mut t = tally(&[(Category::Other, 1.0, 2.0, 3.0)]);
+        t.record(&Lump::new(Category::Arithmetic, 1.0, UNITS_PER_ONE, 0.0));
+        // Sticky: later in-range lumps do not clear it.
+        t.record(&Lump::new(Category::Other, 1.0, 2.0, 3.0));
+        assert_eq!(t.to_stats(), Err(OutOfRange));
     }
 
     #[test]
-    #[should_panic(expected = "exceed the tally range")]
+    fn total_overflow_is_caught() {
+        // Each lump is in range; their sum is not.
+        let big = UNITS_PER_ONE / 2.0;
+        assert_eq!(tally(&[(Category::Other, big, 0.0, 0.0); 2]).to_stats(), Err(OutOfRange));
+        // The same for the sum over categories.
+        let split = [(Category::Other, big, 0.0, 0.0), (Category::Arithmetic, big, 0.0, 0.0)];
+        assert_eq!(tally(&split).to_stats(), Err(OutOfRange));
+        // And for bytes.
+        let split = [(Category::Other, 0.0, 0.0, big), (Category::Arithmetic, 0.0, 0.0, big)];
+        assert_eq!(tally(&split).to_stats(), Err(OutOfRange));
+    }
+
+    #[test]
     fn repeat_overflow_is_caught() {
         let before = Tally::default();
         let mut t = tally(&[(Category::Other, 2f64.powi(40), 0.0, 0.0)]);
         t.repeat_since(&before, 1 << 30);
+        assert_eq!(t.to_stats(), Err(OutOfRange));
+        // A multiplication that overflows u128 outright.
+        let mut t = tally(&[(Category::Other, 2f64.powi(40), 0.0, 0.0)]);
+        t.repeat_since(&before, u64::MAX);
+        assert_eq!(t.to_stats(), Err(OutOfRange));
     }
 
     #[test]

@@ -115,7 +115,9 @@ impl Accelerator {
     /// [`SimError::Scenario`] when the scenario references hardware the
     /// geometry does not have, [`SimError::Uncorrectable`] when a fault
     /// exceeds every degradation policy (no banks survive, a bank's
-    /// subarrays all stuck, or an unprotected transient flip).
+    /// subarrays all stuck, or an unprotected transient flip),
+    /// [`SimError::OutOfRange`] when the workload's simulated totals
+    /// exceed what the statistics hold (2^64 ns, pJ or bytes).
     ///
     /// # Panics
     ///

@@ -8,6 +8,7 @@ use std::fmt;
 
 use transpim_fault::FaultError;
 use transpim_hbm::config::ConfigError;
+use transpim_hbm::stats::OutOfRange;
 
 /// Error surfaced by a simulation run.
 #[derive(Debug, Clone, PartialEq)]
@@ -26,6 +27,9 @@ pub enum SimError {
     Scenario(String),
     /// The architecture or memory configuration failed validation.
     Config(ConfigError),
+    /// The workload's simulated totals exceed what the statistics can
+    /// hold: 2^64 ns (about 584 simulated years), pJ or bytes.
+    OutOfRange,
 }
 
 impl fmt::Display for SimError {
@@ -39,6 +43,7 @@ impl fmt::Display for SimError {
             }
             SimError::Scenario(msg) => write!(f, "invalid fault scenario: {msg}"),
             SimError::Config(e) => write!(f, "invalid configuration: {e}"),
+            SimError::OutOfRange => write!(f, "workload too large to simulate: {OutOfRange}"),
         }
     }
 }
@@ -48,6 +53,12 @@ impl std::error::Error for SimError {}
 impl From<ConfigError> for SimError {
     fn from(e: ConfigError) -> Self {
         SimError::Config(e)
+    }
+}
+
+impl From<OutOfRange> for SimError {
+    fn from(_: OutOfRange) -> Self {
+        SimError::OutOfRange
     }
 }
 
@@ -74,5 +85,7 @@ mod tests {
         let e = SimError::from(ConfigError::NonPositive("geometry.stacks"));
         assert!(e.to_string().contains("geometry.stacks"));
         assert!(!e.to_string().contains('\n'));
+        let e = SimError::from(OutOfRange);
+        assert!(e.to_string().contains("2^64 ns"), "{e}");
     }
 }

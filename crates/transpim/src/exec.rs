@@ -18,6 +18,8 @@
 //!
 //! Ring steps, one-to-all broadcasts and reduction trees are memoized by
 //! their structural key, since the decoder repeats them thousands of times.
+//! A ring or tree topology is scheduled once into a slot profile and each
+//! new byte count of it is priced from that profile, exactly.
 //!
 //! There is one pricing path. A fault-free run is a run under an empty
 //! [`FaultSession`]: the session is consulted only where a fault could
@@ -36,7 +38,7 @@ use transpim_acu::data_buffer::DataBufferModel;
 use transpim_acu::divider::DividerModel;
 use transpim_acu::ring::{
     self, emit_hop_events, one_to_all_broadcast, pairwise_reduce_hops, ring_step_hops,
-    schedule_hops_placed, HopPlacement, ScheduleResult, TransferCostModel,
+    schedule_hops_placed, Hop, HopPlacement, ScheduleResult, SlotProfile, TransferCostModel,
 };
 use transpim_dataflow::ir::{BankRange, Program, Step, StepDelta};
 use transpim_fault::{FaultScenario, FaultSession, FlipOutcome};
@@ -96,8 +98,13 @@ pub struct Executor {
     buffer: Option<DataBufferModel>,
     rowclone: RowCloneModel,
     xfer: TransferCostModel,
-    /// Communication schedules by structural key.
+    /// Communication schedules by structural key, bytes included.
     schedules: HashMap<ScheduleKey, ScheduleResult>,
+    /// Slot profile of each level of every ring or tree topology priced so
+    /// far (one level for a ring step, one per halving stride for a tree),
+    /// built on a `schedules` miss: a topology's byte counts share one
+    /// scheduler run.
+    topologies: HashMap<(Schedule, BankRange), Vec<SlotProfile>>,
     /// Ring/tree topologies `(kind, start, count)` that already emitted one
     /// fully-detailed per-hop exemplar into the current run's trace. The
     /// decoder prices the same topology thousands of times (with per-step
@@ -140,6 +147,7 @@ impl Executor {
             rowclone,
             xfer,
             schedules: HashMap::new(),
+            topologies: HashMap::new(),
             detail_emitted: HashSet::new(),
             map_faulted: false,
         }
@@ -148,6 +156,12 @@ impl Executor {
     /// Run a program, returning global and per-scope statistics. Phase
     /// latencies include the DRAM refresh stretch (each bank loses `t_RFC`
     /// of every `t_REFI`).
+    ///
+    /// # Panics
+    ///
+    /// If the program's totals leave the statistics' range
+    /// ([`SimError::OutOfRange`]); [`Executor::run_degraded_with_sink`]
+    /// returns that error instead.
     pub fn run(&mut self, program: &Program) -> (SimStats, ScopedStats) {
         self.run_with_sink(program, SinkHandle::null())
     }
@@ -157,6 +171,10 @@ impl Executor {
     /// to `sink` as the engine executes. A [`SinkHandle::null`] sink makes
     /// this identical to [`Executor::run`] — no events are built and the
     /// statistics are bit-for-bit the same.
+    ///
+    /// # Panics
+    ///
+    /// As [`Executor::run`].
     pub fn run_with_sink(
         &mut self,
         program: &Program,
@@ -165,7 +183,7 @@ impl Executor {
         let mut session = FaultSession::new(&FaultScenario::empty(0), self.arch.system_info())
             .expect("an empty scenario validates on any geometry that has banks");
         self.run_degraded_with_sink(program, &mut session, sink)
-            .expect("pricing under an empty fault session cannot fail")
+            .unwrap_or_else(|e| panic!("pricing under an empty fault session: {e}"))
     }
 
     /// Run a program under a fault session, with an observability sink
@@ -186,7 +204,8 @@ impl Executor {
     /// # Errors
     ///
     /// [`SimError::Uncorrectable`] when an injected fault exceeds the ECC
-    /// scheme and every degradation policy.
+    /// scheme and every degradation policy; [`SimError::OutOfRange`] when
+    /// a simulated total leaves the statistics' range.
     pub fn run_degraded_with_sink(
         &mut self,
         program: &Program,
@@ -197,15 +216,16 @@ impl Executor {
         let mut engine = Engine::with_sink(sink);
         engine.set_latency_scale(1.0 + self.arch.hbm.timing.refresh_overhead());
         self.run_segment(program.steps(), &mut engine, session)?;
-        Ok(engine.into_stats())
+        session.overhead_in_range()?;
+        Ok(engine.into_stats()?)
     }
 
     /// Rewire the resource map around the session's ring-link faults: dead
     /// links fall back to the shared channel bus (Figure 9's 8T path),
     /// degraded links keep their dedicated link at reduced bandwidth. The
-    /// schedule memo is invalidated; the closed-form one-to-all broadcast
-    /// rides the channel buses already and is unaffected by neighbor-link
-    /// faults.
+    /// schedule and topology memos are invalidated; the closed-form
+    /// one-to-all broadcast rides the channel buses already and is
+    /// unaffected by neighbor-link faults.
     pub fn apply_ring_faults(&mut self, session: &FaultSession) {
         if session.dead_links().is_empty() && session.degraded_links().is_empty() {
             return;
@@ -215,6 +235,7 @@ impl Executor {
             session.degraded_links().iter().map(|(&g, &f)| (g, f)).collect();
         self.map = self.map.clone().with_ring_faults(&dead, &degraded);
         self.schedules.clear();
+        self.topologies.clear();
         self.map_faulted = true;
     }
 
@@ -859,57 +880,48 @@ impl Executor {
     // ---- scheduled/memoized communication ---------------------------------
 
     /// Cost of the `kind` schedule over `banks` with `bytes` per transfer,
-    /// memoized by its structural key.
+    /// memoized by its structural key. A ring or tree is priced from its
+    /// topology's slot profiles; a tree's halving levels run back to back.
     fn schedule(&mut self, kind: Schedule, banks: BankRange, bytes: u64) -> ScheduleResult {
         let key = ScheduleKey { kind, banks, bytes };
         if let Some(r) = self.schedules.get(&key) {
             return *r;
         }
-        let (r, _) = self.placed(kind, banks, bytes);
+        let r = if let Schedule::OneToAll { src } = kind {
+            one_to_all_broadcast(&self.map, &self.xfer, BankId(src), &banks.to_vec(), bytes)
+        } else {
+            let map = &self.map;
+            let levels = self.topologies.entry((kind, banks)).or_insert_with(|| {
+                hop_levels(kind, banks, 0).iter().map(|hops| SlotProfile::new(map, hops)).collect()
+            });
+            let mut total = ScheduleResult::default();
+            for level in levels.iter() {
+                let r = level.price(&self.xfer, bytes);
+                total.latency_ns += r.latency_ns;
+                total.energy_pj += r.energy_pj;
+                total.bytes += r.bytes;
+                total.slots += r.slots;
+            }
+            total
+        };
         self.schedules.insert(key, r);
         r
     }
 
-    /// Cost of the `kind` schedule with its per-hop placements. A ring
-    /// step is one slotted schedule; a tree's halving levels run back to
-    /// back, so each level's placements are offset by the levels before
-    /// it; a one-to-all broadcast is closed-form and places no hops.
-    fn placed(
-        &self,
-        kind: Schedule,
-        banks: BankRange,
-        bytes: u64,
-    ) -> (ScheduleResult, Vec<HopPlacement>) {
-        let ids = banks.to_vec();
-        match kind {
-            Schedule::Ring => {
-                schedule_hops_placed(&self.map, &self.xfer, &ring_step_hops(&ids, bytes))
-            }
-            Schedule::OneToAll { src } => {
-                let r = one_to_all_broadcast(&self.map, &self.xfer, BankId(src), &ids, bytes);
-                (r, Vec::new())
-            }
-            Schedule::Tree => {
-                let mut total = ScheduleResult::default();
-                let mut all = Vec::new();
-                let mut stride = 1usize;
-                while stride < ids.len() {
-                    let hops = pairwise_reduce_hops(&ids, stride, bytes);
-                    let (r, placed) = schedule_hops_placed(&self.map, &self.xfer, &hops);
-                    let offset = total.latency_ns;
-                    all.extend(placed.into_iter().map(|mut p| {
-                        p.start_ns += offset;
-                        p
-                    }));
-                    total.latency_ns += r.latency_ns;
-                    total.energy_pj += r.energy_pj;
-                    total.bytes += r.bytes;
-                    total.slots += r.slots;
-                    stride *= 2;
-                }
-                (total, all)
-            }
+    /// Per-hop placements of a ring step or reduction tree, each tree level
+    /// offset by the levels before it.
+    fn placements(&self, kind: Schedule, banks: BankRange, bytes: u64) -> Vec<HopPlacement> {
+        let mut all = Vec::new();
+        let mut offset = 0.0;
+        for hops in hop_levels(kind, banks, bytes) {
+            let (r, placed) = schedule_hops_placed(&self.map, &self.xfer, &hops);
+            all.extend(placed.into_iter().map(|mut p| {
+                p.start_ns += offset;
+                p
+            }));
+            offset += r.latency_ns;
         }
+        all
     }
 
     // ---- trace emission ---------------------------------------------------
@@ -927,7 +939,7 @@ impl Executor {
         if !self.detail_emitted.insert((kind, banks.start, banks.count)) {
             return false;
         }
-        let (_, placed) = self.placed(kind, banks, bytes);
+        let placed = self.placements(kind, banks, bytes);
         emit_hop_events(engine.sink(), &self.map, engine.now_ns(), engine.latency_scale(), &placed);
         true
     }
@@ -1008,6 +1020,26 @@ impl Executor {
     /// separately by [`Step::PairwiseReduceTree`]).
     pub fn reduce_tree_cost(&mut self, banks: BankRange, bytes: u64) -> ScheduleResult {
         self.schedule(Schedule::Tree, banks, bytes)
+    }
+}
+
+/// The hop sets a ring or tree schedule runs one after another, `bytes`
+/// per hop: one ring step, or one pairwise level per halving stride.
+fn hop_levels(kind: Schedule, banks: BankRange, bytes: u64) -> Vec<Vec<Hop>> {
+    let ids = banks.to_vec();
+    match kind {
+        Schedule::Ring => vec![ring_step_hops(&ids, bytes)],
+        Schedule::Tree => {
+            let mut levels = Vec::new();
+            let mut stride = 1usize;
+            while stride < ids.len() {
+                levels.push(pairwise_reduce_hops(&ids, stride, bytes));
+                stride *= 2;
+            }
+            levels
+        }
+        // Closed-form: a one-to-all broadcast places no hops.
+        Schedule::OneToAll { .. } => Vec::new(),
     }
 }
 
@@ -1461,6 +1493,38 @@ mod tests {
             assert_eq!(warm.run(&step(src)).0, fresh(src), "src {src}");
         }
         assert_ne!(fresh(0), fresh(1024), "the two sources must price differently");
+    }
+
+    #[test]
+    fn ring_faults_invalidate_the_topology_memo() {
+        // A ring and a tree over four bank groups: group 0's link dead,
+        // group 1's at a quarter of its bandwidth.
+        let arch = ArchConfig::new(ArchKind::TransPim);
+        let scenario = FaultScenario {
+            seed: 1,
+            ecc: EccScheme::None,
+            faults: vec![
+                Fault::DeadLink { group: 0 },
+                Fault::DegradedLink { group: 1, factor: 0.25 },
+            ],
+        };
+        let session = FaultSession::new(&scenario, arch.system_info()).unwrap();
+        let banks = BankRange::new(0, 16);
+        let price = |ex: &mut Executor, bytes| {
+            (ex.ring_step_cost(banks, bytes), ex.reduce_tree_cost(banks, bytes))
+        };
+        let mut warm = Executor::new(arch.clone());
+        let healthy = price(&mut warm, 256);
+        warm.apply_ring_faults(&session);
+        let mut fresh = Executor::new(arch);
+        fresh.apply_ring_faults(&session);
+        // The byte count priced while healthy, and one that was not.
+        for bytes in [256, 4096] {
+            assert_eq!(price(&mut warm, bytes), price(&mut fresh, bytes), "{bytes} B");
+        }
+        let faulted = price(&mut fresh, 256);
+        assert!(faulted.0.latency_ns > healthy.0.latency_ns, "the dead link slows the ring");
+        assert!(faulted.1.latency_ns > healthy.1.latency_ns, "and the tree");
     }
 
     #[test]

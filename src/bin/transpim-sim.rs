@@ -15,7 +15,7 @@
 use std::process::ExitCode;
 use transpim::accelerator::Accelerator;
 use transpim::exec::Executor;
-use transpim::{ChromeTraceSink, FaultScenario, MetricsSink, SinkHandle};
+use transpim::{ChromeTraceSink, FaultScenario, MetricsSink, SimError, SinkHandle};
 use transpim_bench::{run_grid, GridCell};
 
 /// Capacity checks: the batch's input must fit the memory (an error), the
@@ -420,7 +420,9 @@ fn main() -> ExitCode {
         Ok(r) => r,
         Err(e) => {
             eprintln!("error: {e}");
-            return ExitCode::from(1);
+            // A workload too large for the statistics is bad input, like
+            // an oversized batch; an uncorrectable fault is a result.
+            return ExitCode::from(if e == SimError::OutOfRange { 2 } else { 1 });
         }
     };
     println!("{}", report.summary());

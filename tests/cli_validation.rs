@@ -1,7 +1,8 @@
 //! `transpim-sim` rejects invalid flags with exit code 2 and a one-line
 //! diagnostic naming what is wrong, before any simulation work starts —
 //! it never prints a report for an invalid machine, and never panics or
-//! aborts on an oversized workload.
+//! aborts on an oversized workload. A workload that fits the memory but
+//! whose simulated totals leave the statistics' range exits 2 as well.
 
 use std::process::Command;
 
@@ -36,4 +37,24 @@ fn oversized_workloads_are_an_error_not_a_crash() {
     assert_rejected(&["--seq-len", "4294967295"], "--seq-len 4294967295");
     assert_rejected(&["--batch", "4294967295"], "--batch 4294967295");
     assert_rejected(&["--workload", "lm", "--decode", "4294967295"], "--decode 4294967295");
+}
+
+/// `args` fit the memory (a capacity warning may come first) but their
+/// simulated totals do not fit the statistics: exit 2 with a typed error.
+fn assert_out_of_range(args: &[&str]) {
+    let (code, stderr) = run(args);
+    assert_eq!(code, Some(2), "{args:?} must exit 2; stderr: {stderr}");
+    assert!(!stderr.contains("panicked"), "{args:?} panicked: {stderr}");
+    let error = stderr.lines().find(|l| l.starts_with("error: ")).unwrap_or_default();
+    assert!(error.contains("tally range"), "{args:?}: {stderr}");
+}
+
+#[test]
+fn long_decode_beyond_the_tally_range_is_an_error_not_a_crash() {
+    assert_out_of_range(&["--workload", "lm", "--decode", "10000000"]);
+}
+
+#[test]
+fn long_layer_prompt_beyond_the_tally_range_is_an_error_not_a_crash() {
+    assert_out_of_range(&["--workload", "pubmed", "--seq-len", "4000000", "--dataflow", "layer"]);
 }

@@ -428,7 +428,7 @@ fn record(lumps: &[LumpSpec], latency_scale: f64) -> (SimStats, ScopedStats) {
         e.set_scope(SCOPES[scope]);
         e.lump(Category::ALL[category], mantissa * 10f64.powi(exponent), energy_pj, bytes);
     }
-    e.into_stats()
+    e.into_stats().expect("every lump is inside the tally range")
 }
 
 proptest! {

@@ -1,13 +1,15 @@
 //! Property tests for the communication scheduler and routing layer:
 //! makespans must respect structural bounds on arbitrary hop sets, routes
-//! must be well-formed for every bank pair, and the slot scheduler must
-//! place hops exactly like a straightforward per-slot `HashSet` scheduler.
+//! must be well-formed for every bank pair, the slot scheduler must place
+//! hops exactly like a straightforward per-slot `HashSet` scheduler, and a
+//! topology's slot profile must price every byte count exactly as that
+//! scheduler does.
 
 use proptest::prelude::*;
 use std::collections::HashSet;
 use transpim_acu::ring::{
     pairwise_reduce_hops, ring_step_hops, schedule_hops, schedule_hops_placed, Hop, HopPlacement,
-    ScheduleResult, TransferCostModel,
+    ScheduleResult, SlotProfile, TransferCostModel,
 };
 use transpim_hbm::energy::EnergyParams;
 use transpim_hbm::geometry::{BankId, HbmGeometry};
@@ -110,6 +112,40 @@ proptest! {
             let (want, want_placed) = reference_schedule(&map, &xfer, hops);
             prop_assert_eq!(got, want);
             prop_assert_eq!(placed, want_placed);
+        }
+    }
+
+    #[test]
+    fn slot_profile_prices_every_byte_count_like_the_reference(
+        first in 0u32..32,
+        count in 0u32..33,
+        bytes in proptest::collection::vec(0u64..1 << 40, 2..5),
+        ring_links in any::<bool>(),
+        dead in proptest::collection::vec(0u32..8, 0..3),
+        degraded in proptest::collection::vec((0u32..8, 0.05f64..1.0), 0..3),
+    ) {
+        let g = small_geometry();
+        let map = ResourceMap::new(g, BusParams::default(), ring_links)
+            .with_ring_faults(&dead, &degraded);
+        let xfer = TransferCostModel::new(g, EnergyParams::default(), ring_links);
+        let ids: Vec<BankId> = (first..(first + count).min(32)).map(BankId).collect();
+        // One ring step, then every level of the pairwise reduction tree:
+        // each topology profiled once, priced at every byte count.
+        let mut levels = vec![ring_step_hops(&ids, 0)];
+        let mut stride = 1;
+        while stride < ids.len() {
+            levels.push(pairwise_reduce_hops(&ids, stride, 0));
+            stride *= 2;
+        }
+        for level in &levels {
+            let profile = SlotProfile::new(&map, level);
+            for &b in &bytes {
+                let hops: Vec<Hop> = level.iter().map(|h| Hop { bytes: b, ..*h }).collect();
+                let (want, _) = reference_schedule(&map, &xfer, &hops);
+                let got = profile.price(&xfer, b);
+                prop_assert_eq!(got, want, "{} B", b);
+                prop_assert_eq!(got.latency_ns.to_bits(), want.latency_ns.to_bits());
+            }
         }
     }
 
