@@ -306,12 +306,19 @@ pub enum Step {
     /// body × count (all deltas zero) or by advancing a scratch copy of the
     /// body in place, both with statistics byte-identical to pricing the
     /// unrolled program.
+    ///
+    /// A repeat whose every iteration is identical stores no deltas: its
+    /// canonical `delta` is empty (`"delta": []` on the wire), and
+    /// [`Step::repeat`] and [`RepeatCompressor`] build it that way. An
+    /// explicit all-zero `delta` parallel to `body` denotes the same
+    /// steps.
     Repeat {
         /// Number of iterations.
         count: u64,
         /// Steps of iteration 0.
         body: Vec<Step>,
-        /// Per-iteration increments, parallel to `body`.
+        /// Per-iteration increments, parallel to `body`; empty when every
+        /// increment is zero.
         delta: Vec<StepDelta>,
     },
 }
@@ -322,14 +329,18 @@ impl Step {
         Step::Scope(label.into())
     }
 
-    /// Repeat constructor; validates that `delta` is parallel to `body` and
-    /// shaped like each step's varying-field list.
-    pub fn repeat(count: u64, body: Vec<Step>, delta: Vec<StepDelta>) -> Self {
-        assert_eq!(body.len(), delta.len(), "delta must be parallel to body");
+    /// Repeat constructor; validates that `delta` is empty or parallel to
+    /// `body` and shaped like each step's varying-field list, and stores
+    /// all-zero deltas in the canonical empty form.
+    pub fn repeat(count: u64, body: Vec<Step>, mut delta: Vec<StepDelta>) -> Self {
+        assert!(delta.is_empty() || body.len() == delta.len(), "delta must be parallel to body");
         debug_assert!(
             body.iter().zip(&delta).all(|(s, d)| s.varying().len == d.len),
             "delta shapes must match the steps' varying fields"
         );
+        if delta.iter().all(StepDelta::is_zero) {
+            delta.clear();
+        }
         Step::Repeat { count, body, delta }
     }
 
@@ -546,8 +557,11 @@ fn step_totals(step: &Step) -> Totals {
     match step {
         Step::Repeat { count, body, delta } => {
             let mut t = Totals::default();
-            for (s, d) in body.iter().zip(delta) {
-                t = t.add(repeated_step_totals(s, d, *count));
+            // An empty `delta` is all zeros; `repeated_step_totals` reads
+            // only the increments, not their count.
+            let zero = StepDelta::none();
+            for (j, s) in body.iter().enumerate() {
+                t = t.add(repeated_step_totals(s, delta.get(j).unwrap_or(&zero), *count));
             }
             t
         }
@@ -705,12 +719,17 @@ impl Extend<Step> for Program {
 pub struct RepeatCompressor {
     /// Iteration-0 body of the pending run.
     body: Vec<Step>,
-    /// Committed per-step deltas (empty while only one block is pending).
+    /// Committed non-zero per-step deltas (empty while only one block is
+    /// pending, and for a zero-delta run).
     delta: Vec<StepDelta>,
+    /// Whether the pending run is committed with zero deltas: every block
+    /// equals `body`, and `expected` is unused.
+    zero: bool,
     /// Iterations accumulated in the pending run (0 = no pending run).
     count: u64,
     /// `body` advanced `count` times — what the next block must equal to
-    /// extend the run (maintained incrementally; no per-block allocation).
+    /// extend an affine run (maintained incrementally; no per-block
+    /// allocation).
     expected: Vec<Step>,
 }
 
@@ -724,8 +743,18 @@ impl RepeatCompressor {
         self.body.clear();
         self.body.append(block);
         self.delta.clear();
+        self.zero = false;
         self.expected.clear();
         self.count = 1;
+    }
+
+    /// What the next block must equal to extend the pending run.
+    fn next_block(&self) -> &[Step] {
+        if self.zero {
+            &self.body
+        } else {
+            &self.expected
+        }
     }
 
     fn advance_expected(&mut self) {
@@ -746,21 +775,28 @@ impl RepeatCompressor {
             return;
         }
         if block.len() == self.body.len() {
-            if self.count == 1 && self.delta.is_empty() {
+            if self.count == 1 && self.delta.is_empty() && !self.zero {
                 // Second block of a candidate run: derive the deltas.
                 let deltas: Option<Vec<StepDelta>> =
                     self.body.iter().zip(block.iter()).map(|(a, b)| a.affine_delta(b)).collect();
                 if let Some(deltas) = deltas {
-                    self.delta = deltas;
                     self.count = 2;
-                    self.expected.clear();
-                    self.expected.append(block);
-                    self.advance_expected();
+                    if deltas.iter().all(StepDelta::is_zero) {
+                        self.zero = true;
+                        block.clear();
+                    } else {
+                        self.delta = deltas;
+                        self.expected.clear();
+                        self.expected.append(block);
+                        self.advance_expected();
+                    }
                     return;
                 }
-            } else if *block == self.expected {
+            } else if *block == self.next_block() {
                 self.count += 1;
-                self.advance_expected();
+                if !self.zero {
+                    self.advance_expected();
+                }
                 block.clear();
                 return;
             }
@@ -777,25 +813,22 @@ impl RepeatCompressor {
             block.clear();
             return;
         }
-        if self.count > 0 && self.delta.iter().all(StepDelta::is_zero) && *block == self.body {
-            if self.delta.is_empty() {
-                // A single pending block from push_block: commit zero deltas.
-                self.delta = self.body.iter().map(|s| StepDelta::zeros(s.varying().len)).collect();
-                self.expected = self.body.clone();
-            }
+        // A single pending block, or a zero-delta run, of this block.
+        if self.count > 0 && self.delta.is_empty() && *block == self.body {
+            self.zero = true;
             self.count += times;
             block.clear();
             return;
         }
         self.flush(prog);
         self.begin(block);
-        self.delta = self.body.iter().map(|s| StepDelta::zeros(s.varying().len)).collect();
-        self.expected = self.body.clone();
+        self.zero = true;
         self.count = times;
     }
 
     /// Emit the pending run: raw steps for a single iteration, one
-    /// [`Step::Repeat`] otherwise.
+    /// [`Step::Repeat`] otherwise (with an empty `delta` for a zero-delta
+    /// run).
     pub fn flush(&mut self, prog: &mut Program) {
         match self.count {
             0 => {}
@@ -812,6 +845,7 @@ impl RepeatCompressor {
         }
         self.body.clear();
         self.delta.clear();
+        self.zero = false;
         self.expected.clear();
         self.count = 0;
     }
@@ -1023,6 +1057,44 @@ mod tests {
         comp.flush(&mut prog);
         assert_eq!(prog.len(), 2);
         assert!(!prog.steps().iter().any(|s| matches!(s, Step::Repeat { .. })));
+    }
+
+    #[test]
+    fn zero_delta_repeats_store_no_deltas() {
+        let body = vec![Step::scope("dec"), mul(5, 100)];
+        let zeros = vec![StepDelta::none(), StepDelta::zeros(2)];
+        let canonical = Step::repeat(4, body.clone(), zeros.clone());
+        assert_eq!(canonical, Step::Repeat { count: 4, body: body.clone(), delta: vec![] });
+        let mut p = Program::new();
+        p.push(canonical);
+        let json = serde_json::to_string(&p).expect("serialize");
+        assert!(json.contains(r#""delta":[]"#), "{json}");
+        let back: Program = serde_json::from_str(&json).expect("deserialize");
+        assert_eq!(back, p);
+        // The explicit all-zero list denotes the same steps and totals.
+        let mut explicit = Program::new();
+        explicit.push(Step::Repeat { count: 4, body, delta: zeros });
+        assert_eq!(explicit.unroll(), p.unroll());
+        assert_eq!(explicit.total_mul_elems(), 400);
+        assert_eq!(p.total_mul_elems(), 400);
+        // The compressor emits the canonical form for identical blocks,
+        // whether pushed one by one or counted.
+        for counted in [false, true] {
+            let mut prog = Program::new();
+            let mut comp = RepeatCompressor::new();
+            for _ in 0..3 {
+                let mut block = vec![Step::scope("dec"), mul(5, 100)];
+                if counted {
+                    comp.push_block_times(&mut prog, &mut block, 2);
+                } else {
+                    comp.push_block(&mut prog, &mut block);
+                }
+            }
+            comp.flush(&mut prog);
+            let count = if counted { 6 } else { 3 };
+            let want = Step::repeat(count, vec![Step::scope("dec"), mul(5, 100)], vec![]);
+            assert_eq!(prog.steps(), [want], "counted: {counted}");
+        }
     }
 
     #[test]

@@ -62,9 +62,10 @@ pub enum FlipOutcome {
 }
 
 /// A snapshot of a [`FaultSession`]'s draw counter, event counters and
-/// overhead, taken before pricing a repeat-body iteration; see
+/// overhead, taken before pricing a repeat-body iteration and closed by
 /// [`FaultSession::repeat_since`].
-#[derive(Debug, Clone)]
+#[derive(Debug)]
+#[must_use = "a mark keeps the draw log open until FaultSession::repeat_since closes it"]
 pub struct Mark {
     draws: u64,
     injected: u64,
@@ -81,16 +82,46 @@ fn splitmix64(mut x: u64) -> u64 {
 
 const BYTES_PER_GIB: f64 = (1u64 << 30) as f64;
 
-/// Flips drawn by draw number `draw` of a transfer that expects `expected`
-/// flips: the integer part always, plus one more with probability equal to
-/// the fractional part. The one flip predicate, shared by
-/// [`FaultSession::observe_transfer`] and [`FaultSession::clean_iterations`].
-fn drawn_flips(seed: u64, draw: u64, expected: f64) -> u64 {
+/// 2^53: the draw's uniform variate has 53 bits.
+const DRAW_SCALE: f64 = (1u64 << 53) as f64;
+
+/// Flips drawn on a transfer that expects `expected` flips, from its draw
+/// hash `h`: the integer part always, plus one more with probability equal
+/// to the fractional part, decided by the uniform variate
+/// `(h >> 11) · 2^-53`. The reference for [`flip_threshold`]; a count of
+/// 2^64 or more saturates.
+pub fn drawn_flips(h: u64, expected: f64) -> u64 {
     let base = expected.floor();
-    let h = splitmix64(seed ^ draw);
-    // 53 uniform mantissa bits → [0, 1).
-    let u = (h >> 11) as f64 * (1.0 / (1u64 << 53) as f64);
-    base as u64 + u64::from(u < expected - base)
+    let u = (h >> 11) as f64 / DRAW_SCALE;
+    (base as u64).saturating_add(u64::from(u < expected - base))
+}
+
+/// The integer form of "does a draw flip": a draw with hash `h` on a
+/// transfer that expects `expected` flips flips iff `h >> 11 <
+/// flip_threshold(expected)`, which is exactly [`drawn_flips`]` > 0`. At
+/// `expected` ≥ 1 the threshold is 2^53, above every 53-bit variate.
+/// Below 1, `u < expected` for the variate `u = (h >> 11) · 2^-53` is
+/// `h >> 11 < expected · 2^53`: scaling by 2^53 is exact, and an integer
+/// is below a real iff it is below the real's ceiling. The one flip
+/// predicate, shared by [`FaultSession::observe_transfer`] and
+/// [`FaultSession::clean_iterations`].
+pub fn flip_threshold(expected: f64) -> u64 {
+    if expected >= 1.0 {
+        1 << 53
+    } else {
+        // Zero, subnormal or in (0, 1): the ceiling is in 0..=2^53. A NaN
+        // maps to 0, as the float comparison never flips on it.
+        (expected * DRAW_SCALE).ceil() as u64
+    }
+}
+
+/// Add `n` events to a counter, saturating and raising `out_of_range` past
+/// `u64::MAX`.
+fn count(counter: &mut u64, n: u64, out_of_range: &mut bool) {
+    *counter = counter.checked_add(n).unwrap_or_else(|| {
+        *out_of_range = true;
+        u64::MAX
+    });
 }
 
 /// A validated fault scenario bound to a machine, ready to be consulted by
@@ -106,6 +137,12 @@ pub struct FaultSession {
     draws: u64,
     ecc: EccScheme,
     flip_per_gib: f64,
+    /// [`FaultSession::ecc_overhead_fraction`], fixed by the scheme.
+    ecc_tax: f64,
+    /// [`FaultSession::pim_slowdown`], fixed once the faults are known.
+    slowdown: f64,
+    /// [`FaultSession::broken_divider_fraction`], fixed likewise.
+    broken_fraction: f64,
     failed_banks: BTreeSet<u32>,
     stuck: BTreeMap<u32, u32>,
     dead_links: BTreeSet<u32>,
@@ -119,12 +156,15 @@ pub struct FaultSession {
     uncorrectable: u64,
     /// Overhead latency and energy, in signed 2^-64 ns/pJ tally units.
     overhead: [i128; 2],
-    /// Whether an overhead value or total left the tally range: sticky,
-    /// checked once per run ([`FaultSession::overhead_in_range`]).
-    overhead_out_of_range: bool,
-    /// Expected flips of each draw since [`FaultSession::mark`], until
-    /// [`FaultSession::take_log`].
-    log: Option<Vec<f64>>,
+    /// Whether an overhead value or total, or an event count, left its
+    /// range: sticky, checked once per run ([`FaultSession::in_range`]).
+    out_of_range: bool,
+    /// Whether draws are logged: from [`FaultSession::mark`] until
+    /// [`FaultSession::repeat_since`] closes the mark.
+    logging: bool,
+    /// The [`flip_threshold`] of each draw since the open mark; the buffer
+    /// is reused from mark to mark.
+    log: Vec<u64>,
     track_named: bool,
 }
 
@@ -147,6 +187,9 @@ impl FaultSession {
             draws: 0,
             ecc: scenario.ecc,
             flip_per_gib: 0.0,
+            ecc_tax: scenario.ecc.overhead_fraction(),
+            slowdown: 1.0,
+            broken_fraction: 0.0,
             failed_banks: BTreeSet::new(),
             stuck: BTreeMap::new(),
             dead_links: BTreeSet::new(),
@@ -159,8 +202,9 @@ impl FaultSession {
             corrected: 0,
             uncorrectable: 0,
             overhead: [0; 2],
-            overhead_out_of_range: false,
-            log: None,
+            out_of_range: false,
+            logging: false,
+            log: Vec::new(),
             track_named: false,
         };
         for fault in &scenario.faults {
@@ -233,6 +277,14 @@ impl FaultSession {
         s.injected = static_faults;
         s.detected = static_faults;
         s.corrected = static_faults;
+        // Banks run in lockstep, so the bank with the most fenced-off
+        // subarrays gates every phase.
+        let worst = s.stuck.values().copied().max().unwrap_or(0);
+        if worst > 0 {
+            s.slowdown =
+                f64::from(sys.subarrays_per_bank) / f64::from(sys.subarrays_per_bank - worst);
+        }
+        s.broken_fraction = s.broken_dividers.len() as f64 / f64::from(sys.total_banks);
         Ok(s)
     }
 
@@ -268,7 +320,7 @@ impl FaultSession {
 
     /// Per-transfer bandwidth tax of the ECC check bits.
     pub fn ecc_overhead_fraction(&self) -> f64 {
-        self.ecc.overhead_fraction()
+        self.ecc_tax
     }
 
     pub fn failed_banks(&self) -> &BTreeSet<u32> {
@@ -293,48 +345,50 @@ impl FaultSession {
 
     /// Fraction of banks whose ACU divider is broken.
     pub fn broken_divider_fraction(&self) -> f64 {
-        self.broken_dividers.len() as f64 / f64::from(self.sys.total_banks)
+        self.broken_fraction
     }
 
     /// Latency multiplier (>= 1) for in-memory arithmetic: banks run in
     /// lockstep, so the bank with the most fenced-off subarrays gates every
     /// phase — work serializes over its surviving subarrays.
     pub fn pim_slowdown(&self) -> f64 {
-        let worst = self.stuck.values().copied().max().unwrap_or(0);
-        if worst == 0 {
-            return 1.0;
-        }
-        f64::from(self.sys.subarrays_per_bank) / f64::from(self.sys.subarrays_per_bank - worst)
+        self.slowdown
     }
 
     /// Deterministically draw transient flips for a transfer of `bytes`
-    /// and classify them under the session's ECC scheme.
+    /// and classify them under the session's ECC scheme. Event counts past
+    /// `u64::MAX` saturate and fail [`FaultSession::in_range`].
     pub fn observe_transfer(&mut self, bytes: f64) -> FlipOutcome {
         if self.flip_per_gib <= 0.0 || bytes <= 0.0 {
             return FlipOutcome::None;
         }
         let expected = bytes * self.flip_per_gib / BYTES_PER_GIB;
-        if let Some(log) = &mut self.log {
-            log.push(expected);
+        let threshold = flip_threshold(expected);
+        if self.logging {
+            self.log.push(threshold);
         }
         self.draws = self.draws.wrapping_add(1);
-        let flips = drawn_flips(self.seed, self.draws, expected);
-        if flips == 0 {
+        let h = splitmix64(self.seed ^ self.draws);
+        if h >> 11 >= threshold {
             return FlipOutcome::None;
         }
-        self.injected += flips;
+        let flips = drawn_flips(h, expected);
+        // A count of 2^64 flips or more saturated in the draw.
+        self.out_of_range |= expected >= 2f64.powi(64);
+        let flag = &mut self.out_of_range;
+        count(&mut self.injected, flips, flag);
         // Flips on distinct transfers land in distinct words, so each is a
         // single-bit-per-word event for the ECC capability check.
         if self.ecc.can_correct(1) {
-            self.detected += flips;
-            self.corrected += flips;
+            count(&mut self.detected, flips, flag);
+            count(&mut self.corrected, flips, flag);
             FlipOutcome::Corrected(flips)
         } else if self.ecc.can_detect(1) {
-            self.detected += flips;
-            self.corrected += flips; // absorbed by the bounded retry
+            count(&mut self.detected, flips, flag);
+            count(&mut self.corrected, flips, flag); // absorbed by the bounded retry
             FlipOutcome::Retry(flips)
         } else {
-            self.uncorrectable += flips;
+            count(&mut self.uncorrectable, flips, flag);
             FlipOutcome::Uncorrectable(flips)
         }
     }
@@ -342,24 +396,24 @@ impl FaultSession {
     /// Record incremental degradation cost (already in scaled engine time).
     /// The energy may be negative: a fallback can cost less energy than
     /// the path it replaces. A value or total outside the tally range is
-    /// left out and fails [`FaultSession::overhead_in_range`].
+    /// left out and fails [`FaultSession::in_range`].
     pub fn add_overhead(&mut self, latency_ns: f64, energy_pj: f64) {
         for (total, x) in self.overhead.iter_mut().zip([latency_ns, energy_pj]) {
             match to_signed_units(x).and_then(|u| total.checked_add(u)) {
                 Some(sum) => *total = sum,
-                None => self.overhead_out_of_range = true,
+                None => self.out_of_range = true,
             }
         }
     }
 
     /// Whether every overhead recorded so far, and its total, stayed
-    /// inside the tally range.
+    /// inside the tally range, and every event count below 2^64.
     ///
     /// # Errors
     ///
     /// [`OutOfRange`] otherwise.
-    pub fn overhead_in_range(&self) -> Result<(), OutOfRange> {
-        if self.overhead_out_of_range {
+    pub fn in_range(&self) -> Result<(), OutOfRange> {
+        if self.out_of_range {
             Err(OutOfRange)
         } else {
             Ok(())
@@ -367,16 +421,13 @@ impl FaultSession {
     }
 
     /// Snapshot the session before pricing a repeat-body iteration, and
-    /// start a fresh draw log: the expected flips of each draw from here
-    /// on, until [`FaultSession::take_log`].
+    /// start logging each draw's [`flip_threshold`] until
+    /// [`FaultSession::repeat_since`] closes the mark. Marking again
+    /// restarts the log.
     pub fn mark(&mut self) -> Mark {
-        self.log = Some(Vec::new());
+        self.logging = true;
+        self.log.clear();
         Mark { draws: self.draws, injected: self.injected, overhead: self.overhead }
-    }
-
-    /// Stop the draw log started by [`FaultSession::mark`] and return it.
-    pub fn take_log(&mut self) -> Vec<f64> {
-        self.log.take().unwrap_or_default()
     }
 
     /// Whether a draw since `mark` flipped.
@@ -385,18 +436,20 @@ impl FaultSession {
     }
 
     /// How many of the next iterations, up to `max`, draw no flip, when
-    /// each iteration draws exactly the transfers of `log` in order (see
-    /// [`FaultSession::take_log`]). A pure scan of the flip predicate: one
-    /// hash per draw, nothing priced. An empty log never flips.
-    pub fn clean_iterations(&self, log: &[f64], max: u64) -> u64 {
-        if log.is_empty() {
+    /// each iteration draws exactly the transfers drawn since `mark`, in
+    /// order. A pure scan of the logged thresholds: one hash and one
+    /// integer compare per draw, nothing priced. A body that draws nothing
+    /// never flips.
+    pub fn clean_iterations(&self, mark: &Mark, max: u64) -> u64 {
+        debug_assert!(self.logging && self.log.len() as u64 == self.draws.wrapping_sub(mark.draws));
+        if self.log.is_empty() {
             return max;
         }
         let mut draw = self.draws;
         for i in 0..max {
-            for &expected in log {
+            for &threshold in &self.log {
                 draw = draw.wrapping_add(1);
-                if drawn_flips(self.seed, draw, expected) > 0 {
+                if splitmix64(self.seed ^ draw) >> 11 < threshold {
                     return i;
                 }
             }
@@ -404,8 +457,9 @@ impl FaultSession {
         max
     }
 
-    /// Account everything since `mark` another `times` times: the draws of
-    /// one more flip-free iteration and its overhead, exactly, per time.
+    /// Close `mark`, accounting everything since it another `times` times:
+    /// the draws of one more flip-free iteration and its overhead,
+    /// exactly, per time. `times` = 0 only closes the mark.
     /// [`FaultSession::clean_iterations`] says how many next iterations
     /// are flip-free.
     ///
@@ -413,18 +467,19 @@ impl FaultSession {
     ///
     /// If `times` > 0 and a draw since `mark` flipped: only a flip-free
     /// iteration repeats without repricing.
-    pub fn repeat_since(&mut self, mark: &Mark, times: u64) {
+    pub fn repeat_since(&mut self, mark: Mark, times: u64) {
+        self.logging = false;
         if times == 0 {
             return;
         }
-        assert!(!self.flipped_since(mark), "a repeated iteration must draw no flip");
+        assert!(!self.flipped_since(&mark), "a repeated iteration must draw no flip");
         let per_iteration = self.draws.wrapping_sub(mark.draws);
         self.draws = self.draws.wrapping_add(per_iteration.wrapping_mul(times));
         for (total, before) in self.overhead.iter_mut().zip(mark.overhead) {
             let repeated = (*total - before).checked_mul(i128::from(times));
             match repeated.and_then(|r| total.checked_add(r)) {
                 Some(sum) => *total = sum,
-                None => self.overhead_out_of_range = true,
+                None => self.out_of_range = true,
             }
         }
     }
@@ -576,32 +631,33 @@ mod tests {
         // Expected flips per draw: exactly 0 (a subnormal rate underflows),
         // tiny, near 1 and at least 1, at rates that make each class occur.
         let mut x = 0x9E37_79B9_7F4A_7C15u64;
+        let max = 64;
         for per_gib in [f64::from_bits(1), 1e-3, 0.5, 1.0, 3.0] {
             for seed in 0..40 {
                 let faults = vec![Fault::TransientFlips { per_gib }];
                 let scenario = FaultScenario { seed, ecc: EccScheme::Secded, faults };
                 let mut s = FaultSession::new(&scenario, sys()).expect("valid");
                 let bytes = iteration_bytes(&mut x);
-                s.mark();
-                for &b in &bytes {
-                    s.observe_transfer(b);
-                }
-                let log = s.take_log();
-                assert_eq!(log.len(), bytes.len(), "one log entry per draw");
-                let max = 64;
-                let predicted = s.clean_iterations(&log, max);
-                // Walk the next iterations draw by draw; before each, the
-                // scan must say whether that iteration is flip-free.
-                let mut first_flip = max;
-                for i in 0..max {
-                    let clean = s.clean_iterations(&log, 1) == 1;
+                // Walk iterations 0..=max draw by draw. After each, the scan
+                // of its log must say whether the next one is flip-free, and
+                // iteration 0's scan how many in a row are.
+                let (mut predicted, mut clean_next, mut first_flip) = (0, true, max);
+                for i in 0..=max {
+                    let mark = s.mark();
                     // Draw every transfer: a flip must not skip later draws.
                     let outcomes: Vec<_> = bytes.iter().map(|&b| s.observe_transfer(b)).collect();
+                    assert_eq!(s.log.len(), bytes.len(), "one log entry per draw");
                     let flipped = outcomes.iter().any(|&o| o != FlipOutcome::None);
-                    assert_eq!(clean, !flipped, "rate {per_gib}, seed {seed}, iteration {i}");
-                    if flipped && first_flip == max {
-                        first_flip = i;
+                    if i == 0 {
+                        predicted = s.clean_iterations(&mark, max);
+                    } else {
+                        assert_eq!(clean_next, !flipped, "rate {per_gib}, seed {seed}, iter {i}");
+                        if flipped && first_flip == max {
+                            first_flip = i - 1;
+                        }
                     }
+                    clean_next = s.clean_iterations(&mark, 1) == 1;
+                    s.repeat_since(mark, 0);
                 }
                 assert_eq!(predicted, first_flip, "rate {per_gib}, seed {seed}");
             }
@@ -627,12 +683,11 @@ mod tests {
             };
             let mark = repeated.mark();
             iteration(&mut repeated);
-            let log = repeated.take_log();
             if repeated.flipped_since(&mark) {
                 continue;
             }
-            let clean = repeated.clean_iterations(&log, 1000);
-            repeated.repeat_since(&mark, clean);
+            let clean = repeated.clean_iterations(&mark, 1000);
+            repeated.repeat_since(mark, clean);
             for _ in 0..=clean {
                 iteration(&mut walked);
             }
@@ -662,16 +717,43 @@ mod tests {
     fn overhead_outside_the_tally_range_fails_once_at_the_end() {
         let mut s = session(vec![], EccScheme::None).expect("valid");
         s.add_overhead(1.0, -2.0);
-        assert_eq!(s.overhead_in_range(), Ok(()));
+        assert_eq!(s.in_range(), Ok(()));
         s.add_overhead(1e30, 0.0);
         s.add_overhead(1.0, 0.0);
-        assert_eq!(s.overhead_in_range(), Err(OutOfRange));
+        assert_eq!(s.in_range(), Err(OutOfRange));
         // A repeat whose product leaves the range.
         let mut s = session(vec![], EccScheme::None).expect("valid");
         let mark = s.mark();
         s.add_overhead(1e18, 0.0);
-        s.repeat_since(&mark, u64::MAX);
-        assert_eq!(s.overhead_in_range(), Err(OutOfRange));
+        s.repeat_since(mark, u64::MAX);
+        assert_eq!(s.in_range(), Err(OutOfRange));
+    }
+
+    #[test]
+    fn event_counts_past_u64_saturate_and_fail_once_at_the_end() {
+        let flips = |per_gib| vec![Fault::TransientFlips { per_gib }];
+        let gib = (1u64 << 30) as f64;
+        // 1e19 flips per draw: each count fits, the second draw's sum does
+        // not. 1e21 and 1e25 per draw: the draw's own count does not.
+        for (per_gib, draws) in [(1e19, 2), (1e21, 1), (1e25, 1)] {
+            let mut s = session(flips(per_gib), EccScheme::Parity).expect("valid");
+            for _ in 0..draws {
+                assert!(matches!(s.observe_transfer(gib), FlipOutcome::Retry(_)));
+            }
+            let stats = s.stats();
+            assert_eq!(
+                (stats.injected, stats.detected, stats.corrected),
+                (u64::MAX, u64::MAX, u64::MAX)
+            );
+            assert_eq!(s.in_range(), Err(OutOfRange), "rate {per_gib}");
+            // Sticky: later draws neither wrap nor clear it.
+            s.observe_transfer(gib);
+            assert_eq!(s.stats().injected, u64::MAX);
+            assert_eq!(s.in_range(), Err(OutOfRange));
+        }
+        let mut s = session(flips(1e18), EccScheme::Parity).expect("valid");
+        s.observe_transfer(gib);
+        assert_eq!((s.stats().injected, s.in_range()), (1_000_000_000_000_000_000, Ok(())));
     }
 
     #[test]
@@ -681,7 +763,7 @@ mod tests {
             .expect("valid");
         let mark = s.mark();
         s.observe_transfer((1u64 << 30) as f64); // 8 expected flips: always flips
-        s.repeat_since(&mark, 1);
+        s.repeat_since(mark, 1);
     }
 
     #[test]

@@ -15,7 +15,13 @@
 //! Lumps accumulate in integer fixed point (2^-64 ns, pJ and bytes; see
 //! `stats.rs`), so totals do not depend on the order of the additions. A
 //! repeated body therefore prices as body × count: take a [`Mark`], record
-//! one iteration, then [`Engine::repeat_since`]. The f64 [`SimStats`] and
+//! one iteration, then [`Engine::repeat_since`]. A mark costs what the body
+//! touches, not what the engine holds: it copies the total when taken and
+//! each scope's tally when the body first records into that scope, and
+//! `repeat_since` multiplies just those tallies, skipping the fields the
+//! body left unchanged. Marks nest (an inner body's first lump in a scope
+//! snapshots it for every open mark) and their buffers are reused, so a
+//! repeat iteration allocates nothing. The f64 [`SimStats`] and
 //! [`ScopedStats`] are built once, by [`Engine::into_stats`]. A value or
 //! total past the tally's range (2^64 ns, pJ or bytes) does not panic where
 //! it is recorded: the tally saturates and flags it, and
@@ -30,9 +36,10 @@
 //! exactly as an uninstrumented one.
 //!
 //! A window of lumps can run quiet ([`Engine::set_quiet`]) and be emitted
-//! afterwards as one summary ([`Engine::emit_summary`]): the executor
-//! prices iterations 1..N of a repeat that way, so a trace grows with the
-//! compiled program, not with the unrolled decode length.
+//! afterwards as one summary ([`Engine::emit_summary`], from a
+//! [`Snapshot`] of every tally): the executor prices iterations 1..N of a
+//! repeat that way, so a trace grows with the compiled program, not with
+//! the unrolled decode length.
 
 use crate::stats::{from_units, Category, Lump, OutOfRange, ScopedStats, SimStats, Tally};
 use transpim_obs::{CounterEvent, SinkHandle, SpanEvent};
@@ -89,19 +96,49 @@ pub struct Engine {
     total: Tally,
     /// One slot per scope label seen by [`Engine::set_scope`], so recording
     /// a lump indexes a `Vec` instead of looking a label up.
-    scopes: Vec<(String, Tally)>,
+    scopes: Vec<Scope>,
     scope: usize,
+    /// The open marks, outermost first, in `frames[..open]`; the frames
+    /// past `open` keep their buffers for the next marks.
+    frames: Vec<Frame>,
+    open: usize,
     sink: SinkHandle,
     latency_scale: f64,
     tracks_named: bool,
     quiet: bool,
 }
 
-/// A snapshot of an [`Engine`]'s tallies, taken before pricing a repeat
-/// body; see [`Engine::repeat_since`].
+/// One scope's label and tally.
 #[derive(Debug, Clone)]
+struct Scope {
+    label: String,
+    tally: Tally,
+    /// The open marks `frames[..snapped]` hold a snapshot of this tally;
+    /// the later ones were taken since it last recorded a lump.
+    snapped: usize,
+}
+
+/// What an open [`Mark`] snapshotted.
+#[derive(Debug, Clone, Default)]
+struct Frame {
+    total: Tally,
+    /// `(scope slot, its tally before the body first recorded into it)`.
+    touched: Vec<(usize, Tally)>,
+}
+
+/// An open mark on an [`Engine`], taken before recording a repeat body and
+/// closed by [`Engine::repeat_since`]. Marks close innermost first.
+#[derive(Debug)]
+#[must_use = "a mark stays open until Engine::repeat_since closes it"]
 pub struct Mark {
+    depth: usize,
     scope: usize,
+}
+
+/// Every tally of an [`Engine`], taken at the start of a traced summary
+/// window; see [`Engine::emit_summary`].
+#[derive(Debug, Clone)]
+pub struct Snapshot {
     total: Tally,
     scopes: Vec<Tally>,
 }
@@ -118,8 +155,14 @@ impl Engine {
     pub fn new() -> Self {
         Self {
             total: Tally::default(),
-            scopes: vec![(String::from("init"), Tally::default())],
+            scopes: vec![Scope {
+                label: String::from("init"),
+                tally: Tally::default(),
+                snapped: 0,
+            }],
             scope: 0,
+            frames: Vec::new(),
+            open: 0,
             sink: SinkHandle::null(),
             latency_scale: 1.0,
             tracks_named: false,
@@ -182,13 +225,14 @@ impl Engine {
     /// Set the label under which subsequent lumps are recorded (e.g. the
     /// current Transformer layer kind).
     pub fn set_scope(&mut self, scope: &str) {
-        if self.scopes[self.scope].0 == scope {
+        if self.scopes[self.scope].label == scope {
             return;
         }
-        self.scope = match self.scopes.iter().position(|(label, _)| label == scope) {
+        self.scope = match self.scopes.iter().position(|s| s.label == scope) {
             Some(slot) => slot,
             None => {
-                self.scopes.push((scope.to_owned(), Tally::default()));
+                let tally = Tally::default();
+                self.scopes.push(Scope { label: scope.to_owned(), tally, snapped: 0 });
                 self.scopes.len() - 1
             }
         };
@@ -208,7 +252,7 @@ impl Engine {
             self.name_category_tracks();
             self.sink.span(
                 SpanEvent::new(
-                    self.scopes[self.scope].0.clone(),
+                    self.scopes[self.scope].label.clone(),
                     category.label(),
                     tracks::category(category),
                     self.now_ns(),
@@ -219,11 +263,25 @@ impl Engine {
             );
         }
         let lump = Lump::new(category, latency, energy_pj, bytes);
+        if self.scopes[self.scope].snapped < self.open {
+            self.snapshot_scope();
+        }
         self.total.record(&lump);
-        self.scopes[self.scope].1.record(&lump);
+        self.scopes[self.scope].tally.record(&lump);
         if emit {
             self.sample_utilization(category);
         }
+    }
+
+    /// Snapshot the current scope's tally into every open mark that does
+    /// not hold it yet: the body is about to record into it for the first
+    /// time since those marks were taken.
+    fn snapshot_scope(&mut self) {
+        let scope = &mut self.scopes[self.scope];
+        for frame in &mut self.frames[scope.snapped..self.open] {
+            frame.touched.push((self.scope, scope.tally));
+        }
+        scope.snapped = self.open;
     }
 
     /// Sample the cumulative busy fraction of `category` so far — plotted
@@ -267,7 +325,7 @@ impl Engine {
     /// Phase aggregates over the summary spans (weighting each by its
     /// `count`) therefore equal those over the lumps' own spans. Does
     /// nothing unless the engine is emitting.
-    pub fn emit_summary(&mut self, start: &Mark, iterations: u64) {
+    pub fn emit_summary(&mut self, start: &Snapshot, iterations: u64) {
         if !self.emitting() {
             return;
         }
@@ -280,15 +338,15 @@ impl Engine {
         );
         for c in Category::ALL {
             let mut at = start_units;
-            for (slot, (label, tally)) in self.scopes.iter().enumerate() {
+            for (slot, scope) in self.scopes.iter().enumerate() {
                 let before = start.scopes.get(slot).copied().unwrap_or_default();
-                let d = tally.since(&before, c);
+                let d = scope.tally.since(&before, c);
                 if d.lumps == 0 {
                     continue;
                 }
                 self.sink.span(
                     SpanEvent::new(
-                        label.clone(),
+                        scope.label.clone(),
                         c.label(),
                         tracks::category(c),
                         from_units(at),
@@ -306,13 +364,24 @@ impl Engine {
         }
     }
 
-    /// Snapshot the tallies before recording a body that will repeat.
-    pub fn mark(&self) -> Mark {
-        Mark {
-            scope: self.scope,
-            total: self.total,
-            scopes: self.scopes.iter().map(|(_, t)| *t).collect(),
+    /// Every tally, for the summary of a traced window
+    /// ([`Engine::emit_summary`]).
+    pub fn snapshot(&self) -> Snapshot {
+        Snapshot { total: self.total, scopes: self.scopes.iter().map(|s| s.tally).collect() }
+    }
+
+    /// Open a mark before recording a body that will repeat. It copies the
+    /// total now and each scope's tally when the body first records into
+    /// it; [`Engine::repeat_since`] closes it.
+    pub fn mark(&mut self) -> Mark {
+        if self.open == self.frames.len() {
+            self.frames.push(Frame::default());
         }
+        let frame = &mut self.frames[self.open];
+        frame.total = self.total;
+        frame.touched.clear();
+        self.open += 1;
+        Mark { depth: self.open - 1, scope: self.scope }
     }
 
     /// Whether the current scope is the one `mark` was taken in — the
@@ -321,26 +390,35 @@ impl Engine {
         self.scope == mark.scope
     }
 
-    /// Record everything recorded since `mark` another `times` times, in
-    /// O(scopes): exactly the statistics of recording the same lumps again
-    /// `times` times, since the tallies are integers. It emits nothing, so
+    /// Close `mark`, recording everything recorded since it another
+    /// `times` times, in O(scopes the body touched): exactly the statistics
+    /// of recording the same lumps again `times` times, since the tallies
+    /// are integers. `times` = 0 only closes the mark. It emits nothing, so
     /// call it with the engine quiet ([`Engine::set_quiet`]) and let the
     /// window's [`Engine::emit_summary`] report what it added.
     ///
     /// # Panics
     ///
-    /// If `times` > 0 and the scope differs from the one at `mark` (a
-    /// repetition of the body would then start in another scope).
-    pub fn repeat_since(&mut self, mark: &Mark, times: u64) {
-        if times == 0 {
-            return;
+    /// If `mark` is not the innermost open mark, or if `times` > 0 and the
+    /// scope differs from the one at `mark` (a repetition of the body would
+    /// then start in another scope).
+    pub fn repeat_since(&mut self, mark: Mark, times: u64) {
+        assert_eq!(mark.depth + 1, self.open, "marks close innermost first");
+        if times > 0 {
+            debug_assert!(!self.emitting(), "repeat_since emits nothing; run it in a quiet window");
+            assert!(self.in_scope_of(&mark), "a repeated body must end in the scope it started in");
         }
-        debug_assert!(!self.emitting(), "repeat_since emits nothing; run it inside a quiet window");
-        assert!(self.in_scope_of(mark), "a repeated body must end in the scope it started in");
-        self.total.repeat_since(&mark.total, times);
-        for (slot, (_, tally)) in self.scopes.iter_mut().enumerate() {
-            // A scope first seen inside the body started from zero.
-            tally.repeat_since(&mark.scopes.get(slot).copied().unwrap_or_default(), times);
+        self.open = mark.depth;
+        let frame = &self.frames[mark.depth];
+        for (slot, before) in &frame.touched {
+            let scope = &mut self.scopes[*slot];
+            scope.snapped = mark.depth;
+            if times > 0 {
+                scope.tally.repeat_since(before, times);
+            }
+        }
+        if times > 0 {
+            self.total.repeat_since(&frame.total, times);
         }
     }
 
@@ -354,12 +432,13 @@ impl Engine {
     pub fn into_stats(self) -> Result<(SimStats, ScopedStats), OutOfRange> {
         // Every lump and repeat enters the total too, so it carries the
         // range flag of every scope.
+        debug_assert_eq!(self.open, 0, "every mark is closed by the end of a run");
         let total = self.total.to_stats()?;
         let scoped = self
             .scopes
             .into_iter()
-            .filter(|(_, tally)| !tally.is_empty())
-            .map(|(label, tally)| Ok((label, tally.to_stats()?)))
+            .filter(|s| !s.tally.is_empty())
+            .map(|s| Ok((s.label, s.tally.to_stats()?)))
             .collect::<Result<_, OutOfRange>>()?;
         Ok((total, scoped))
     }
@@ -422,11 +501,12 @@ mod tests {
         body(e);
         let mut rest = count - 1;
         if rest > 0 && !e.in_scope_of(&mark) {
+            e.repeat_since(mark, 0);
             mark = e.mark();
             body(e);
             rest -= 1;
         }
-        e.repeat_since(&mark, rest);
+        e.repeat_since(mark, rest);
     }
 
     #[test]
@@ -463,12 +543,108 @@ mod tests {
     }
 
     #[test]
+    fn nested_marks_snapshot_the_scopes_an_inner_body_touches_first() {
+        // `dec.ffn` holds lumps from before either mark, and `dec.norm` is
+        // new: the inner body is the first to record into both, so the
+        // outer mark must snapshot them then.
+        let inner_body = |e: &mut Engine| {
+            e.set_scope("dec.ffn");
+            e.lump(Category::Arithmetic, 2.3, 0.4, 0.0);
+            e.set_scope("dec.norm");
+            e.lump(Category::DataMovement, 0.9, 1.3, 24.0);
+            e.set_scope("dec.fc");
+        };
+        let outer_body = |e: &mut Engine| {
+            e.lump(Category::Reduction, 0.2, 0.1, 0.0);
+            repeat(e, 4, inner_body);
+        };
+        let start = || {
+            let mut e = engine();
+            e.set_scope("dec.ffn");
+            e.lump(Category::Other, 3.1, 0.6, 8.0);
+            e.set_scope("dec.fc");
+            e
+        };
+        let mut rerun = start();
+        for _ in 0..6 {
+            rerun.lump(Category::Reduction, 0.2, 0.1, 0.0);
+            for _ in 0..4 {
+                inner_body(&mut rerun);
+            }
+        }
+        let mut repeated = start();
+        repeat(&mut repeated, 6, outer_body);
+        assert_eq!(repeated.into_stats(), rerun.into_stats());
+    }
+
+    #[test]
+    fn a_released_mark_adds_nothing_and_its_scopes_stay_in_the_outer_mark() {
+        // A body that ends in the scope it starts in (`dec.fc`).
+        let round_trip = |e: &mut Engine| {
+            body(e);
+            e.set_scope("dec.fc");
+        };
+        let mut rerun = engine();
+        for _ in 0..3 {
+            round_trip(&mut rerun);
+            rerun.lump(Category::Other, 0.5, 0.5, 1.0);
+        }
+        let mut repeated = engine();
+        let outer = repeated.mark();
+        let inner = repeated.mark();
+        round_trip(&mut repeated);
+        repeated.repeat_since(inner, 0);
+        repeated.lump(Category::Other, 0.5, 0.5, 1.0);
+        repeated.repeat_since(outer, 2);
+        assert_eq!(repeated.into_stats(), rerun.into_stats());
+        // A mark taken after a released one multiplies only its own body.
+        let mut e = engine();
+        let released = e.mark();
+        round_trip(&mut e);
+        e.repeat_since(released, 0);
+        let mark = e.mark();
+        e.lump(Category::Arithmetic, 1.5, 0.5, 0.0);
+        e.repeat_since(mark, 2);
+        let mut want = engine();
+        round_trip(&mut want);
+        for _ in 0..3 {
+            want.lump(Category::Arithmetic, 1.5, 0.5, 0.0);
+        }
+        assert_eq!(e.into_stats(), want.into_stats());
+    }
+
+    #[test]
+    fn a_summary_window_spanning_a_re_mark_reports_every_lump() {
+        // `body` changes scope, so `repeat` releases the first iteration's
+        // mark and re-marks before the template iteration: the summary must
+        // read exactly as if every iteration had been recorded.
+        let summarize = |marked: bool| {
+            let chrome = ChromeTraceSink::shared();
+            let mut e = Engine::with_sink(SinkHandle::from_shared(chrome.clone()));
+            e.set_scope("dec.fc");
+            e.lump(Category::Reduction, 1.0, 0.5, 0.0);
+            let start = e.snapshot();
+            e.set_quiet(true);
+            if marked {
+                repeat(&mut e, 6, body);
+            } else {
+                (0..6).for_each(|_| body(&mut e));
+            }
+            e.set_quiet(false);
+            e.emit_summary(&start, 6);
+            let trace = chrome.borrow().to_json_string().expect("serializes");
+            (trace, e.into_stats())
+        };
+        assert_eq!(summarize(true), summarize(false));
+    }
+
+    #[test]
     #[should_panic(expected = "must end in the scope it started in")]
     fn repeat_since_rejects_a_body_that_changes_scope() {
         let mut e = engine();
         let mark = e.mark();
         body(&mut e);
-        e.repeat_since(&mark, 3);
+        e.repeat_since(mark, 3);
     }
 
     #[test]
@@ -503,7 +679,7 @@ mod tests {
         let mut e = Engine::with_sink(SinkHandle::from_shared(chrome.clone()));
         e.set_scope("dec.fc");
         e.lump(Category::Reduction, 1.0, 0.5, 0.0);
-        let start = e.mark();
+        let start = e.snapshot();
         e.set_quiet(true);
         repeat(&mut e, 5, body);
         e.set_quiet(false);

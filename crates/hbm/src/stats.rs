@@ -251,13 +251,13 @@ pub fn from_signed_units(u: i128) -> f64 {
 }
 
 /// A simulated value or total left the tally range: 2^64 ns (about 584
-/// simulated years), pJ or bytes.
+/// simulated years), pJ, bytes or fault events.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct OutOfRange;
 
 impl fmt::Display for OutOfRange {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str("simulated totals exceed the tally range of 2^64 ns, pJ or bytes")
+        f.write_str("simulated totals exceed the tally range of 2^64 ns, pJ, bytes or fault events")
     }
 }
 
@@ -360,25 +360,24 @@ impl Tally {
     }
 
     /// Add what was recorded since the snapshot `before` another `times`
-    /// times.
+    /// times. Fields the body left unchanged are skipped.
     pub(crate) fn repeat_since(&mut self, before: &Tally, times: u64) {
         let mut flag = self.out_of_range;
-        for (x, b) in self.fields_mut().zip(before.fields()) {
-            let delta = (*x - b).checked_mul(u128::from(times)).unwrap_or_else(|| {
-                flag = true;
-                u128::MAX
-            });
-            *x = add_units(*x, delta, &mut flag);
+        let fields = [&mut self.time, &mut self.energy, &mut self.bytes, &mut self.lumps];
+        let befores = [&before.time, &before.energy, &before.bytes, &before.lumps];
+        for (xs, bs) in fields.into_iter().zip(befores) {
+            for (x, &b) in xs.iter_mut().zip(bs) {
+                let delta = *x - b;
+                if delta != 0 {
+                    let repeated = delta.checked_mul(u128::from(times)).unwrap_or_else(|| {
+                        flag = true;
+                        u128::MAX
+                    });
+                    *x = add_units(*x, repeated, &mut flag);
+                }
+            }
         }
         self.out_of_range = flag;
-    }
-
-    fn fields(&self) -> impl Iterator<Item = u128> + '_ {
-        self.time.iter().chain(&self.energy).chain(&self.bytes).chain(&self.lumps).copied()
-    }
-
-    fn fields_mut(&mut self) -> impl Iterator<Item = &mut u128> {
-        self.time.iter_mut().chain(&mut self.energy).chain(&mut self.bytes).chain(&mut self.lumps)
     }
 
     /// Total time recorded, in tally units (saturating: a total past the

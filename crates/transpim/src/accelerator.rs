@@ -117,7 +117,7 @@ impl Accelerator {
     /// exceeds every degradation policy (no banks survive, a bank's
     /// subarrays all stuck, or an unprotected transient flip),
     /// [`SimError::OutOfRange`] when the workload's simulated totals
-    /// exceed what the statistics hold (2^64 ns, pJ or bytes).
+    /// exceed what the statistics hold (2^64 ns, pJ, bytes or fault events).
     ///
     /// # Panics
     ///

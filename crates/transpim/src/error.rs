@@ -27,8 +27,8 @@ pub enum SimError {
     Scenario(String),
     /// The architecture or memory configuration failed validation.
     Config(ConfigError),
-    /// The workload's simulated totals exceed what the statistics can
-    /// hold: 2^64 ns (about 584 simulated years), pJ or bytes.
+    /// The run's simulated totals exceed what the statistics can hold:
+    /// 2^64 ns (about 584 simulated years), pJ, bytes or fault events.
     OutOfRange,
 }
 
@@ -43,7 +43,7 @@ impl fmt::Display for SimError {
             }
             SimError::Scenario(msg) => write!(f, "invalid fault scenario: {msg}"),
             SimError::Config(e) => write!(f, "invalid configuration: {e}"),
-            SimError::OutOfRange => write!(f, "workload too large to simulate: {OutOfRange}"),
+            SimError::OutOfRange => write!(f, "run too large to simulate: {OutOfRange}"),
         }
     }
 }

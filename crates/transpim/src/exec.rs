@@ -216,7 +216,7 @@ impl Executor {
         let mut engine = Engine::with_sink(sink);
         engine.set_latency_scale(1.0 + self.arch.hbm.timing.refresh_overhead());
         self.run_segment(program.steps(), &mut engine, session)?;
-        session.overhead_in_range()?;
+        session.in_range()?;
         Ok(engine.into_stats()?)
     }
 
@@ -609,26 +609,32 @@ impl Executor {
     /// every lump. The quiet iterations take one of two paths, both
     /// denoting exactly the unrolled pricing:
     ///
-    /// * **body × count** (zero deltas): every iteration prices the same
-    ///   lumps, so a *template* — a walked iteration that drew no flip and
-    ///   ends in the scope it started in — is added again once per
-    ///   following flip-free iteration, with [`Engine::repeat_since`] and
-    ///   [`FaultSession::repeat_since`]. Exact, because the engine's
-    ///   tallies and the session's overhead are integers. The session's
-    ///   pure scan [`FaultSession::clean_iterations`] says how many
-    ///   iterations in a row draw no flip; the flipping iteration after
-    ///   them is walked, so its outcome, fault events and error time are
-    ///   the unrolled ones, and the next walked iteration that qualifies
-    ///   becomes the template. Iteration 0 is the template when it
-    ///   qualifies; it does not when it starts in another scope than the
-    ///   rest. Without flip draws (any empty session) this is one walk and
-    ///   one repeat — O(body) whatever `count` is;
+    /// * **body × count** (zero deltas, stored as an empty `delta`): every
+    ///   iteration prices the same lumps, so a *template* — a walked
+    ///   iteration that drew no flip and ends in the scope it started in —
+    ///   is added again once per following flip-free iteration. Each walked
+    ///   iteration runs between an [`Engine::mark`] and a
+    ///   [`FaultSession::mark`], and both `repeat_since` calls close them,
+    ///   with the count of clean iterations to add (0 for a walked
+    ///   iteration that does not qualify). Exact, because the engine's
+    ///   tallies and the session's overhead are integers; the marks copy
+    ///   only what the body touches and reuse their buffers, so an
+    ///   iteration allocates nothing. The session's pure scan
+    ///   [`FaultSession::clean_iterations`] of the template's logged flip
+    ///   thresholds says how many iterations in a row draw no flip; the
+    ///   flipping iteration after them is walked, so its outcome, fault
+    ///   events and error time are the unrolled ones, and the next walked
+    ///   iteration that qualifies becomes the template. Iteration 0 is the
+    ///   template when it qualifies; it does not when it starts in another
+    ///   scope than the rest. Without flip draws (any empty session) this
+    ///   is one walk and one repeat — O(body) whatever `count` is;
     /// * **in-place advance** (non-zero deltas, or a body that nests a
     ///   repeat): walk a scratch copy of the body per iteration, advancing
     ///   its varying fields by the deltas — cache-hot, no per-step
     ///   allocation.
     ///
-    /// Debug builds check the final scratch body against [`Step::at`].
+    /// Debug builds check the final scratch body against [`Step::at`],
+    /// reading an empty `delta` as all zeros.
     fn price_repeat(
         &mut self,
         count: u64,
@@ -644,26 +650,27 @@ impl Executor {
             && !body.iter().any(|s| matches!(s, Step::Repeat { .. }));
         let mut marks = body_times_count.then(|| (engine.mark(), session.mark()));
         self.run_segment(body, engine, session)?;
-        let window = (count > 1 && engine.emitting()).then(|| engine.mark());
+        let window = (count > 1 && engine.emitting()).then(|| engine.snapshot());
         if window.is_some() {
             engine.set_quiet(true);
         }
-        if let Some((engine_mark, session_mark)) = &mut marks {
+        if body_times_count {
             let mut left = count - 1;
-            loop {
-                let log = session.take_log();
-                if engine.in_scope_of(engine_mark) && !session.flipped_since(session_mark) {
-                    let clean = session.clean_iterations(&log, left);
-                    engine.repeat_since(engine_mark, clean);
-                    session.repeat_since(session_mark, clean);
-                    left -= clean;
+            while let Some((engine_mark, session_mark)) = marks.take() {
+                let clean =
+                    if engine.in_scope_of(&engine_mark) && !session.flipped_since(&session_mark) {
+                        session.clean_iterations(&session_mark, left)
+                    } else {
+                        0
+                    };
+                engine.repeat_since(engine_mark, clean);
+                session.repeat_since(session_mark, clean);
+                left -= clean;
+                if left > 0 {
+                    marks = Some((engine.mark(), session.mark()));
+                    self.run_segment(body, engine, session)?;
+                    left -= 1;
                 }
-                if left == 0 {
-                    break;
-                }
-                (*engine_mark, *session_mark) = (engine.mark(), session.mark());
-                self.run_segment(body, engine, session)?;
-                left -= 1;
             }
         } else {
             let mut scratch = body.to_vec();
@@ -675,11 +682,8 @@ impl Executor {
             }
             #[cfg(debug_assertions)]
             for (j, s) in scratch.iter().enumerate() {
-                debug_assert_eq!(
-                    *s,
-                    body[j].at(&delta[j], count - 1),
-                    "in-place advance diverged from Step::at"
-                );
+                let d = delta.get(j).copied().unwrap_or_else(|| StepDelta::zeros(s.varying().len));
+                debug_assert_eq!(*s, body[j].at(&d, count - 1), "in-place advance diverged");
             }
         }
         if let Some(start) = window {
@@ -1478,6 +1482,43 @@ mod tests {
             assert!(flipped > 1 && flipped < count, "{flipped} of {count} iterations flipped");
             assert_eq!(compressed, run_under(&prog.unroll(), &scenario(seed)).unwrap());
         }
+    }
+
+    #[test]
+    fn degraded_layer_decode_matches_unrolled() {
+        // The decode of a 64-token Layer-LM run: one zero-delta repeat of
+        // one decoder layer per token. Flips land in some of its 1,536
+        // layer iterations, so each token's repeat splits around them.
+        let arch = ArchConfig::new(ArchKind::TransPim);
+        let healthy = arch.hbm.geometry.total_banks() - 1;
+        let mut w = Workload::lm();
+        w.decode_len = 0;
+        let prefill = layer_flow::compile(&w, healthy).len();
+        w.decode_len = 64;
+        let decode = program(layer_flow::compile(&w, healthy).steps()[prefill..].to_vec());
+        let unrolled = decode.unroll();
+        assert_eq!(decode.len(), 64);
+        let scenario = |ecc| FaultScenario {
+            seed: 0,
+            ecc,
+            faults: vec![
+                Fault::TransientFlips { per_gib: 1.0 },
+                Fault::FailedBank { bank: 77 },
+                Fault::DeadLink { group: 3 },
+                Fault::StuckBitPlanes { bank: 200, planes: 8 },
+                Fault::BrokenDivider { bank: 1500 },
+            ],
+        };
+        let secded = scenario(EccScheme::Secded);
+        let compressed = run_under(&decode, &secded).unwrap();
+        let flips = compressed.1.injected - 4;
+        assert!(flips > 1 && flips < 64, "{flips} flips");
+        assert_eq!(compressed, run_under(&unrolled, &secded).unwrap());
+        // Unprotected, the first flip fails both at the same time.
+        let unprotected = scenario(EccScheme::None);
+        let err = run_under(&decode, &unprotected).unwrap_err();
+        assert!(matches!(err, SimError::Uncorrectable { at_ns: Some(t), .. } if t > 0.0), "{err}");
+        assert_eq!(err, run_under(&unrolled, &unprotected).unwrap_err());
     }
 
     #[test]

@@ -150,6 +150,8 @@ for required in \
   differential_fuzz::uncorrectable_faults_surface_as_sim_error \
   differential_fuzz::lump_order_is_irrelevant \
   differential_fuzz::degraded_compression_is_an_exact_encoding \
+  differential_fuzz::flip_threshold_matches_drawn_flips \
+  differential_fuzz::clean_scan_matches_observed_draws \
   serde_roundtrips::random_programs_roundtrip_and_keep_wire_shape
 do
   if ! grep -q "^${required}$(printf '\t')" "$summary"; then

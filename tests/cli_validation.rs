@@ -2,7 +2,8 @@
 //! diagnostic naming what is wrong, before any simulation work starts —
 //! it never prints a report for an invalid machine, and never panics or
 //! aborts on an oversized workload. A workload that fits the memory but
-//! whose simulated totals leave the statistics' range exits 2 as well.
+//! whose simulated totals leave the statistics' range exits 2 as well, and
+//! so does a fault scenario whose event counts pass 2^64.
 
 use std::process::Command;
 
@@ -57,4 +58,21 @@ fn long_decode_beyond_the_tally_range_is_an_error_not_a_crash() {
 #[test]
 fn long_layer_prompt_beyond_the_tally_range_is_an_error_not_a_crash() {
     assert_out_of_range(&["--workload", "pubmed", "--seq-len", "4000000", "--dataflow", "layer"]);
+}
+
+#[test]
+fn flip_counts_beyond_u64_are_an_error_not_a_wrapped_count() {
+    // Parity absorbs every flip with a retry, so only the counts can fail.
+    let dir = std::env::temp_dir().join(format!("transpim-cli-flips-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).expect("temp dir");
+    for per_gib in ["1e21", "1e25"] {
+        let path = dir.join(format!("flips-{per_gib}.json"));
+        let scenario = format!(
+            r#"{{"seed":1,"ecc":"Parity","faults":[{{"TransientFlips":{{"per_gib":{per_gib}}}}}]}}"#
+        );
+        std::fs::write(&path, scenario).expect("scenario file");
+        let path = path.to_str().expect("utf-8 temp path");
+        assert_out_of_range(&["--workload", "imdb", "--faults", path]);
+    }
+    std::fs::remove_dir_all(&dir).expect("temp dir removed");
 }

@@ -1,7 +1,7 @@
 //! Differential fuzz harness: randomized cross-checks between independent
 //! implementations of the same semantics.
 //!
-//! Eight comparisons, each over ≥128 generated cases (fixed seeds in CI via
+//! Nine comparisons, each over ≥128 generated cases (fixed seeds in CI via
 //! `TRANSPIM_PROPTEST_SEED` in `scripts/check.sh`):
 //!
 //! 1. **banksim vs f32** — the bit-accurate Figure 8 datapath must agree
@@ -32,12 +32,19 @@
 //!    accounting, and an uncorrectable error's message and time. Flip-free
 //!    repeat iterations price as body × count; the flipping ones are
 //!    walked.
+//! 9. **Flip threshold vs float draw** — the integer predicate
+//!    `h >> 11 < flip_threshold(expected)` must say exactly whether the
+//!    float draw `drawn_flips` flips, for random, tiny, dyadic, near-1 and
+//!    above-1 expectations and for hashes at the threshold; and the
+//!    session's scan of logged thresholds must predict, iteration by
+//!    iteration, what `observe_transfer` then draws.
 
 use proptest::prelude::*;
 use transpim::accelerator::Accelerator;
 use transpim::banksim::{attention_row, attention_row_reference, predicted_aaps, tolerance};
 use transpim::exec::Executor;
-use transpim::fault::{EccScheme, Fault, FaultScenario, FaultSession, FaultStats};
+use transpim::fault::session::{drawn_flips, flip_threshold};
+use transpim::fault::{EccScheme, Fault, FaultScenario, FaultSession, FaultStats, FlipOutcome};
 use transpim::report::DataflowKind;
 use transpim::SimError;
 use transpim::SinkHandle;
@@ -545,5 +552,98 @@ proptest! {
         let (unrolled, unrolled_faults) = price_under(&arch, &program.unroll(), &scenario);
         prop_assert_eq!(compressed, unrolled);
         prop_assert_eq!(compressed_faults, unrolled_faults);
+    }
+}
+
+// ---------------------------------------------------------------------------
+// (9) Flip predicate: integer threshold vs float draw
+// ---------------------------------------------------------------------------
+
+/// An expected flip count of class `class`, from raw bits: uniform in
+/// [0, 1); tiny, down to subnormals; dyadic (k / 2^m, where the threshold
+/// is exact and the float comparison is on the edge); within a few ulps
+/// below 1, or 1; or at least 1.
+fn expected_flips(class: u8, bits: u64, scale: u32) -> f64 {
+    let unit = (bits >> 11) as f64 / (1u64 << 53) as f64;
+    match class % 5 {
+        0 => unit,
+        1 => unit / 2f64.powi((scale % 1080) as i32),
+        2 => (bits % (1 << 20)) as f64 / 2f64.powi(20 + (scale % 40) as i32),
+        3 => f64::from_bits(1f64.to_bits() - bits % 8),
+        _ => 1.0 + unit * 2f64.powi((scale % 70) as i32),
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    #[test]
+    fn flip_threshold_matches_drawn_flips(
+        class in 0u8..5,
+        bits in any::<u64>(),
+        scale in any::<u32>(),
+        hash in any::<u64>(),
+        low in 0u64..(1 << 11),
+    ) {
+        let expected = expected_flips(class, bits, scale);
+        let threshold = flip_threshold(expected);
+        prop_assert!(threshold <= 1 << 53);
+        // A random hash, and the hashes whose variate is the threshold and
+        // one below it, with random low bits the variate drops.
+        let mut hashes = vec![hash];
+        if threshold < 1 << 53 {
+            hashes.push(threshold << 11 | low);
+        }
+        if threshold > 0 {
+            hashes.push((threshold - 1) << 11 | low);
+        }
+        for h in hashes {
+            prop_assert_eq!(
+                h >> 11 < threshold,
+                drawn_flips(h, expected) > 0,
+                "expected {:e} ({:#x}), threshold {}, hash {:#x}",
+                expected,
+                expected.to_bits(),
+                threshold,
+                h
+            );
+        }
+    }
+
+    #[test]
+    fn clean_scan_matches_observed_draws(
+        (class, bits, scale) in (0u8..5, any::<u64>(), any::<u32>()),
+        bytes in proptest::collection::vec(1u64..(1 << 32), 0..6),
+        seed in any::<u64>(),
+    ) {
+        // A rate that makes a transfer of 1 GiB expect `expected_flips`.
+        let per_gib = expected_flips(class, bits, scale);
+        let faults = vec![Fault::TransientFlips { per_gib }];
+        let scenario = FaultScenario { seed, ecc: EccScheme::Secded, faults };
+        let sys = arch_for(0).system_info();
+        let mut s = FaultSession::new(&scenario, sys).expect("valid scenario");
+        let iterations = 24;
+        // Walk the iterations; after each, the scan of its logged
+        // thresholds says whether the next one is flip-free, and the first
+        // one's scan how many in a row are.
+        let (mut predicted, mut clean_next, mut first_flip) = (0, true, iterations);
+        for i in 0..=iterations {
+            let mark = s.mark();
+            let flipped = bytes
+                .iter()
+                .map(|&b| s.observe_transfer(b as f64))
+                .fold(false, |any, o| any | (o != FlipOutcome::None));
+            if i == 0 {
+                predicted = s.clean_iterations(&mark, iterations);
+            } else {
+                prop_assert_eq!(clean_next, !flipped, "iteration {}", i);
+                if flipped && first_flip == iterations {
+                    first_flip = i - 1;
+                }
+            }
+            clean_next = s.clean_iterations(&mark, 1) == 1;
+            s.repeat_since(mark, 0);
+        }
+        prop_assert_eq!(predicted, first_flip);
     }
 }
