@@ -141,13 +141,6 @@ impl ShardedKv {
         self.append_at(i, k_new, v_new);
     }
 
-    /// Append to the last bank (the naive policy the balancing argument of
-    /// Section III-C improves on); exists for the placement ablation.
-    pub fn append_last(&mut self, k_new: Matrix, v_new: Matrix) {
-        let i = self.k.len() - 1;
-        self.append_at(i, k_new, v_new);
-    }
-
     /// Append to a specific bank.
     ///
     /// In place and amortized O(rows appended) — the shard grows through
@@ -162,11 +155,6 @@ impl ShardedKv {
         assert_eq!(k_new.cols(), self.d, "width mismatch");
         self.k[bank].push_rows(&k_new);
         self.v[bank].push_rows(&v_new);
-    }
-
-    /// Tokens held by the fullest bank (the decoder's critical path).
-    pub fn max_rows(&self) -> usize {
-        self.k.iter().map(Matrix::rows).max().unwrap_or(0)
     }
 
     /// Total cached rows.

@@ -4,7 +4,6 @@
 use std::collections::{BTreeMap, BTreeSet};
 
 use serde::{Deserialize, Serialize};
-use transpim_hbm::stats::{from_signed_units, to_signed_units, OutOfRange};
 use transpim_pim::ecc::EccScheme;
 
 use crate::scenario::{Fault, FaultError, FaultScenario};
@@ -17,15 +16,11 @@ pub struct SystemInfo {
     pub subarrays_per_bank: u32,
 }
 
-/// Degraded-mode accounting attached to a `SimReport`.
-///
-/// `overhead_latency_ns`/`overhead_energy_pj` are the *incremental* cost of
-/// degradation (ECC checks, retries, corrections, stuck-plane
-/// serialization, divider fallback), summed exactly in the engine's
-/// fixed-point units and converted to f64 once. For scenarios that do not
-/// change the program shape (no failed banks, no link faults) the degraded
-/// run equals the fault-free run plus this overhead, up to the rounding of
-/// each lump's own degraded price.
+/// Degraded-mode accounting attached to a `SimReport`: fault events and
+/// the static fault inventory. What degradation costs is not tallied here;
+/// it is the degraded run's latency and energy minus the fault-free run's,
+/// which also covers re-sharding around failed banks and rerouting around
+/// dead links.
 #[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
 pub struct FaultStats {
     /// Individual fault events injected (static faults + drawn flips).
@@ -42,10 +37,6 @@ pub struct FaultStats {
     pub dead_links: u32,
     pub degraded_links: u32,
     pub broken_dividers: u32,
-    /// Incremental latency added by degradation, in scaled engine time.
-    pub overhead_latency_ns: f64,
-    /// Incremental energy added by degradation.
-    pub overhead_energy_pj: f64,
 }
 
 /// What happened to the flips drawn on one transfer.
@@ -61,15 +52,13 @@ pub enum FlipOutcome {
     Uncorrectable(u64),
 }
 
-/// A snapshot of a [`FaultSession`]'s draw counter, event counters and
-/// overhead, taken before pricing a repeat-body iteration and closed by
+/// A snapshot of a [`FaultSession`]'s draw counter and injected count, taken before pricing a repeat-body iteration and closed by
 /// [`FaultSession::repeat_since`].
 #[derive(Debug)]
 #[must_use = "a mark keeps the draw log open until FaultSession::repeat_since closes it"]
 pub struct Mark {
     draws: u64,
     injected: u64,
-    overhead: [i128; 2],
 }
 
 fn splitmix64(mut x: u64) -> u64 {
@@ -154,10 +143,8 @@ pub struct FaultSession {
     detected: u64,
     corrected: u64,
     uncorrectable: u64,
-    /// Overhead latency and energy, in signed 2^-64 ns/pJ tally units.
-    overhead: [i128; 2],
-    /// Whether an overhead value or total, or an event count, left its
-    /// range: sticky, checked once per run ([`FaultSession::in_range`]).
+    /// Whether an event count left its range: sticky, checked once per run
+    /// ([`FaultSession::in_range`]).
     out_of_range: bool,
     /// Whether draws are logged: from [`FaultSession::mark`] until
     /// [`FaultSession::repeat_since`] closes the mark.
@@ -201,7 +188,6 @@ impl FaultSession {
             detected: 0,
             corrected: 0,
             uncorrectable: 0,
-            overhead: [0; 2],
             out_of_range: false,
             logging: false,
             log: Vec::new(),
@@ -393,31 +379,9 @@ impl FaultSession {
         }
     }
 
-    /// Record incremental degradation cost (already in scaled engine time).
-    /// The energy may be negative: a fallback can cost less energy than
-    /// the path it replaces. A value or total outside the tally range is
-    /// left out and fails [`FaultSession::in_range`].
-    pub fn add_overhead(&mut self, latency_ns: f64, energy_pj: f64) {
-        for (total, x) in self.overhead.iter_mut().zip([latency_ns, energy_pj]) {
-            match to_signed_units(x).and_then(|u| total.checked_add(u)) {
-                Some(sum) => *total = sum,
-                None => self.out_of_range = true,
-            }
-        }
-    }
-
-    /// Whether every overhead recorded so far, and its total, stayed
-    /// inside the tally range, and every event count below 2^64.
-    ///
-    /// # Errors
-    ///
-    /// [`OutOfRange`] otherwise.
-    pub fn in_range(&self) -> Result<(), OutOfRange> {
-        if self.out_of_range {
-            Err(OutOfRange)
-        } else {
-            Ok(())
-        }
+    /// Whether every event count stayed below 2^64.
+    pub fn in_range(&self) -> bool {
+        !self.out_of_range
     }
 
     /// Snapshot the session before pricing a repeat-body iteration, and
@@ -427,7 +391,7 @@ impl FaultSession {
     pub fn mark(&mut self) -> Mark {
         self.logging = true;
         self.log.clear();
-        Mark { draws: self.draws, injected: self.injected, overhead: self.overhead }
+        Mark { draws: self.draws, injected: self.injected }
     }
 
     /// Whether a draw since `mark` flipped.
@@ -457,9 +421,8 @@ impl FaultSession {
         max
     }
 
-    /// Close `mark`, accounting everything since it another `times` times:
-    /// the draws of one more flip-free iteration and its overhead,
-    /// exactly, per time. `times` = 0 only closes the mark.
+    /// Close `mark`, accounting the draws since it another `times` times:
+    /// one more flip-free iteration's draws per time. `times` = 0 only closes the mark.
     /// [`FaultSession::clean_iterations`] says how many next iterations
     /// are flip-free.
     ///
@@ -475,13 +438,6 @@ impl FaultSession {
         assert!(!self.flipped_since(&mark), "a repeated iteration must draw no flip");
         let per_iteration = self.draws.wrapping_sub(mark.draws);
         self.draws = self.draws.wrapping_add(per_iteration.wrapping_mul(times));
-        for (total, before) in self.overhead.iter_mut().zip(mark.overhead) {
-            let repeated = (*total - before).checked_mul(i128::from(times));
-            match repeated.and_then(|r| total.checked_add(r)) {
-                Some(sum) => *total = sum,
-                None => self.out_of_range = true,
-            }
-        }
     }
 
     /// Returns true exactly once, for naming the fault trace track lazily
@@ -506,8 +462,6 @@ impl FaultSession {
             dead_links: self.dead_links.len() as u32,
             degraded_links: self.degraded_links.len() as u32,
             broken_dividers: self.broken_dividers.len() as u32,
-            overhead_latency_ns: from_signed_units(self.overhead[0]),
-            overhead_energy_pj: from_signed_units(self.overhead[1]),
         }
     }
 }
@@ -673,13 +627,10 @@ mod tests {
             let mut walked = FaultSession::new(&scenario, sys()).expect("valid");
             let mut repeated = walked.clone();
             let bytes = iteration_bytes(&mut x);
-            // One iteration: its draws and a mixed-sign, non-dyadic overhead.
             let iteration = |s: &mut FaultSession| {
                 for &b in &bytes {
                     s.observe_transfer(b);
                 }
-                s.add_overhead(0.1, -0.3);
-                s.add_overhead(7.7e-3, 1.9e6);
             };
             let mark = repeated.mark();
             iteration(&mut repeated);
@@ -700,36 +651,6 @@ mod tests {
     }
 
     #[test]
-    fn overhead_is_exact_whatever_the_order() {
-        let mut a = session(vec![], EccScheme::None).expect("valid");
-        let mut b = a.clone();
-        let terms = [(0.1, 1e9), (0.2, -0.7), (0.3, 3.3e-3), (1e6, 0.1)];
-        for &(ns, pj) in &terms {
-            a.add_overhead(ns, pj);
-        }
-        for &(ns, pj) in terms.iter().rev() {
-            b.add_overhead(ns, pj);
-        }
-        assert_eq!(a.stats(), b.stats());
-    }
-
-    #[test]
-    fn overhead_outside_the_tally_range_fails_once_at_the_end() {
-        let mut s = session(vec![], EccScheme::None).expect("valid");
-        s.add_overhead(1.0, -2.0);
-        assert_eq!(s.in_range(), Ok(()));
-        s.add_overhead(1e30, 0.0);
-        s.add_overhead(1.0, 0.0);
-        assert_eq!(s.in_range(), Err(OutOfRange));
-        // A repeat whose product leaves the range.
-        let mut s = session(vec![], EccScheme::None).expect("valid");
-        let mark = s.mark();
-        s.add_overhead(1e18, 0.0);
-        s.repeat_since(mark, u64::MAX);
-        assert_eq!(s.in_range(), Err(OutOfRange));
-    }
-
-    #[test]
     fn event_counts_past_u64_saturate_and_fail_once_at_the_end() {
         let flips = |per_gib| vec![Fault::TransientFlips { per_gib }];
         let gib = (1u64 << 30) as f64;
@@ -745,15 +666,15 @@ mod tests {
                 (stats.injected, stats.detected, stats.corrected),
                 (u64::MAX, u64::MAX, u64::MAX)
             );
-            assert_eq!(s.in_range(), Err(OutOfRange), "rate {per_gib}");
+            assert!(!s.in_range(), "rate {per_gib}");
             // Sticky: later draws neither wrap nor clear it.
             s.observe_transfer(gib);
             assert_eq!(s.stats().injected, u64::MAX);
-            assert_eq!(s.in_range(), Err(OutOfRange));
+            assert!(!s.in_range());
         }
         let mut s = session(flips(1e18), EccScheme::Parity).expect("valid");
         s.observe_transfer(gib);
-        assert_eq!((s.stats().injected, s.in_range()), (1_000_000_000_000_000_000, Ok(())));
+        assert_eq!((s.stats().injected, s.in_range()), (1_000_000_000_000_000_000, true));
     }
 
     #[test]

@@ -175,11 +175,6 @@ impl Engine {
         Self { sink, ..Self::new() }
     }
 
-    /// Attach (or replace) the observability sink.
-    pub fn attach_sink(&mut self, sink: SinkHandle) {
-        self.sink = sink;
-    }
-
     /// The attached sink handle (the null handle when tracing is off).
     pub fn sink(&self) -> &SinkHandle {
         &self.sink

@@ -148,11 +148,6 @@ impl ResourceMap {
         &self.bus
     }
 
-    /// Whether dedicated ring links are present.
-    pub fn has_ring_links(&self) -> bool {
-        self.ring_links
-    }
-
     /// Total number of distinct resources (banks + groups + channels +
     /// stacks + host + per-group ring-link tokens).
     pub fn len(&self) -> u32 {
@@ -299,27 +294,6 @@ impl ResourceMap {
         resources.push(self.stack_link(dc.stack));
         resources.push(self.host_bus());
         bw = bw.min(self.bus.stack_gbs).min(self.bus.host_gbs);
-        Route { resources, bandwidth_gbs: bw }
-    }
-
-    /// Route a host→bank load (weights, inputs). Occupies the host bus, the
-    /// stack link and the channel bus of the destination.
-    pub fn route_from_host(&self, dst: BankId) -> Route {
-        let g = &self.geometry;
-        let c = g.coord(dst);
-        let resources = vec![
-            self.host_bus(),
-            self.stack_link(c.stack),
-            self.channel_bus(g.channel_of(dst)),
-            self.group_bus(g.group_of(dst)),
-            self.bank(dst),
-        ];
-        let bw = self
-            .bus
-            .host_gbs
-            .min(self.bus.stack_gbs)
-            .min(self.bus.channel_gbs)
-            .min(self.bus.group_gbs);
         Route { resources, bandwidth_gbs: bw }
     }
 

@@ -232,24 +232,6 @@ pub(crate) fn from_units(u: u128) -> f64 {
     u as f64 / UNITS_PER_ONE
 }
 
-/// `x` in signed tally units, for a sum whose terms may be negative:
-/// [`to_units`] of `|x|`, negated when `x` is negative. `None` if `|x|`
-/// is outside the tally range.
-pub fn to_signed_units(x: f64) -> Option<i128> {
-    let u = i128::try_from(to_units(x.abs())?).ok()?;
-    Some(if x < 0.0 { -u } else { u })
-}
-
-/// The nearest f64 to `u` signed tally units.
-pub fn from_signed_units(u: i128) -> f64 {
-    let x = from_units(u.unsigned_abs());
-    if u < 0 {
-        -x
-    } else {
-        x
-    }
-}
-
 /// A simulated value or total left the tally range: 2^64 ns (about 584
 /// simulated years), pJ, bytes or fault events.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]

@@ -104,15 +104,6 @@ where
         .collect()
 }
 
-/// [`run`] with [`max_threads`] workers.
-pub fn run_default<T, F>(jobs: Vec<F>) -> Vec<T>
-where
-    F: FnOnce() -> T + Send,
-    T: Send,
-{
-    run(max_threads(), jobs)
-}
-
 /// Split `0..len` into at most `pieces` contiguous ranges of near-equal
 /// length, in ascending order. Returns fewer pieces when `len < pieces`;
 /// empty for `len == 0`.

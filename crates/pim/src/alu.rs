@@ -179,18 +179,6 @@ impl PimAlu {
         let (ea, eb) = (ext(a), ext(b));
         self.mul(&ea, &eb).resized(out_bits)
     }
-
-    /// Point-wise AND of equal-width operands (one AAP per plane) — used for
-    /// masking.
-    pub fn and_planes(&mut self, a: &BitPlanes, b: &BitPlanes) -> BitPlanes {
-        assert_eq!(a.bits(), b.bits(), "widths differ");
-        let mut out = BitPlanes::zeros(a.lanes(), 0);
-        for i in 0..a.bits() {
-            let p = self.and(a.plane(i), b.plane(i));
-            out.push_plane(p);
-        }
-        out
-    }
 }
 
 /// Number of AAPs issued by [`PimAlu::add`] on `bits`-wide operands.

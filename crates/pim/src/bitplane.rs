@@ -88,12 +88,6 @@ impl Plane {
         self.zip2(other, |a, b| a | b)
     }
 
-    /// Row-parallel XOR (provided for checking; composed from
-    /// AND/OR/NOT/MAJ in the costed ALU).
-    pub fn xor(&self, other: &Plane) -> Plane {
-        self.zip2(other, |a, b| a ^ b)
-    }
-
     /// Row-parallel NOT via the dual-contact cell (one AAP in hardware).
     pub fn not(&self) -> Plane {
         let words = self.words.iter().map(|&a| !a).collect();
@@ -199,16 +193,6 @@ impl BitPlanes {
     /// Panics if `i >= bits`.
     pub fn plane(&self, i: u32) -> &Plane {
         &self.planes[i as usize]
-    }
-
-    /// Replace plane `i`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `i >= bits` or lane counts differ.
-    pub fn set_plane(&mut self, i: u32, p: Plane) {
-        assert_eq!(p.lanes(), self.lanes, "plane lane count differs");
-        self.planes[i as usize] = p;
     }
 
     /// Append a plane at the most-significant end (widening the value).

@@ -22,38 +22,6 @@ pub fn relu(x: &Matrix) -> Matrix {
     x.map(|v| v.max(0.0))
 }
 
-/// Point-wise GELU (tanh approximation), the activation real RoBERTa /
-/// Pegasus / GPT-2 use. The paper's cost model treats it like any other
-/// point-wise op; the functional library provides it for completeness.
-pub fn gelu(x: &Matrix) -> Matrix {
-    x.map(|v| {
-        let c = (2.0f32 / std::f32::consts::PI).sqrt();
-        0.5 * v * (1.0 + (c * (v + 0.044715 * v * v * v)).tanh())
-    })
-}
-
-/// Row-wise layer normalization with learned-parameter-free unit
-/// scale/shift: `(x − mean) / sqrt(var + eps)`.
-///
-/// # Panics
-///
-/// Panics if the matrix has zero columns.
-pub fn layer_norm(x: &Matrix, eps: f32) -> Matrix {
-    assert!(x.cols() > 0, "layer norm over zero columns");
-    let mut out = Matrix::zeros(x.rows(), x.cols());
-    for r in 0..x.rows() {
-        let row = x.row(r);
-        let n = row.len() as f32;
-        let mean = row.iter().sum::<f32>() / n;
-        let var = row.iter().map(|&v| (v - mean) * (v - mean)).sum::<f32>() / n;
-        let inv = 1.0 / (var + eps).sqrt();
-        for (o, &v) in out.row_mut(r).iter_mut().zip(row) {
-            *o = (v - mean) * inv;
-        }
-    }
-    out
-}
-
 /// Multi-head scaled dot-product attention.
 ///
 /// `q` is `(Lq × D)`, `k`/`v` are `(Lk × D)`; `D` splits into `heads`
@@ -414,39 +382,6 @@ mod tests {
         let x = Matrix::zeros(2, cfg.d_model);
         let mut cache = KvCache::new();
         decoder_layer_step(&x, &w.decoder[0], &mut cache, None, cfg.heads, SoftmaxKind::Exact);
-    }
-
-    #[test]
-    fn gelu_matches_known_values() {
-        let x = Matrix::from_rows(&[vec![-3.0, -1.0, 0.0, 1.0, 3.0]]);
-        let g = gelu(&x);
-        // GELU(0)=0, GELU(1)≈0.8412, GELU(-1)≈-0.1588, saturates to x for
-        // large positive and to 0 for large negative inputs.
-        assert!((g[(0, 2)] - 0.0).abs() < 1e-6);
-        assert!((g[(0, 3)] - 0.8412).abs() < 5e-3);
-        assert!((g[(0, 1)] + 0.1588).abs() < 5e-3);
-        assert!((g[(0, 4)] - 2.996).abs() < 5e-3);
-        assert!(g[(0, 0)].abs() < 5e-3);
-    }
-
-    #[test]
-    fn layer_norm_zero_mean_unit_variance() {
-        let x = Matrix::from_fn(3, 16, |r, c| (r * 16 + c) as f32 * 0.37 - 2.0);
-        let n = layer_norm(&x, 1e-5);
-        for r in 0..3 {
-            let row = n.row(r);
-            let mean: f32 = row.iter().sum::<f32>() / 16.0;
-            let var: f32 = row.iter().map(|&v| (v - mean) * (v - mean)).sum::<f32>() / 16.0;
-            assert!(mean.abs() < 1e-4, "row {r} mean {mean}");
-            assert!((var - 1.0).abs() < 1e-3, "row {r} var {var}");
-        }
-    }
-
-    #[test]
-    fn layer_norm_constant_row_does_not_blow_up() {
-        let x = Matrix::from_fn(1, 8, |_, _| 3.5);
-        let n = layer_norm(&x, 1e-5);
-        assert!(n.as_slice().iter().all(|v| v.is_finite() && v.abs() < 1.0));
     }
 
     #[test]

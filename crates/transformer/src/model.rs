@@ -179,16 +179,6 @@ impl ModelConfig {
         }
     }
 
-    /// Head width `d_h = D / h`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `heads` does not divide `d_model`.
-    pub fn head_dim(&self) -> usize {
-        assert!(self.heads > 0 && self.d_model.is_multiple_of(self.heads), "bad head split");
-        self.d_model / self.heads
-    }
-
     /// Parameters of one encoder block (4 D² attention + 2 D·D_ff FFN).
     pub fn encoder_layer_params(&self) -> u64 {
         let d = self.d_model as u64;

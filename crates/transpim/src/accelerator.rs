@@ -50,6 +50,21 @@ impl Accelerator {
         dataflow.compile(workload, self.arch.hbm.geometry.total_banks())
     }
 
+    /// [`Accelerator::compile`] over the banks `session` leaves healthy:
+    /// tokens re-shard over the surviving pool, which the program addresses
+    /// renumbered contiguously in ring order. Session validation
+    /// guarantees at least one healthy bank. This is the program
+    /// [`Accelerator::simulate_on`] prices.
+    pub fn compile_degraded(
+        &self,
+        workload: &Workload,
+        dataflow: DataflowKind,
+        session: &FaultSession,
+    ) -> Program {
+        let healthy = self.arch.hbm.geometry.total_banks() - session.failed_bank_count();
+        dataflow.compile(workload, healthy)
+    }
+
     /// Compile `workload` under `dataflow` and simulate it.
     pub fn simulate(&self, workload: &Workload, dataflow: DataflowKind) -> SimReport {
         self.simulate_with_sink(workload, dataflow, SinkHandle::null())
@@ -136,11 +151,7 @@ impl Accelerator {
             "executor architecture does not match accelerator architecture"
         );
         let mut session = FaultSession::new(scenario, self.arch.system_info())?;
-        // Re-shard over the surviving pool (session validation guarantees
-        // at least one healthy bank). The compiled program addresses the
-        // healthy banks renumbered contiguously in ring order.
-        let healthy = self.arch.hbm.geometry.total_banks() - session.failed_bank_count();
-        let program = dataflow.compile(workload, healthy);
+        let program = self.compile_degraded(workload, dataflow, &session);
         exec.apply_ring_faults(&session);
         let (stats, scoped) = exec.run_degraded_with_sink(&program, &mut session, sink)?;
         Ok(SimReport {

@@ -26,7 +26,7 @@
 
 use transpim_acu::adder_tree::tree_reduce;
 use transpim_acu::divider::recip_q16;
-use transpim_pim::{AapTrace, BitPlanes, PimAlu};
+use transpim_pim::{BitPlanes, PimAlu};
 
 /// Fractional bits of the activation format (Q0.8).
 const ACT_FRAC: u32 = 8;
@@ -161,13 +161,6 @@ pub fn attention_row_reference(q: &[f32], keys: &[Vec<f32>], values: &[Vec<f32>]
     let sum: f32 = exps.iter().sum();
     let probs: Vec<f32> = exps.iter().map(|e| e / sum).collect();
     (0..d).map(|dim| probs.iter().zip(values).map(|(&p, v)| p * v[dim]).sum()).collect()
-}
-
-/// The in-array command count of a run (exposed for the cost-model
-/// cross-check: the functional execution and the analytic AAP formulas
-/// must track each other).
-pub fn trace_of(result: &BankSimResult) -> AapTrace {
-    AapTrace { aaps: result.aaps }
 }
 
 /// Analytic AAP count of [`attention_row`] over `n` keys of width `d`,

@@ -216,7 +216,9 @@ impl Executor {
         let mut engine = Engine::with_sink(sink);
         engine.set_latency_scale(1.0 + self.arch.hbm.timing.refresh_overhead());
         self.run_segment(program.steps(), &mut engine, session)?;
-        session.in_range()?;
+        if !session.in_range() {
+            return Err(SimError::OutOfRange);
+        }
         Ok(engine.into_stats()?)
     }
 
@@ -262,10 +264,7 @@ impl Executor {
         Ok(())
     }
 
-    /// Apply the lump-level degradation policies and account their
-    /// incremental cost (in scaled engine time, so the session's overhead
-    /// equals the end-to-end latency delta for shape-preserving
-    /// scenarios):
+    /// Apply the lump-level degradation policies:
     ///
     /// * a compute category served by [`Unit::Pim`] serializes over the
     ///   subarrays surviving stuck bit-planes;
@@ -287,7 +286,6 @@ impl Executor {
         mut energy_pj: f64,
         bytes: f64,
     ) -> Result<(f64, f64), SimError> {
-        let scale = engine.latency_scale();
         let in_array = match category {
             Category::Arithmetic => self.table.arithmetic == Unit::Pim,
             Category::Reduction => self.table.reduction == Unit::Pim,
@@ -296,34 +294,25 @@ impl Executor {
         if in_array {
             let slow = sess.pim_slowdown();
             if slow > 1.0 {
-                let extra = latency_ns * (slow - 1.0);
-                latency_ns += extra;
-                sess.add_overhead(extra * scale, 0.0);
+                latency_ns += latency_ns * (slow - 1.0);
             }
         }
         if category == Category::DataMovement {
             let tax = sess.ecc_overhead_fraction();
             if tax > 0.0 {
-                let extra_lat = latency_ns * tax;
-                let extra_pj = energy_pj * tax;
-                latency_ns += extra_lat;
-                energy_pj += extra_pj;
-                sess.add_overhead(extra_lat * scale, extra_pj);
+                latency_ns += latency_ns * tax;
+                energy_pj += energy_pj * tax;
             }
             match sess.observe_transfer(bytes) {
                 FlipOutcome::None => {}
                 FlipOutcome::Corrected(flips) => {
-                    let extra_lat = flips as f64 * self.arch.hbm.timing.t_rc;
-                    let extra_pj = flips as f64 * self.arch.hbm.energy.e_act;
-                    latency_ns += extra_lat;
-                    energy_pj += extra_pj;
-                    sess.add_overhead(extra_lat * scale, extra_pj);
+                    latency_ns += flips as f64 * self.arch.hbm.timing.t_rc;
+                    energy_pj += flips as f64 * self.arch.hbm.energy.e_act;
                     Self::fault_event(engine, sess, "ecc-correct", flips);
                 }
                 FlipOutcome::Retry(flips) => {
                     // One bounded re-read of the transfer (check bits
                     // included); the retry itself is not re-drawn.
-                    sess.add_overhead(latency_ns * scale, energy_pj);
                     latency_ns *= 2.0;
                     energy_pj *= 2.0;
                     Self::fault_event(engine, sess, "parity-retry", flips);
@@ -466,7 +455,7 @@ impl Executor {
                 let (lat, pj) = if self.table.reciprocal == Unit::Acu
                     && !session.broken_dividers().is_empty()
                 {
-                    self.recip_degraded(per_bank, total, session, engine.latency_scale())
+                    self.recip_degraded(per_bank, total, session.broken_divider_fraction())
                 } else {
                     self.recip(per_bank, total)
                 };
@@ -617,7 +606,7 @@ impl Executor {
     ///   [`FaultSession::mark`], and both `repeat_since` calls close them,
     ///   with the count of clean iterations to add (0 for a walked
     ///   iteration that does not qualify). Exact, because the engine's
-    ///   tallies and the session's overhead are integers; the marks copy
+    ///   tallies and the session's draw counter are integers; the marks copy
     ///   only what the body touches and reuse their buffers, so an
     ///   iteration allocates nothing. The session's pure scan
     ///   [`FaultSession::clean_iterations`] of the template's logged flip
@@ -795,22 +784,11 @@ impl Executor {
     /// banks fall back to Newton–Raphson reciprocal in their arrays (the
     /// OriginalPim path), running alongside the healthy dividers. Latency
     /// is the slower of the two sides; energy blends by the broken
-    /// fraction. The incremental cost is charged to the session in scaled
-    /// engine time.
-    fn recip_degraded(
-        &self,
-        per_bank: u64,
-        total: u64,
-        sess: &mut FaultSession,
-        scale: f64,
-    ) -> (f64, f64) {
+    /// fraction `frac`.
+    fn recip_degraded(&self, per_bank: u64, total: u64, frac: f64) -> (f64, f64) {
         let (div_lat, div_pj) = self.recip(per_bank, total);
         let (nr_lat, nr_pj) = self.pim_recip(per_bank, total);
-        let frac = sess.broken_divider_fraction();
-        let lat = div_lat.max(nr_lat);
-        let pj = div_pj * (1.0 - frac) + nr_pj * frac;
-        sess.add_overhead((lat - div_lat) * scale, pj - div_pj);
-        (lat, pj)
+        (div_lat.max(nr_lat), div_pj * (1.0 - frac) + nr_pj * frac)
     }
 
     // ---- movement pricing ------------------------------------------------
@@ -1423,7 +1401,8 @@ mod tests {
             ],
         };
         let (once, once_faults) = run_under(&program(body.clone()), &scenario).unwrap();
-        assert!(once_faults.overhead_latency_ns > 0.0 && once_faults.overhead_energy_pj != 0.0);
+        let (clean, _) = run_under(&program(body.clone()), &FaultScenario::empty(0)).unwrap();
+        assert!(once.0.latency_ns > clean.0.latency_ns, "the scenario degrades the body");
         // A power of two, so scaling one iteration's f64 totals by it is
         // exact too and the comparison below can be bitwise.
         let count = 1u64 << 30;
@@ -1440,13 +1419,7 @@ mod tests {
         assert_eq!(stats.bytes_moved, once.0.bytes_moved * n);
         assert_eq!(stats.latency_ns, once.0.latency_ns * n);
         assert_eq!(scoped.get("dec.attn"), Some(&stats));
-        assert_eq!(faults.overhead_latency_ns, once_faults.overhead_latency_ns * n);
-        assert_eq!(faults.overhead_energy_pj, once_faults.overhead_energy_pj * n);
-        assert_eq!(
-            FaultStats { overhead_latency_ns: 0.0, overhead_energy_pj: 0.0, ..faults },
-            FaultStats { overhead_latency_ns: 0.0, overhead_energy_pj: 0.0, ..once_faults },
-            "static-fault counters do not scale with the count"
-        );
+        assert_eq!(faults, once_faults, "static-fault counters do not scale with the count");
     }
 
     #[test]

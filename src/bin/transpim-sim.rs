@@ -15,7 +15,8 @@
 use std::process::ExitCode;
 use transpim::accelerator::Accelerator;
 use transpim::exec::Executor;
-use transpim::{ChromeTraceSink, FaultScenario, MetricsSink, SimError, SinkHandle};
+use transpim::report::SimReport;
+use transpim::{ChromeTraceSink, FaultScenario, FaultSession, MetricsSink, SimError, SinkHandle};
 use transpim_bench::{run_grid, GridCell};
 
 /// Capacity checks: the batch's input must fit the memory (an error), the
@@ -275,8 +276,16 @@ fn suffixed(path: &str, system: &str) -> String {
     }
 }
 
+/// What degradation cost: the degraded run's latency (ns) and energy (pJ)
+/// minus the fault-free run's.
+#[derive(Clone, Copy)]
+struct Overhead {
+    latency_ns: f64,
+    energy_pj: f64,
+}
+
 /// Headline report figures alongside the per-span aggregates.
-fn push_headline_metrics(m: &mut MetricsSink, report: &transpim::report::SimReport) {
+fn push_headline_metrics(m: &mut MetricsSink, report: &SimReport, overhead: Option<Overhead>) {
     m.push_metric("report.latency_ms", report.latency_ms());
     m.push_metric("report.energy_mj", report.stats.total_energy_pj() * 1e-9);
     m.push_metric("report.bytes_moved", report.stats.bytes_moved);
@@ -285,8 +294,10 @@ fn push_headline_metrics(m: &mut MetricsSink, report: &transpim::report::SimRepo
         m.push_metric("fault.injected", f.injected as f64);
         m.push_metric("fault.detected", f.detected as f64);
         m.push_metric("fault.corrected", f.corrected as f64);
-        m.push_metric("fault.overhead_latency_ns", f.overhead_latency_ns);
-        m.push_metric("fault.overhead_energy_pj", f.overhead_energy_pj);
+    }
+    if let Some(o) = overhead {
+        m.push_metric("fault.overhead_latency_ns", o.latency_ns);
+        m.push_metric("fault.overhead_energy_pj", o.energy_pj);
     }
 }
 
@@ -339,7 +350,7 @@ fn main() -> ExitCode {
                 eprintln!("[trace written to {path} — open in chrome://tracing or Perfetto]");
             }
             if let (Some(path), Some(mut metrics)) = (&opts.metrics, output.metrics) {
-                push_headline_metrics(&mut metrics, &report);
+                push_headline_metrics(&mut metrics, &report, None);
                 let path = suffixed(path, &report.system);
                 if let Err(e) = metrics.write_to(&path) {
                     eprintln!("error: writing {path}: {e}");
@@ -381,9 +392,18 @@ fn main() -> ExitCode {
 
     let acc = Accelerator::new(arch);
 
-    // Optional IR dump: the compiled dataflow program, before pricing.
+    // Optional IR dump: the program that is priced, compiled over the
+    // banks the scenario leaves healthy.
     if let Some(path) = &opts.dump_ir {
-        let prog = acc.compile(&opts.workload, opts.dataflow);
+        let session = match FaultSession::new(&scenario, acc.arch().system_info()) {
+            Ok(s) => s,
+            Err(e) => {
+                // The same error, and exit code, as the simulation's.
+                eprintln!("error: {}", SimError::from(e));
+                return ExitCode::from(1);
+            }
+        };
+        let prog = acc.compile_degraded(&opts.workload, opts.dataflow, &session);
         match serde_json::to_string_pretty(&prog) {
             Ok(json) => {
                 if let Err(e) = std::fs::write(path, json) {
@@ -415,18 +435,33 @@ fn main() -> ExitCode {
         metrics.clone().map_or_else(SinkHandle::null, SinkHandle::from_shared),
     ]);
 
-    let mut exec = Executor::new(acc.arch().clone());
-    let report = match acc.simulate_on(&mut exec, &opts.workload, opts.dataflow, &scenario, sink) {
-        Ok(r) => r,
-        Err(e) => {
+    let simulate = |scenario: &FaultScenario, sink| {
+        let mut exec = Executor::new(acc.arch().clone());
+        acc.simulate_on(&mut exec, &opts.workload, opts.dataflow, scenario, sink).map_err(|e| {
             eprintln!("error: {e}");
             // A workload too large for the statistics is bad input, like
             // an oversized batch; an uncorrectable fault is a result.
-            return ExitCode::from(if e == SimError::OutOfRange { 2 } else { 1 });
-        }
+            ExitCode::from(if e == SimError::OutOfRange { 2 } else { 1 })
+        })
+    };
+    let report = match simulate(&scenario, sink) {
+        Ok(r) => r,
+        Err(code) => return code,
+    };
+    // A degraded run's overhead is measured against the fault-free run,
+    // priced only when there is a fault to account.
+    let overhead = match &report.faults {
+        Some(_) => match simulate(&FaultScenario::empty(0), SinkHandle::null()) {
+            Ok(clean) => Some(Overhead {
+                latency_ns: report.stats.latency_ns - clean.stats.latency_ns,
+                energy_pj: report.stats.total_energy_pj() - clean.stats.total_energy_pj(),
+            }),
+            Err(code) => return code,
+        },
+        None => None,
     };
     println!("{}", report.summary());
-    if let Some(f) = &report.faults {
+    if let (Some(f), Some(o)) = (&report.faults, overhead) {
         println!();
         println!(
             "fault accounting: {} injected, {} detected, {} corrected, {} uncorrectable",
@@ -439,8 +474,8 @@ fn main() -> ExitCode {
         );
         println!(
             "  degradation overhead: {:.3} ms, {:.3} mJ",
-            f.overhead_latency_ns * 1e-6,
-            f.overhead_energy_pj * 1e-9
+            o.latency_ns * 1e-6,
+            o.energy_pj * 1e-9
         );
     }
     println!();
@@ -475,7 +510,7 @@ fn main() -> ExitCode {
         eprintln!("[trace written to {path} — open in chrome://tracing or Perfetto]");
     }
     if let (Some(path), Some(metrics)) = (&opts.metrics, &metrics) {
-        push_headline_metrics(&mut metrics.borrow_mut(), &report);
+        push_headline_metrics(&mut metrics.borrow_mut(), &report, overhead);
         if let Err(e) = metrics.borrow().write_to(path) {
             eprintln!("error: writing {path}: {e}");
             return ExitCode::from(1);

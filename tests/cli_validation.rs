@@ -76,3 +76,95 @@ fn flip_counts_beyond_u64_are_an_error_not_a_wrapped_count() {
     }
     std::fs::remove_dir_all(&dir).expect("temp dir removed");
 }
+
+/// A fresh temporary directory for one test's files.
+fn temp_dir(test: &str) -> std::path::PathBuf {
+    let dir = std::env::temp_dir().join(format!("transpim-cli-{test}-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).expect("temp dir");
+    dir
+}
+
+/// Stdout of a `transpim-sim args` run that must succeed.
+fn stdout_of(args: &[&str]) -> String {
+    let out = Command::new(env!("CARGO_BIN_EXE_transpim-sim"))
+        .args(args)
+        .output()
+        .expect("transpim-sim runs");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(out.status.success(), "{args:?} failed: {stderr}");
+    String::from_utf8_lossy(&out.stdout).into_owned()
+}
+
+/// Latency (ns) and energy (pJ) of a `--json` report.
+fn latency_and_energy(path: &std::path::Path) -> (f64, f64) {
+    let text = std::fs::read_to_string(path).expect("report written");
+    let report: transpim::SimReport = serde_json::from_str(&text).expect("report parses");
+    (report.stats.latency_ns, report.stats.total_energy_pj())
+}
+
+#[test]
+fn fault_overhead_is_degraded_minus_fault_free() {
+    // A failed bank re-shards the tokens and a dead link reroutes the
+    // ring: both change the program, not single lumps, and both cost.
+    let dir = temp_dir("overhead");
+    let clean = dir.join("clean.json");
+    stdout_of(&["--workload", "imdb", "--json", clean.to_str().expect("utf-8")]);
+    let (clean_ns, clean_pj) = latency_and_energy(&clean);
+    for (name, fault) in
+        [("bank", r#"{"FailedBank":{"bank":3}}"#), ("link", r#"{"DeadLink":{"group":0}}"#)]
+    {
+        let scenario = dir.join(format!("{name}.scenario.json"));
+        std::fs::write(&scenario, format!(r#"{{"seed":0,"faults":[{fault}]}}"#))
+            .expect("scenario file");
+        let report = dir.join(format!("{name}.json"));
+        let metrics = dir.join(format!("{name}.metrics.json"));
+        let stdout = stdout_of(&[
+            "--workload",
+            "imdb",
+            "--faults",
+            scenario.to_str().expect("utf-8"),
+            "--json",
+            report.to_str().expect("utf-8"),
+            "--metrics",
+            metrics.to_str().expect("utf-8"),
+        ]);
+        let (ns, pj) = latency_and_energy(&report);
+        let (overhead_ns, overhead_pj) = (ns - clean_ns, pj - clean_pj);
+        assert!(overhead_ns > 0.0, "{name}: degraded {ns} ns vs fault-free {clean_ns} ns");
+        let line = format!(
+            "  degradation overhead: {:.3} ms, {:.3} mJ",
+            overhead_ns * 1e-6,
+            overhead_pj * 1e-9
+        );
+        assert!(stdout.lines().any(|l| l == line), "{name}: no {line:?} in\n{stdout}");
+        let text = std::fs::read_to_string(&metrics).expect("metrics written");
+        let m: serde_json::Value = serde_json::from_str(&text).expect("metrics parse");
+        assert_eq!(m["fault.overhead_latency_ns"].as_f64(), Some(overhead_ns), "{name}");
+        assert_eq!(m["fault.overhead_energy_pj"].as_f64(), Some(overhead_pj), "{name}");
+    }
+    std::fs::remove_dir_all(&dir).expect("temp dir removed");
+}
+
+#[test]
+fn dump_ir_under_failed_banks_writes_the_priced_program() {
+    // The priced program re-shards over the healthy banks, so the dump
+    // must too; a dead link leaves the program as it is.
+    let dir = temp_dir("dump-ir");
+    let dump = |name: &str, fault: Option<&str>| {
+        let ir = dir.join(format!("{name}.ir.json"));
+        let mut args = vec!["--workload", "imdb", "--dump-ir", ir.to_str().expect("utf-8")];
+        let scenario = dir.join(format!("{name}.scenario.json"));
+        if let Some(fault) = fault {
+            std::fs::write(&scenario, format!(r#"{{"seed":0,"faults":[{fault}]}}"#))
+                .expect("scenario file");
+            args.extend(["--faults", scenario.to_str().expect("utf-8")]);
+        }
+        stdout_of(&args);
+        std::fs::read_to_string(&ir).expect("IR written")
+    };
+    let clean = dump("clean", None);
+    let failed = dump("bank", Some(r#"{"FailedBank":{"bank":3}}"#));
+    assert_ne!(failed, clean, "the dump ignored the failed bank");
+    assert_eq!(dump("link", Some(r#"{"DeadLink":{"group":0}}"#)), clean);
+    std::fs::remove_dir_all(&dir).expect("temp dir removed");
+}
