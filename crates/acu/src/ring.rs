@@ -19,6 +19,7 @@
 
 use crate::data_buffer::DataBufferModel;
 use serde::{Deserialize, Serialize};
+use std::fmt::Write;
 use transpim_hbm::energy::EnergyParams;
 use transpim_hbm::engine::tracks;
 use transpim_hbm::geometry::{BankId, HbmGeometry};
@@ -266,10 +267,15 @@ pub fn emit_hop_events(
     if !sink.is_enabled() {
         return;
     }
+    // One buffer for every per-instance name, so emission allocates per
+    // call rather than per hop.
+    let mut name = String::new();
     for p in placements {
+        name.clear();
+        let _ = write!(name, "hop {}->{}", p.src.0, p.dst.0);
         sink.span(
-            SpanEvent::new(
-                format!("hop {}->{}", p.src.0, p.dst.0),
+            &SpanEvent::new(
+                name.as_str(),
                 "ring",
                 tracks::resource(map.bank(p.src)),
                 base_ns + p.start_ns * scale,
@@ -280,16 +286,22 @@ pub fn emit_hop_events(
         );
     }
     // Per-bank occupancy over this transfer set: the fraction of the
-    // makespan each source bank spends driving its link.
+    // makespan each source bank spends driving its link, per source bank
+    // in ascending order.
     let makespan = placements.iter().map(|p| p.start_ns + p.dur_ns).fold(0.0, f64::max);
     if makespan > 0.0 {
-        let mut busy: std::collections::BTreeMap<u32, f64> = std::collections::BTreeMap::new();
+        let srcs = || placements.iter().map(|p| p.src.0);
+        let (first, last) = (srcs().min().unwrap_or(0), srcs().max().unwrap_or(0));
+        let mut busy: Vec<Option<f64>> = vec![None; (last - first) as usize + 1];
         for p in placements {
-            *busy.entry(p.src.0).or_default() += p.dur_ns;
+            *busy[(p.src.0 - first) as usize].get_or_insert(0.0) += p.dur_ns;
         }
-        for (bank, busy_ns) in busy {
-            sink.counter(CounterEvent::sample(
-                format!("util.bank {bank}"),
+        for (bank, busy_ns) in (first..).zip(busy) {
+            let Some(busy_ns) = busy_ns else { continue };
+            name.clear();
+            let _ = write!(name, "util.bank {bank}");
+            sink.counter(&CounterEvent::sample(
+                name.as_str(),
                 tracks::resource(map.bank(BankId(bank))),
                 base_ns,
                 "busy_frac",

@@ -75,6 +75,16 @@ pub mod tracks {
     }
 }
 
+/// Name of `category`'s utilization counter: `util.<label>`.
+fn util_counter(category: Category) -> &'static str {
+    match category {
+        Category::DataMovement => "util.data-movement",
+        Category::Arithmetic => "util.arithmetic",
+        Category::Reduction => "util.reduction",
+        Category::Other => "util.other",
+    }
+}
+
 /// The phase engine: records lumps, advances simulated time, and
 /// accumulates global and per-scope statistics.
 ///
@@ -246,8 +256,8 @@ impl Engine {
         if emit {
             self.name_category_tracks();
             self.sink.span(
-                SpanEvent::new(
-                    self.scopes[self.scope].label.clone(),
+                &SpanEvent::new(
+                    &self.scopes[self.scope].label,
                     category.label(),
                     tracks::category(category),
                     self.now_ns(),
@@ -284,8 +294,8 @@ impl Engine {
     fn sample_utilization(&self, category: Category) {
         let now_ns = self.now_ns();
         if now_ns > 0.0 {
-            self.sink.counter(CounterEvent::sample(
-                format!("util.{}", category.label()),
+            self.sink.counter(&CounterEvent::sample(
+                util_counter(category),
                 tracks::category(category),
                 now_ns,
                 "busy_frac",
@@ -328,7 +338,7 @@ impl Engine {
         let start_units = start.total.time_units();
         let start_ns = from_units(start_units);
         self.sink.span(
-            SpanEvent::new("repeat", "repeat", tracks::RING, start_ns, self.now_ns() - start_ns)
+            &SpanEvent::new("repeat", "repeat", tracks::RING, start_ns, self.now_ns() - start_ns)
                 .with_count(iterations),
         );
         for c in Category::ALL {
@@ -340,8 +350,8 @@ impl Engine {
                     continue;
                 }
                 self.sink.span(
-                    SpanEvent::new(
-                        scope.label.clone(),
+                    &SpanEvent::new(
+                        &scope.label,
                         c.label(),
                         tracks::category(c),
                         from_units(at),
@@ -467,6 +477,13 @@ mod tests {
         // The data-movement lump is 3 of the 8 ns so far.
         let util = events.iter().find(|e| e.name == "util.data-movement").expect("counter");
         assert_eq!(util.args["busy_frac"], transpim_obs::ArgValue::Num(3.0 / 8.0));
+    }
+
+    #[test]
+    fn utilization_counters_are_named_after_their_category() {
+        for c in Category::ALL {
+            assert_eq!(util_counter(c), format!("util.{}", c.label()));
+        }
     }
 
     /// One repeat-body iteration: a scope that only the body uses, a lump

@@ -6,6 +6,7 @@
 //! sink exports microseconds, per the trace-event spec).
 
 use serde::{Deserialize, Serialize};
+use std::borrow::Cow;
 
 /// Identifier of one timeline row ("thread" in Chrome-trace terms).
 ///
@@ -66,14 +67,24 @@ impl From<String> for ArgValue {
     }
 }
 
+/// Text of an event: borrowed from the emitter (a scope label, a static
+/// category) or owned when the emitter had to format it.
+pub type Text<'a> = Cow<'a, str>;
+
+/// Attached arguments, in the order they were attached.
+pub type Args<'a> = Vec<(Text<'a>, ArgValue)>;
+
 /// A complete interval on a track: something that took time.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct SpanEvent {
+///
+/// Events borrow their text where they can: sinks receive them by
+/// reference ([`crate::Sink`]) and copy only what they keep.
+#[derive(Debug, Clone, PartialEq)]
+pub struct SpanEvent<'a> {
     /// Human-readable name (scope label, hop label, op label).
-    pub name: String,
+    pub name: Text<'a>,
     /// Category label, matching the breakdown vocabulary of the emitter
     /// (e.g. `data-movement`, `arithmetic`, `ring`).
-    pub category: String,
+    pub category: Text<'a>,
     /// Track the span renders on.
     pub track: TrackId,
     /// Start, in simulated nanoseconds.
@@ -81,14 +92,14 @@ pub struct SpanEvent {
     /// Duration, in simulated nanoseconds (≥ 0).
     pub dur_ns: f64,
     /// Attached arguments.
-    pub args: Vec<(String, ArgValue)>,
+    pub args: Args<'a>,
 }
 
-impl SpanEvent {
+impl<'a> SpanEvent<'a> {
     /// A span with no arguments.
     pub fn new(
-        name: impl Into<String>,
-        category: impl Into<String>,
+        name: impl Into<Text<'a>>,
+        category: impl Into<Text<'a>>,
         track: TrackId,
         start_ns: f64,
         dur_ns: f64,
@@ -104,14 +115,14 @@ impl SpanEvent {
     }
 
     /// Attach one argument (builder style).
-    pub fn with_arg(mut self, key: impl Into<String>, value: impl Into<ArgValue>) -> Self {
+    pub fn with_arg(mut self, key: impl Into<Text<'a>>, value: impl Into<ArgValue>) -> Self {
         self.args.push((key.into(), value.into()));
         self
     }
 
     /// Attach one numeric label argument (builder style); see
     /// [`ArgValue::Label`].
-    pub fn with_label(self, key: impl Into<String>, id: u64) -> Self {
+    pub fn with_label(self, key: impl Into<Text<'a>>, id: u64) -> Self {
         self.with_arg(key, ArgValue::Label(id))
     }
 
@@ -124,25 +135,25 @@ impl SpanEvent {
 }
 
 /// A point-in-time marker on a track.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct InstantEvent {
+#[derive(Debug, Clone, PartialEq)]
+pub struct InstantEvent<'a> {
     /// Human-readable name.
-    pub name: String,
+    pub name: Text<'a>,
     /// Category label.
-    pub category: String,
+    pub category: Text<'a>,
     /// Track the marker renders on.
     pub track: TrackId,
     /// Timestamp, in simulated nanoseconds.
     pub ts_ns: f64,
     /// Attached arguments.
-    pub args: Vec<(String, ArgValue)>,
+    pub args: Args<'a>,
 }
 
-impl InstantEvent {
+impl<'a> InstantEvent<'a> {
     /// An instant with no arguments.
     pub fn new(
-        name: impl Into<String>,
-        category: impl Into<String>,
+        name: impl Into<Text<'a>>,
+        category: impl Into<Text<'a>>,
         track: TrackId,
         ts_ns: f64,
     ) -> Self {
@@ -150,32 +161,32 @@ impl InstantEvent {
     }
 
     /// Attach one argument (builder style).
-    pub fn with_arg(mut self, key: impl Into<String>, value: impl Into<ArgValue>) -> Self {
+    pub fn with_arg(mut self, key: impl Into<Text<'a>>, value: impl Into<ArgValue>) -> Self {
         self.args.push((key.into(), value.into()));
         self
     }
 }
 
 /// A sampled counter value series (utilization, occupancy, queue depth).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct CounterEvent {
+#[derive(Debug, Clone, PartialEq)]
+pub struct CounterEvent<'a> {
     /// Counter series name (one chart per name in trace viewers).
-    pub name: String,
+    pub name: Text<'a>,
     /// Track the counter renders on.
     pub track: TrackId,
     /// Sample timestamp, in simulated nanoseconds.
     pub ts_ns: f64,
     /// `(series, value)` samples taken at `ts_ns`.
-    pub values: Vec<(String, f64)>,
+    pub values: Vec<(Text<'a>, f64)>,
 }
 
-impl CounterEvent {
+impl<'a> CounterEvent<'a> {
     /// A counter with a single `(series, value)` sample.
     pub fn sample(
-        name: impl Into<String>,
+        name: impl Into<Text<'a>>,
         track: TrackId,
         ts_ns: f64,
-        series: impl Into<String>,
+        series: impl Into<Text<'a>>,
         value: f64,
     ) -> Self {
         Self { name: name.into(), track, ts_ns, values: vec![(series.into(), value)] }
@@ -199,13 +210,13 @@ mod tests {
     #[test]
     fn with_count_attaches_count_arg() {
         let s = SpanEvent::new("repeat", "repeat", TrackId(16), 0.0, 5.0).with_count(7);
-        assert_eq!(s.args, vec![("count".to_owned(), ArgValue::Num(7.0))]);
+        assert_eq!(s.args, vec![("count".into(), ArgValue::Num(7.0))]);
     }
 
     #[test]
     fn labels_are_numeric_args() {
         let s = SpanEvent::new("hop 0->1", "ring", TrackId(64), 0.0, 5.0).with_label("slot", 2);
-        assert_eq!(s.args, vec![("slot".to_owned(), ArgValue::Label(2))]);
+        assert_eq!(s.args, vec![("slot".into(), ArgValue::Label(2))]);
         assert_eq!(serde_json::to_string(&ArgValue::Label(2)).unwrap(), "2");
     }
 
@@ -220,6 +231,6 @@ mod tests {
     #[test]
     fn counter_sample_is_single_series() {
         let c = CounterEvent::sample("util", TrackId::DEFAULT, 3.0, "busy", 0.5);
-        assert_eq!(c.values, vec![("busy".to_owned(), 0.5)]);
+        assert_eq!(c.values, vec![("busy".into(), 0.5)]);
     }
 }

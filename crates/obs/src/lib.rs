@@ -8,11 +8,13 @@
 //!
 //! * [`event`] — the span / instant / counter event model with typed
 //!   [`event::TrackId`] timelines,
-//! * [`sink`] — the pluggable [`Sink`] trait, the cheap cloneable
-//!   [`SinkHandle`] the simulation layers carry, the zero-overhead
-//!   [`NullSink`], and a [`FanoutSink`] multiplexer,
+//! * [`sink`] — the pluggable [`Sink`] trait, which receives events by
+//!   reference, the cheap cloneable [`SinkHandle`] the simulation layers
+//!   carry, the zero-overhead [`NullSink`], and a [`FanoutSink`]
+//!   multiplexer that hands the same event to every child,
 //! * [`chrome`] — a Chrome-tracing / Perfetto JSON sink
-//!   (`chrome://tracing` loads its output directly),
+//!   (`chrome://tracing` loads its output directly) that renders each
+//!   record once, on receipt, and sorts an index of them on export,
 //! * [`metrics`] — a flat key→value metrics sink with JSON and CSV export
 //!   for the `results/` pipeline.
 //!
@@ -23,7 +25,7 @@
 //!
 //! let chrome = ChromeTraceSink::shared();
 //! let sink = SinkHandle::from_shared(chrome.clone());
-//! sink.span(SpanEvent::new("fc", "arithmetic", TrackId(1), 0.0, 100.0)
+//! sink.span(&SpanEvent::new("fc", "arithmetic", TrackId(1), 0.0, 100.0)
 //!     .with_arg("energy_pj", 5_000.0));
 //! let json = chrome.borrow().to_json_string().unwrap();
 //! assert!(json.contains("\"name\":\"fc\""));
@@ -32,7 +34,10 @@
 //! Emission discipline: layers that might run hot must gate work behind
 //! [`SinkHandle::is_enabled`] — a disabled handle makes every emission a
 //! no-op without allocation, so untraced runs behave exactly like runs
-//! without any observability compiled in.
+//! without any observability compiled in. Traced emission allocates only
+//! for text it has to format: events borrow their names (a scope label),
+//! categories and argument keys are `&'static str`, and a sink copies
+//! only what it keeps.
 
 pub mod chrome;
 pub mod event;

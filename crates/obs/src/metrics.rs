@@ -40,14 +40,27 @@ fn kind_and_label(name: &str) -> (&str, &str) {
     name.split_once(' ').unwrap_or((name, ""))
 }
 
+/// Apply `f` to the value under `key`, inserting a default value first if
+/// it is absent. A key that is already present is found by `&str` and
+/// allocates nothing.
+fn update<V: Default>(map: &mut BTreeMap<String, V>, key: &str, f: impl FnOnce(&mut V)) {
+    match map.get_mut(key) {
+        Some(v) => f(v),
+        None => f(map.entry(key.to_owned()).or_default()),
+    }
+}
+
 /// Sink that folds the event stream into flat metrics.
 #[derive(Debug, Default)]
 pub struct MetricsSink {
-    spans: BTreeMap<(String, String), SpanAccum>,
+    /// Span totals by category, then kind.
+    spans: BTreeMap<String, BTreeMap<String, SpanAccum>>,
     /// Last value per `<kind>.<series>` and instance label.
     counters: BTreeMap<String, BTreeMap<String, f64>>,
     instants: BTreeMap<String, u64>,
     extra: BTreeMap<String, f64>,
+    /// Reused buffer for a counter's `<kind>.<series>` key.
+    key: String,
 }
 
 impl MetricsSink {
@@ -76,12 +89,15 @@ impl MetricsSink {
     /// last merged value (serial last-write-wins), instant counts add, and
     /// summary metrics keep the last merged value.
     pub fn merge(&mut self, other: MetricsSink) {
-        for (key, incoming) in other.spans {
-            let a = self.spans.entry(key).or_default();
-            a.count += incoming.count;
-            a.total_ns += incoming.total_ns;
-            for (arg, sum) in incoming.arg_sums {
-                *a.arg_sums.entry(arg).or_default() += sum;
+        for (category, kinds) in other.spans {
+            let into = self.spans.entry(category).or_default();
+            for (kind, incoming) in kinds {
+                let a = into.entry(kind).or_default();
+                a.count += incoming.count;
+                a.total_ns += incoming.total_ns;
+                for (arg, sum) in incoming.arg_sums {
+                    *a.arg_sums.entry(arg).or_default() += sum;
+                }
             }
         }
         for (key, instances) in other.counters {
@@ -98,7 +114,8 @@ impl MetricsSink {
     /// The flat, sorted `key → value` view of everything recorded.
     pub fn to_flat(&self) -> BTreeMap<String, f64> {
         let mut out = BTreeMap::new();
-        for ((category, name), a) in &self.spans {
+        let spans = self.spans.iter().flat_map(|(c, kinds)| kinds.iter().map(move |k| (c, k)));
+        for (category, (name, a)) in spans {
             let base = format!("span.{category}.{name}");
             out.insert(format!("{base}.count"), a.count as f64);
             out.insert(format!("{base}.total_ns"), a.total_ns);
@@ -179,32 +196,38 @@ impl MetricsSink {
 }
 
 impl Sink for MetricsSink {
-    fn span(&mut self, event: SpanEvent) {
-        let kind = kind_and_label(&event.name).0.to_owned();
-        let a = self.spans.entry((event.category, kind)).or_default();
-        let mut multiplicity = 1;
-        for (key, value) in event.args {
-            match value {
-                ArgValue::Num(n) if key == "count" => multiplicity = n as u64,
-                ArgValue::Num(v) if !RESERVED.contains(&key.as_str()) => {
-                    *a.arg_sums.entry(key).or_default() += v;
+    fn span(&mut self, event: &SpanEvent<'_>) {
+        let kind = kind_and_label(&event.name).0;
+        update(&mut self.spans, &event.category, |kinds| {
+            update(kinds, kind, |a| {
+                let mut multiplicity = 1;
+                for (key, value) in &event.args {
+                    match *value {
+                        ArgValue::Num(n) if key == "count" => multiplicity = n as u64,
+                        ArgValue::Num(v) if !RESERVED.contains(&key.as_ref()) => {
+                            update(&mut a.arg_sums, key, |sum| *sum += v);
+                        }
+                        _ => {}
+                    }
                 }
-                _ => {}
-            }
-        }
-        a.count += multiplicity;
-        a.total_ns += event.dur_ns;
+                a.count += multiplicity;
+                a.total_ns += event.dur_ns;
+            })
+        });
     }
 
-    fn instant(&mut self, event: InstantEvent) {
-        *self.instants.entry(kind_and_label(&event.name).0.to_owned()).or_default() += 1;
+    fn instant(&mut self, event: &InstantEvent<'_>) {
+        update(&mut self.instants, kind_and_label(&event.name).0, |n| *n += 1);
     }
 
-    fn counter(&mut self, event: CounterEvent) {
+    fn counter(&mut self, event: &CounterEvent<'_>) {
         let (kind, label) = kind_and_label(&event.name);
-        for (series, value) in event.values {
-            let instances = self.counters.entry(format!("{kind}.{series}")).or_default();
-            instances.insert(label.to_owned(), value);
+        for (series, value) in &event.values {
+            self.key.clear();
+            self.key.extend([kind, ".", series.as_ref()]);
+            update(&mut self.counters, &self.key, |instances| {
+                update(instances, label, |last| *last = *value)
+            });
         }
     }
 }
@@ -217,15 +240,15 @@ mod tests {
     fn filled() -> MetricsSink {
         let mut m = MetricsSink::new();
         m.span(
-            SpanEvent::new("fc", "arithmetic", TrackId(1), 0.0, 10.0).with_arg("energy_pj", 3.0),
+            &SpanEvent::new("fc", "arithmetic", TrackId(1), 0.0, 10.0).with_arg("energy_pj", 3.0),
         );
         m.span(
-            SpanEvent::new("fc", "arithmetic", TrackId(1), 10.0, 5.0).with_arg("energy_pj", 2.0),
+            &SpanEvent::new("fc", "arithmetic", TrackId(1), 10.0, 5.0).with_arg("energy_pj", 2.0),
         );
-        m.span(SpanEvent::new("attn", "data-movement", TrackId(1), 15.0, 7.0));
-        m.instant(InstantEvent::new("ring-step", "ring", TrackId(2), 1.0));
-        m.counter(CounterEvent::sample("util", TrackId(3), 2.0, "busy", 0.5));
-        m.counter(CounterEvent::sample("util", TrackId(3), 4.0, "busy", 0.75));
+        m.span(&SpanEvent::new("attn", "data-movement", TrackId(1), 15.0, 7.0));
+        m.instant(&InstantEvent::new("ring-step", "ring", TrackId(2), 1.0));
+        m.counter(&CounterEvent::sample("util", TrackId(3), 2.0, "busy", 0.5));
+        m.counter(&CounterEvent::sample("util", TrackId(3), 4.0, "busy", 0.75));
         m.push_metric("sim.latency_ns", 22.0);
         m
     }
@@ -246,14 +269,14 @@ mod tests {
     fn count_is_a_multiplicity_and_labels_are_not_summed() {
         let mut m = MetricsSink::new();
         m.span(
-            SpanEvent::new("dec.attn", "arithmetic", TrackId(1), 0.0, 30.0)
+            &SpanEvent::new("dec.attn", "arithmetic", TrackId(1), 0.0, 30.0)
                 .with_arg("energy_pj", 6.0)
                 .with_count(23),
         );
-        m.span(SpanEvent::new("dec.attn", "arithmetic", TrackId(1), 30.0, 2.0));
+        m.span(&SpanEvent::new("dec.attn", "arithmetic", TrackId(1), 30.0, 2.0));
         for (hop, slot) in [("hop 0->1", 0), ("hop 1->2", 1)] {
             m.span(
-                SpanEvent::new(hop, "ring", TrackId(64), 0.0, 4.0)
+                &SpanEvent::new(hop, "ring", TrackId(64), 0.0, 4.0)
                     .with_label("slot", slot)
                     .with_arg("total_ns", 1e9),
             );
@@ -273,7 +296,7 @@ mod tests {
     fn labelled_counters_fold_into_min_median_max() {
         let mut m = MetricsSink::new();
         for (bank, busy) in [(0, 0.5), (1, 0.25), (2, 1.0), (1, 0.75), (3, 0.125)] {
-            m.counter(CounterEvent::sample(
+            m.counter(&CounterEvent::sample(
                 format!("util.bank {bank}"),
                 TrackId(64),
                 0.0,
@@ -295,16 +318,16 @@ mod tests {
         // merging them in submission order must reproduce the shared sink.
         let mut first = MetricsSink::new();
         first.span(
-            SpanEvent::new("fc", "arithmetic", TrackId(1), 0.0, 10.0).with_arg("energy_pj", 3.0),
+            &SpanEvent::new("fc", "arithmetic", TrackId(1), 0.0, 10.0).with_arg("energy_pj", 3.0),
         );
-        first.counter(CounterEvent::sample("util", TrackId(3), 2.0, "busy", 0.5));
+        first.counter(&CounterEvent::sample("util", TrackId(3), 2.0, "busy", 0.5));
         let mut second = MetricsSink::new();
         second.span(
-            SpanEvent::new("fc", "arithmetic", TrackId(1), 10.0, 5.0).with_arg("energy_pj", 2.0),
+            &SpanEvent::new("fc", "arithmetic", TrackId(1), 10.0, 5.0).with_arg("energy_pj", 2.0),
         );
-        second.span(SpanEvent::new("attn", "data-movement", TrackId(1), 15.0, 7.0));
-        second.instant(InstantEvent::new("ring-step", "ring", TrackId(2), 1.0));
-        second.counter(CounterEvent::sample("util", TrackId(3), 4.0, "busy", 0.75));
+        second.span(&SpanEvent::new("attn", "data-movement", TrackId(1), 15.0, 7.0));
+        second.instant(&InstantEvent::new("ring-step", "ring", TrackId(2), 1.0));
+        second.counter(&CounterEvent::sample("util", TrackId(3), 4.0, "busy", 0.75));
         second.push_metric("sim.latency_ns", 22.0);
 
         let mut merged = MetricsSink::new();

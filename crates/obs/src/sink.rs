@@ -8,6 +8,11 @@ use std::rc::Rc;
 
 /// Consumer of observability events.
 ///
+/// Sinks receive events by reference: the emitter builds each event once,
+/// often borrowing its text, and a sink copies only what it keeps (the
+/// Chrome sink renders the record, the metrics sink folds it into totals).
+/// A [`FanoutSink`] hands the same reference to every child.
+///
 /// Sinks are single-threaded (the simulator is a discrete-event loop) and
 /// receive events in emission order, which is phase order but not strictly
 /// timestamp order — a phase's interior events (ring hops, per-op spans)
@@ -21,13 +26,13 @@ pub trait Sink {
     }
 
     /// Record a completed span.
-    fn span(&mut self, event: SpanEvent);
+    fn span(&mut self, event: &SpanEvent<'_>);
 
     /// Record an instantaneous marker.
-    fn instant(&mut self, event: InstantEvent);
+    fn instant(&mut self, event: &InstantEvent<'_>);
 
     /// Record a counter sample.
-    fn counter(&mut self, event: CounterEvent);
+    fn counter(&mut self, event: &CounterEvent<'_>);
 
     /// Name a track (shown as the timeline-row label in viewers). Optional.
     fn track_name(&mut self, track: TrackId, name: &str) {
@@ -91,21 +96,21 @@ impl SinkHandle {
     }
 
     /// Emit a completed span.
-    pub fn span(&self, event: SpanEvent) {
+    pub fn span(&self, event: &SpanEvent<'_>) {
         if let Some(s) = &self.inner {
             s.borrow_mut().span(event);
         }
     }
 
     /// Emit an instantaneous marker.
-    pub fn instant(&self, event: InstantEvent) {
+    pub fn instant(&self, event: &InstantEvent<'_>) {
         if let Some(s) = &self.inner {
             s.borrow_mut().instant(event);
         }
     }
 
     /// Emit a counter sample.
-    pub fn counter(&self, event: CounterEvent) {
+    pub fn counter(&self, event: &CounterEvent<'_>) {
         if let Some(s) = &self.inner {
             s.borrow_mut().counter(event);
         }
@@ -130,11 +135,11 @@ impl Sink for NullSink {
         false
     }
 
-    fn span(&mut self, _: SpanEvent) {}
+    fn span(&mut self, _: &SpanEvent<'_>) {}
 
-    fn instant(&mut self, _: InstantEvent) {}
+    fn instant(&mut self, _: &InstantEvent<'_>) {}
 
-    fn counter(&mut self, _: CounterEvent) {}
+    fn counter(&mut self, _: &CounterEvent<'_>) {}
 }
 
 /// Multiplexer: forwards every event to each child handle (e.g. a Chrome
@@ -156,30 +161,21 @@ impl Sink for FanoutSink {
         !self.children.is_empty()
     }
 
-    fn span(&mut self, event: SpanEvent) {
-        if let Some((last, rest)) = self.children.split_last() {
-            for c in rest {
-                c.span(event.clone());
-            }
-            last.span(event);
+    fn span(&mut self, event: &SpanEvent<'_>) {
+        for c in &self.children {
+            c.span(event);
         }
     }
 
-    fn instant(&mut self, event: InstantEvent) {
-        if let Some((last, rest)) = self.children.split_last() {
-            for c in rest {
-                c.instant(event.clone());
-            }
-            last.instant(event);
+    fn instant(&mut self, event: &InstantEvent<'_>) {
+        for c in &self.children {
+            c.instant(event);
         }
     }
 
-    fn counter(&mut self, event: CounterEvent) {
-        if let Some((last, rest)) = self.children.split_last() {
-            for c in rest {
-                c.counter(event.clone());
-            }
-            last.counter(event);
+    fn counter(&mut self, event: &CounterEvent<'_>) {
+        for c in &self.children {
+            c.counter(event);
         }
     }
 
@@ -199,7 +195,7 @@ mod tests {
     fn null_handle_is_disabled_and_free() {
         let h = SinkHandle::null();
         assert!(!h.is_enabled());
-        h.span(SpanEvent::new("x", "c", TrackId::DEFAULT, 0.0, 1.0)); // no-op
+        h.span(&SpanEvent::new("x", "c", TrackId::DEFAULT, 0.0, 1.0)); // no-op
         assert!(!SinkHandle::new(NullSink).is_enabled());
         assert!(!SinkHandle::default().is_enabled());
     }
@@ -214,9 +210,9 @@ mod tests {
             SinkHandle::from_shared(b.clone()),
         ]));
         assert!(fan.is_enabled());
-        fan.span(SpanEvent::new("s", "c", TrackId(1), 0.0, 2.0));
-        fan.instant(InstantEvent::new("i", "c", TrackId(1), 1.0));
-        fan.counter(CounterEvent::sample("u", TrackId(1), 1.0, "busy", 0.5));
+        fan.span(&SpanEvent::new("s", "c", TrackId(1), 0.0, 2.0));
+        fan.instant(&InstantEvent::new("i", "c", TrackId(1), 1.0));
+        fan.counter(&CounterEvent::sample("u", TrackId(1), 1.0, "busy", 0.5));
         assert_eq!(a.borrow().len(), 3);
         assert_eq!(b.borrow().len(), 3);
     }
@@ -236,7 +232,7 @@ mod tests {
             SinkHandle::from_shared(a.clone()),
             SinkHandle::from_shared(b.clone()),
         ]);
-        two.instant(InstantEvent::new("i", "c", TrackId(1), 1.0));
+        two.instant(&InstantEvent::new("i", "c", TrackId(1), 1.0));
         assert_eq!((a.borrow().len(), b.borrow().len()), (1, 1));
     }
 

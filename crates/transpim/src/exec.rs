@@ -342,7 +342,7 @@ impl Executor {
             engine.sink().track_name(tracks::FAULT, "faults");
         }
         engine.sink().instant(
-            InstantEvent::new(name, "fault", tracks::FAULT, engine.now_ns())
+            &InstantEvent::new(name, "fault", tracks::FAULT, engine.now_ns())
                 .with_arg("flips", flips),
         );
     }
@@ -383,7 +383,7 @@ impl Executor {
                         // Per-hop detail is meaningless here — rounds overlap
                         // the multiply — so mark the fused pair instead.
                         engine.sink().instant(
-                            InstantEvent::new(
+                            &InstantEvent::new(
                                 "pipelined-ring",
                                 "ring",
                                 tracks::RING,
@@ -510,7 +510,7 @@ impl Executor {
                 let r = self.schedule(Schedule::OneToAll { src }, banks, bytes);
                 if engine.emitting() {
                     engine.sink().instant(
-                        InstantEvent::new("one-to-all", "ring", tracks::RING, engine.now_ns())
+                        &InstantEvent::new("one-to-all", "ring", tracks::RING, engine.now_ns())
                             .with_arg("src_bank", u64::from(src))
                             .with_arg("banks", u64::from(banks.count))
                             .with_arg("bytes", bytes)
@@ -942,7 +942,7 @@ impl Executor {
         let base = engine.now_ns();
         if !self.emit_hops_once(engine, Schedule::Ring, banks, bytes) {
             engine.sink().span(
-                SpanEvent::new(
+                &SpanEvent::new(
                     "ring",
                     "ring",
                     tracks::RING,
@@ -958,7 +958,7 @@ impl Executor {
         }
         if repeat > 1 {
             engine.sink().span(
-                SpanEvent::new(
+                &SpanEvent::new(
                     format!("ring x{}", repeat - 1),
                     "ring",
                     tracks::RING,
@@ -978,7 +978,7 @@ impl Executor {
     fn emit_tree_hops(&mut self, engine: &Engine, banks: BankRange, bytes: u64, total_ns: f64) {
         if !self.emit_hops_once(engine, Schedule::Tree, banks, bytes) {
             engine.sink().span(
-                SpanEvent::new(
+                &SpanEvent::new(
                     "reduce-tree",
                     "ring",
                     tracks::RING,

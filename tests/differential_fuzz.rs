@@ -1,7 +1,7 @@
 //! Differential fuzz harness: randomized cross-checks between independent
 //! implementations of the same semantics.
 //!
-//! Nine comparisons, each over ≥128 generated cases (fixed seeds in CI via
+//! Ten comparisons, each over ≥128 generated cases (fixed seeds in CI via
 //! `TRANSPIM_PROPTEST_SEED` in `scripts/check.sh`):
 //!
 //! 1. **banksim vs f32** — the bit-accurate Figure 8 datapath must agree
@@ -38,6 +38,14 @@
 //!    above-1 expectations and for hashes at the threshold; and the
 //!    session's scan of logged thresholds must predict, iteration by
 //!    iteration, what `observe_transfer` then draws.
+//! 10. **Chrome writer vs reference writer** — the Chrome sink, which
+//!     renders each record on receipt and sorts an index on export, must
+//!     write byte for byte what the buffered writer it replaced writes
+//!     (records cloned, stably sorted, and written field by field), for
+//!     generated event streams with timestamp ties, metadata, labels,
+//!     empty and repeated argument keys, names that need escaping, and
+//!     special numbers; also when the stream is split across sinks that
+//!     are absorbed in order.
 
 use proptest::prelude::*;
 use transpim::accelerator::Accelerator;
@@ -48,6 +56,7 @@ use transpim::fault::{EccScheme, Fault, FaultScenario, FaultSession, FaultStats,
 use transpim::report::DataflowKind;
 use transpim::SimError;
 use transpim::SinkHandle;
+use transpim::{ChromeTraceSink, Sink};
 use transpim_bench::fuzz::{affine_step, arch_for, delta_for, small_workload, AFFINE_STEP_KINDS};
 use transpim_bench::{run_grid, GridCell};
 use transpim_dataflow::functional::encoder_layer_sharded;
@@ -55,6 +64,7 @@ use transpim_dataflow::ir::{Program, RepeatCompressor, Step, StepDelta};
 use transpim_dataflow::layer_functional::encoder_layer_layerflow;
 use transpim_hbm::engine::Engine;
 use transpim_hbm::stats::{Category, ScopedStats, SimStats};
+use transpim_obs::{ArgValue, CounterEvent, InstantEvent, SpanEvent, TrackId};
 use transpim_transformer::matrix::Matrix;
 use transpim_transformer::model::{ModelConfig, ModelWeights};
 use transpim_transformer::softmax::SoftmaxKind;
@@ -620,5 +630,298 @@ proptest! {
             s.repeat_since(mark, 0);
         }
         prop_assert_eq!(predicted, first_flip);
+    }
+}
+
+// ---------------------------------------------------------------------------
+// (10) Chrome writer vs the reference writer
+// ---------------------------------------------------------------------------
+
+/// The buffered trace writer the Chrome sink replaced: every record kept
+/// as a `ChromeEvent`, cloned and stably sorted on export (metadata
+/// first, then `ts`, then `tid`), and written field by field with a
+/// per-character string escaper and `Display` for numbers.
+mod reference_chrome {
+    use std::collections::BTreeMap;
+    use std::fmt::Write;
+    use transpim_obs::{ArgValue, ChromeEvent, CounterEvent, InstantEvent, SpanEvent, TrackId};
+
+    #[derive(Default)]
+    pub struct Writer {
+        events: Vec<ChromeEvent>,
+    }
+
+    fn args_map(args: &[(std::borrow::Cow<'_, str>, ArgValue)]) -> BTreeMap<String, ArgValue> {
+        args.iter()
+            .map(|(key, value)| match value {
+                ArgValue::Label(id) => (key.to_string(), ArgValue::Num(*id as f64)),
+                value => (key.to_string(), value.clone()),
+            })
+            .collect()
+    }
+
+    fn event(name: &str, cat: &str, ph: &str, ts: f64, dur: Option<f64>, tid: u64) -> ChromeEvent {
+        let (name, cat, ph) = (name.to_owned(), cat.to_owned(), ph.to_owned());
+        ChromeEvent { name, cat, ph, ts, dur, pid: 1, tid, args: BTreeMap::new() }
+    }
+
+    impl Writer {
+        pub fn span(&mut self, e: &SpanEvent<'_>) {
+            let ts = e.start_ns / 1000.0;
+            let mut r = event(&e.name, &e.category, "X", ts, Some(e.dur_ns / 1000.0), e.track.0);
+            r.args = args_map(&e.args);
+            self.events.push(r);
+        }
+
+        pub fn instant(&mut self, e: &InstantEvent<'_>) {
+            let mut r = event(&e.name, &e.category, "i", e.ts_ns / 1000.0, None, e.track.0);
+            r.args = args_map(&e.args);
+            self.events.push(r);
+        }
+
+        pub fn counter(&mut self, e: &CounterEvent<'_>) {
+            let mut r = event(&e.name, "counter", "C", e.ts_ns / 1000.0, None, e.track.0);
+            r.args = e.values.iter().map(|(k, v)| (k.to_string(), ArgValue::Num(*v))).collect();
+            self.events.push(r);
+        }
+
+        pub fn track_name(&mut self, track: TrackId, name: &str) {
+            let mut r = event("thread_name", "__metadata", "M", 0.0, None, track.0);
+            r.args.insert("name".to_owned(), ArgValue::Str(name.to_owned()));
+            self.events.push(r);
+        }
+
+        pub fn to_json_string(&self) -> String {
+            let mut events = self.events.clone();
+            events.sort_by(|a, b| {
+                let meta = |e: &ChromeEvent| u8::from(e.ph != "M");
+                meta(a)
+                    .cmp(&meta(b))
+                    .then(a.ts.partial_cmp(&b.ts).unwrap_or(std::cmp::Ordering::Equal))
+                    .then(a.tid.cmp(&b.tid))
+            });
+            let mut out = String::from("[");
+            for (i, e) in events.iter().enumerate() {
+                if i > 0 {
+                    out.push(',');
+                }
+                write_json(e, &mut out);
+            }
+            out.push(']');
+            out
+        }
+    }
+
+    fn write_json(e: &ChromeEvent, out: &mut String) {
+        out.push_str("{\"name\":");
+        write_str(out, &e.name);
+        out.push_str(",\"cat\":");
+        write_str(out, &e.cat);
+        out.push_str(",\"ph\":");
+        write_str(out, &e.ph);
+        out.push_str(",\"ts\":");
+        write_f64(out, e.ts);
+        if let Some(dur) = e.dur {
+            out.push_str(",\"dur\":");
+            write_f64(out, dur);
+        }
+        let _ = write!(out, ",\"pid\":{},\"tid\":{}", e.pid, e.tid);
+        if !e.args.is_empty() {
+            out.push_str(",\"args\":{");
+            for (i, (key, value)) in e.args.iter().enumerate() {
+                if i > 0 {
+                    out.push(',');
+                }
+                write_str(out, key);
+                out.push(':');
+                match value {
+                    ArgValue::Num(n) => write_f64(out, *n),
+                    ArgValue::Label(id) => write_f64(out, *id as f64),
+                    ArgValue::Str(s) => write_str(out, s),
+                }
+            }
+            out.push('}');
+        }
+        out.push('}');
+    }
+
+    fn write_str(out: &mut String, s: &str) {
+        out.push('"');
+        for c in s.chars() {
+            match c {
+                '"' => out.push_str("\\\""),
+                '\\' => out.push_str("\\\\"),
+                '\n' => out.push_str("\\n"),
+                '\r' => out.push_str("\\r"),
+                '\t' => out.push_str("\\t"),
+                '\u{08}' => out.push_str("\\b"),
+                '\u{0c}' => out.push_str("\\f"),
+                c if (c as u32) < 0x20 => {
+                    let _ = write!(out, "\\u{:04x}", c as u32);
+                }
+                c => out.push(c),
+            }
+        }
+        out.push('"');
+    }
+
+    fn write_f64(out: &mut String, v: f64) {
+        if v.is_finite() {
+            let _ = write!(out, "{v}");
+        } else {
+            out.push_str("null");
+        }
+    }
+}
+
+/// Names, categories and argument keys: plain, empty, and ones that need
+/// escaping (quotes, backslashes, control characters) or are non-ASCII.
+const TEXTS: [&str; 12] = [
+    "fc",
+    "enc.attn",
+    "hop 3->4",
+    "",
+    "quote\"d",
+    "back\\slash",
+    "line\nbreak\r\t",
+    "\u{1}ctl\u{8}\u{c}\u{1f}",
+    "µs ✓ 日本",
+    "count",
+    "bytes",
+    "\u{7f}del",
+];
+
+/// Timestamps in ns, with ties, zeros of both signs, integral and
+/// fractional values and infinities. NaN is left out: the reference
+/// writer's sort is not an order once a timestamp is NaN.
+fn timestamp_ns(pick: u8, bits: u64) -> f64 {
+    match pick % 8 {
+        0 => 0.0,
+        1 => -0.0,
+        2 => 1000.0 * f64::from((bits % 4) as u32),
+        3 => 1234.5678,
+        4 => f64::INFINITY,
+        5 => f64::NEG_INFINITY,
+        6 => (bits >> 11) as f64 / 7.0,
+        _ => -((bits % 1000) as f64) / 3.0,
+    }
+}
+
+/// Numbers: integral, fractional, zeros of both signs, around 2^53, large,
+/// non-finite, and arbitrary bit patterns.
+fn number(pick: u8, bits: u64) -> f64 {
+    let two_53 = 9_007_199_254_740_992.0;
+    match pick % 16 {
+        0 => 0.0,
+        1 => -0.0,
+        2 => (bits % 10_000) as f64,
+        3 => (bits % 10_000) as f64 / 8.0,
+        4 => (bits >> 11) as f64 / 3.0,
+        5 => two_53 - 1.0,
+        6 => two_53,
+        7 => two_53 + 2.0,
+        8 => -(two_53 - 1.0),
+        9 => 1e21,
+        10 => 1e300,
+        11 => f64::NAN,
+        12 => f64::INFINITY,
+        13 => -1e-7,
+        _ => f64::from_bits(bits),
+    }
+}
+
+/// One generated record: `(kind, name, category, track, (ts pick, dur
+/// pick, bits), args)`, each argument `(key, value kind, pick, bits)`.
+type RecordSpec = (u8, usize, usize, u64, (u8, u8, u64), Vec<(usize, u8, u8, u64)>);
+
+fn arg_value(kind: u8, pick: u8, bits: u64) -> ArgValue {
+    match kind % 3 {
+        0 => ArgValue::Num(number(pick, bits)),
+        1 => ArgValue::Label(if pick < 128 { bits } else { bits % 64 }),
+        _ => ArgValue::Str(TEXTS[bits as usize % TEXTS.len()].to_owned()),
+    }
+}
+
+/// Feed `spec` to the sink under test and to the reference writer.
+fn feed(spec: &RecordSpec, sink: &mut ChromeTraceSink, reference: &mut reference_chrome::Writer) {
+    let (kind, name, cat, track, (ts_pick, dur_pick, bits), args) = spec;
+    let (name, cat, track) = (TEXTS[*name], TEXTS[*cat], TrackId(*track));
+    let ts = timestamp_ns(*ts_pick, *bits);
+    match kind % 4 {
+        0 => {
+            let mut e =
+                SpanEvent::new(name, cat, track, ts, number(*dur_pick, bits.rotate_left(7)));
+            for &(key, vk, pick, b) in args {
+                e = e.with_arg(TEXTS[key], arg_value(vk, pick, b));
+            }
+            sink.span(&e);
+            reference.span(&e);
+        }
+        1 => {
+            let mut e = InstantEvent::new(name, cat, track, ts);
+            for &(key, vk, pick, b) in args {
+                e = e.with_arg(TEXTS[key], arg_value(vk, pick, b));
+            }
+            sink.instant(&e);
+            reference.instant(&e);
+        }
+        2 => {
+            let mut e = CounterEvent::sample(name, track, ts, cat, number(*dur_pick, *bits));
+            e.values
+                .extend(args.iter().map(|&(key, _, pick, b)| (TEXTS[key].into(), number(pick, b))));
+            sink.counter(&e);
+            reference.counter(&e);
+        }
+        _ => {
+            sink.track_name(track, name);
+            reference.track_name(track, name);
+        }
+    }
+}
+
+fn record_spec() -> impl Strategy<Value = RecordSpec> {
+    (
+        0u8..4,
+        0usize..TEXTS.len(),
+        0usize..TEXTS.len(),
+        0u64..4,
+        (any::<u8>(), any::<u8>(), any::<u64>()),
+        proptest::collection::vec((0usize..TEXTS.len(), 0u8..3, any::<u8>(), any::<u64>()), 0..5),
+    )
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    #[test]
+    fn chrome_writer_matches_reference_writer(
+        records in proptest::collection::vec(record_spec(), 0..40),
+        cuts in proptest::collection::vec(0usize..40, 0..4),
+    ) {
+        let mut whole = ChromeTraceSink::new();
+        let mut reference = reference_chrome::Writer::default();
+        for r in &records {
+            feed(r, &mut whole, &mut reference);
+        }
+        let expected = reference.to_json_string();
+        prop_assert_eq!(whole.to_json_string().expect("renders"), expected.clone());
+
+        // The same stream split into chunks, one sink per chunk, absorbed
+        // in order.
+        let mut cuts: Vec<usize> = cuts.into_iter().map(|c| c.min(records.len())).collect();
+        cuts.sort_unstable();
+        let mut merged = ChromeTraceSink::new();
+        let mut from = 0;
+        for to in cuts.into_iter().chain([records.len()]) {
+            let mut chunk = ChromeTraceSink::new();
+            let mut ignored = reference_chrome::Writer::default();
+            for r in &records[from..to] {
+                feed(r, &mut chunk, &mut ignored);
+            }
+            merged.absorb(chunk);
+            from = to;
+        }
+        prop_assert_eq!(merged.len(), records.len());
+        prop_assert_eq!(merged.to_json_string().expect("renders"), expected);
     }
 }

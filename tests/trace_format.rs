@@ -6,7 +6,7 @@
 use transpim::accelerator::Accelerator;
 use transpim::arch::{ArchConfig, ArchKind};
 use transpim::report::{DataflowKind, SimReport};
-use transpim::{ChromeTraceSink, MetricsSink, SinkHandle};
+use transpim::{ChromeTraceSink, FanoutSink, MetricsSink, SinkHandle};
 use transpim_hbm::stats::Category;
 use transpim_transformer::workload::Workload;
 
@@ -154,7 +154,7 @@ fn metrics_sink_aggregates_cover_every_emitting_category() {
     let acc = Accelerator::new(ArchConfig::new(ArchKind::TransPim));
     // Fan out to both sinks in one run; the aggregates must agree with the
     // trace's phase spans.
-    let sink = SinkHandle::new(transpim::FanoutSink::new(vec![
+    let sink = SinkHandle::new(FanoutSink::new(vec![
         SinkHandle::from_shared(chrome.clone()),
         SinkHandle::from_shared(metrics.clone()),
     ]));
@@ -179,4 +179,38 @@ fn metrics_sink_aggregates_cover_every_emitting_category() {
     let csv = metrics.borrow().to_csv_string();
     assert!(csv.starts_with("metric,value\n"));
     assert_eq!(csv.lines().count(), flat.len() + 1);
+}
+
+#[test]
+fn fanout_children_write_what_a_sink_attached_alone_writes() {
+    let acc = Accelerator::new(ArchConfig::new(ArchKind::TransPim));
+    let lm = Workload::lm();
+    for df in [DataflowKind::Token, DataflowKind::Layer] {
+        let run = |sink: SinkHandle| {
+            acc.simulate_with_sink(&lm, df, sink);
+        };
+        let alone_chrome = ChromeTraceSink::shared();
+        run(SinkHandle::from_shared(alone_chrome.clone()));
+        let alone_metrics = MetricsSink::shared();
+        run(SinkHandle::from_shared(alone_metrics.clone()));
+        let trace = alone_chrome.borrow().to_json_string().unwrap();
+        let metrics = alone_metrics.borrow().to_json_string().unwrap();
+
+        // Either child order: each child sees the event the other saw.
+        for chrome_first in [true, false] {
+            let (chrome, metrics_sink) = (ChromeTraceSink::shared(), MetricsSink::shared());
+            let mut children = vec![
+                SinkHandle::from_shared(chrome.clone()),
+                SinkHandle::from_shared(metrics_sink.clone()),
+            ];
+            if !chrome_first {
+                children.reverse();
+            }
+            run(SinkHandle::new(FanoutSink::new(children)));
+            let fanned_trace = chrome.borrow().to_json_string().unwrap();
+            assert!(fanned_trace == trace, "{df:?}: fanned-out trace differs from a lone sink's");
+            let fanned_metrics = metrics_sink.borrow().to_json_string().unwrap();
+            assert_eq!(fanned_metrics, metrics, "{df:?}: fanned-out metrics differ");
+        }
+    }
 }
