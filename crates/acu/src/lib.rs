@@ -33,6 +33,6 @@ pub use area::AreaModel;
 pub use data_buffer::DataBufferModel;
 pub use divider::{recip_q16, DividerModel};
 pub use ring::{
-    emit_hop_events, ring_step, schedule_hops, schedule_hops_placed, Hop, HopPlacement,
-    ScheduleResult, TransferCostModel,
+    emit_hop_events, schedule_hops, schedule_hops_placed, Hop, HopPlacement, ScheduleResult,
+    TransferCostModel,
 };

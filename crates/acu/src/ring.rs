@@ -322,16 +322,6 @@ pub fn ring_step_hops(banks: &[BankId], bytes: u64) -> Vec<Hop> {
         .collect()
 }
 
-/// Cost of one ring-broadcast step over `banks`.
-pub fn ring_step(
-    map: &ResourceMap,
-    xfer: &TransferCostModel,
-    banks: &[BankId],
-    bytes: u64,
-) -> ScheduleResult {
-    schedule_hops(map, xfer, &ring_step_hops(banks, bytes))
-}
-
 /// Hops of one step of the decoder's multi-step parallel partial-sum
 /// reduction (Section IV-B2 "Token reduction in decoder blocks"): banks are
 /// paired at `stride`, the higher bank of each pair shipping its partial sum
@@ -446,7 +436,7 @@ mod tests {
         let g = fig9_geometry();
         let map = ResourceMap::new(g, uniform_bus(), true);
         let banks: Vec<BankId> = g.banks().collect();
-        let r = ring_step(&map, &xfer(true), &banks, 256);
+        let r = schedule_hops(&map, &xfer(true), &ring_step_hops(&banks, 256));
         assert_eq!(r.slots, 3, "paper's Figure 9 schedule uses 3 slots");
         assert!((r.latency_ns - 3.0 * 16.0).abs() < 1e-9);
         assert_eq!(r.bytes, 8.0 * 256.0);
@@ -457,7 +447,7 @@ mod tests {
         let g = fig9_geometry();
         let map = ResourceMap::new(g, uniform_bus(), false);
         let banks: Vec<BankId> = g.banks().collect();
-        let r = ring_step(&map, &xfer(false), &banks, 256);
+        let r = schedule_hops(&map, &xfer(false), &ring_step_hops(&banks, 256));
         assert_eq!(r.slots, 8);
         assert!((r.latency_ns - 8.0 * 16.0).abs() < 1e-9);
     }
@@ -476,7 +466,7 @@ mod tests {
         let map = ResourceMap::new(g, uniform_bus(), true);
         let x = TransferCostModel::new(g, EnergyParams::default(), true);
         let banks: Vec<BankId> = g.banks().collect();
-        let r = ring_step(&map, &x, &banks, 256);
+        let r = schedule_hops(&map, &x, &ring_step_hops(&banks, 256));
         assert!(r.slots <= 4, "32-bank ring should still need ~3 slots, got {}", r.slots);
     }
 
@@ -484,8 +474,11 @@ mod tests {
     fn empty_and_single_bank_rings_are_free() {
         let g = fig9_geometry();
         let map = ResourceMap::new(g, uniform_bus(), true);
-        assert_eq!(ring_step(&map, &xfer(true), &[], 256).latency_ns, 0.0);
-        assert_eq!(ring_step(&map, &xfer(true), &[BankId(0)], 256).latency_ns, 0.0);
+        assert_eq!(schedule_hops(&map, &xfer(true), &ring_step_hops(&[], 256)).latency_ns, 0.0);
+        assert_eq!(
+            schedule_hops(&map, &xfer(true), &ring_step_hops(&[BankId(0)], 256)).latency_ns,
+            0.0
+        );
     }
 
     #[test]

@@ -2,36 +2,36 @@
 //! (`tests/differential_fuzz.rs`).
 //!
 //! Property strategies generate plain integers; the functions here map them
-//! onto valid domain values — arbitrary affine [`Step`]s with shape-correct
-//! [`StepDelta`]s, tiny but structurally complete [`Workload`]s, and
-//! architecture picks — so the strategies stay simple and every generated
+//! onto valid domain values — arbitrary sized [`Step`]s, tiny but
+//! structurally complete [`Workload`]s, and architecture picks — so the
+//! strategies stay simple and every generated
 //! input is well-formed by construction. Everything is a pure function of
 //! its arguments: the same generated integers always denote the same
 //! domain value, which keeps shrunk counterexamples meaningful.
 
 use transpim::arch::{ArchConfig, ArchKind};
-use transpim_dataflow::ir::{BankRange, Step, StepDelta};
+use transpim_dataflow::ir::{BankRange, Step};
 use transpim_transformer::model::ModelConfig;
 use transpim_transformer::workload::Workload;
 
-/// Number of step kinds [`affine_step`] can build: every [`Step`] variant
+/// Number of step kinds [`sized_step`] can build: every [`Step`] variant
 /// with size fields (all but `Scope` and `Repeat`, which the harness
 /// exercises separately).
-pub const AFFINE_STEP_KINDS: u8 = 15;
+pub const SIZED_STEP_KINDS: u8 = 15;
 
 /// Build one sized step from generated integers. `kind` selects the
-/// variant (mod [`AFFINE_STEP_KINDS`]); `sizes` feed the iteration-varying
-/// work fields and `structural` the invariant ones (widths, bank ranges,
-/// parallelism), reduced to ranges the closed-form total accounting cannot
-/// overflow at fuzz scale (sizes < 2²⁰, counts ≤ 64).
-pub fn affine_step(kind: u8, sizes: [u64; 3], structural: [u32; 2]) -> Step {
+/// variant (mod [`SIZED_STEP_KINDS`]); `sizes` feed the work fields and
+/// `structural` the others (widths, bank ranges, parallelism), reduced to
+/// ranges the total accounting cannot overflow at fuzz scale, repeats
+/// included (sizes < 2²⁰, counts ≤ 64).
+pub fn sized_step(kind: u8, sizes: [u64; 3], structural: [u32; 2]) -> Step {
     let s = [sizes[0] % (1 << 20), sizes[1] % (1 << 20), sizes[2] % (1 << 20)];
     let bits = 1 + structural[0] % 16;
     let bits2 = 1 + structural[1] % 16;
     let banks = 1 + structural[1] % 64;
     let range = BankRange::new(structural[0] % 32, 2 + structural[1] % 15);
     let parallel = 1 + structural[0] % 4;
-    match kind % AFFINE_STEP_KINDS {
+    match kind % SIZED_STEP_KINDS {
         0 => Step::PointwiseMul {
             elems_per_bank: s[0],
             total_elems: s[1],
@@ -73,18 +73,6 @@ pub fn affine_step(kind: u8, sizes: [u64; 3], structural: [u32; 2]) -> Step {
         13 => Step::ShuffleAll { total_bytes: s[0] },
         _ => Step::MemTouch { bytes_per_bank: s[0], total_bytes: s[1] },
     }
-}
-
-/// A per-iteration delta shaped like `step`'s varying-field list, with
-/// increments small enough (< 2¹⁰) that a fuzz-scale repeat never
-/// overflows the bilinear ring term.
-pub fn delta_for(step: &Step, raw: [u64; 3]) -> StepDelta {
-    let shape = step.varying();
-    let mut d = StepDelta::zeros(shape.len);
-    for (slot, r) in d.d.iter_mut().zip(raw).take(shape.len as usize) {
-        *slot = r % (1 << 10);
-    }
-    d
 }
 
 /// A structurally complete workload small enough to compile and price in

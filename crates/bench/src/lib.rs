@@ -31,20 +31,7 @@ pub fn run_system(
     workload: &Workload,
     stacks: u32,
 ) -> SimReport {
-    run_system_observed(kind, dataflow, workload, stacks, SinkHandle::null())
-}
-
-/// [`run_system`] with an observability sink attached to the execution.
-/// A [`SinkHandle::null`] sink makes this identical to [`run_system`].
-pub fn run_system_observed(
-    kind: ArchKind,
-    dataflow: DataflowKind,
-    workload: &Workload,
-    stacks: u32,
-    sink: SinkHandle,
-) -> SimReport {
-    let arch = ArchConfig::new(kind).with_stacks(stacks);
-    Accelerator::new(arch).simulate_with_sink(workload, dataflow, sink)
+    Accelerator::new(ArchConfig::new(kind).with_stacks(stacks)).simulate(workload, dataflow)
 }
 
 /// One cell of an evaluation grid: a full architecture configuration, a

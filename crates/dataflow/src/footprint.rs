@@ -89,8 +89,7 @@ pub fn token_flow_footprint(
 /// `kv_cache` footprint grows by this amount per full ring round of
 /// `banks` generated tokens, since banks take appends in turn. This is
 /// the steady per-token reservation the in-place `KvCache`/`ShardedKv`
-/// appends amortize, and the linear `delta` the compiled decode loop's
-/// `Step::Repeat` carries for its memory-touch steps.
+/// appends amortize.
 pub fn kv_growth_per_token(cfg: &ModelConfig, p: Precision) -> u64 {
     2 * cfg.d_model as u64 * (u64::from(p.act_bits) / 8) * cfg.decoder_layers as u64
 }

@@ -9,18 +9,14 @@
 //!
 //! # Loop compression
 //!
-//! Autoregressive decoding repeats one block of steps per generated token,
-//! with only the KV-length-dependent sizes changing — and those change as an
-//! *affine* function of the token index (the cache grows by one row per
-//! step). [`Step::Repeat`] captures that structure: a body emitted once,
-//! an iteration count, and one [`StepDelta`] per body step giving the
-//! per-iteration increments of its varying size fields. Iteration `i`'s
-//! step `j` is exactly `body[j]` advanced `i` times by `delta[j]`
-//! ([`Step::at`]), so a compressed program denotes precisely the same step
-//! sequence as its [`Program::unroll`]. The [`RepeatCompressor`] folds
-//! per-token blocks into `Repeat` steps opportunistically — a block that is
-//! not affine in the previous one simply flushes, so compression is a pure
-//! encoding choice, never a semantic one.
+//! Autoregressive decoding repeats one decoder block per generated token
+//! and layer. [`Step::Repeat`] captures that structure: a body emitted
+//! once and an iteration count, denoting `count` identical copies of the
+//! body, so a compressed program denotes precisely the same step sequence
+//! as its [`Program::unroll`]. Compilers commit runs of identical blocks
+//! with [`Program::push_block_times`]; a block that differs from the last
+//! one starts a new run, so compression is a pure encoding choice, never a
+//! semantic one.
 
 use serde::{Deserialize, Serialize};
 use std::borrow::Cow;
@@ -80,52 +76,6 @@ impl Default for Precision {
     fn default() -> Self {
         Self { act_bits: 8, acc_bits: 16, softmax_bits: 16, taylor_order: 5 }
     }
-}
-
-/// Maximum number of iteration-varying size fields any [`Step`] variant has.
-pub const MAX_VARYING: usize = 3;
-
-/// Per-iteration increments of one repeated step's varying size fields, in
-/// the canonical order [`Step::varying`] lists them. Structural fields
-/// (bank ranges, bit widths, source banks, parallelism) never vary inside a
-/// [`Step::Repeat`]; only work sizes do, and they may only grow (the KV
-/// cache never shrinks), so deltas are unsigned.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub struct StepDelta {
-    /// Increment per varying field (slots past `len` are zero).
-    pub d: [u64; MAX_VARYING],
-    /// Number of varying fields of the step variant.
-    pub len: u8,
-}
-
-impl StepDelta {
-    /// Delta of a variant with no varying fields.
-    pub fn none() -> Self {
-        Self { d: [0; MAX_VARYING], len: 0 }
-    }
-
-    /// All-zero delta for a variant with `len` varying fields.
-    pub fn zeros(len: u8) -> Self {
-        Self { d: [0; MAX_VARYING], len }
-    }
-
-    /// Whether every increment is zero (the repeated step is identical in
-    /// every iteration).
-    pub fn is_zero(&self) -> bool {
-        self.d[..self.len as usize].iter().all(|&x| x == 0)
-    }
-
-    /// The increments as a slice.
-    pub fn values(&self) -> &[u64] {
-        &self.d[..self.len as usize]
-    }
-}
-
-fn delta_of(vals: &[u64]) -> StepDelta {
-    debug_assert!(vals.len() <= MAX_VARYING);
-    let mut d = StepDelta { d: [0; MAX_VARYING], len: vals.len() as u8 };
-    d.d[..vals.len()].copy_from_slice(vals);
-    d
 }
 
 /// One dataflow step. Sizes follow two conventions:
@@ -300,26 +250,14 @@ pub enum Step {
         total_bytes: u64,
     },
 
-    /// `count` iterations of `body`, where iteration `i`'s step `j` is
-    /// `body[j]` advanced `i` times by `delta[j]` ([`Step::at`]). Denotes
-    /// exactly the unrolled sequence — the executor prices it either as
-    /// body × count (all deltas zero) or by advancing a scratch copy of the
-    /// body in place, both with statistics byte-identical to pricing the
-    /// unrolled program.
-    ///
-    /// A repeat whose every iteration is identical stores no deltas: its
-    /// canonical `delta` is empty (`"delta": []` on the wire), and
-    /// [`Step::repeat`] and [`RepeatCompressor`] build it that way. An
-    /// explicit all-zero `delta` parallel to `body` denotes the same
-    /// steps.
+    /// `count` identical iterations of `body`. Denotes exactly the
+    /// unrolled sequence; the executor prices it as body × count, with
+    /// statistics byte-identical to pricing the unrolled program.
     Repeat {
         /// Number of iterations.
         count: u64,
-        /// Steps of iteration 0.
+        /// Steps of one iteration.
         body: Vec<Step>,
-        /// Per-iteration increments, parallel to `body`; empty when every
-        /// increment is zero.
-        delta: Vec<StepDelta>,
     },
 }
 
@@ -329,138 +267,9 @@ impl Step {
         Step::Scope(label.into())
     }
 
-    /// Repeat constructor; validates that `delta` is empty or parallel to
-    /// `body` and shaped like each step's varying-field list, and stores
-    /// all-zero deltas in the canonical empty form.
-    pub fn repeat(count: u64, body: Vec<Step>, mut delta: Vec<StepDelta>) -> Self {
-        assert!(delta.is_empty() || body.len() == delta.len(), "delta must be parallel to body");
-        debug_assert!(
-            body.iter().zip(&delta).all(|(s, d)| s.varying().len == d.len),
-            "delta shapes must match the steps' varying fields"
-        );
-        if delta.iter().all(StepDelta::is_zero) {
-            delta.clear();
-        }
-        Step::Repeat { count, body, delta }
-    }
-
-    /// Current values of this step's iteration-varying size fields, in the
-    /// canonical order [`StepDelta`] increments them. Structural fields
-    /// (bank ranges, widths, parallelism, labels) are not listed — they
-    /// must be equal across the iterations of a [`Step::Repeat`].
-    pub fn varying(&self) -> StepDelta {
-        match self {
-            Step::Scope(_) | Step::Repeat { .. } => StepDelta::none(),
-            Step::PointwiseMul { elems_per_bank, total_elems, .. } => {
-                delta_of(&[*elems_per_bank, *total_elems])
-            }
-            Step::PointwiseAdd { elems_per_bank, total_elems, .. } => {
-                delta_of(&[*elems_per_bank, *total_elems])
-            }
-            Step::Exp { elems_per_bank, total_elems, .. } => {
-                delta_of(&[*elems_per_bank, *total_elems])
-            }
-            Step::Reduce { vec_len, vectors_per_bank, total_vectors, .. } => {
-                delta_of(&[u64::from(*vec_len), *vectors_per_bank, *total_vectors])
-            }
-            Step::Recip { per_bank, total } => delta_of(&[*per_bank, *total]),
-            Step::Replicate { copies, count_per_bank, total_count, .. } => {
-                delta_of(&[u64::from(*copies), *count_per_bank, *total_count])
-            }
-            Step::HostBroadcast { bytes, .. } => delta_of(&[*bytes]),
-            Step::HostScatter { total_bytes } => delta_of(&[*total_bytes]),
-            Step::RingBroadcast { bytes_per_hop, repeat, .. } => {
-                delta_of(&[*bytes_per_hop, *repeat])
-            }
-            Step::OneToAll { bytes, .. } => delta_of(&[*bytes]),
-            Step::PairwiseReduceTree { bytes, elems, .. } => delta_of(&[*bytes, *elems]),
-            Step::BroadcastDup { bytes, .. } => delta_of(&[*bytes]),
-            Step::IntraBankCopy { bytes_per_bank, total_bytes } => {
-                delta_of(&[*bytes_per_bank, *total_bytes])
-            }
-            Step::ShuffleAll { total_bytes } => delta_of(&[*total_bytes]),
-            Step::MemTouch { bytes_per_bank, total_bytes } => {
-                delta_of(&[*bytes_per_bank, *total_bytes])
-            }
-        }
-    }
-
-    /// Add `d` to the varying fields in place (one iteration forward). The
-    /// executor's per-iteration fallback advances a scratch body this way —
-    /// no allocation, cache-hot.
-    pub fn advance(&mut self, d: &StepDelta) {
-        debug_assert_eq!(self.varying().len, d.len, "delta shape mismatch");
-        match self {
-            Step::Scope(_) | Step::Repeat { .. } => {}
-            Step::PointwiseMul { elems_per_bank, total_elems, .. }
-            | Step::PointwiseAdd { elems_per_bank, total_elems, .. }
-            | Step::Exp { elems_per_bank, total_elems, .. } => {
-                *elems_per_bank += d.d[0];
-                *total_elems += d.d[1];
-            }
-            Step::Reduce { vec_len, vectors_per_bank, total_vectors, .. } => {
-                *vec_len = (u64::from(*vec_len) + d.d[0]) as u32;
-                *vectors_per_bank += d.d[1];
-                *total_vectors += d.d[2];
-            }
-            Step::Recip { per_bank, total } => {
-                *per_bank += d.d[0];
-                *total += d.d[1];
-            }
-            Step::Replicate { copies, count_per_bank, total_count, .. } => {
-                *copies = (u64::from(*copies) + d.d[0]) as u32;
-                *count_per_bank += d.d[1];
-                *total_count += d.d[2];
-            }
-            Step::HostBroadcast { bytes, .. } => *bytes += d.d[0],
-            Step::HostScatter { total_bytes } => *total_bytes += d.d[0],
-            Step::RingBroadcast { bytes_per_hop, repeat, .. } => {
-                *bytes_per_hop += d.d[0];
-                *repeat += d.d[1];
-            }
-            Step::OneToAll { bytes, .. } => *bytes += d.d[0],
-            Step::PairwiseReduceTree { bytes, elems, .. } => {
-                *bytes += d.d[0];
-                *elems += d.d[1];
-            }
-            Step::BroadcastDup { bytes, .. } => *bytes += d.d[0],
-            Step::IntraBankCopy { bytes_per_bank, total_bytes }
-            | Step::MemTouch { bytes_per_bank, total_bytes } => {
-                *bytes_per_bank += d.d[0];
-                *total_bytes += d.d[1];
-            }
-            Step::ShuffleAll { total_bytes } => *total_bytes += d.d[0],
-        }
-    }
-
-    /// The step as it appears in iteration `i` of a repeat with delta `d`.
-    pub fn at(&self, d: &StepDelta, i: u64) -> Step {
-        let mut s = self.clone();
-        let scaled = StepDelta { d: [d.d[0] * i, d.d[1] * i, d.d[2] * i], len: d.len };
-        s.advance(&scaled);
-        s
-    }
-
-    /// The per-iteration delta that turns `self` into `next`, if `next` is
-    /// the same variant with equal structural fields and size fields that
-    /// did not shrink. Returns `None` otherwise — callers flush and start a
-    /// new run, so affinity is an optimization, never an assumption.
-    pub fn affine_delta(&self, next: &Step) -> Option<StepDelta> {
-        if std::mem::discriminant(self) != std::mem::discriminant(next) {
-            return None;
-        }
-        let a = self.varying();
-        let b = next.varying();
-        debug_assert_eq!(a.len, b.len);
-        let mut d = StepDelta::zeros(a.len);
-        for k in 0..a.len as usize {
-            d.d[k] = b.d[k].checked_sub(a.d[k])?;
-        }
-        // Structural fields are checked wholesale: advancing `self` by the
-        // candidate delta must reproduce `next` exactly.
-        let mut probe = self.clone();
-        probe.advance(&d);
-        (probe == *next).then_some(d)
+    /// Repeat constructor.
+    pub fn repeat(count: u64, body: Vec<Step>) -> Self {
+        Step::Repeat { count, body }
     }
 }
 
@@ -486,93 +295,40 @@ impl Totals {
     }
 }
 
-/// Σ_{i=0}^{m−1} i = m(m−1)/2.
-fn s1(m: u64) -> u64 {
-    if m == 0 {
-        0
-    } else {
-        m * (m - 1) / 2
-    }
-}
-
-/// Σ_{i=0}^{m−1} i² = (m−1)m(2m−1)/6.
-fn s2(m: u64) -> u64 {
-    if m == 0 {
-        0
-    } else {
-        (m - 1) * m * (2 * m - 1) / 6
-    }
-}
-
-/// Σ_{i=0}^{m−1} (base + i·d) = m·base + d·S1(m).
-fn affine_sum(base: u64, d: u64, m: u64) -> u64 {
-    m * base + d * s1(m)
-}
-
-/// Closed-form totals of `step` summed over `m` iterations with per-field
-/// increments `d`. Every metric is affine or bilinear in the varying
-/// fields, so arithmetic-series sums are exact (this is integer
-/// accounting, not f64 pricing — no rounding concerns).
-fn repeated_step_totals(step: &Step, d: &StepDelta, m: u64) -> Totals {
+/// The step's contribution to the program totals; a repeat contributes
+/// its body's totals `count` times (integer accounting, so exact).
+fn step_totals(step: &Step) -> Totals {
     let mut t = Totals::default();
     match step {
-        Step::HostBroadcast { bytes, .. } => t.host = affine_sum(*bytes, d.d[0], m),
-        Step::HostScatter { total_bytes } => t.host = affine_sum(*total_bytes, d.d[0], m),
+        Step::HostBroadcast { bytes, .. } => t.host = *bytes,
+        Step::HostScatter { total_bytes } => t.host = *total_bytes,
         Step::RingBroadcast { banks, bytes_per_hop, repeat, parallel } => {
-            // Σ (b0 + i·db)(r0 + i·dr) — the one bilinear metric.
-            let c = u64::from(banks.count) * u64::from(*parallel);
-            let (b0, db) = (*bytes_per_hop, d.d[0]);
-            let (r0, dr) = (*repeat, d.d[1]);
-            t.movement = c * (m * b0 * r0 + (b0 * dr + r0 * db) * s1(m) + db * dr * s2(m));
+            t.movement = u64::from(banks.count) * u64::from(*parallel) * (bytes_per_hop * repeat);
         }
         Step::OneToAll { banks, bytes, parallel, .. } => {
-            t.movement =
-                u64::from(banks.count) * u64::from(*parallel) * affine_sum(*bytes, d.d[0], m);
+            t.movement = u64::from(banks.count) * u64::from(*parallel) * bytes;
         }
         Step::PairwiseReduceTree { banks, bytes, parallel, .. } => {
-            t.movement = u64::from(banks.count.saturating_sub(1))
-                * u64::from(*parallel)
-                * affine_sum(*bytes, d.d[0], m);
+            t.movement = u64::from(banks.count.saturating_sub(1)) * u64::from(*parallel) * bytes;
         }
-        Step::BroadcastDup { bytes, banks } => {
-            t.movement = u64::from(*banks) * affine_sum(*bytes, d.d[0], m);
+        Step::BroadcastDup { bytes, banks } => t.movement = u64::from(*banks) * bytes,
+        Step::IntraBankCopy { total_bytes, .. } | Step::ShuffleAll { total_bytes } => {
+            t.movement = *total_bytes;
         }
-        Step::IntraBankCopy { total_bytes, .. } => {
-            t.movement = affine_sum(*total_bytes, d.d[1], m);
-        }
-        Step::ShuffleAll { total_bytes } => t.movement = affine_sum(*total_bytes, d.d[0], m),
-        Step::PointwiseMul { total_elems, .. } => t.mul = affine_sum(*total_elems, d.d[1], m),
-        Step::Repeat { .. } => {
-            // Nested repeats carry no delta of their own (their varying
-            // list is empty): every outer iteration contributes the same
-            // inner totals.
-            t = step_totals(step).scale(m);
-        }
+        Step::PointwiseMul { total_elems, .. } => t.mul = *total_elems,
+        Step::Repeat { count, body } => t = body_totals(body).scale(*count),
         _ => {}
     }
     t
 }
 
-fn step_totals(step: &Step) -> Totals {
-    match step {
-        Step::Repeat { count, body, delta } => {
-            let mut t = Totals::default();
-            // An empty `delta` is all zeros; `repeated_step_totals` reads
-            // only the increments, not their count.
-            let zero = StepDelta::none();
-            for (j, s) in body.iter().enumerate() {
-                t = t.add(repeated_step_totals(s, delta.get(j).unwrap_or(&zero), *count));
-            }
-            t
-        }
-        // With m = 1 the delta never contributes (S1(1) = S2(1) = 0).
-        other => repeated_step_totals(other, &StepDelta::none(), 1),
-    }
+fn body_totals(body: &[Step]) -> Totals {
+    body.iter().map(step_totals).fold(Totals::default(), Totals::add)
 }
 
 fn step_count(step: &Step) -> u64 {
     match step {
-        Step::Repeat { count, body, .. } => count * body.iter().map(step_count).sum::<u64>(),
+        Step::Repeat { count, body } => count * body.iter().map(step_count).sum::<u64>(),
         _ => 1,
     }
 }
@@ -621,11 +377,34 @@ impl Program {
 
     /// Append a step, folding its contribution into the cached totals.
     pub fn push(&mut self, step: Step) {
-        let t = step_totals(&step);
+        self.add_totals(step_totals(&step));
+        self.steps.push(step);
+    }
+
+    /// Append `times` consecutive iterations of one block, drained from
+    /// `block` (left empty for reuse): the raw steps for one iteration, a
+    /// [`Step::Repeat`] for more. A block equal to the body of the repeat
+    /// that ends the program extends that repeat instead, so a run the
+    /// compiler derives in pieces (the decoder's `ceil(t/N)` plateaus)
+    /// stays one step.
+    pub fn push_block_times(&mut self, block: &mut Vec<Step>, times: u64) {
+        if times > 0 && !block.is_empty() {
+            match self.steps.last_mut() {
+                Some(Step::Repeat { count, body }) if body == block => {
+                    *count += times;
+                    self.add_totals(body_totals(block).scale(times));
+                }
+                _ if times == 1 => self.extend(block.drain(..)),
+                _ => self.push(Step::repeat(times, std::mem::take(block))),
+            }
+        }
+        block.clear();
+    }
+
+    fn add_totals(&mut self, t: Totals) {
         self.host_bytes += t.host;
         self.movement_bytes += t.movement;
         self.mul_elems += t.mul;
-        self.steps.push(step);
     }
 
     /// The steps, in execution order ([`Step::Repeat`] not expanded).
@@ -654,15 +433,9 @@ impl Program {
     /// sequence; the executor prices both identically.
     pub fn unroll(&self) -> Program {
         fn expand(out: &mut Program, step: &Step) {
-            if let Step::Repeat { count, body, delta } = step {
-                let mut cur: Vec<Step> = body.clone();
-                for i in 0..*count {
-                    if i > 0 {
-                        for (s, d) in cur.iter_mut().zip(delta) {
-                            s.advance(d);
-                        }
-                    }
-                    for s in &cur {
+            if let Step::Repeat { count, body } = step {
+                for _ in 0..*count {
+                    for s in body {
                         expand(out, s);
                     }
                 }
@@ -706,151 +479,6 @@ impl Extend<Step> for Program {
     }
 }
 
-/// Folds a stream of per-iteration step blocks into [`Step::Repeat`]s.
-///
-/// Feed one block per loop iteration with [`RepeatCompressor::push_block`]
-/// (consecutive blocks fold while each step is affine in its predecessor,
-/// [`Step::affine_delta`]) or a pre-counted identical block with
-/// [`RepeatCompressor::push_block_times`] (zero-delta runs the compiler
-/// derived arithmetically — the decoder's `ceil(t/N)` plateaus). Call
-/// [`RepeatCompressor::flush`] at the end. Blocks that do not fold are
-/// emitted raw, so the output always unrolls to exactly the input stream.
-#[derive(Debug, Default)]
-pub struct RepeatCompressor {
-    /// Iteration-0 body of the pending run.
-    body: Vec<Step>,
-    /// Committed non-zero per-step deltas (empty while only one block is
-    /// pending, and for a zero-delta run).
-    delta: Vec<StepDelta>,
-    /// Whether the pending run is committed with zero deltas: every block
-    /// equals `body`, and `expected` is unused.
-    zero: bool,
-    /// Iterations accumulated in the pending run (0 = no pending run).
-    count: u64,
-    /// `body` advanced `count` times — what the next block must equal to
-    /// extend an affine run (maintained incrementally; no per-block
-    /// allocation).
-    expected: Vec<Step>,
-}
-
-impl RepeatCompressor {
-    /// Fresh compressor with no pending run.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    fn begin(&mut self, block: &mut Vec<Step>) {
-        self.body.clear();
-        self.body.append(block);
-        self.delta.clear();
-        self.zero = false;
-        self.expected.clear();
-        self.count = 1;
-    }
-
-    /// What the next block must equal to extend the pending run.
-    fn next_block(&self) -> &[Step] {
-        if self.zero {
-            &self.body
-        } else {
-            &self.expected
-        }
-    }
-
-    fn advance_expected(&mut self) {
-        for (s, d) in self.expected.iter_mut().zip(&self.delta) {
-            s.advance(d);
-        }
-    }
-
-    /// Append one iteration's block (drained from `block`, which is left
-    /// empty for reuse). Folds into the pending run when affine; flushes
-    /// and restarts otherwise.
-    pub fn push_block(&mut self, prog: &mut Program, block: &mut Vec<Step>) {
-        if block.is_empty() {
-            return;
-        }
-        if self.count == 0 {
-            self.begin(block);
-            return;
-        }
-        if block.len() == self.body.len() {
-            if self.count == 1 && self.delta.is_empty() && !self.zero {
-                // Second block of a candidate run: derive the deltas.
-                let deltas: Option<Vec<StepDelta>> =
-                    self.body.iter().zip(block.iter()).map(|(a, b)| a.affine_delta(b)).collect();
-                if let Some(deltas) = deltas {
-                    self.count = 2;
-                    if deltas.iter().all(StepDelta::is_zero) {
-                        self.zero = true;
-                        block.clear();
-                    } else {
-                        self.delta = deltas;
-                        self.expected.clear();
-                        self.expected.append(block);
-                        self.advance_expected();
-                    }
-                    return;
-                }
-            } else if *block == self.next_block() {
-                self.count += 1;
-                if !self.zero {
-                    self.advance_expected();
-                }
-                block.clear();
-                return;
-            }
-        }
-        self.flush(prog);
-        self.begin(block);
-    }
-
-    /// Append `times` consecutive iterations of one identical block
-    /// (zero delta). Extends a pending zero-delta run of the same block;
-    /// otherwise flushes and starts a new run.
-    pub fn push_block_times(&mut self, prog: &mut Program, block: &mut Vec<Step>, times: u64) {
-        if times == 0 || block.is_empty() {
-            block.clear();
-            return;
-        }
-        // A single pending block, or a zero-delta run, of this block.
-        if self.count > 0 && self.delta.is_empty() && *block == self.body {
-            self.zero = true;
-            self.count += times;
-            block.clear();
-            return;
-        }
-        self.flush(prog);
-        self.begin(block);
-        self.zero = true;
-        self.count = times;
-    }
-
-    /// Emit the pending run: raw steps for a single iteration, one
-    /// [`Step::Repeat`] otherwise (with an empty `delta` for a zero-delta
-    /// run).
-    pub fn flush(&mut self, prog: &mut Program) {
-        match self.count {
-            0 => {}
-            1 => {
-                for s in self.body.drain(..) {
-                    prog.push(s);
-                }
-            }
-            _ => prog.push(Step::Repeat {
-                count: self.count,
-                body: std::mem::take(&mut self.body),
-                delta: std::mem::take(&mut self.delta),
-            }),
-        }
-        self.body.clear();
-        self.delta.clear();
-        self.zero = false;
-        self.expected.clear();
-        self.count = 0;
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -889,51 +517,8 @@ mod tests {
         Step::PointwiseMul { elems_per_bank: per_bank, total_elems: total, a_bits: 8, b_bits: 8 }
     }
 
-    #[test]
-    fn affine_delta_requires_structural_equality() {
-        let a = mul(5, 20);
-        let b = mul(7, 26);
-        assert_eq!(a.affine_delta(&b), Some(delta_of(&[2, 6])));
-        // Shrinking fields never fold.
-        assert_eq!(b.affine_delta(&a), None);
-        // Structural (width) mismatch never folds.
-        let c = Step::PointwiseMul { elems_per_bank: 7, total_elems: 26, a_bits: 16, b_bits: 8 };
-        assert_eq!(a.affine_delta(&c), None);
-        // Variant mismatch never folds.
-        assert_eq!(a.affine_delta(&Step::HostScatter { total_bytes: 1 }), None);
-        // Scope labels fold only when equal (zero-delta).
-        assert_eq!(Step::scope("x").affine_delta(&Step::scope("x")), Some(StepDelta::none()));
-        assert_eq!(Step::scope("x").affine_delta(&Step::scope("y")), None);
-    }
-
-    #[test]
-    fn at_advances_i_times() {
-        let s = Step::RingBroadcast {
-            banks: BankRange::new(0, 4),
-            bytes_per_hop: 10,
-            repeat: 3,
-            parallel: 2,
-        };
-        let d = delta_of(&[5, 1]);
-        let s3 = s.at(&d, 3);
-        assert_eq!(
-            s3,
-            Step::RingBroadcast {
-                banks: BankRange::new(0, 4),
-                bytes_per_hop: 25,
-                repeat: 6,
-                parallel: 2,
-            }
-        );
-        let mut manual = s.clone();
-        for _ in 0..3 {
-            manual.advance(&d);
-        }
-        assert_eq!(s3, manual);
-    }
-
-    /// Repeat totals must be exact: compare closed-form accounting against
-    /// the unrolled program, including the bilinear ring term.
+    /// Repeat totals must be exact: compare body × count accounting against
+    /// the unrolled program.
     #[test]
     fn repeat_totals_match_unrolled_totals() {
         let body = vec![
@@ -949,16 +534,8 @@ mod tests {
             Step::OneToAll { src: 0, banks: BankRange::new(0, 8), bytes: 32, parallel: 2 },
             Step::MemTouch { bytes_per_bank: 8, total_bytes: 512 },
         ];
-        let delta = vec![
-            StepDelta::none(),
-            delta_of(&[16]),
-            delta_of(&[10, 1]), // both ring fields vary: bilinear
-            delta_of(&[1, 100]),
-            delta_of(&[4]),
-            delta_of(&[0, 64]),
-        ];
         let mut p = Program::new();
-        p.push(Step::repeat(9, body, delta));
+        p.push(Step::repeat(9, body));
         let u = p.unroll();
         assert_eq!(p.host_bytes(), u.host_bytes());
         assert_eq!(p.internal_movement_bytes(), u.internal_movement_bytes());
@@ -969,9 +546,9 @@ mod tests {
 
     #[test]
     fn nested_repeat_totals_and_unroll() {
-        let inner = Step::repeat(3, vec![mul(1, 10)], vec![delta_of(&[0, 0])]);
+        let inner = Step::repeat(3, vec![mul(1, 10)]);
         let mut p = Program::new();
-        p.push(Step::repeat(4, vec![inner], vec![StepDelta::none()]));
+        p.push(Step::repeat(4, vec![inner]));
         assert_eq!(p.total_mul_elems(), 4 * 3 * 10);
         let u = p.unroll();
         assert_eq!(u.len(), 12);
@@ -979,134 +556,40 @@ mod tests {
     }
 
     #[test]
-    fn compressor_folds_affine_blocks() {
+    fn push_block_times_merges_plateaus() {
         let mut prog = Program::new();
-        let mut comp = RepeatCompressor::new();
-        let mut block = Vec::new();
-        for t in 0..10u64 {
-            block.clear();
-            block.push(Step::scope("dec"));
-            block.push(mul(5 + t, 100 + 3 * t));
-            comp.push_block(&mut prog, &mut block);
-        }
-        comp.flush(&mut prog);
-        assert_eq!(prog.len(), 1, "ten affine blocks fold into one repeat");
-        match &prog.steps()[0] {
-            Step::Repeat { count, body, delta } => {
-                assert_eq!(*count, 10);
-                assert_eq!(body.len(), 2);
-                assert_eq!(delta[1], delta_of(&[1, 3]));
-            }
-            other => panic!("expected a repeat, got {other:?}"),
-        }
-        // Unrolls to exactly the input stream.
-        let u = prog.unroll();
-        assert_eq!(u.len(), 20);
-        assert_eq!(u.steps()[19], mul(5 + 9, 100 + 27));
-    }
-
-    #[test]
-    fn compressor_flushes_non_affine_blocks() {
-        let mut prog = Program::new();
-        let mut comp = RepeatCompressor::new();
-        let mut block = Vec::new();
-        // Two affine blocks, then a shrinking (non-affine) one.
-        for per_bank in [5u64, 6, 2, 3] {
-            block.clear();
-            block.push(mul(per_bank, per_bank * 10));
-            comp.push_block(&mut prog, &mut block);
-        }
-        comp.flush(&mut prog);
-        // [5,6] folds, [2,3] folds — two repeats.
-        assert_eq!(prog.len(), 2);
-        assert_eq!(prog.unrolled_len(), 4);
-        let u = prog.unroll();
-        let sizes: Vec<u64> = u
-            .steps()
-            .iter()
-            .map(|s| match s {
-                Step::PointwiseMul { elems_per_bank, .. } => *elems_per_bank,
-                _ => unreachable!(),
-            })
-            .collect();
-        assert_eq!(sizes, vec![5, 6, 2, 3]);
-    }
-
-    #[test]
-    fn compressor_push_block_times_merges_plateaus() {
-        let mut prog = Program::new();
-        let mut comp = RepeatCompressor::new();
-        let mut block = vec![mul(5, 100)];
-        comp.push_block_times(&mut prog, &mut block, 4);
-        let mut block = vec![mul(5, 100)];
-        comp.push_block_times(&mut prog, &mut block, 3); // same block: merges
-        let mut block = vec![mul(9, 100)];
-        comp.push_block_times(&mut prog, &mut block, 2); // different: new run
-        comp.flush(&mut prog);
-        assert_eq!(prog.len(), 2);
+        prog.push_block_times(&mut vec![mul(5, 100)], 4);
+        prog.push_block_times(&mut vec![mul(5, 100)], 3); // same block: merges
+        prog.push_block_times(&mut vec![mul(9, 100)], 2); // different: new run
+        assert_eq!(
+            prog.steps(),
+            [Step::repeat(7, vec![mul(5, 100)]), Step::repeat(2, vec![mul(9, 100)])]
+        );
         assert_eq!(prog.unrolled_len(), 9);
         assert_eq!(prog.total_mul_elems(), 9 * 100);
     }
 
     #[test]
-    fn compressor_single_block_emits_raw() {
+    fn push_block_times_emits_a_single_block_raw() {
         let mut prog = Program::new();
-        let mut comp = RepeatCompressor::new();
         let mut block = vec![mul(5, 100), Step::HostScatter { total_bytes: 8 }];
-        comp.push_block(&mut prog, &mut block);
-        comp.flush(&mut prog);
+        prog.push_block_times(&mut block, 1);
+        assert!(block.is_empty(), "the block is drained for reuse");
         assert_eq!(prog.len(), 2);
         assert!(!prog.steps().iter().any(|s| matches!(s, Step::Repeat { .. })));
-    }
-
-    #[test]
-    fn zero_delta_repeats_store_no_deltas() {
-        let body = vec![Step::scope("dec"), mul(5, 100)];
-        let zeros = vec![StepDelta::none(), StepDelta::zeros(2)];
-        let canonical = Step::repeat(4, body.clone(), zeros.clone());
-        assert_eq!(canonical, Step::Repeat { count: 4, body: body.clone(), delta: vec![] });
-        let mut p = Program::new();
-        p.push(canonical);
-        let json = serde_json::to_string(&p).expect("serialize");
-        assert!(json.contains(r#""delta":[]"#), "{json}");
-        let back: Program = serde_json::from_str(&json).expect("deserialize");
-        assert_eq!(back, p);
-        // The explicit all-zero list denotes the same steps and totals.
-        let mut explicit = Program::new();
-        explicit.push(Step::Repeat { count: 4, body, delta: zeros });
-        assert_eq!(explicit.unroll(), p.unroll());
-        assert_eq!(explicit.total_mul_elems(), 400);
-        assert_eq!(p.total_mul_elems(), 400);
-        // The compressor emits the canonical form for identical blocks,
-        // whether pushed one by one or counted.
-        for counted in [false, true] {
-            let mut prog = Program::new();
-            let mut comp = RepeatCompressor::new();
-            for _ in 0..3 {
-                let mut block = vec![Step::scope("dec"), mul(5, 100)];
-                if counted {
-                    comp.push_block_times(&mut prog, &mut block, 2);
-                } else {
-                    comp.push_block(&mut prog, &mut block);
-                }
-            }
-            comp.flush(&mut prog);
-            let count = if counted { 6 } else { 3 };
-            let want = Step::repeat(count, vec![Step::scope("dec"), mul(5, 100)], vec![]);
-            assert_eq!(prog.steps(), [want], "counted: {counted}");
-        }
+        // Zero iterations, or an empty block, add nothing.
+        prog.push_block_times(&mut vec![mul(5, 100)], 0);
+        prog.push_block_times(&mut Vec::new(), 3);
+        assert_eq!(prog.len(), 2);
     }
 
     #[test]
     fn compressed_program_roundtrips_through_serde() {
         let mut p = Program::new();
         p.push(Step::scope("dec.attn"));
-        p.push(Step::repeat(
-            5,
-            vec![mul(3, 30), Step::HostScatter { total_bytes: 16 }],
-            vec![delta_of(&[1, 10]), delta_of(&[0])],
-        ));
+        p.push(Step::repeat(5, vec![mul(3, 30), Step::HostScatter { total_bytes: 16 }]));
         let json = serde_json::to_string(&p).expect("serialize");
+        assert!(json.contains(r#"{"Repeat":{"count":5,"body":["#), "{json}");
         let back: Program = serde_json::from_str(&json).expect("deserialize");
         assert_eq!(back, p);
         assert_eq!(back.host_bytes(), p.host_bytes());

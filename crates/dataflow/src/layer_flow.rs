@@ -17,7 +17,7 @@
 //! over all banks); only the movement differs — which is exactly the
 //! comparison the paper's Figure 10/11 makes.
 
-use crate::ir::{BankRange, Precision, Program, RepeatCompressor, Step};
+use crate::ir::{BankRange, Precision, Program, Step};
 use transpim_transformer::model::ModelConfig;
 use transpim_transformer::workload::Workload;
 
@@ -45,18 +45,16 @@ pub fn compile_with(workload: &Workload, total_banks: u32, p: Precision) -> Prog
     if cfg.decoder_layers > 0 && workload.decode_len > 0 {
         // Loop-compressed emission: the decoder layers of token `t` are
         // identical, so one layer block is committed `decoder_layers` times
-        // as a zero-delta repeat (the executor prices it as body × count).
+        // as one repeat (the executor prices it as body × count).
         // A plateau is one token: the duplicated K/V (`ShuffleAll`) and the
         // `ctx`-sized work grow with every `t`, so consecutive tokens never
         // share a block.
         let layers = cfg.decoder_layers as u64;
-        let mut comp = RepeatCompressor::new();
         let mut block = Vec::new();
         for t in 0..workload.decode_len as u64 {
             decoder_step_layer(&mut block, cfg, workload.seq_len as u64, t, b, total_banks, p);
-            comp.push_block_times(&mut prog, &mut block, layers);
+            prog.push_block_times(&mut block, layers);
         }
-        comp.flush(&mut prog);
     }
     prog
 }
@@ -387,7 +385,6 @@ fn decoder_step_layer(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::ir::StepDelta;
     use crate::token_flow;
     use transpim_transformer::workload::Workload;
 
@@ -455,11 +452,10 @@ mod tests {
         assert_eq!(prog.unroll(), want);
         assert_eq!(prog.len(), prefill + w.decode_len);
         for (t, step) in prog.steps()[prefill..].iter().enumerate() {
-            let Step::Repeat { count, delta, .. } = step else {
+            let Step::Repeat { count, .. } = step else {
                 panic!("token {t} is not one repeat: {step:?}");
             };
             assert_eq!(*count, cfg.decoder_layers as u64, "token {t}");
-            assert!(delta.iter().all(StepDelta::is_zero), "token {t}: non-zero delta");
         }
     }
 

@@ -71,35 +71,6 @@ impl Sharding {
     pub fn max_tokens_per_bank(&self) -> u32 {
         self.sequences.iter().map(SeqShard::tokens_per_bank).max().unwrap_or(0)
     }
-
-    /// Token re-sharding around failed banks — the degradation policy for
-    /// whole-bank failures. The surviving banks keep their ring order and
-    /// are renumbered contiguously (program bank `i` addresses the `i`-th
-    /// healthy physical bank), so the batch is simply sharded over the
-    /// shrunk pool and every downstream cost model sees a smaller ring.
-    ///
-    /// Returns `None` when no banks survive.
-    pub fn around_failed(
-        total_banks: u32,
-        batch: u32,
-        seq_len: u32,
-        failed: &[u32],
-    ) -> Option<Self> {
-        let healthy = healthy_banks(total_banks, failed.iter().copied());
-        if healthy == 0 {
-            return None;
-        }
-        Some(Self::new(healthy, batch, seq_len))
-    }
-}
-
-/// Banks still usable when `failed` banks are fenced off. Duplicate and
-/// out-of-range entries are ignored (scenario validation reports those
-/// separately).
-pub fn healthy_banks(total_banks: u32, failed: impl IntoIterator<Item = u32>) -> u32 {
-    let unique: std::collections::BTreeSet<u32> =
-        failed.into_iter().filter(|&b| b < total_banks).collect();
-    total_banks - unique.len() as u32
 }
 
 #[cfg(test)]
@@ -145,38 +116,7 @@ mod tests {
         Sharding::new(8, 0, 4);
     }
 
-    #[test]
-    fn resharding_shrinks_the_pool() {
-        // 4 failed banks out of 2048, duplicates and out-of-range ignored.
-        let failed = [7, 7, 100, 2047, 3000, 512];
-        assert_eq!(healthy_banks(2048, failed.iter().copied()), 2044);
-        let s = Sharding::around_failed(2048, 1, 4096, &failed).expect("banks survive");
-        assert_eq!(s.total_banks, 2044);
-        assert_eq!(s.active_banks(), 2044);
-        assert_eq!(s.max_tokens_per_bank(), 4096u32.div_ceil(2044));
-        // Losing every bank is not shardable.
-        let all: Vec<u32> = (0..8).collect();
-        assert!(Sharding::around_failed(8, 1, 16, &all).is_none());
-    }
-
     proptest! {
-        #[test]
-        fn resharding_covers_every_token(
-            banks in 1u32..256, batch in 1u32..4, seq in 1u32..500, kill in 0u32..300
-        ) {
-            let failed: Vec<u32> = (0..kill.min(banks.saturating_sub(1))).collect();
-            let healthy = healthy_banks(banks, failed.iter().copied());
-            prop_assert!(healthy >= 1);
-            let s = Sharding::around_failed(banks, batch, seq, &failed).expect("survivors");
-            prop_assert_eq!(s.total_banks, healthy);
-            for sh in &s.sequences {
-                prop_assert!(
-                    u64::from(sh.tokens_per_bank()) * u64::from(sh.banks.count)
-                        >= u64::from(seq)
-                );
-            }
-        }
-
         #[test]
         fn shards_are_disjoint_and_within_bounds(
             banks in 1u32..512, batch in 1u32..8, seq in 1u32..1000

@@ -12,7 +12,7 @@
 //! against its locally-held `K`/`V` columns, and the partial outputs are
 //! combined with the multi-step pairwise reduction tree of Section IV-B2.
 
-use crate::ir::{BankRange, Precision, Program, RepeatCompressor, Step};
+use crate::ir::{BankRange, Precision, Program, Step};
 use crate::sharding::Sharding;
 use serde::{Deserialize, Serialize};
 use transpim_transformer::model::ModelConfig;
@@ -85,59 +85,28 @@ pub fn compile_full(
                 / 8,
         });
         // The generation loop is emitted loop-compressed: every decoder
-        // block for token `t` depends on `t` only through `r_gen`, so
-        // identical blocks fold into zero-delta `Step::Repeat`s and
-        // affine-growing blocks (LastBank) fold with per-iteration deltas.
-        // The compiled program is O(decoder_layers) steps, not
-        // O(decode_len × decoder_layers).
+        // layer of token `t` is the same block, which depends on `t` only
+        // through `r_gen`, so a run of tokens that share `r_gen` is one
+        // `Step::Repeat` of that block (the executor prices it as
+        // body × count).
         let decode = workload.decode_len as u64;
         let layers = cfg.decoder_layers as u64;
-        let mut comp = RepeatCompressor::new();
+        let n = u64::from(shard.banks.count);
         let mut block = Vec::new();
-        match placement {
-            DecoderPlacement::Balanced => {
-                // `r_gen = ceil(t/N)` is constant over runs of N tokens:
-                // emit one layer block per plateau and repeat it
-                // arithmetically for every (token, layer) pair in the run.
-                let n = u64::from(shard.banks.count);
-                let mut t = 0;
-                while t < decode {
-                    let run_end = if t == 0 { 1 } else { (t.div_ceil(n) * n + 1).min(decode) };
-                    decoder_step_layer(
-                        &mut block,
-                        cfg,
-                        shard.banks,
-                        shard.seq_len,
-                        t,
-                        batch,
-                        p,
-                        placement,
-                    );
-                    comp.push_block_times(&mut prog, &mut block, (run_end - t) * layers);
-                    t = run_end;
-                }
-            }
-            DecoderPlacement::LastBank => {
-                // `r_gen = t` grows by one per token: per-token blocks (all
-                // layers) fold into a single affine repeat.
-                for t in 0..decode {
-                    for _ in 0..layers {
-                        decoder_step_layer(
-                            &mut block,
-                            cfg,
-                            shard.banks,
-                            shard.seq_len,
-                            t,
-                            batch,
-                            p,
-                            placement,
-                        );
-                    }
-                    comp.push_block(&mut prog, &mut block);
-                }
-            }
+        let mut t = 0;
+        while t < decode {
+            // Balanced: `r_gen = ceil(t/N)` is constant over runs of N
+            // tokens, so the decode loop is a few steps whatever its
+            // length. LastBank: `r_gen = t` grows with every token, so a
+            // run is one token and the loop is one step per token.
+            let run_end = match placement {
+                DecoderPlacement::Balanced if t > 0 => (t.div_ceil(n) * n + 1).min(decode),
+                _ => t + 1,
+            };
+            decoder_step_layer(&mut block, cfg, shard.banks, shard.seq_len, t, batch, p, placement);
+            prog.push_block_times(&mut block, (run_end - t) * layers);
+            t = run_end;
         }
-        comp.flush(&mut prog);
     }
     prog
 }
@@ -566,6 +535,47 @@ mod tests {
                 .sum()
         };
         assert!(sum_attn(&last) > 2 * sum_attn(&balanced));
+    }
+
+    #[test]
+    fn last_bank_decode_commits_one_layer_per_token_as_a_repeat() {
+        let mut w = Workload::lm();
+        w.model.decoder_layers = 3;
+        w.seq_len = 16;
+        w.decode_len = 5;
+        let (sharding, p) = (Sharding::new(64, 1, 16), Precision::default());
+        let (cfg, shard) = (&w.model, sharding.sequences[0]);
+        let placement = DecoderPlacement::LastBank;
+
+        let mut prefill = w.clone();
+        prefill.decode_len = 0;
+        let mut want = compile_full(&prefill, &sharding, p, placement);
+        let decode_start = want.len();
+        want.push(Step::scope("load.weights"));
+        want.push(Step::HostScatter {
+            total_bytes: cfg.decoder_layers as u64
+                * cfg.decoder_layer_params()
+                * u64::from(p.act_bits)
+                / 8,
+        });
+        let mut layer = Vec::new();
+        for t in 0..w.decode_len as u64 {
+            for _ in 0..cfg.decoder_layers {
+                decoder_step_layer(&mut layer, cfg, shard.banks, shard.seq_len, t, 1, p, placement);
+                want.extend(layer.drain(..));
+            }
+        }
+
+        let prog = compile_full(&w, &sharding, p, placement);
+        assert_eq!(prog.unroll(), want);
+        let loop_start = decode_start + 2;
+        assert_eq!(prog.len(), loop_start + w.decode_len);
+        for (t, step) in prog.steps()[loop_start..].iter().enumerate() {
+            let Step::Repeat { count, .. } = step else {
+                panic!("token {t} is not one repeat: {step:?}");
+            };
+            assert_eq!(*count, cfg.decoder_layers as u64, "token {t}");
+        }
     }
 
     #[test]

@@ -505,7 +505,7 @@ mod tests {
     }
 
     /// Record `count` iterations of `body` the way the executor prices a
-    /// zero-delta repeat: iteration 1 starts in the enclosing scope, the
+    /// repeat: iteration 1 starts in the enclosing scope, the
     /// rest in the one the body leaves, so when those differ iteration 2
     /// is the one that repeats.
     fn repeat(e: &mut Engine, count: u64, body: impl Fn(&mut Engine)) {

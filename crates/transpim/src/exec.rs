@@ -24,9 +24,9 @@
 //! There is one pricing path. A fault-free run is a run under an empty
 //! [`FaultSession`]: the session is consulted only where a fault could
 //! change a price, and an empty one leaves every lump as priced. Repeats
-//! take one path under any session too: a zero-delta repeat prices as
-//! body × count, split only at the iterations whose transient-flip draws
-//! flip, which are priced like any other steps.
+//! take one path under any session too: a repeat prices as body × count,
+//! split only at the iterations whose transient-flip draws flip, which are
+//! priced like any other steps.
 
 use crate::arch::{ArchConfig, CostTable, Unit};
 use crate::calib;
@@ -40,7 +40,7 @@ use transpim_acu::ring::{
     self, emit_hop_events, one_to_all_broadcast, pairwise_reduce_hops, ring_step_hops,
     schedule_hops_placed, Hop, HopPlacement, ScheduleResult, SlotProfile, TransferCostModel,
 };
-use transpim_dataflow::ir::{BankRange, Program, Step, StepDelta};
+use transpim_dataflow::ir::{BankRange, Program, Step};
 use transpim_fault::{FaultScenario, FaultSession, FlipOutcome};
 use transpim_hbm::engine::{tracks, Engine};
 use transpim_hbm::geometry::BankId;
@@ -428,9 +428,7 @@ impl Executor {
         match *step {
             Step::Scope(ref label) => engine.set_scope(label),
 
-            Step::Repeat { count, ref body, ref delta } => {
-                self.price_repeat(count, body, delta, engine, session)?;
-            }
+            Step::Repeat { count, ref body } => self.price_repeat(count, body, engine, session)?,
 
             Step::PointwiseMul { elems_per_bank, total_elems, a_bits, b_bits } => {
                 let (lat, pj) =
@@ -595,55 +593,52 @@ impl Executor {
     /// iterations run with the engine quiet, and a traced run sees them as
     /// one summary ([`Engine::emit_summary`]): the trace is bounded by the
     /// compiled program, while statistics and phase aggregates still cover
-    /// every lump. The quiet iterations take one of two paths, both
-    /// denoting exactly the unrolled pricing:
+    /// every lump.
     ///
-    /// * **body × count** (zero deltas, stored as an empty `delta`): every
-    ///   iteration prices the same lumps, so a *template* — a walked
-    ///   iteration that drew no flip and ends in the scope it started in —
-    ///   is added again once per following flip-free iteration. Each walked
-    ///   iteration runs between an [`Engine::mark`] and a
-    ///   [`FaultSession::mark`], and both `repeat_since` calls close them,
-    ///   with the count of clean iterations to add (0 for a walked
-    ///   iteration that does not qualify). Exact, because the engine's
-    ///   tallies and the session's draw counter are integers; the marks copy
-    ///   only what the body touches and reuse their buffers, so an
-    ///   iteration allocates nothing. The session's pure scan
-    ///   [`FaultSession::clean_iterations`] of the template's logged flip
-    ///   thresholds says how many iterations in a row draw no flip; the
-    ///   flipping iteration after them is walked, so its outcome, fault
-    ///   events and error time are the unrolled ones, and the next walked
-    ///   iteration that qualifies becomes the template. Iteration 0 is the
-    ///   template when it qualifies; it does not when it starts in another
-    ///   scope than the rest. Without flip draws (any empty session) this
-    ///   is one walk and one repeat — O(body) whatever `count` is;
-    /// * **in-place advance** (non-zero deltas, or a body that nests a
-    ///   repeat): walk a scratch copy of the body per iteration, advancing
-    ///   its varying fields by the deltas — cache-hot, no per-step
-    ///   allocation.
+    /// Every iteration prices the same lumps, so the body prices as
+    /// body × count: a *template* — a walked iteration that drew no flip
+    /// and ends in the scope it started in — is added again once per
+    /// following flip-free iteration. Each walked iteration runs between an
+    /// [`Engine::mark`] and a [`FaultSession::mark`], and both
+    /// `repeat_since` calls close them, with the count of clean iterations
+    /// to add (0 for a walked iteration that does not qualify). Exact,
+    /// because the engine's tallies and the session's draw counter are
+    /// integers; the marks copy only what the body touches and reuse their
+    /// buffers, so an iteration allocates nothing. The session's pure scan
+    /// [`FaultSession::clean_iterations`] of the template's logged flip
+    /// thresholds says how many iterations in a row draw no flip; the
+    /// flipping iteration after them is walked, so its outcome, fault
+    /// events and error time are the unrolled ones, and the next walked
+    /// iteration that qualifies becomes the template. Iteration 0 is the
+    /// template when it qualifies; it does not when it starts in another
+    /// scope than the rest. Without flip draws (any empty session) this is
+    /// one walk and one repeat — O(body) whatever `count` is.
     ///
-    /// Debug builds check the final scratch body against [`Step::at`],
-    /// reading an empty `delta` as all zeros.
+    /// A body that nests a repeat is walked once per iteration instead:
+    /// the inner repeat takes the marks, and [`FaultSession`] marks do not
+    /// nest.
     fn price_repeat(
         &mut self,
         count: u64,
         body: &[Step],
-        delta: &[StepDelta],
         engine: &mut Engine,
         session: &mut FaultSession,
     ) -> Result<(), SimError> {
         if count == 0 || body.is_empty() {
             return Ok(());
         }
-        let body_times_count = delta.iter().all(StepDelta::is_zero)
-            && !body.iter().any(|s| matches!(s, Step::Repeat { .. }));
-        let mut marks = body_times_count.then(|| (engine.mark(), session.mark()));
+        let nested = body.iter().any(|s| matches!(s, Step::Repeat { .. }));
+        let mut marks = (!nested).then(|| (engine.mark(), session.mark()));
         self.run_segment(body, engine, session)?;
         let window = (count > 1 && engine.emitting()).then(|| engine.snapshot());
         if window.is_some() {
             engine.set_quiet(true);
         }
-        if body_times_count {
+        if nested {
+            for _ in 1..count {
+                self.run_segment(body, engine, session)?;
+            }
+        } else {
             let mut left = count - 1;
             while let Some((engine_mark, session_mark)) = marks.take() {
                 let clean =
@@ -660,19 +655,6 @@ impl Executor {
                     self.run_segment(body, engine, session)?;
                     left -= 1;
                 }
-            }
-        } else {
-            let mut scratch = body.to_vec();
-            for _ in 1..count {
-                for (s, d) in scratch.iter_mut().zip(delta) {
-                    s.advance(d);
-                }
-                self.run_segment(&scratch, engine, session)?;
-            }
-            #[cfg(debug_assertions)]
-            for (j, s) in scratch.iter().enumerate() {
-                let d = delta.get(j).copied().unwrap_or_else(|| StepDelta::zeros(s.varying().len));
-                debug_assert_eq!(*s, body[j].at(&d, count - 1), "in-place advance diverged");
             }
         }
         if let Some(start) = window {
@@ -1298,12 +1280,6 @@ mod tests {
         }
     }
 
-    /// A repeat whose every iteration is identical.
-    fn zero_delta_repeat(count: u64, body: Vec<Step>) -> Step {
-        let delta = body.iter().map(|s| StepDelta::zeros(s.varying().len)).collect();
-        Step::repeat(count, body, delta)
-    }
-
     fn program(steps: Vec<Step>) -> Program {
         let mut prog = Program::new();
         prog.extend(steps);
@@ -1325,7 +1301,7 @@ mod tests {
         let arch = ArchConfig::new(ArchKind::TransPim);
         let (once, _) = Executor::new(arch.clone()).run(&program(body.clone()));
         let count = 1_000_000_000u64;
-        let prog = program(vec![zero_delta_repeat(count, body)]);
+        let prog = program(vec![Step::repeat(count, body)]);
         let timed = |price: &mut dyn FnMut() -> (SimStats, ScopedStats)| {
             let started = std::time::Instant::now();
             let priced = price();
@@ -1406,7 +1382,7 @@ mod tests {
         // A power of two, so scaling one iteration's f64 totals by it is
         // exact too and the comparison below can be bitwise.
         let count = 1u64 << 30;
-        let prog = program(vec![zero_delta_repeat(count, body)]);
+        let prog = program(vec![Step::repeat(count, body)]);
         let started = std::time::Instant::now();
         let ((stats, scoped), faults) = run_under(&prog, &scenario).unwrap();
         let elapsed = started.elapsed();
@@ -1448,7 +1424,7 @@ mod tests {
         let count = 40;
         for prefix in [vec![], vec![Step::scope("enc.fc")]] {
             let mut steps = prefix;
-            steps.push(zero_delta_repeat(count, body.clone()));
+            steps.push(Step::repeat(count, body.clone()));
             let prog = program(steps);
             let compressed = run_under(&prog, &scenario(seed)).unwrap();
             let flipped = compressed.1.injected - 1;
@@ -1459,9 +1435,9 @@ mod tests {
 
     #[test]
     fn degraded_layer_decode_matches_unrolled() {
-        // The decode of a 64-token Layer-LM run: one zero-delta repeat of
-        // one decoder layer per token. Flips land in some of its 1,536
-        // layer iterations, so each token's repeat splits around them.
+        // The decode of a 64-token Layer-LM run: one repeat of one decoder
+        // layer per token. Flips land in some of its 1,536 layer
+        // iterations, so each token's repeat splits around them.
         let arch = ArchConfig::new(ArchKind::TransPim);
         let healthy = arch.hbm.geometry.total_banks() - 1;
         let mut w = Workload::lm();
@@ -1551,7 +1527,7 @@ mod tests {
             Step::Reduce { vec_len: 64, bits: 16, vectors_per_bank: 3, total_vectors: 24 },
         ];
         for count in [1, 2, 9] {
-            let prog = program(vec![Step::scope("enc.fc"), zero_delta_repeat(count, body.clone())]);
+            let prog = program(vec![Step::scope("enc.fc"), Step::repeat(count, body.clone())]);
             let arch = ArchConfig::new(ArchKind::TransPim);
             let compressed = Executor::new(arch.clone()).run(&prog);
             assert_eq!(compressed, Executor::new(arch).run(&prog.unroll()), "count {count}");
@@ -1592,15 +1568,11 @@ mod tests {
             },
             Step::MemTouch { bytes_per_bank: 64, total_bytes: 512 },
         ];
-        // Affine growth of the hop payload, as KV rings grow per token.
-        let delta = vec![
-            StepDelta::none(),
-            StepDelta { d: [16, 0, 0], len: 2 },
-            StepDelta { d: [0, 0, 0], len: 2 },
-        ];
+        // Iteration 0 is the template of the first repeat; the second's
+        // starts in another scope than the rest.
         for (prog, iterations) in [
-            (program(vec![Step::repeat(40, body.clone(), delta)]), 39.0),
-            (program(vec![Step::scope("enc.fc"), zero_delta_repeat(1000, body)]), 999.0),
+            (program(vec![Step::repeat(40, body.clone())]), 39.0),
+            (program(vec![Step::scope("enc.fc"), Step::repeat(1000, body)]), 999.0),
         ] {
             let (stats, events) = traced_events(&prog);
             let (unrolled_stats, unrolled_events) = traced_events(&prog.unroll());

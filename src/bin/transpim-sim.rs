@@ -65,7 +65,9 @@ mod transpim_repro_capacity {
         let bank = arch.hbm.geometry.bank_bytes();
         if !f.fits(bank) {
             eprintln!(
-                "warning: per-bank working set {:.1} MiB exceeds the {:.0} MiB bank                  (weights {:.1} + scores {:.1} MiB); results model an infeasible mapping —                  add stacks or shorten the sequence",
+                "warning: per-bank working set {:.1} MiB exceeds the {:.0} MiB bank \
+                 (weights {:.1} + scores {:.1} MiB); results model an infeasible mapping \
+                 — add stacks or shorten the sequence",
                 f.total() as f64 / (1 << 20) as f64,
                 bank as f64 / (1 << 20) as f64,
                 f.weights as f64 / (1 << 20) as f64,

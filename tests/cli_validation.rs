@@ -77,6 +77,16 @@ fn flip_counts_beyond_u64_are_an_error_not_a_wrapped_count() {
     std::fs::remove_dir_all(&dir).expect("temp dir removed");
 }
 
+#[test]
+fn capacity_warning_is_one_single_spaced_line() {
+    // RoBERTa at L = 16384 on one stack overflows its banks but still runs.
+    let (code, stderr) = run(&["--workload", "roberta:16384", "--stacks", "1"]);
+    assert_eq!(code, Some(0), "stderr: {stderr}");
+    let warning = stderr.lines().find(|l| l.starts_with("warning: ")).expect("a capacity warning");
+    assert!(warning.contains("MiB bank (weights"), "{warning}");
+    assert!(!warning.contains("  "), "runs of spaces: {warning}");
+}
+
 /// A fresh temporary directory for one test's files.
 fn temp_dir(test: &str) -> std::path::PathBuf {
     let dir = std::env::temp_dir().join(format!("transpim-cli-{test}-{}", std::process::id()));

@@ -8,10 +8,11 @@
 //!    with plain f32 attention within the documented fixed-point tolerance
 //!    on random shapes and inputs, and its traced AAP count must equal the
 //!    analytic closed-form prediction exactly.
-//! 2. **Repeat compression vs unrolled** — `RepeatCompressor` output must
-//!    unroll to exactly the step stream that was fed in, and the program's
-//!    O(1) push-time totals must equal the totals recomputed from the
-//!    unrolled stream (pinning the closed-form Σi/Σi² accounting).
+//! 2. **Repeat compression vs unrolled** — `Program::push_block_times`
+//!    output must unroll to exactly the blocks that were fed in, merging
+//!    runs of equal blocks, and the program's O(1) push-time totals must
+//!    equal the totals recomputed from the unrolled stream (pinning the
+//!    body × count accounting, nested repeats included).
 //! 3. **Token flow vs layer flow** — the two functional dataflow
 //!    implementations reorganize the same math and must agree to within
 //!    a few f32 ulps (shard boundaries reorder one reduction).
@@ -27,8 +28,8 @@
 //!    lumps are recorded in: the exact tally is what lets a repeat price as
 //!    body × count and keeps every job count byte-identical.
 //! 8. **Degraded compression vs unrolled** — under any fault scenario, a
-//!    program with zero-delta, affine, scope-changing and nested repeats
-//!    must price exactly as its unrolled form: statistics, fault
+//!    program with plain, scope-changing and nested repeats must price
+//!    exactly as its unrolled form: statistics, fault
 //!    accounting, and an uncorrectable error's message and time. Flip-free
 //!    repeat iterations price as body × count; the flipping ones are
 //!    walked.
@@ -57,10 +58,10 @@ use transpim::report::DataflowKind;
 use transpim::SimError;
 use transpim::SinkHandle;
 use transpim::{ChromeTraceSink, Sink};
-use transpim_bench::fuzz::{affine_step, arch_for, delta_for, small_workload, AFFINE_STEP_KINDS};
+use transpim_bench::fuzz::{arch_for, sized_step, small_workload, SIZED_STEP_KINDS};
 use transpim_bench::{run_grid, GridCell};
 use transpim_dataflow::functional::encoder_layer_sharded;
-use transpim_dataflow::ir::{Program, RepeatCompressor, Step, StepDelta};
+use transpim_dataflow::ir::{Program, Step};
 use transpim_dataflow::layer_functional::encoder_layer_layerflow;
 use transpim_hbm::engine::Engine;
 use transpim_hbm::stats::{Category, ScopedStats, SimStats};
@@ -115,32 +116,19 @@ proptest! {
 }
 
 // ---------------------------------------------------------------------------
-// (2) RepeatCompressor: unroll equivalence + closed-form totals
+// (2) Repeat compression: unroll equivalence + body × count totals
 // ---------------------------------------------------------------------------
 
-/// One generated step spec: variant selector, varying sizes, structural
-/// fields, and per-iteration delta material.
-type StepSpec = (u8, u64, u64, u64, u32, u32, u64, u64, u64);
+/// One generated step spec: variant selector, sizes and structural fields.
+type StepSpec = (u8, u64, u64, u64, u32, u32);
 
 fn step_spec() -> impl Strategy<Value = StepSpec> {
-    (
-        any::<u8>(),
-        any::<u64>(),
-        any::<u64>(),
-        any::<u64>(),
-        any::<u32>(),
-        any::<u32>(),
-        any::<u64>(),
-        any::<u64>(),
-        any::<u64>(),
-    )
+    (any::<u8>(), any::<u64>(), any::<u64>(), any::<u64>(), any::<u32>(), any::<u32>())
 }
 
-fn spec_step(spec: &StepSpec) -> (Step, transpim_dataflow::ir::StepDelta) {
-    let (kind, s0, s1, s2, w0, w1, d0, d1, d2) = *spec;
-    let step = affine_step(kind, [s0, s1, s2], [w0, w1]);
-    let delta = delta_for(&step, [d0, d1, d2]);
-    (step, delta)
+fn spec_step(spec: &StepSpec) -> Step {
+    let (kind, s0, s1, s2, w0, w1) = *spec;
+    sized_step(kind, [s0, s1, s2], [w0, w1])
 }
 
 fn totals(p: &Program) -> (u64, u64, u64) {
@@ -153,55 +141,59 @@ proptest! {
     #[test]
     fn repeat_compression_is_an_exact_encoding(
         segments in proptest::collection::vec(
-            (proptest::collection::vec(step_spec(), 1..4), 1u64..12),
-            1..4,
+            (proptest::collection::vec(step_spec(), 1..4), 0u64..12, 0u8..4),
+            1..5,
         ),
     ) {
-        // Feed per-iteration blocks (block i = base advanced i times) and
-        // interleave segments; every segment boundary exercises a flush.
-        let mut comp = RepeatCompressor::new();
+        // Each segment pushes one block `times` times. Shape 0 pushes the
+        // previous block again, so runs of equal blocks must merge; shape 1
+        // nests the new block in an inner repeat after a head step.
         let mut prog = Program::new();
-        let mut expected = Program::new();
-        for (specs, count) in &segments {
-            let parts: Vec<_> = specs.iter().map(spec_step).collect();
-            for i in 0..*count {
-                let mut block: Vec<Step> =
-                    parts.iter().map(|(step, delta)| step.at(delta, i)).collect();
-                for s in &block {
-                    expected.push(s.clone());
+        let mut explicit = Program::new();
+        let mut block: Vec<Step> = Vec::new();
+        for (specs, times, shape) in &segments {
+            if *shape != 0 || block.is_empty() {
+                block = specs.iter().map(spec_step).collect();
+                if *shape == 1 {
+                    block = vec![spec_step(&specs[0]), Step::repeat(3, block)];
                 }
-                comp.push_block(&mut prog, &mut block);
+            }
+            for _ in 0..*times {
+                explicit.extend(block.iter().cloned());
+            }
+            prog.push_block_times(&mut block.clone(), *times);
+        }
+
+        // The compressed program denotes exactly the pushed blocks…
+        let unrolled = prog.unroll();
+        prop_assert_eq!(&unrolled, &explicit.unroll());
+        prop_assert_eq!(prog.unrolled_len(), explicit.unrolled_len());
+        // …and its push-time totals equal the totals recomputed from the
+        // unrolled stream.
+        prop_assert_eq!(totals(&prog), totals(&explicit));
+        prop_assert_eq!(totals(&prog), totals(&unrolled));
+        // Equal blocks pushed in a row are one repeat.
+        for pair in prog.steps().windows(2) {
+            if let [Step::Repeat { body: a, .. }, Step::Repeat { body: b, .. }] = pair {
+                prop_assert_ne!(a, b, "adjacent repeats of one block did not merge");
             }
         }
-        comp.flush(&mut prog);
-
-        // The compressed program denotes exactly the input stream…
-        let unrolled = prog.unroll();
-        prop_assert_eq!(unrolled.steps(), expected.steps());
-        prop_assert_eq!(prog.unrolled_len(), expected.len() as u64);
-        // …and its push-time totals equal the totals recomputed from the
-        // unrolled stream (closed-form Σi/Σi² vs plain per-step sums).
-        prop_assert_eq!(totals(&prog), totals(&expected));
-        prop_assert_eq!(totals(&prog), totals(&unrolled));
     }
 
     #[test]
     fn repeat_push_block_times_matches_explicit_blocks(
         specs in proptest::collection::vec(step_spec(), 1..4),
         times in 1u64..200,
-        kind in 0u8..AFFINE_STEP_KINDS,
+        kind in 0u8..SIZED_STEP_KINDS,
     ) {
-        let parts: Vec<_> = specs.iter().map(spec_step).collect();
-        let block: Vec<Step> = parts.iter().map(|(step, _)| step.clone()).collect();
+        let block: Vec<Step> = specs.iter().map(spec_step).collect();
 
         // Pre-counted identical blocks…
-        let mut comp = RepeatCompressor::new();
         let mut prog = Program::new();
-        comp.push_block_times(&mut prog, &mut block.clone(), times);
-        // …then a non-foldable tail step to force heterogeneous flushing.
-        let tail = affine_step(kind, [7, 7, 7], [kind as u32, 3]);
-        comp.push_block(&mut prog, &mut vec![tail.clone()]);
-        comp.flush(&mut prog);
+        prog.push_block_times(&mut block.clone(), times);
+        // …then a single tail step.
+        let tail = sized_step(kind, [7, 7, 7], [kind as u32, 3]);
+        prog.push_block_times(&mut vec![tail.clone()], 1);
 
         let mut expected = Program::new();
         for _ in 0..times {
@@ -444,42 +436,32 @@ proptest! {
 // (8) Degraded pricing: compressed vs unrolled
 // ---------------------------------------------------------------------------
 
-/// One generated program segment: kind (plain steps, zero-delta repeat,
-/// affine repeat, zero-delta repeat nested in an affine one), the body's
-/// steps each with a scope selector (below 3 opens a scope before the
-/// step), and the repeat counts.
+/// One generated program segment: kind (plain steps, a repeat, a repeat
+/// whose body is one step and a nested repeat), the body's steps each with
+/// a scope selector (below 3 opens a scope before the step), and the
+/// repeat counts.
 type SegmentSpec = (u8, Vec<(StepSpec, u8)>, u64, u64);
 
-/// The steps of a segment body and their per-iteration deltas; `affine`
-/// keeps the generated deltas, otherwise every delta is zero.
-fn segment_body(specs: &[(StepSpec, u8)], affine: bool) -> (Vec<Step>, Vec<StepDelta>) {
+/// The steps of a segment body.
+fn segment_body(specs: &[(StepSpec, u8)]) -> Vec<Step> {
     let mut body = Vec::new();
-    let mut delta = Vec::new();
     for (spec, scope) in specs {
         if let Some(label) = SCOPES.get(usize::from(*scope)) {
             body.push(Step::scope(*label));
-            delta.push(StepDelta::none());
         }
-        let (step, d) = spec_step(spec);
-        delta.push(if affine { d } else { StepDelta::zeros(d.len) });
-        body.push(step);
+        body.push(spec_step(spec));
     }
-    (body, delta)
+    body
 }
 
 fn segment_steps((kind, specs, count, outer): &SegmentSpec) -> Vec<Step> {
-    match kind % 4 {
-        0 => segment_body(specs, false).0,
-        1 | 2 => {
-            let (body, delta) = segment_body(specs, kind % 4 == 2);
-            vec![Step::repeat(*count, body, delta)]
-        }
+    match kind % 3 {
+        0 => segment_body(specs),
+        1 => vec![Step::repeat(*count, segment_body(specs))],
         _ => {
-            let (inner, inner_delta) = segment_body(specs, false);
-            let (head, head_delta) = segment_body(&specs[..1], true);
-            let body = [head, vec![Step::repeat(*count, inner, inner_delta)]].concat();
-            let delta = [head_delta, vec![StepDelta::none()]].concat();
-            vec![Step::repeat(*outer, body, delta)]
+            let inner = Step::repeat(*count, segment_body(specs));
+            let body = [segment_body(&specs[..1]), vec![inner]].concat();
+            vec![Step::repeat(*outer, body)]
         }
     }
 }
@@ -510,7 +492,7 @@ proptest! {
     fn degraded_compression_is_an_exact_encoding(
         arch in 0u8..4,
         segments in proptest::collection::vec(
-            (0u8..4, proptest::collection::vec((step_spec(), 0u8..8), 1..4), 1u64..24, 1u64..5),
+            (0u8..3, proptest::collection::vec((step_spec(), 0u8..8), 1..4), 1u64..24, 1u64..5),
             1..4,
         ),
         (rate, ecc) in (0usize..4, 0u8..3),

@@ -7,7 +7,7 @@ use transpim::arch::{ArchConfig, ArchKind};
 use transpim::exec::Executor;
 use transpim::fault::{EccScheme, Fault, FaultScenario, FaultSession};
 use transpim::SinkHandle;
-use transpim_dataflow::ir::{BankRange, Program, RepeatCompressor, Step};
+use transpim_dataflow::ir::{BankRange, Program, Step};
 use transpim_hbm::stats::SimStats;
 
 fn session(arch: &ArchConfig, faults: Vec<Fault>, ecc: EccScheme) -> FaultSession {
@@ -105,11 +105,9 @@ fn compressed_and_unrolled_degraded_schedules_price_identically() {
         repeat: 2,
         parallel: 1,
     };
-    let mut comp = RepeatCompressor::new();
     let mut compressed = Program::new();
-    comp.push_block_times(&mut compressed, &mut vec![ring], 9);
-    comp.flush(&mut compressed);
-    assert!(compressed.len() < 9, "compressor must fold the identical blocks");
+    compressed.push_block_times(&mut vec![ring], 9);
+    assert!(compressed.len() < 9, "the identical blocks must fold");
     let unrolled = compressed.unroll();
 
     let faults = || vec![Fault::DeadLink { group: 0 }, Fault::TransientFlips { per_gib: 256.0 }];

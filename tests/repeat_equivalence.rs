@@ -232,8 +232,8 @@ fn traced_decode_is_bounded_by_the_compiled_program() {
 
 #[test]
 fn layer_decode_trace_grows_per_token_not_per_layer() {
-    // Layer-LM decode compiles one zero-delta repeat of one decoder layer
-    // per token, so its trace grows with the decode length but not with
+    // Layer-LM decode compiles one repeat of one decoder layer per
+    // token, so its trace grows with the decode length but not with
     // the layer count: at most 80 events per extra generated token (one
     // layer's events plus the repeat's summary), where spelling out all
     // 24 layers would take about 600.

@@ -6,8 +6,8 @@ use proptest::prelude::*;
 use transpim::arch::{ArchConfig, ArchKind};
 use transpim::report::DataflowKind;
 use transpim::Accelerator;
-use transpim_bench::fuzz::{affine_step, arch_for, delta_for, small_workload, AFFINE_STEP_KINDS};
-use transpim_dataflow::ir::{Program, Step, StepDelta};
+use transpim_bench::fuzz::{arch_for, sized_step, small_workload, SIZED_STEP_KINDS};
+use transpim_dataflow::ir::{Program, Step};
 use transpim_dataflow::token_flow;
 use transpim_hbm::config::HbmConfig;
 use transpim_transformer::model::ModelConfig;
@@ -72,22 +72,18 @@ fn reports_roundtrip_with_scoped_stats() {
 }
 
 /// A step spec tuple for the property below: (kind, size, size, structural,
-/// structural, delta).
-type SpecTuple = (u8, u64, u64, u32, u32, u64);
+/// structural).
+type SpecTuple = (u8, u64, u64, u32, u32);
 
 fn spec_strategy() -> impl Strategy<Value = SpecTuple> {
-    (0u8..AFFINE_STEP_KINDS, any::<u64>(), any::<u64>(), any::<u32>(), any::<u32>(), any::<u64>())
+    (0u8..SIZED_STEP_KINDS, any::<u64>(), any::<u64>(), any::<u32>(), any::<u32>())
 }
 
-fn steps_with_deltas(specs: &[SpecTuple]) -> (Vec<Step>, Vec<StepDelta>) {
-    let mut body = Vec::new();
-    let mut delta = Vec::new();
-    for &(kind, s0, s1, w0, w1, d0) in specs {
-        let step = affine_step(kind, [s0, s1, s0 ^ s1], [w0, w1]);
-        delta.push(delta_for(&step, [d0, d0 / 3, d0 / 7]));
-        body.push(step);
-    }
-    (body, delta)
+fn steps(specs: &[SpecTuple]) -> Vec<Step> {
+    specs
+        .iter()
+        .map(|&(kind, s0, s1, w0, w1)| sized_step(kind, [s0, s1, s0 ^ s1], [w0, w1]))
+        .collect()
 }
 
 proptest! {
@@ -105,22 +101,17 @@ proptest! {
         inner_count in 1u64..20,
     ) {
         let mut prog = Program::new();
-        for s in steps_with_deltas(&flat).0 {
-            prog.push(s);
-        }
-        let (body, delta) = steps_with_deltas(&rep_body);
-        prog.push(Step::repeat(rep_count, body, delta));
-        // Nested: an outer repeat whose body contains an inner repeat (the
-        // outer delta for a Repeat element is the empty shape).
-        let (inner, inner_delta) = steps_with_deltas(&inner_body);
-        let nested = Step::repeat(inner_count, inner, inner_delta);
-        prog.push(Step::repeat(rep_count, vec![nested], vec![StepDelta::none()]));
+        prog.extend(steps(&flat));
+        prog.push(Step::repeat(rep_count, steps(&rep_body)));
+        // Nested: an outer repeat whose body contains an inner repeat.
+        let nested = Step::repeat(inner_count, steps(&inner_body));
+        prog.push(Step::repeat(rep_count, vec![nested]));
 
         let json = serde_json::to_string(&prog).expect("serialize");
         let back: Program = serde_json::from_str(&json).expect("deserialize");
         prop_assert_eq!(&back, &prog);
         // Deserialization recomputes the push-time totals; they must match
-        // the originals (which the repeat closed forms produced).
+        // the originals.
         prop_assert_eq!(back.host_bytes(), prog.host_bytes());
         prop_assert_eq!(back.internal_movement_bytes(), prog.internal_movement_bytes());
         prop_assert_eq!(back.total_mul_elems(), prog.total_mul_elems());
