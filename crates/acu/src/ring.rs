@@ -23,7 +23,7 @@ use std::fmt::Write;
 use transpim_hbm::energy::EnergyParams;
 use transpim_hbm::engine::tracks;
 use transpim_hbm::geometry::{BankId, HbmGeometry};
-use transpim_hbm::resource::ResourceMap;
+use transpim_hbm::resource::{ResourceMap, MAX_ROUTE_RESOURCES};
 use transpim_obs::{CounterEvent, SinkHandle, SpanEvent};
 
 /// One bank-to-bank transfer of `bytes`.
@@ -118,8 +118,8 @@ pub fn schedule_hops(map: &ResourceMap, xfer: &TransferCostModel, hops: &[Hop]) 
     schedule_hops_placed(map, xfer, hops).0
 }
 
-/// [`schedule_hops`] with the per-hop [`HopPlacement`]s retained, in the
-/// scheduler's placement order.
+/// [`schedule_hops`] with the per-hop [`HopPlacement`]s retained, slot by
+/// slot and in priority order within a slot.
 pub fn schedule_hops_placed(
     map: &ResourceMap,
     xfer: &TransferCostModel,
@@ -128,9 +128,12 @@ pub fn schedule_hops_placed(
     if hops.is_empty() {
         return (ScheduleResult::default(), Vec::new());
     }
+    let mut assigned = assign_slots(map, hops);
+    // Stable, so each slot keeps its hops in priority order.
+    assigned.sort_by_key(|&(_, s, _)| s);
     let mut placements = Vec::with_capacity(hops.len());
     let (mut latency, mut slot_dur, mut slot) = (0.0, 0.0f64, 0u32);
-    for (i, s, bw) in assign_slots(map, hops) {
+    for (i, s, bw) in assigned {
         if s != slot {
             latency += slot_dur;
             slot_dur = 0.0;
@@ -154,47 +157,63 @@ pub fn schedule_hops_placed(
 }
 
 /// The slot scheduler's core: every hop of `hops` (payloads ignored), in
-/// placement order, as `(index into hops, slot, route bandwidth)`. Slots
-/// are numbered from 0 and appear in order, each non-empty.
+/// priority order, as `(index into hops, slot, route bandwidth)`. Slots are
+/// numbered from 0, and a hop never opens slot `s` before slots `0..s` each
+/// hold a hop.
+///
+/// Priority puts hops occupying more resources first, then even positions
+/// in a bank group before odd ones, then position, source bank and index.
+/// Each hop in turn takes the lowest slot in which none of its resources
+/// is taken yet (first fit). That is the slot a round-based greedy gives
+/// it, which fills slot 0, 1, … in turn with every remaining hop that
+/// fits, in priority order: in both, a hop's slot is the first one free of
+/// the higher-priority hops' resources, and by induction on priority those
+/// hops hold the same slots in both.
 fn assign_slots(map: &ResourceMap, hops: &[Hop]) -> Vec<(usize, u32, f64)> {
     let bpg = map.geometry().banks_per_group;
+    assert!(u32::try_from(hops.len()).is_ok(), "a hop set is indexed by u32");
     let routed: Vec<_> = hops.iter().map(|h| map.route(h.src, h.dst)).collect();
-    // The priority key is built once per hop; the index keeps the sort
-    // stable.
-    let mut keyed: Vec<_> = hops
+    // The priority key packed into one integer, index lowest.
+    let mut order: Vec<u128> = hops
         .iter()
         .zip(&routed)
         .enumerate()
         .map(|(i, (h, route))| {
             let pos = h.src.0 % bpg;
-            (usize::MAX - route.resources.len(), pos % 2, pos, h.src.0, i)
+            let fewer = (MAX_ROUTE_RESOURCES - route.resources.len()) as u128;
+            fewer << 97
+                | u128::from(pos % 2) << 96
+                | u128::from(pos) << 64
+                | u128::from(h.src.0) << 32
+                | i as u128
         })
         .collect();
-    keyed.sort_unstable();
+    order.sort_unstable();
 
+    // `busy[w * n + r]` holds bit `s % 64` for each slot `s` of word
+    // `w = s / 64` that resource `r` is taken in. A hop that finds every
+    // slot so far taken appends the next word for all resources.
+    let n = map.len() as usize;
+    let mut busy = vec![0u64; n];
     let mut placed = Vec::with_capacity(hops.len());
-    let mut remaining: Vec<usize> = keyed.into_iter().map(|k| k.4).collect();
-    let mut slots = 0u32;
-    // `taken[r]` is one past the last slot that occupied resource `r`, so a
-    // resource is busy in the current slot iff `taken[r] == slots + 1` —
-    // no per-slot set to build or clear.
-    let mut taken = vec![0u32; map.len() as usize];
-    while !remaining.is_empty() {
-        let mark = slots + 1;
-        let mut next = Vec::new();
-        for &i in &remaining {
-            let route = &routed[i];
-            if route.resources.iter().any(|r| taken[r.0 as usize] == mark) {
-                next.push(i);
-                continue;
+    for key in order {
+        let i = key as u32 as usize;
+        let route = &routed[i];
+        let mut base = 0;
+        let slot = loop {
+            if base == busy.len() {
+                busy.resize(base + n, 0);
             }
-            for r in &route.resources {
-                taken[r.0 as usize] = mark;
+            let taken = route.resources.iter().fold(0, |acc, r| acc | busy[base + r.0 as usize]);
+            if taken != u64::MAX {
+                break base / n * 64 + taken.trailing_ones() as usize;
             }
-            placed.push((i, slots, route.bandwidth_gbs));
+            base += n;
+        };
+        for r in route.resources.iter() {
+            busy[base + r.0 as usize] |= 1 << (slot % 64);
         }
-        slots += 1;
-        remaining = next;
+        placed.push((i, slot as u32, route.bandwidth_gbs));
     }
     placed
 }

@@ -49,12 +49,58 @@ impl Default for BusParams {
     }
 }
 
+/// Most resources one route occupies: a cross-stack hop takes both banks,
+/// both group buses, both channel buses, both stack links and the host bus.
+pub const MAX_ROUTE_RESOURCES: usize = 9;
+
+/// The resources of one [`Route`], held inline so routing never allocates.
+/// Derefs to the occupied `&[ResourceId]`.
+#[derive(Clone, Copy)]
+pub struct RouteResources {
+    ids: [ResourceId; MAX_ROUTE_RESOURCES],
+    len: u8,
+}
+
+impl RouteResources {
+    /// The two endpoint banks, which every route occupies.
+    fn banks(src: ResourceId, dst: ResourceId) -> Self {
+        let mut ids = [ResourceId(0); MAX_ROUTE_RESOURCES];
+        (ids[0], ids[1]) = (src, dst);
+        Self { ids, len: 2 }
+    }
+
+    fn push(&mut self, r: ResourceId) {
+        self.ids[usize::from(self.len)] = r;
+        self.len += 1;
+    }
+}
+
+impl std::ops::Deref for RouteResources {
+    type Target = [ResourceId];
+
+    fn deref(&self) -> &[ResourceId] {
+        &self.ids[..usize::from(self.len)]
+    }
+}
+
+impl PartialEq for RouteResources {
+    fn eq(&self, other: &Self) -> bool {
+        **self == **other
+    }
+}
+
+impl std::fmt::Debug for RouteResources {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        (**self).fmt(f)
+    }
+}
+
 /// Route taken by a transfer, with the set of occupied resources and the
 /// bottleneck bandwidth along the path.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Route {
     /// Every resource occupied for the duration of the transfer.
-    pub resources: Vec<ResourceId>,
+    pub resources: RouteResources,
     /// Bottleneck bandwidth in GB/s.
     pub bandwidth_gbs: f64,
 }
@@ -220,7 +266,7 @@ impl ResourceMap {
     pub fn route(&self, src: BankId, dst: BankId) -> Route {
         let g = &self.geometry;
         let (sc, dc) = (g.coord(src), g.coord(dst));
-        let mut resources = vec![self.bank(src), self.bank(dst)];
+        let mut resources = RouteResources::banks(self.bank(src), self.bank(dst));
         let mut bw = f64::INFINITY;
 
         let (src_group, dst_group) = (g.group_at(sc), g.group_at(dc));
@@ -294,21 +340,6 @@ impl ResourceMap {
         resources.push(self.stack_link(dc.stack));
         resources.push(self.host_bus());
         bw = bw.min(self.bus.stack_gbs).min(self.bus.host_gbs);
-        Route { resources, bandwidth_gbs: bw }
-    }
-
-    /// Route a host→channel broadcast write: the data crosses the host bus
-    /// and stack link once and is written to all banks of the channel
-    /// simultaneously (the PIM memory controller drives the shared channel
-    /// bus with all target rows open). Bank resources are intentionally not
-    /// enumerated; the caller models per-bank write energy separately.
-    pub fn route_host_broadcast(&self, stack: u32, channel: u32) -> Route {
-        let resources = vec![
-            self.host_bus(),
-            self.stack_link(stack),
-            self.channel_bus(stack * self.geometry.channels_per_stack + channel),
-        ];
-        let bw = self.bus.host_gbs.min(self.bus.stack_gbs).min(self.bus.channel_gbs);
         Route { resources, bandwidth_gbs: bw }
     }
 }
@@ -442,10 +473,51 @@ mod tests {
     }
 
     #[test]
-    fn host_broadcast_route_is_channel_wide() {
-        let m = map(true);
-        let r = m.route_host_broadcast(0, 3);
-        assert_eq!(r.resources.len(), 3);
-        assert_eq!(r.bandwidth_gbs, 32.0);
+    fn every_route_fits_the_inline_bound() {
+        let g = HbmGeometry::default();
+        let n = g.total_banks();
+        let maps = [
+            map(true),
+            map(false),
+            map(true).with_ring_faults(&[0, 5, 100, 511], &[(1, 0.5), (6, 0.25), (300, 0.9)]),
+        ];
+        let mut widest = 0;
+        // Intra-group, cross-group, cross-channel and cross-stack pairs.
+        let mut seen = [false; 4];
+        for m in &maps {
+            for src in 0..n {
+                // The ring neighbors, another bank of the group, the next
+                // group, the next channel and the next stack, wrapping.
+                let dsts = [
+                    src ^ 1,
+                    (src + 1) % n,
+                    (src + n - 1) % n,
+                    (src + g.banks_per_group) % n,
+                    (src + g.banks_per_channel()) % n,
+                    (src + g.banks_per_stack()) % n,
+                ];
+                for dst in dsts {
+                    let r = m.route(BankId(src), BankId(dst));
+                    let mut ids = r.resources.to_vec();
+                    assert!((2..=MAX_ROUTE_RESOURCES).contains(&ids.len()), "{src}->{dst}: {r:?}");
+                    assert!(
+                        ids.contains(&m.bank(BankId(src))) && ids.contains(&m.bank(BankId(dst)))
+                    );
+                    ids.sort_unstable();
+                    ids.dedup();
+                    assert_eq!(ids.len(), r.resources.len(), "{src}->{dst} repeats a resource");
+                    widest = widest.max(ids.len());
+                    let (a, b) = (g.coord(BankId(src)), g.coord(BankId(dst)));
+                    seen[match () {
+                        _ if g.group_at(a) == g.group_at(b) => 0,
+                        _ if g.channel_at(a) == g.channel_at(b) => 1,
+                        _ if a.stack == b.stack => 2,
+                        _ => 3,
+                    }] = true;
+                }
+            }
+        }
+        assert_eq!(seen, [true; 4]);
+        assert_eq!(widest, MAX_ROUTE_RESOURCES, "a cross-stack hop fills the bound");
     }
 }

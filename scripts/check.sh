@@ -141,6 +141,8 @@ awk -F'\t' '
 ' "$summary" >&2
 for required in \
   scheduler_properties::ring_step_respects_group_serialization_floor \
+  scheduler_properties::slot_scheduler_matches_hashset_reference \
+  scheduler_properties::first_fit_matches_the_reference_on_arbitrary_hop_sets \
   scheduler_properties::slot_profile_prices_every_byte_count_like_the_reference \
   differential_fuzz::banksim_attention_matches_f32_within_tolerance \
   differential_fuzz::repeat_compression_is_an_exact_encoding \

@@ -12,6 +12,8 @@
 //!     --p-sub 32 --json report.json --trace trace.json
 //! ```
 
+use std::fmt::Write as _;
+use std::io::{self, Write as _};
 use std::process::ExitCode;
 use transpim::accelerator::Accelerator;
 use transpim::exec::Executor;
@@ -303,6 +305,18 @@ fn push_headline_metrics(m: &mut MetricsSink, report: &SimReport, overhead: Opti
     }
 }
 
+/// Write `text` to stdout. A reader that closed early (a broken pipe) is
+/// not an error: the run goes on without stdout and still writes its files.
+fn print_stdout(text: &str) -> Result<(), ExitCode> {
+    match io::stdout().lock().write_all(text.as_bytes()) {
+        Err(e) if e.kind() != io::ErrorKind::BrokenPipe => {
+            eprintln!("error: writing stdout: {e}");
+            Err(ExitCode::from(1))
+        }
+        _ => Ok(()),
+    }
+}
+
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let opts = match parse_args(&args) {
@@ -342,7 +356,9 @@ fn main() -> ExitCode {
         let mut reports = Vec::new();
         for output in outputs {
             let report = output.report;
-            println!("{}", report.summary());
+            if let Err(code) = print_stdout(&format!("{}\n", report.summary())) {
+                return code;
+            }
             if let (Some(path), Some(trace)) = (&opts.trace, output.trace) {
                 let path = suffixed(path, &report.system);
                 if let Err(e) = trace.write_to(&path) {
@@ -462,33 +478,40 @@ fn main() -> ExitCode {
         },
         None => None,
     };
-    println!("{}", report.summary());
+    let mut out = format!("{}\n", report.summary());
     if let (Some(f), Some(o)) = (&report.faults, overhead) {
-        println!();
-        println!(
+        let _ = writeln!(out);
+        let _ = writeln!(
+            out,
             "fault accounting: {} injected, {} detected, {} corrected, {} uncorrectable",
             f.injected, f.detected, f.corrected, f.uncorrectable
         );
-        println!(
+        let _ = writeln!(
+            out,
             "  degraded hardware: {} failed banks, {} stuck planes, {} dead links, \
              {} degraded links, {} broken dividers",
             f.failed_banks, f.stuck_planes, f.dead_links, f.degraded_links, f.broken_dividers
         );
-        println!(
+        let _ = writeln!(
+            out,
             "  degradation overhead: {:.3} ms, {:.3} mJ",
             o.latency_ns * 1e-6,
             o.energy_pj * 1e-9
         );
     }
-    println!();
-    println!("per-layer-kind breakdown:");
+    let _ = writeln!(out);
+    let _ = writeln!(out, "per-layer-kind breakdown:");
     for (scope, s) in report.scoped.iter() {
-        println!(
+        let _ = writeln!(
+            out,
             "  {:<14} {:>12.3} ms   {:>10.3} mJ",
             scope,
             s.latency_ns * 1e-6,
             s.total_energy_pj() * 1e-9
         );
+    }
+    if let Err(code) = print_stdout(&out) {
+        return code;
     }
     if let Some(path) = &opts.json {
         match report.to_json() {

@@ -3,9 +3,10 @@
 //! it never prints a report for an invalid machine, and never panics or
 //! aborts on an oversized workload. A workload that fits the memory but
 //! whose simulated totals leave the statistics' range exits 2 as well, and
-//! so does a fault scenario whose event counts pass 2^64.
+//! so does a fault scenario whose event counts pass 2^64. A reader that
+//! closes stdout early does not make it panic either.
 
-use std::process::Command;
+use std::process::{Command, Stdio};
 
 /// Exit code and stderr of `transpim-sim args`.
 fn run(args: &[&str]) -> (Option<i32>, String) {
@@ -176,5 +177,27 @@ fn dump_ir_under_failed_banks_writes_the_priced_program() {
     let failed = dump("bank", Some(r#"{"FailedBank":{"bank":3}}"#));
     assert_ne!(failed, clean, "the dump ignored the failed bank");
     assert_eq!(dump("link", Some(r#"{"DeadLink":{"group":0}}"#)), clean);
+    std::fs::remove_dir_all(&dir).expect("temp dir removed");
+}
+
+#[test]
+fn closed_stdout_is_not_a_panic() {
+    // The reader goes away before the report is printed, like `| head -0`:
+    // the run still writes its files and exits 0, with nothing on stderr
+    // about stdout.
+    let dir = temp_dir("closed-stdout");
+    let report = dir.join("report.json");
+    let mut child = Command::new(env!("CARGO_BIN_EXE_transpim-sim"))
+        .args(["--workload", "lm", "--json", report.to_str().expect("utf-8")])
+        .stdout(Stdio::piped())
+        .stderr(Stdio::piped())
+        .spawn()
+        .expect("transpim-sim runs");
+    drop(child.stdout.take());
+    let out = child.wait_with_output().expect("transpim-sim exits");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(!stderr.contains("panicked"), "{stderr}");
+    assert_eq!(out.status.code(), Some(0), "stderr: {stderr}");
+    latency_and_energy(&report);
     std::fs::remove_dir_all(&dir).expect("temp dir removed");
 }

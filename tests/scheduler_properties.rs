@@ -1,7 +1,9 @@
 //! Property tests for the communication scheduler and routing layer:
 //! makespans must respect structural bounds on arbitrary hop sets, routes
 //! must be well-formed for every bank pair, the slot scheduler must place
-//! hops exactly like a straightforward per-slot `HashSet` scheduler, and a
+//! hops exactly like a straightforward round-based scheduler with a
+//! per-slot `HashSet` (on ring steps, reduction trees and arbitrary hop
+//! sets, including ones that need more than 64 slots), and a
 //! topology's slot profile must price every byte count exactly as that
 //! scheduler does.
 
@@ -33,9 +35,9 @@ fn setup(buffered: bool) -> (ResourceMap, TransferCostModel) {
     )
 }
 
-/// The greedy slot scheduler spelled out with a fresh `HashSet` of taken
-/// resources per slot: the same priority order, placements and f64
-/// operation order that `schedule_hops_placed` must reproduce.
+/// The round-based greedy slot scheduler spelled out with a fresh
+/// `HashSet` of taken resources per slot: the priority order, placements
+/// and f64 operation order that `schedule_hops_placed` must reproduce.
 fn reference_schedule(
     map: &ResourceMap,
     xfer: &TransferCostModel,
@@ -113,6 +115,46 @@ proptest! {
             prop_assert_eq!(got, want);
             prop_assert_eq!(placed, want_placed);
         }
+    }
+
+    #[test]
+    fn first_fit_matches_the_reference_on_arbitrary_hop_sets(
+        pairs in proptest::collection::vec((0u32..32, 1u32..32, 0u64..1 << 20), 0..48),
+        channel in 0u32..4,
+        serial in proptest::collection::vec((0u32..8, 1u32..8), 65..160),
+        bytes in 64u64..8192,
+        ring_links in any::<bool>(),
+        dead in proptest::collection::vec(0u32..8, 0..3),
+        degraded in proptest::collection::vec((0u32..8, 0.05f64..1.0), 0..3),
+    ) {
+        let g = small_geometry();
+        let map = ResourceMap::new(g, BusParams::default(), ring_links)
+            .with_ring_faults(&dead, &degraded);
+        let xfer = TransferCostModel::new(g, EnergyParams::default(), ring_links);
+        // Any bank to any other, sources repeating, payloads differing.
+        let hops: Vec<Hop> = pairs
+            .iter()
+            .map(|&(s, k, b)| Hop { src: BankId(s), dst: BankId((s + k) % 32), bytes: b })
+            .collect();
+        let (got, placed) = schedule_hops_placed(&map, &xfer, &hops);
+        let (want, want_placed) = reference_schedule(&map, &xfer, &hops);
+        prop_assert_eq!(got, want);
+        prop_assert_eq!(placed, want_placed);
+
+        // One channel without ring links: every hop rides the channel bus,
+        // so each takes a slot of its own, past the first 64.
+        let map = ResourceMap::new(g, BusParams::default(), false);
+        let xfer = TransferCostModel::new(g, EnergyParams::default(), false);
+        let first = channel * g.banks_per_channel();
+        let hops: Vec<Hop> = serial
+            .iter()
+            .map(|&(s, k)| Hop { src: BankId(first + s), dst: BankId(first + (s + k) % 8), bytes })
+            .collect();
+        let (got, placed) = schedule_hops_placed(&map, &xfer, &hops);
+        let (want, want_placed) = reference_schedule(&map, &xfer, &hops);
+        prop_assert_eq!(got.slots as usize, hops.len());
+        prop_assert_eq!(got, want);
+        prop_assert_eq!(placed, want_placed);
     }
 
     #[test]
