@@ -1,4 +1,4 @@
-//! Minimal ASCII chart rendering for the figure binaries: horizontal bars
+//! Minimal ASCII chart rendering for the experiments: horizontal bars
 //! (Figure 10-style comparisons) and stacked category bars (Figure 11-style
 //! breakdowns).
 

@@ -1,20 +1,15 @@
-//! Shared harness for the figure/table reproduction binaries.
+//! Harness that regenerates every table and figure of the paper.
 //!
-//! Each binary in `src/bin/` regenerates one table or figure of the paper
-//! (see DESIGN.md §4 for the index), printing the same rows/series the
-//! paper reports and writing a JSON dump alongside for EXPERIMENTS.md.
-//!
-//! Observability: every binary that routes its simulations through
-//! [`ObsSession`] accepts `--trace <PATH>` (Chrome-tracing timeline) and
-//! `--metrics <PATH>` (flat JSON/CSV aggregates) without any per-binary
-//! flag handling. Diagnostics that are not table output go through
-//! [`note`]; set `TRANSPIM_BENCH_QUIET=1` to silence them in scripts.
+//! [`experiments`] holds one entry per table, figure or ablation (see
+//! DESIGN.md §4 for the index); the `reproduce` binary prices their grid
+//! cells once through [`run_grid`] and writes `results/`. [`run_grid`] is
+//! also the grid engine behind `transpim-sim --all` and perfbench.
 
 pub mod chart;
+pub mod experiments;
 pub mod fuzz;
 
 use std::cell::RefCell;
-use std::path::Path;
 use std::rc::Rc;
 use transpim::accelerator::Accelerator;
 use transpim::arch::{ArchConfig, ArchKind};
@@ -23,21 +18,10 @@ use transpim::report::{DataflowKind, SimReport};
 use transpim::{ChromeTraceSink, FaultScenario, MetricsSink, SinkHandle};
 use transpim_transformer::workload::Workload;
 
-/// Simulate one `dataflow`-`arch` system on `workload` with `stacks` HBM
-/// stacks.
-pub fn run_system(
-    kind: ArchKind,
-    dataflow: DataflowKind,
-    workload: &Workload,
-    stacks: u32,
-) -> SimReport {
-    Accelerator::new(ArchConfig::new(kind).with_stacks(stacks)).simulate(workload, dataflow)
-}
-
 /// One cell of an evaluation grid: a full architecture configuration, a
 /// dataflow, and a workload. Cells are independent simulations, which is
 /// what makes the grid embarrassingly parallel.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct GridCell {
     /// Architecture to simulate (carries stack count, ACU knobs, …).
     pub arch: ArchConfig,
@@ -48,7 +32,7 @@ pub struct GridCell {
 }
 
 impl GridCell {
-    /// Cell for one of the eight named systems, like [`run_system`].
+    /// Cell for one of the eight named systems with `stacks` HBM stacks.
     pub fn system(
         kind: ArchKind,
         dataflow: DataflowKind,
@@ -156,24 +140,6 @@ fn own<T>(shared: Rc<RefCell<T>>) -> T {
     Rc::try_unwrap(shared).ok().expect("simulation dropped its sink handle").into_inner()
 }
 
-/// Remove `--jobs N` from `args` and return the worker count — defaulting
-/// to [`transpim_par::max_threads`] (`TRANSPIM_THREADS` or the machine's
-/// parallelism) when the flag is absent.
-pub fn jobs_from_args(args: &mut Vec<String>) -> Result<usize, String> {
-    match args.iter().position(|a| a == "--jobs") {
-        None => Ok(transpim_par::max_threads()),
-        Some(i) if i + 1 < args.len() => {
-            args.remove(i);
-            let value = args.remove(i);
-            match value.parse::<usize>() {
-                Ok(n) if n >= 1 => Ok(n),
-                _ => Err(format!("--jobs needs a positive integer, got '{value}'")),
-            }
-        }
-        Some(_) => Err("--jobs requires a value".into()),
-    }
-}
-
 /// All eight memory-based systems of Figure 10, in the paper's order.
 pub fn all_systems() -> Vec<(DataflowKind, ArchKind)> {
     let mut v = Vec::new();
@@ -183,140 +149,4 @@ pub fn all_systems() -> Vec<(DataflowKind, ArchKind)> {
         }
     }
     v
-}
-
-/// Print a harness diagnostic to stderr, bracketed so it is visually
-/// distinct from table output. Every non-table diagnostic of the bench
-/// binaries goes through here — set `TRANSPIM_BENCH_QUIET=1` to silence
-/// them all (e.g. when piping a binary's stdout *and* stderr to a file).
-pub fn note(msg: impl AsRef<str>) {
-    if std::env::var_os("TRANSPIM_BENCH_QUIET").is_none() {
-        eprintln!("[{}]", msg.as_ref());
-    }
-}
-
-/// Write a serializable value as pretty JSON next to the binaries.
-///
-/// # Panics
-///
-/// Panics on I/O or serialization failure (these binaries are harness
-/// tools; failing loudly is correct).
-pub fn write_json<T: serde::Serialize>(name: &str, value: &T) {
-    let dir = Path::new("results");
-    std::fs::create_dir_all(dir).expect("create results dir");
-    let path = dir.join(format!("{name}.json"));
-    let json = serde_json::to_string_pretty(value).expect("serialize");
-    std::fs::write(&path, json).expect("write results file");
-    note(format!("results written to {}", path.display()));
-}
-
-/// Pretty horizontal rule for table output.
-pub fn rule(width: usize) {
-    println!("{}", "-".repeat(width));
-}
-
-/// Observability options shared by the bench binaries.
-///
-/// [`ObsSession::extract`] pulls `--trace <PATH>` and `--metrics <PATH>`
-/// out of an argument vector; [`ObsSession::sink`] hands the attached
-/// sinks to each simulation; [`ObsSession::finish`] writes the collected
-/// artifacts. With neither flag present every call is a no-op on a null
-/// sink.
-#[derive(Debug, Default)]
-pub struct ObsSession {
-    trace: Option<(String, Rc<RefCell<ChromeTraceSink>>)>,
-    metrics: Option<(String, Rc<RefCell<MetricsSink>>)>,
-}
-
-impl ObsSession {
-    /// Remove `--trace <PATH>` / `--metrics <PATH>` from `args` and build
-    /// the corresponding session. Unrelated arguments are left in place
-    /// for the binary's own parser.
-    pub fn extract(args: &mut Vec<String>) -> Result<Self, String> {
-        let mut session = Self::default();
-        let mut take = |flag: &str| -> Result<Option<String>, String> {
-            match args.iter().position(|a| a == flag) {
-                None => Ok(None),
-                Some(i) if i + 1 < args.len() => {
-                    args.remove(i);
-                    Ok(Some(args.remove(i)))
-                }
-                Some(_) => Err(format!("{flag} requires a value")),
-            }
-        };
-        if let Some(path) = take("--trace")? {
-            session.trace = Some((path, ChromeTraceSink::shared()));
-        }
-        if let Some(path) = take("--metrics")? {
-            session.metrics = Some((path, MetricsSink::shared()));
-        }
-        Ok(session)
-    }
-
-    /// The sink handle to attach to a simulation — null when no
-    /// observability output was requested.
-    pub fn sink(&self) -> SinkHandle {
-        SinkHandle::fanout(vec![
-            self.trace
-                .as_ref()
-                .map_or_else(SinkHandle::null, |(_, c)| SinkHandle::from_shared(c.clone())),
-            self.metrics
-                .as_ref()
-                .map_or_else(SinkHandle::null, |(_, m)| SinkHandle::from_shared(m.clone())),
-        ])
-    }
-
-    /// Whether `--trace` was requested.
-    pub fn wants_trace(&self) -> bool {
-        self.trace.is_some()
-    }
-
-    /// Whether `--metrics` was requested.
-    pub fn wants_metrics(&self) -> bool {
-        self.metrics.is_some()
-    }
-
-    /// Run `cells` on the pool ([`run_grid`]) and fold each cell's private
-    /// sinks into this session **in submission order**, so the artifacts
-    /// [`ObsSession::finish`] writes are byte-identical to a serial run
-    /// over the same grid, at any `jobs` count. Returns the reports in
-    /// submission order.
-    pub fn run_grid(&self, jobs: usize, cells: Vec<GridCell>) -> Vec<SimReport> {
-        let outputs = run_grid(jobs, self.wants_trace(), self.wants_metrics(), cells);
-        let mut reports = Vec::with_capacity(outputs.len());
-        for output in outputs {
-            if let (Some((_, shared)), Some(cell_trace)) = (&self.trace, output.trace) {
-                shared.borrow_mut().absorb(cell_trace);
-            }
-            if let (Some((_, shared)), Some(cell_metrics)) = (&self.metrics, output.metrics) {
-                shared.borrow_mut().merge(cell_metrics);
-            }
-            reports.push(output.report);
-        }
-        reports
-    }
-
-    /// Record a scalar alongside the span/counter aggregates (no-op
-    /// without `--metrics`).
-    pub fn push_metric(&self, key: impl Into<String>, value: f64) {
-        if let Some((_, m)) = &self.metrics {
-            m.borrow_mut().push_metric(key, value);
-        }
-    }
-
-    /// Write the requested artifacts.
-    ///
-    /// # Panics
-    ///
-    /// Panics on I/O or serialization failure, like [`write_json`].
-    pub fn finish(&self) {
-        if let Some((path, c)) = &self.trace {
-            c.borrow().write_to(path).expect("write trace file");
-            note(format!("trace written to {path} — open in chrome://tracing or Perfetto"));
-        }
-        if let Some((path, m)) = &self.metrics {
-            m.borrow().write_to(path).expect("write metrics file");
-            note(format!("metrics written to {path}"));
-        }
-    }
 }

@@ -55,10 +55,9 @@ cargo test --offline -q --test repeat_equivalence
 
 # Fault suite: injection disabled must be byte-invisible, degraded runs
 # must be deterministic at any job count, and ring degradation must price
-# consistently. The injection seed is pinned so reruns are byte-identical.
+# consistently. Each test seeds its own scenarios.
 echo "==> fault suite (byte-invisible when off, deterministic when on)"
-TRANSPIM_FAULT_SEED="${TRANSPIM_FAULT_SEED:-20220402}" \
-  cargo test --offline -q --test fault_equivalence --test fault_degradation
+cargo test --offline -q --test fault_equivalence --test fault_degradation
 
 # A run without --faults is the run under an empty scenario, through the
 # same entry point: stdout and every written file must be byte-identical
@@ -83,7 +82,7 @@ for system in "--workload imdb" "--workload imdb --arch pim --dataflow layer"; d
 done
 
 # What is committed under results/ is what the code produces: rerun every
-# figure, ablation and fault binary into a temporary directory and compare
+# experiment of the reproduce binary into a temporary directory and compare
 # each JSON file value by value (strings and integers exact, other numbers
 # within 1e-9 relative) and all_figures.txt byte for byte. After a change
 # that is meant to move the model, regenerate with scripts/regen_results.sh.
