@@ -37,11 +37,6 @@ impl AsicSpec {
         }
     }
 
-    /// Both comparators in the paper's order.
-    pub fn paper_comparators() -> Vec<AsicSpec> {
-        vec![Self::a3(), Self::spatten_eighth()]
-    }
-
     /// Throughput ratio of an achieved `gops` figure over this ASIC's peak
     /// (the paper reports TransPIM at 2.0–3.3× the ASIC peaks).
     pub fn throughput_ratio(&self, gops: f64) -> f64 {
@@ -59,7 +54,6 @@ mod tests {
         assert_eq!(a3.peak_gops, 221.0);
         let sp = AsicSpec::spatten_eighth();
         assert_eq!(sp.reported_gpt2_speedup, Some(35.0));
-        assert_eq!(AsicSpec::paper_comparators().len(), 2);
     }
 
     #[test]

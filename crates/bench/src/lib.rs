@@ -3,7 +3,7 @@
 //! [`experiments`] holds one entry per table, figure or ablation (see
 //! DESIGN.md §4 for the index); the `reproduce` binary prices their grid
 //! cells once through [`run_grid`] and writes `results/`. [`run_grid`] is
-//! also the grid engine behind `transpim-sim --all` and perfbench.
+//! also the grid engine behind perfbench's `paper-grid` workload.
 
 pub mod chart;
 pub mod experiments;
@@ -69,6 +69,12 @@ pub struct CellOutput {
 /// cell runs fault-free, through [`Accelerator::simulate_on`] with an
 /// empty scenario. With observability on, every cell gets private sinks,
 /// so merging them in submission order reproduces a serial run's stream.
+///
+/// # Panics
+///
+/// If a cell's simulated totals leave the statistics' range
+/// ([`transpim::SimError::OutOfRange`]);
+/// [`Accelerator::simulate_on`] returns that error instead.
 pub fn run_grid(
     jobs: usize,
     want_trace: bool,
@@ -115,7 +121,7 @@ pub fn run_grid(
                                 &FaultScenario::empty(0),
                                 sink,
                             )
-                            .expect("a fault-free simulation cannot fail");
+                            .unwrap_or_else(|e| panic!("fault-free simulation failed: {e}"));
                         let output =
                             CellOutput { report, trace: trace.map(own), metrics: metrics.map(own) };
                         (index, output)

@@ -273,7 +273,7 @@ impl Step {
     }
 }
 
-/// `(host, movement, mul)` accumulators for the program's O(1) accounting.
+/// `(host, movement, mul)` totals of a step slice.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 struct Totals {
     host: u64,
@@ -333,40 +333,11 @@ fn step_count(step: &Step) -> u64 {
     }
 }
 
-/// A compiled dataflow program.
-///
-/// Byte totals ([`Program::host_bytes`], [`Program::internal_movement_bytes`],
-/// [`Program::total_mul_elems`]) are maintained incrementally at push time —
-/// including exact closed-form sums over [`Step::Repeat`] — so report
-/// generation is O(1) per program instead of a full step-stream rescan.
-#[derive(Debug, Clone, PartialEq, Default)]
+/// A compiled dataflow program: its steps, in execution order. On the
+/// wire it is `{"steps": [...]}`, the shape the CLI's `--dump-ir` writes.
+#[derive(Debug, Clone, PartialEq, Default, Serialize, Deserialize)]
 pub struct Program {
     steps: Vec<Step>,
-    host_bytes: u64,
-    movement_bytes: u64,
-    mul_elems: u64,
-}
-
-// On the wire a program is just its step list (the `{"steps": [...]}`
-// shape the CLI's `--dump-ir` documents); the cached totals are rebuilt by
-// re-pushing on read, so they can never go stale through serialization.
-impl Serialize for Program {
-    fn to_plain(&self) -> serde::Plain {
-        serde::Plain::Map(vec![("steps".to_string(), self.steps.to_plain())])
-    }
-}
-
-impl<'de> Deserialize<'de> for Program {
-    fn from_plain(plain: &serde::Plain) -> Result<Self, serde::DeError> {
-        let steps =
-            plain.get("steps").ok_or_else(|| serde::DeError::missing("Program", "steps"))?;
-        let steps: Vec<Step> = Deserialize::from_plain(steps)?;
-        let mut p = Program::new();
-        for s in steps {
-            p.push(s);
-        }
-        Ok(p)
-    }
 }
 
 impl Program {
@@ -375,9 +346,8 @@ impl Program {
         Self::default()
     }
 
-    /// Append a step, folding its contribution into the cached totals.
+    /// Append a step.
     pub fn push(&mut self, step: Step) {
-        self.add_totals(step_totals(&step));
         self.steps.push(step);
     }
 
@@ -390,21 +360,12 @@ impl Program {
     pub fn push_block_times(&mut self, block: &mut Vec<Step>, times: u64) {
         if times > 0 && !block.is_empty() {
             match self.steps.last_mut() {
-                Some(Step::Repeat { count, body }) if body == block => {
-                    *count += times;
-                    self.add_totals(body_totals(block).scale(times));
-                }
+                Some(Step::Repeat { count, body }) if body == block => *count += times,
                 _ if times == 1 => self.extend(block.drain(..)),
                 _ => self.push(Step::repeat(times, std::mem::take(block))),
             }
         }
         block.clear();
-    }
-
-    fn add_totals(&mut self, t: Totals) {
-        self.host_bytes += t.host;
-        self.movement_bytes += t.movement;
-        self.mul_elems += t.mul;
     }
 
     /// The steps, in execution order ([`Step::Repeat`] not expanded).
@@ -451,31 +412,27 @@ impl Program {
     }
 
     /// Total bytes loaded from the host (weights + inputs) — the
-    /// Figure 3(b) "loaded data" metric for host traffic. O(1): cached at
-    /// push time.
+    /// Figure 3(b) "loaded data" metric for host traffic.
     pub fn host_bytes(&self) -> u64 {
-        self.host_bytes
+        body_totals(&self.steps).host
     }
 
     /// Total bytes moved between or inside banks (ring broadcast, shuffles,
-    /// copies, reduction trees). O(1): cached at push time.
+    /// copies, reduction trees).
     pub fn internal_movement_bytes(&self) -> u64 {
-        self.movement_bytes
+        body_totals(&self.steps).movement
     }
 
     /// Total point-wise multiply lanes (≈ MAC count) — used by sanity tests
-    /// to check work conservation across dataflows. O(1): cached at push
-    /// time.
+    /// to check work conservation across dataflows.
     pub fn total_mul_elems(&self) -> u64 {
-        self.mul_elems
+        body_totals(&self.steps).mul
     }
 }
 
 impl Extend<Step> for Program {
     fn extend<T: IntoIterator<Item = Step>>(&mut self, iter: T) {
-        for s in iter {
-            self.push(s);
-        }
+        self.steps.extend(iter);
     }
 }
 

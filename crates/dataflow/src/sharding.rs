@@ -66,11 +66,6 @@ impl Sharding {
     pub fn utilization(&self) -> f64 {
         f64::from(self.active_banks()) / f64::from(self.total_banks)
     }
-
-    /// Tokens in the fullest bank across the batch.
-    pub fn max_tokens_per_bank(&self) -> u32 {
-        self.sequences.iter().map(SeqShard::tokens_per_bank).max().unwrap_or(0)
-    }
 }
 
 #[cfg(test)]
@@ -84,7 +79,7 @@ mod tests {
         let s = Sharding::new(2048, 1, 4096);
         assert_eq!(s.sequences.len(), 1);
         assert_eq!(s.sequences[0].banks.count, 2048);
-        assert_eq!(s.max_tokens_per_bank(), 2);
+        assert_eq!(s.sequences[0].tokens_per_bank(), 2);
         assert_eq!(s.utilization(), 1.0);
     }
 
@@ -93,7 +88,7 @@ mod tests {
         // 16 sequences × 128 tokens over 2048 banks: one token per bank.
         let s = Sharding::new(2048, 16, 128);
         assert_eq!(s.active_banks(), 2048);
-        assert_eq!(s.max_tokens_per_bank(), 1);
+        assert!(s.sequences.iter().all(|q| q.tokens_per_bank() == 1));
     }
 
     #[test]
@@ -107,7 +102,7 @@ mod tests {
     fn figure4_example_three_tokens_three_banks() {
         let s = Sharding::new(3, 1, 3);
         assert_eq!(s.sequences[0].banks.count, 3);
-        assert_eq!(s.max_tokens_per_bank(), 1);
+        assert_eq!(s.sequences[0].tokens_per_bank(), 1);
     }
 
     #[test]

@@ -42,10 +42,12 @@ impl std::error::Error for ConfigError {}
 ///
 /// ```
 /// use transpim_hbm::config::HbmConfig;
+/// use transpim_hbm::geometry::HbmGeometry;
 ///
-/// let cfg = HbmConfig::builder().stacks(2).build();
-/// assert_eq!(cfg.geometry.stacks, 2);
+/// let geometry = HbmGeometry { stacks: 2, ..HbmGeometry::default() };
+/// let cfg = HbmConfig { geometry, ..HbmConfig::default() };
 /// assert_eq!(cfg.geometry.capacity_bytes(), 16 << 30);
+/// assert!(cfg.validate().is_ok());
 /// ```
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize, Default)]
 pub struct HbmConfig {
@@ -60,11 +62,6 @@ pub struct HbmConfig {
 }
 
 impl HbmConfig {
-    /// Start building a configuration from the Table I defaults.
-    pub fn builder() -> HbmConfigBuilder {
-        HbmConfigBuilder { cfg: HbmConfig::default() }
-    }
-
     /// Aggregated external bandwidth of the system in GB/s
     /// (`8 stacks × 256 GB/s = 2 TB/s` in Section V-C).
     pub fn aggregated_bandwidth_gbs(&self) -> f64 {
@@ -99,60 +96,6 @@ impl HbmConfig {
     }
 }
 
-/// Builder for [`HbmConfig`] (see [`HbmConfig::builder`]).
-#[derive(Debug, Clone)]
-pub struct HbmConfigBuilder {
-    cfg: HbmConfig,
-}
-
-impl HbmConfigBuilder {
-    /// Set the number of HBM stacks.
-    pub fn stacks(mut self, stacks: u32) -> Self {
-        self.cfg.geometry.stacks = stacks;
-        self
-    }
-
-    /// Replace the geometry wholesale.
-    pub fn geometry(mut self, geometry: HbmGeometry) -> Self {
-        self.cfg.geometry = geometry;
-        self
-    }
-
-    /// Replace the timing parameters.
-    pub fn timing(mut self, timing: TimingParams) -> Self {
-        self.cfg.timing = timing;
-        self
-    }
-
-    /// Replace the energy parameters.
-    pub fn energy(mut self, energy: EnergyParams) -> Self {
-        self.cfg.energy = energy;
-        self
-    }
-
-    /// Replace the bus parameters.
-    pub fn bus(mut self, bus: BusParams) -> Self {
-        self.cfg.bus = bus;
-        self
-    }
-
-    /// Finish building without validation (Table I defaults are always
-    /// valid; use [`Self::try_build`] for untrusted inputs).
-    pub fn build(self) -> HbmConfig {
-        self.cfg
-    }
-
-    /// Finish building, validating the result.
-    ///
-    /// # Errors
-    ///
-    /// See [`HbmConfig::validate`].
-    pub fn try_build(self) -> Result<HbmConfig, ConfigError> {
-        self.cfg.validate()?;
-        Ok(self.cfg)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -165,18 +108,14 @@ mod tests {
     }
 
     #[test]
-    fn builder_overrides_stacks() {
-        let cfg = HbmConfig::builder().stacks(1).build();
-        assert_eq!(cfg.geometry.total_banks(), 256);
-    }
-
-    #[test]
-    fn try_build_rejects_degenerate_configs() {
-        assert!(HbmConfig::builder().try_build().is_ok());
-        let err = HbmConfig::builder().stacks(0).try_build().expect_err("zero stacks");
+    fn validate_rejects_degenerate_configs() {
+        assert!(HbmConfig::default().validate().is_ok());
+        let mut cfg = HbmConfig::default();
+        cfg.geometry.stacks = 0;
+        let err = cfg.validate().expect_err("zero stacks");
         assert!(matches!(err, ConfigError::NonPositive("geometry.stacks")));
-        let bad_bus = BusParams { ring_link_gbs: 0.0, ..BusParams::default() };
-        let err = HbmConfig::builder().bus(bad_bus).try_build().expect_err("zero rate");
+        let bus = BusParams { ring_link_gbs: 0.0, ..BusParams::default() };
+        let err = HbmConfig { bus, ..HbmConfig::default() }.validate().expect_err("zero rate");
         assert!(err.to_string().contains("ring_link_gbs"));
     }
 }

@@ -44,22 +44,10 @@ impl Default for EnergyParams {
 }
 
 impl EnergyParams {
-    /// Energy of a column access that moves `bits` from an open row to the
-    /// bank edge (pre-GSA + post-GSA segments).
-    pub fn column_access(&self, bits: u64) -> f64 {
-        bits as f64 * (self.e_pre_gsa + self.e_post_gsa)
-    }
-
     /// Energy of reading `bits` from an open row into an in-bank consumer
     /// (ACU or data buffer): only the pre-GSA segment is traversed.
     pub fn local_column_access(&self, bits: u64) -> f64 {
         bits as f64 * self.e_pre_gsa
-    }
-
-    /// Energy of moving `bits` across a channel/bus segment off the bank
-    /// (post-GSA + I/O).
-    pub fn bus_transfer(&self, bits: u64) -> f64 {
-        bits as f64 * (self.e_post_gsa + self.e_io)
     }
 }
 
@@ -70,8 +58,6 @@ mod tests {
     #[test]
     fn derived_energies() {
         let e = EnergyParams::default();
-        assert!((e.column_access(256) - 256.0 * 2.68).abs() < 1e-9);
         assert!((e.local_column_access(256) - 256.0 * 1.51).abs() < 1e-9);
-        assert!((e.bus_transfer(8) - 8.0 * 1.97).abs() < 1e-9);
     }
 }

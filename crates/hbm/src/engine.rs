@@ -19,9 +19,9 @@
 //! touches, not what the engine holds: it copies the total when taken and
 //! each scope's tally when the body first records into that scope, and
 //! `repeat_since` multiplies just those tallies, skipping the fields the
-//! body left unchanged. Marks nest (an inner body's first lump in a scope
-//! snapshots it for every open mark) and their buffers are reused, so a
-//! repeat iteration allocates nothing. The f64 [`SimStats`] and
+//! body left unchanged. One mark is open at a time — a repeat whose body
+//! nests a repeat leaves the mark to the inner one — and its buffer is
+//! reused, so a repeat iteration allocates nothing. The f64 [`SimStats`] and
 //! [`ScopedStats`] are built once, by [`Engine::into_stats`]. A value or
 //! total past the tally's range (2^64 ns, pJ or bytes) does not panic where
 //! it is recorded: the tally saturates and flags it, and
@@ -108,10 +108,13 @@ pub struct Engine {
     /// a lump indexes a `Vec` instead of looking a label up.
     scopes: Vec<Scope>,
     scope: usize,
-    /// The open marks, outermost first, in `frames[..open]`; the frames
-    /// past `open` keep their buffers for the next marks.
-    frames: Vec<Frame>,
-    open: usize,
+    /// The total when the open mark was taken.
+    mark_total: Tally,
+    /// `(scope slot, its tally before the open mark's body first recorded
+    /// into it)`. The buffer outlives the mark, so the next mark reuses it.
+    touched: Vec<(usize, Tally)>,
+    /// Whether a mark is open.
+    open: bool,
     sink: SinkHandle,
     latency_scale: f64,
     tracks_named: bool,
@@ -123,25 +126,15 @@ pub struct Engine {
 struct Scope {
     label: String,
     tally: Tally,
-    /// The open marks `frames[..snapped]` hold a snapshot of this tally;
-    /// the later ones were taken since it last recorded a lump.
-    snapped: usize,
+    /// The open mark holds a snapshot of this tally.
+    snapped: bool,
 }
 
-/// What an open [`Mark`] snapshotted.
-#[derive(Debug, Clone, Default)]
-struct Frame {
-    total: Tally,
-    /// `(scope slot, its tally before the body first recorded into it)`.
-    touched: Vec<(usize, Tally)>,
-}
-
-/// An open mark on an [`Engine`], taken before recording a repeat body and
-/// closed by [`Engine::repeat_since`]. Marks close innermost first.
+/// The open mark on an [`Engine`], taken before recording a repeat body
+/// and closed by [`Engine::repeat_since`].
 #[derive(Debug)]
 #[must_use = "a mark stays open until Engine::repeat_since closes it"]
 pub struct Mark {
-    depth: usize,
     scope: usize,
 }
 
@@ -168,11 +161,12 @@ impl Engine {
             scopes: vec![Scope {
                 label: String::from("init"),
                 tally: Tally::default(),
-                snapped: 0,
+                snapped: false,
             }],
             scope: 0,
-            frames: Vec::new(),
-            open: 0,
+            mark_total: Tally::default(),
+            touched: Vec::new(),
+            open: false,
             sink: SinkHandle::null(),
             latency_scale: 1.0,
             tracks_named: false,
@@ -237,7 +231,7 @@ impl Engine {
             Some(slot) => slot,
             None => {
                 let tally = Tally::default();
-                self.scopes.push(Scope { label: scope.to_owned(), tally, snapped: 0 });
+                self.scopes.push(Scope { label: scope.to_owned(), tally, snapped: false });
                 self.scopes.len() - 1
             }
         };
@@ -268,7 +262,7 @@ impl Engine {
             );
         }
         let lump = Lump::new(category, latency, energy_pj, bytes);
-        if self.scopes[self.scope].snapped < self.open {
+        if self.open && !self.scopes[self.scope].snapped {
             self.snapshot_scope();
         }
         self.total.record(&lump);
@@ -278,15 +272,12 @@ impl Engine {
         }
     }
 
-    /// Snapshot the current scope's tally into every open mark that does
-    /// not hold it yet: the body is about to record into it for the first
-    /// time since those marks were taken.
+    /// Snapshot the current scope's tally into the open mark: the body is
+    /// about to record into it for the first time since the mark.
     fn snapshot_scope(&mut self) {
         let scope = &mut self.scopes[self.scope];
-        for frame in &mut self.frames[scope.snapped..self.open] {
-            frame.touched.push((self.scope, scope.tally));
-        }
-        scope.snapped = self.open;
+        self.touched.push((self.scope, scope.tally));
+        scope.snapped = true;
     }
 
     /// Sample the cumulative busy fraction of `category` so far — plotted
@@ -378,15 +369,16 @@ impl Engine {
     /// Open a mark before recording a body that will repeat. It copies the
     /// total now and each scope's tally when the body first records into
     /// it; [`Engine::repeat_since`] closes it.
+    ///
+    /// # Panics
+    ///
+    /// If a mark is already open: marks do not nest.
     pub fn mark(&mut self) -> Mark {
-        if self.open == self.frames.len() {
-            self.frames.push(Frame::default());
-        }
-        let frame = &mut self.frames[self.open];
-        frame.total = self.total;
-        frame.touched.clear();
-        self.open += 1;
-        Mark { depth: self.open - 1, scope: self.scope }
+        assert!(!self.open, "a mark is already open; marks do not nest");
+        self.mark_total = self.total;
+        self.touched.clear();
+        self.open = true;
+        Mark { scope: self.scope }
     }
 
     /// Whether the current scope is the one `mark` was taken in — the
@@ -404,26 +396,24 @@ impl Engine {
     ///
     /// # Panics
     ///
-    /// If `mark` is not the innermost open mark, or if `times` > 0 and the
-    /// scope differs from the one at `mark` (a repetition of the body would
-    /// then start in another scope).
+    /// If `times` > 0 and the scope differs from the one at `mark` (a
+    /// repetition of the body would then start in another scope).
     pub fn repeat_since(&mut self, mark: Mark, times: u64) {
-        assert_eq!(mark.depth + 1, self.open, "marks close innermost first");
+        debug_assert!(self.open, "a Mark exists only while it is open");
         if times > 0 {
             debug_assert!(!self.emitting(), "repeat_since emits nothing; run it in a quiet window");
             assert!(self.in_scope_of(&mark), "a repeated body must end in the scope it started in");
         }
-        self.open = mark.depth;
-        let frame = &self.frames[mark.depth];
-        for (slot, before) in &frame.touched {
+        self.open = false;
+        for (slot, before) in &self.touched {
             let scope = &mut self.scopes[*slot];
-            scope.snapped = mark.depth;
+            scope.snapped = false;
             if times > 0 {
                 scope.tally.repeat_since(before, times);
             }
         }
         if times > 0 {
-            self.total.repeat_since(&frame.total, times);
+            self.total.repeat_since(&self.mark_total, times);
         }
     }
 
@@ -437,7 +427,7 @@ impl Engine {
     pub fn into_stats(self) -> Result<(SimStats, ScopedStats), OutOfRange> {
         // Every lump and repeat enters the total too, so it carries the
         // range flag of every scope.
-        debug_assert_eq!(self.open, 0, "every mark is closed by the end of a run");
+        debug_assert!(!self.open, "the mark is closed by the end of a run");
         let total = self.total.to_stats()?;
         let scoped = self
             .scopes
@@ -535,80 +525,12 @@ mod tests {
     }
 
     #[test]
-    fn nested_repeats_multiply() {
-        let outer_body = |e: &mut Engine| {
-            e.set_scope("dec.fc");
-            e.lump(Category::Reduction, 0.2, 0.1, 0.0);
-            repeat(e, 3, body);
-        };
-        let mut rerun = engine();
-        for _ in 0..5 {
-            rerun.set_scope("dec.fc");
-            rerun.lump(Category::Reduction, 0.2, 0.1, 0.0);
-            for _ in 0..3 {
-                body(&mut rerun);
-            }
-        }
-        let mut repeated = engine();
-        repeat(&mut repeated, 5, outer_body);
-        assert_eq!(repeated.into_stats(), rerun.into_stats());
-    }
-
-    #[test]
-    fn nested_marks_snapshot_the_scopes_an_inner_body_touches_first() {
-        // `dec.ffn` holds lumps from before either mark, and `dec.norm` is
-        // new: the inner body is the first to record into both, so the
-        // outer mark must snapshot them then.
-        let inner_body = |e: &mut Engine| {
-            e.set_scope("dec.ffn");
-            e.lump(Category::Arithmetic, 2.3, 0.4, 0.0);
-            e.set_scope("dec.norm");
-            e.lump(Category::DataMovement, 0.9, 1.3, 24.0);
-            e.set_scope("dec.fc");
-        };
-        let outer_body = |e: &mut Engine| {
-            e.lump(Category::Reduction, 0.2, 0.1, 0.0);
-            repeat(e, 4, inner_body);
-        };
-        let start = || {
-            let mut e = engine();
-            e.set_scope("dec.ffn");
-            e.lump(Category::Other, 3.1, 0.6, 8.0);
-            e.set_scope("dec.fc");
-            e
-        };
-        let mut rerun = start();
-        for _ in 0..6 {
-            rerun.lump(Category::Reduction, 0.2, 0.1, 0.0);
-            for _ in 0..4 {
-                inner_body(&mut rerun);
-            }
-        }
-        let mut repeated = start();
-        repeat(&mut repeated, 6, outer_body);
-        assert_eq!(repeated.into_stats(), rerun.into_stats());
-    }
-
-    #[test]
-    fn a_released_mark_adds_nothing_and_its_scopes_stay_in_the_outer_mark() {
+    fn a_released_mark_adds_nothing() {
         // A body that ends in the scope it starts in (`dec.fc`).
         let round_trip = |e: &mut Engine| {
             body(e);
             e.set_scope("dec.fc");
         };
-        let mut rerun = engine();
-        for _ in 0..3 {
-            round_trip(&mut rerun);
-            rerun.lump(Category::Other, 0.5, 0.5, 1.0);
-        }
-        let mut repeated = engine();
-        let outer = repeated.mark();
-        let inner = repeated.mark();
-        round_trip(&mut repeated);
-        repeated.repeat_since(inner, 0);
-        repeated.lump(Category::Other, 0.5, 0.5, 1.0);
-        repeated.repeat_since(outer, 2);
-        assert_eq!(repeated.into_stats(), rerun.into_stats());
         // A mark taken after a released one multiplies only its own body.
         let mut e = engine();
         let released = e.mark();
@@ -648,6 +570,14 @@ mod tests {
             (trace, e.into_stats())
         };
         assert_eq!(summarize(true), summarize(false));
+    }
+
+    #[test]
+    #[should_panic(expected = "marks do not nest")]
+    fn a_second_open_mark_panics() {
+        let mut e = engine();
+        let _outer = e.mark();
+        let _inner = e.mark();
     }
 
     #[test]

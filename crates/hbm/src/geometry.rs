@@ -189,19 +189,6 @@ impl HbmGeometry {
         ))
     }
 
-    /// Convert structured coordinates to a flat ring-ordered [`BankId`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if any coordinate is out of range for this geometry; use
-    /// [`Self::try_bank_id`] for untrusted inputs.
-    pub fn bank_id(&self, c: BankCoord) -> BankId {
-        match self.try_bank_id(c) {
-            Ok(id) => id,
-            Err(e) => panic!("{e}"),
-        }
-    }
-
     /// Convert a flat [`BankId`] back to structured coordinates.
     ///
     /// # Errors
@@ -240,11 +227,6 @@ impl HbmGeometry {
     /// Global channel index of a bank (stacks × channels flattened).
     pub fn channel_of(&self, id: BankId) -> u32 {
         self.channel_at(self.coord(id))
-    }
-
-    /// Global bank-group index of a bank.
-    pub fn group_of(&self, id: BankId) -> u32 {
-        self.group_at(self.coord(id))
     }
 
     /// Global channel index of the bank at `c`.
@@ -286,7 +268,7 @@ mod tests {
             ..HbmGeometry::default()
         };
         for id in g.banks() {
-            assert_eq!(g.bank_id(g.coord(id)), id);
+            assert_eq!(g.try_bank_id(g.coord(id)), Ok(id));
         }
     }
 
@@ -294,8 +276,9 @@ mod tests {
     fn ring_order_groups_are_contiguous() {
         let g = HbmGeometry::default();
         // Banks 0..4 share group 0, banks 4..8 share group 1, etc.
-        assert_eq!(g.group_of(BankId(0)), g.group_of(BankId(3)));
-        assert_ne!(g.group_of(BankId(3)), g.group_of(BankId(4)));
+        let group_of = |id| g.group_at(g.coord(BankId(id)));
+        assert_eq!(group_of(0), group_of(3));
+        assert_ne!(group_of(3), group_of(4));
         assert_eq!(g.channel_of(BankId(0)), g.channel_of(BankId(31)));
         assert_ne!(g.channel_of(BankId(31)), g.channel_of(BankId(32)));
     }
@@ -313,15 +296,8 @@ mod tests {
         fn coord_roundtrip(stack in 0u32..8, channel in 0u32..8, group in 0u32..8, bank in 0u32..4) {
             let g = HbmGeometry::default();
             let c = BankCoord { stack, channel, group, bank };
-            prop_assert_eq!(g.coord(g.bank_id(c)), c);
+            prop_assert_eq!(g.try_bank_id(c).map(|id| g.coord(id)), Ok(c));
         }
-    }
-
-    #[test]
-    #[should_panic(expected = "out of range")]
-    fn bank_id_rejects_bad_coord() {
-        let g = HbmGeometry::default();
-        g.bank_id(BankCoord { stack: 8, channel: 0, group: 0, bank: 0 });
     }
 
     #[test]

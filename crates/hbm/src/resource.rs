@@ -179,11 +179,6 @@ impl ResourceMap {
         self.degraded_ring_links.iter().find(|d| d.group == group).map_or(1.0, |d| d.factor)
     }
 
-    /// Whether any ring-link fault is applied to this map.
-    pub fn has_link_faults(&self) -> bool {
-        !self.dead_ring_links.is_empty() || !self.degraded_ring_links.is_empty()
-    }
-
     /// The geometry this map was built for.
     pub fn geometry(&self) -> &HbmGeometry {
         &self.geometry
@@ -462,7 +457,7 @@ mod tests {
         let back: ResourceMap = serde_json::from_str(&faulted).expect("roundtrip");
         assert_eq!(back, m);
         let back: ResourceMap = serde_json::from_str(&clean).expect("roundtrip");
-        assert!(!back.has_link_faults());
+        assert_eq!(back, map(true));
     }
 
     #[test]

@@ -1,6 +1,6 @@
 //! Accounting types: operation categories, latency/energy/bandwidth counters.
 //!
-//! The phase engine accumulates into a private exact [`Tally`] and converts
+//! The phase engine accumulates into a private exact `Tally` and converts
 //! to the f64 [`SimStats`]/[`ScopedStats`] view once, at the end of a run.
 
 use serde::{Deserialize, Serialize};

@@ -76,18 +76,6 @@ impl TimingParams {
         self.t_rc
     }
 
-    /// Latency of one RowClone FPM row copy (back-to-back activations of
-    /// source and destination rows followed by a precharge).
-    pub fn t_rowclone(&self) -> f64 {
-        2.0 * self.t_ras + self.t_rp()
-    }
-
-    /// Time to stream `cols` column accesses out of an open row within one
-    /// bank group (paced by `t_ccd_l`).
-    pub fn t_burst(&self, cols: u64) -> f64 {
-        cols as f64 * self.t_ccd_l
-    }
-
     /// Fractional throughput loss to refresh: each bank spends `t_RFC` out
     /// of every `t_REFI` unavailable. Sustained operations stretch by
     /// `1 + refresh_overhead()` (~9% at the JESD235 defaults).
@@ -109,8 +97,6 @@ mod tests {
         let t = TimingParams::default();
         assert_eq!(t.t_rp(), 16.0);
         assert_eq!(t.t_aap(), 45.0);
-        assert_eq!(t.t_rowclone(), 74.0);
-        assert_eq!(t.t_burst(10), 40.0);
     }
 
     #[test]

@@ -13,9 +13,10 @@
 //! * **Panic propagation** — a panicking job unwinds out of [`run`] on the
 //!   caller's thread with the original payload (via `std::thread::scope`'s
 //!   join semantics), never a silent hang or a lost result.
-//! * **Thread-count control** — callers pass an explicit count (bench
-//!   binaries wire `--jobs N` through); [`max_threads`] resolves the
-//!   default from `TRANSPIM_THREADS` or `available_parallelism()`.
+//! * **Thread-count control** — callers pass an explicit count (the
+//!   `jobs` argument of `transpim_bench::run_grid`); [`max_threads`]
+//!   resolves the default that `reproduce` and the row-parallel matmul use
+//!   from `TRANSPIM_THREADS` or `available_parallelism()`.
 //!
 //! `threads == 1` (or a single job) runs inline on the caller's thread —
 //! the serial path *is* the parallel path with no workers, which is what
@@ -102,26 +103,6 @@ where
                 .expect("scope joined all workers, so every job ran")
         })
         .collect()
-}
-
-/// Split `0..len` into at most `pieces` contiguous ranges of near-equal
-/// length, in ascending order. Returns fewer pieces when `len < pieces`;
-/// empty for `len == 0`.
-pub fn chunk_ranges(len: usize, pieces: usize) -> Vec<std::ops::Range<usize>> {
-    let pieces = pieces.clamp(1, len.max(1));
-    if len == 0 {
-        return Vec::new();
-    }
-    let base = len / pieces;
-    let extra = len % pieces;
-    let mut ranges = Vec::with_capacity(pieces);
-    let mut start = 0;
-    for p in 0..pieces {
-        let size = base + usize::from(p < extra);
-        ranges.push(start..start + size);
-        start += size;
-    }
-    ranges
 }
 
 /// Apply `f` to contiguous mutable chunks of `data`, `chunk_len` elements
@@ -221,17 +202,6 @@ mod tests {
         assert_eq!(threads_from(Some("0")), fallback);
         assert_eq!(threads_from(Some("lots")), fallback);
         assert_eq!(threads_from(None), fallback);
-    }
-
-    #[test]
-    fn chunk_ranges_cover_everything() {
-        assert_eq!(chunk_ranges(0, 4), vec![]);
-        assert_eq!(chunk_ranges(10, 3), vec![0..4, 4..7, 7..10]);
-        assert_eq!(chunk_ranges(2, 8), vec![0..1, 1..2]);
-        let ranges = chunk_ranges(1000, 7);
-        assert_eq!(ranges.first().map(|r| r.start), Some(0));
-        assert_eq!(ranges.last().map(|r| r.end), Some(1000));
-        assert!(ranges.windows(2).all(|w| w[0].end == w[1].start));
     }
 
     #[test]

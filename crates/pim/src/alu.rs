@@ -111,13 +111,6 @@ impl PimAlu {
         out
     }
 
-    /// Unsigned bit-serial addition truncated to the width of the wider
-    /// operand (wrapping), as used when accumulating in a fixed-width field.
-    pub fn add_wrapping(&mut self, a: &BitPlanes, b: &BitPlanes) -> BitPlanes {
-        let bits = a.bits().max(b.bits());
-        self.add(a, b).resized(bits)
-    }
-
     /// Unsigned shift-and-add multiplication: the result has
     /// `a.bits() + b.bits()` planes, so it is exact.
     ///
@@ -140,44 +133,6 @@ impl PimAlu {
             acc = self.add(&acc, &shifted).resized(out_bits);
         }
         acc
-    }
-
-    /// Two's-complement negation: invert every plane (dual-contact-cell
-    /// NOTs) and add one. Costs `bits` NOT AAPs plus an increment add.
-    pub fn negate(&mut self, a: &BitPlanes) -> BitPlanes {
-        let mut inverted = BitPlanes::zeros(a.lanes(), 0);
-        for i in 0..a.bits() {
-            let p = self.not(a.plane(i));
-            inverted.push_plane(p);
-        }
-        let one = BitPlanes::from_values(&vec![1; a.lanes()], a.bits());
-        self.add(&inverted, &one).resized(a.bits())
-    }
-
-    /// Signed (two's complement) addition at the wider operand's width,
-    /// wrapping — the ripple-carry adder is representation-agnostic.
-    pub fn add_signed(&mut self, a: &BitPlanes, b: &BitPlanes) -> BitPlanes {
-        self.add_wrapping(a, b)
-    }
-
-    /// Signed multiplication via sign-extension to the full product width:
-    /// both operands are sign-extended to `a.bits() + b.bits()` planes and
-    /// multiplied with the unsigned shift-and-add array, whose wrapping
-    /// truncation at that width yields the correct two's-complement
-    /// product. (Sign extension replicates the sign plane — free row
-    /// aliasing in the column-wise layout, no extra AAPs.)
-    pub fn mul_signed(&mut self, a: &BitPlanes, b: &BitPlanes) -> BitPlanes {
-        let out_bits = a.bits() + b.bits();
-        let ext = |x: &BitPlanes| {
-            let mut e = x.clone();
-            let sign = x.plane(x.bits() - 1).clone();
-            while e.bits() < out_bits {
-                e.push_plane(sign.clone());
-            }
-            e
-        };
-        let (ea, eb) = (ext(a), ext(b));
-        self.mul(&ea, &eb).resized(out_bits)
     }
 }
 
@@ -240,58 +195,6 @@ mod tests {
         alu.reset_trace();
         alu.mul(&a, &b);
         assert_eq!(alu.trace().aaps, mul_aaps(16, 16));
-    }
-
-    #[test]
-    fn add_wrapping_truncates() {
-        let mut alu = PimAlu::new();
-        let a = BitPlanes::from_values(&[200], 8);
-        let b = BitPlanes::from_values(&[100], 8);
-        assert_eq!(alu.add_wrapping(&a, &b).to_values(), vec![44]); // 300 mod 256
-    }
-
-    fn encode_i16(v: i16, bits: u32) -> u64 {
-        (v as u64) & ((1u64 << bits) - 1)
-    }
-
-    fn decode_signed(v: u64, bits: u32) -> i64 {
-        let sign = 1u64 << (bits - 1);
-        if v & sign != 0 {
-            v as i64 - (1i64 << bits)
-        } else {
-            v as i64
-        }
-    }
-
-    #[test]
-    fn negate_two_complement() {
-        let mut alu = PimAlu::new();
-        let a = BitPlanes::from_values(&[encode_i16(5, 8), encode_i16(-3, 8), 0], 8);
-        let n = alu.negate(&a);
-        let vals: Vec<i64> = n.to_values().iter().map(|&v| decode_signed(v, 8)).collect();
-        assert_eq!(vals, vec![-5, 3, 0]);
-    }
-
-    proptest! {
-        #[test]
-        fn signed_add_matches_wrapping_i8(a in any::<i8>(), b in any::<i8>()) {
-            let mut alu = PimAlu::new();
-            let pa = BitPlanes::from_values(&[encode_i16(a as i16, 8)], 8);
-            let pb = BitPlanes::from_values(&[encode_i16(b as i16, 8)], 8);
-            let s = alu.add_signed(&pa, &pb);
-            let got = decode_signed(s.to_values()[0], 8);
-            prop_assert_eq!(got, i64::from(a.wrapping_add(b)));
-        }
-
-        #[test]
-        fn signed_mul_matches_exact_product(a in -128i16..128, b in -128i16..128) {
-            let mut alu = PimAlu::new();
-            let pa = BitPlanes::from_values(&[encode_i16(a, 8)], 8);
-            let pb = BitPlanes::from_values(&[encode_i16(b, 8)], 8);
-            let p = alu.mul_signed(&pa, &pb);
-            let got = decode_signed(p.to_values()[0], 16);
-            prop_assert_eq!(got, i64::from(a) * i64::from(b));
-        }
     }
 
     proptest! {

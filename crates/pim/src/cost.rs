@@ -178,11 +178,6 @@ impl PimCostModel {
         op.aaps() as f64 * rows * self.subarray_activation_pj()
     }
 
-    /// Per-lane energy of `op` in pJ (asymptotic, full rows).
-    pub fn energy_per_elem_pj(&self, op: PimOp) -> f64 {
-        op.aaps() as f64 * self.subarray_activation_pj() / f64::from(self.geometry.subarray_cols)
-    }
-
     /// Latency of a PIM-only in-situ tree reduction (the baseline the ACU
     /// replaces; Section II-C): reducing `vectors_per_bank` vectors of
     /// `vec_len` `bits`-wide elements by `log2(vec_len)` halving steps, each
@@ -294,6 +289,12 @@ mod tests {
         assert!((ns - 248.0 * 45.0).abs() < 1e-9);
     }
 
+    /// Energy per lane of a full bank of 8-bit multiplies.
+    fn mul8_pj_per_elem(m: &PimCostModel) -> f64 {
+        let lanes = m.lanes_per_bank();
+        m.energy_pj(PimOp::Mul { a_bits: 8, b_bits: 8 }, lanes) / lanes as f64
+    }
+
     #[test]
     fn system_throughput_and_power_envelope() {
         // System-level sanity against the paper: 2048 banks of 8192 lanes
@@ -304,8 +305,7 @@ mod tests {
             m.lanes_per_bank() as f64 / m.batch_latency_ns(PimOp::Mul { a_bits: 8, b_bits: 8 });
         let system_rate = per_bank_rate * 2048.0; // MACs per ns = GMAC/s
         assert!(system_rate > 500.0 && system_rate < 5000.0, "system {system_rate} GMAC/s");
-        let power_w =
-            system_rate * 1e9 * m.energy_per_elem_pj(PimOp::Mul { a_bits: 8, b_bits: 8 }) * 1e-12;
+        let power_w = system_rate * 1e9 * mul8_pj_per_elem(&m) * 1e-12;
         assert!(power_w < 60.0, "sustained PIM power {power_w} W exceeds budget");
     }
 
@@ -314,7 +314,7 @@ mod tests {
         // Sanity against the paper's implied budget: bit-serial 8-bit
         // multiply should cost tens of pJ per element so that ~0.5 TOP/s
         // stays under the 60 W DRAM budget (Section V-E).
-        let e = model().energy_per_elem_pj(PimOp::Mul { a_bits: 8, b_bits: 8 });
+        let e = mul8_pj_per_elem(&model());
         assert!(e > 20.0 && e < 200.0, "per-mul energy {e} pJ out of plausible range");
     }
 

@@ -12,11 +12,13 @@
 //!   (72,64) DRAM code: 8/64 overhead, corrects any single flip in place
 //!   and detects (but cannot correct) double flips.
 //!
-//! The codec below is a real implementation, not just a cost table: a
-//! corrected word is restored *exactly*, which is why ECC composes with the
-//! quantizer error budget in `transpim::banksim` without widening it — a
-//! corrected run is bit-identical to a fault-free run, and only the
-//! latency/energy accounting changes.
+//! The simulator needs no codec: it draws how many bits flip in a word and
+//! classifies the draw with [`EccScheme::can_correct`] and
+//! [`EccScheme::can_detect`]. A corrected word is restored exactly, which
+//! is why ECC composes with the quantizer error budget in
+//! `transpim::banksim` without widening it — a corrected run is
+//! bit-identical to a fault-free run, and only the latency/energy
+//! accounting changes.
 
 use serde::{Deserialize, Serialize};
 
@@ -81,182 +83,9 @@ impl EccScheme {
     }
 }
 
-/// Even parity over a 64-bit word (the Parity scheme's single check bit).
-pub fn parity64(data: u64) -> bool {
-    data.count_ones() % 2 == 1
-}
-
-/// Outcome of decoding a possibly corrupted SECDED word.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum SecdedResult {
-    /// No error.
-    Clean,
-    /// A single data bit was flipped; the payload carried here is the
-    /// repaired word.
-    CorrectedData(u64),
-    /// A single *check* bit was flipped; the data was already intact.
-    CorrectedCheck,
-    /// A double error: detected, not correctable.
-    DoubleError,
-}
-
-/// Hamming-code positions 1..=71 with powers of two reserved for the seven
-/// check bits; the 64 remaining positions carry data bits LSB-first.
-fn is_check_pos(pos: u32) -> bool {
-    pos.is_power_of_two()
-}
-
-/// Scatter the 64 data bits into their codeword positions.
-fn place_data(data: u64) -> u128 {
-    let mut word: u128 = 0;
-    let mut bit = 0u32;
-    for pos in 1u32..=71 {
-        if is_check_pos(pos) {
-            continue;
-        }
-        if (data >> bit) & 1 == 1 {
-            word |= 1u128 << pos;
-        }
-        bit += 1;
-    }
-    debug_assert_eq!(bit, 64);
-    word
-}
-
-/// Gather the 64 data bits back out of a codeword.
-fn extract_data(word: u128) -> u64 {
-    let mut data = 0u64;
-    let mut bit = 0u32;
-    for pos in 1u32..=71 {
-        if is_check_pos(pos) {
-            continue;
-        }
-        if (word >> pos) & 1 == 1 {
-            data |= 1u64 << bit;
-        }
-        bit += 1;
-    }
-    data
-}
-
-/// XOR of the positions of all set bits — zero for a valid codeword.
-fn syndrome(word: u128) -> u32 {
-    let mut s = 0u32;
-    for pos in 1u32..=71 {
-        if (word >> pos) & 1 == 1 {
-            s ^= pos;
-        }
-    }
-    s
-}
-
-/// Encode a 64-bit word into its 8 SECDED check bits: seven Hamming bits in
-/// bits 0..=6 (for codeword positions 1,2,4,...,64) and the overall parity
-/// of the 71-bit codeword in bit 7.
-pub fn secded_encode(data: u64) -> u8 {
-    let mut word = place_data(data);
-    let s = syndrome(word);
-    // Setting check bit 2^i toggles bit i of the syndrome, so writing the
-    // data-only syndrome into the check positions zeroes it.
-    let mut check = 0u8;
-    for i in 0..7u32 {
-        if (s >> i) & 1 == 1 {
-            word |= 1u128 << (1u32 << i);
-            check |= 1 << i;
-        }
-    }
-    debug_assert_eq!(syndrome(word), 0);
-    if word.count_ones() % 2 == 1 {
-        check |= 1 << 7;
-    }
-    check
-}
-
-/// Decode a possibly corrupted (data, check) pair.
-pub fn secded_decode(data: u64, check: u8) -> SecdedResult {
-    let mut word = place_data(data);
-    for i in 0..7u32 {
-        if (check >> i) & 1 == 1 {
-            word |= 1u128 << (1u32 << i);
-        }
-    }
-    let s = syndrome(word);
-    let stored_parity = (check >> 7) & 1 == 1;
-    let parity_mismatch = (word.count_ones() % 2 == 1) != stored_parity;
-    match (s, parity_mismatch) {
-        (0, false) => SecdedResult::Clean,
-        (0, true) => SecdedResult::CorrectedCheck, // the parity bit itself flipped
-        (_, false) => SecdedResult::DoubleError,   // even # of flips, non-zero syndrome
-        (pos, true) => {
-            if pos > 71 {
-                return SecdedResult::DoubleError;
-            }
-            if is_check_pos(pos) {
-                return SecdedResult::CorrectedCheck;
-            }
-            SecdedResult::CorrectedData(extract_data(word ^ (1u128 << pos)))
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn clean_words_decode_clean() {
-        for data in [0u64, u64::MAX, 0xDEAD_BEEF_0123_4567, 1, 1 << 63] {
-            let check = secded_encode(data);
-            assert_eq!(secded_decode(data, check), SecdedResult::Clean);
-        }
-    }
-
-    #[test]
-    fn every_single_data_flip_is_corrected_exactly() {
-        let data = 0xA5A5_5A5A_0F0F_F0F0u64;
-        let check = secded_encode(data);
-        for bit in 0..64 {
-            let corrupted = data ^ (1u64 << bit);
-            assert_eq!(
-                secded_decode(corrupted, check),
-                SecdedResult::CorrectedData(data),
-                "flip of data bit {bit} must be repaired to the original word"
-            );
-        }
-    }
-
-    #[test]
-    fn every_single_check_flip_leaves_data_intact() {
-        let data = 0x0123_4567_89AB_CDEFu64;
-        let check = secded_encode(data);
-        for bit in 0..8 {
-            let corrupted = check ^ (1u8 << bit);
-            assert_eq!(
-                secded_decode(data, corrupted),
-                SecdedResult::CorrectedCheck,
-                "flip of check bit {bit} must not disturb the data"
-            );
-        }
-    }
-
-    #[test]
-    fn double_flips_are_detected_not_miscorrected() {
-        let data = 0xFFFF_0000_1234_8765u64;
-        let check = secded_encode(data);
-        for (a, b) in [(0u32, 1u32), (3, 40), (17, 63), (62, 63)] {
-            let corrupted = data ^ (1u64 << a) ^ (1u64 << b);
-            assert_eq!(secded_decode(corrupted, check), SecdedResult::DoubleError);
-        }
-    }
-
-    #[test]
-    fn parity_detects_single_flips() {
-        let data = 0x00FF_00FF_1111_2222u64;
-        let p = parity64(data);
-        for bit in [0u32, 13, 63] {
-            assert_ne!(parity64(data ^ (1u64 << bit)), p);
-        }
-    }
 
     #[test]
     fn scheme_cost_table() {

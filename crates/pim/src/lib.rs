@@ -17,8 +17,8 @@
 //!   (activate-activate-precharge) command sequences it issued,
 //! * [`cost`] — the latency/energy model that turns AAP counts into
 //!   nanoseconds and picojoules using the Table I constants,
-//! * [`rowclone`] — in-DRAM bulk row copy (RowClone FPM) and the
-//!   row-buffer-mediated shifted copy used by PIM-only reductions.
+//! * [`rowclone`] — the row-buffer-mediated shifted copy used by PIM-only
+//!   reductions.
 //!
 //! Because the cost model consumes the *same* AAP counts that the functional
 //! ALU produces, the simulator's timing cannot drift away from an actually

@@ -1,10 +1,11 @@
-//! In-DRAM bulk data copy: RowClone fast-parallel mode (FPM) and the
-//! row-buffer-mediated copies the data buffer replaces.
+//! Row-buffer-mediated intra-bank copies: the copies the data buffer
+//! replaces.
 //!
-//! RowClone FPM copies an entire row between two rows of the *same*
-//! subarray in roughly two back-to-back activations — fast, but coarse
-//! (whole rows only) and constrained to one subarray. Section IV-B1 of the
-//! paper motivates the data buffer with exactly these two defects.
+//! RowClone fast-parallel mode (FPM) copies an entire row between two rows
+//! of the *same* subarray in roughly two back-to-back activations — fast,
+//! but coarse (whole rows only) and constrained to one subarray. Section IV-B1 of the
+//! paper motivates the data buffer with exactly these two defects; without
+//! it, cross-subarray copies go through the row buffer and bank port.
 
 use serde::{Deserialize, Serialize};
 use transpim_hbm::energy::EnergyParams;
@@ -23,17 +24,6 @@ impl RowCloneModel {
     /// Build the model from the memory configuration.
     pub fn new(geometry: HbmGeometry, timing: TimingParams, energy: EnergyParams) -> Self {
         Self { geometry, timing, energy }
-    }
-
-    /// Latency of copying `rows` full rows with RowClone FPM
-    /// (source and destination in the same subarray).
-    pub fn fpm_latency_ns(&self, rows: u64) -> f64 {
-        rows as f64 * self.timing.t_rowclone()
-    }
-
-    /// Energy of copying `rows` full rows with FPM: two activations per row.
-    pub fn fpm_energy_pj(&self, rows: u64) -> f64 {
-        rows as f64 * 2.0 * self.energy.e_act
     }
 
     /// Latency of copying `bytes` through the row buffer and shared bank
@@ -65,19 +55,6 @@ mod tests {
 
     fn model() -> RowCloneModel {
         RowCloneModel::new(HbmGeometry::default(), TimingParams::default(), EnergyParams::default())
-    }
-
-    #[test]
-    fn fpm_is_two_activations_per_row() {
-        let m = model();
-        assert!((m.fpm_latency_ns(1) - 74.0).abs() < 1e-9);
-        assert!((m.fpm_energy_pj(3) - 6.0 * 909.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn fpm_beats_buffered_copy_for_full_rows() {
-        let m = model();
-        assert!(m.fpm_latency_ns(1) < m.buffered_copy_latency_ns(1024));
     }
 
     #[test]

@@ -7,8 +7,8 @@
 //!
 //! * [`matrix`] — a small dense f32 matrix kernel (matmul, transpose-matmul,
 //!   row ops) sufficient for attention arithmetic,
-//! * [`quant`] — symmetric int8 quantization with i32 accumulation (the
-//!   paper runs FC/FFN at 8 bits) and int16 helpers for Softmax,
+//! * [`quant`] — symmetric int8 quantization of weights (the paper runs
+//!   FC/FFN at 8 bits),
 //! * [`softmax`] — exact softmax plus the paper's hardware-shaped variant:
 //!   5th-order Taylor exponent and a one-reciprocal-per-row normalization
 //!   (Section IV-A2),

@@ -223,7 +223,7 @@ impl Matrix {
     /// `self × other`.
     ///
     /// Cache-blocked over the contraction dimension and parallelized over
-    /// row blocks (via `transpim-par`) above [`PAR_FLOP_THRESHOLD`].
+    /// row blocks (via `transpim-par`) above 2^21 multiply-adds.
     /// Every output element accumulates its products in ascending `k`
     /// order regardless of blocking or thread count, so results are
     /// bitwise identical to the naive triple loop and to a serial run.

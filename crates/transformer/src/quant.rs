@@ -3,8 +3,9 @@
 //! The paper runs FC and FFN layers at 8-bit precision (citing GOBO's
 //! finding that this suffices for Transformers) and Softmax at 16 bits to
 //! cover the exponential's range. This module provides symmetric per-tensor
-//! quantization with i32 accumulation, which is what the bit-serial PIM
-//! layout stores (sign handled as two's complement in the bit-planes).
+//! int8 quantization, which is what the bit-serial PIM layout stores (sign
+//! handled as two's complement in the bit-planes); [`fake_quant`] applies
+//! its error to f32 weights.
 
 use crate::matrix::Matrix;
 use serde::{Deserialize, Serialize};
@@ -58,42 +59,11 @@ impl QuantMatrix {
             self.data.iter().map(|&v| f32::from(v) * self.scale).collect(),
         )
     }
-
-    /// Integer matmul with i32 accumulation, dequantized with the product
-    /// of the two scales — the arithmetic the int8 PIM path performs.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `self.cols != other.rows`.
-    pub fn matmul_dequant(&self, other: &QuantMatrix) -> Matrix {
-        assert_eq!(self.cols, other.rows, "quantized matmul shape mismatch");
-        let s = self.scale * other.scale;
-        Matrix::from_fn(self.rows, other.cols, |i, j| {
-            let mut acc: i32 = 0;
-            for k in 0..self.cols {
-                acc += i32::from(self.data[i * self.cols + k])
-                    * i32::from(other.data[k * other.cols + j]);
-            }
-            acc as f32 * s
-        })
-    }
 }
 
 /// Quantize → dequantize, the error the int8 path introduces.
 pub fn fake_quant(m: &Matrix) -> Matrix {
     QuantMatrix::quantize(m).dequantize()
-}
-
-/// Quantize a value to a signed 16-bit fixed-point grid with `frac_bits`
-/// fractional bits, saturating — the Softmax datapath's number format.
-pub fn to_q16(x: f32, frac_bits: u32) -> i16 {
-    let scaled = (x * (1u32 << frac_bits) as f32).round();
-    scaled.clamp(f32::from(i16::MIN), f32::from(i16::MAX)) as i16
-}
-
-/// Inverse of [`to_q16`].
-pub fn from_q16(v: i16, frac_bits: u32) -> f32 {
-    f32::from(v) / (1u32 << frac_bits) as f32
 }
 
 #[cfg(test)]
@@ -114,30 +84,6 @@ mod tests {
         let q = QuantMatrix::quantize(&Matrix::zeros(3, 3));
         assert_eq!(q.dequantize(), Matrix::zeros(3, 3));
         assert_eq!(q.scale, 1.0);
-    }
-
-    #[test]
-    fn quantized_matmul_tracks_float_matmul() {
-        let a = Matrix::from_fn(6, 8, |r, c| ((r * 8 + c) as f32 * 0.13).sin());
-        let b = Matrix::from_fn(8, 5, |r, c| ((r * 5 + c) as f32 * 0.29).cos());
-        let exact = a.matmul(&b);
-        let approx = QuantMatrix::quantize(&a).matmul_dequant(&QuantMatrix::quantize(&b));
-        // int8 matmul over K=8 keeps a couple of percent accuracy.
-        assert!(exact.max_abs_diff(&approx) < 0.05 * exact.max_abs().max(1.0));
-    }
-
-    #[test]
-    fn q16_roundtrip() {
-        for x in [-3.5f32, 0.0, 0.001, 7.999] {
-            let v = to_q16(x, 12);
-            assert!((from_q16(v, 12) - x).abs() <= 0.5 / 4096.0 + 1e-6);
-        }
-    }
-
-    #[test]
-    fn q16_saturates() {
-        assert_eq!(to_q16(1e9, 12), i16::MAX);
-        assert_eq!(to_q16(-1e9, 12), i16::MIN);
     }
 
     proptest! {

@@ -66,6 +66,12 @@ impl Accelerator {
     }
 
     /// Compile `workload` under `dataflow` and simulate it.
+    ///
+    /// # Panics
+    ///
+    /// If the workload's simulated totals leave the statistics' range
+    /// ([`SimError::OutOfRange`]); [`Accelerator::simulate_on`] returns that
+    /// error instead.
     pub fn simulate(&self, workload: &Workload, dataflow: DataflowKind) -> SimReport {
         self.simulate_with_sink(workload, dataflow, SinkHandle::null())
     }
@@ -74,6 +80,10 @@ impl Accelerator {
     /// to the execution: phase spans, resource occupancy counters and
     /// per-hop ring events stream into `sink` as the program runs. With a
     /// [`SinkHandle::null`] sink this is exactly [`Accelerator::simulate`].
+    ///
+    /// # Panics
+    ///
+    /// As [`Accelerator::simulate`].
     pub fn simulate_with_sink(
         &self,
         workload: &Workload,
@@ -82,7 +92,7 @@ impl Accelerator {
     ) -> SimReport {
         let mut exec = Executor::new(self.arch.clone());
         self.simulate_on(&mut exec, workload, dataflow, &FaultScenario::empty(0), sink)
-            .expect("a fault-free simulation cannot fail")
+            .unwrap_or_else(|e| panic!("fault-free simulation failed: {e}"))
     }
 
     /// Simulate under an injected fault scenario with graceful

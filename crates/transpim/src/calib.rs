@@ -50,60 +50,11 @@ pub const NBP_VECTOR_RESTART_NS: f64 = 4.0;
 /// Softmax width).
 pub const PIM_RECIP_ITERATIONS: u32 = 3;
 
-/// GPU baseline (RTX 2080 Ti, TF2 + XLA as in Section V-A2) roofline
-/// constants — see `transpim-baselines::gpu` for the model. These are the
-/// weakest-provenance constants in the reproduction: the paper measured a
-/// real TF2 stack whose generative-decoding path is far from roofline.
-pub mod gpu {
-    /// Peak fp32 throughput of the RTX 2080 Ti (TFLOP/s).
-    pub const PEAK_TFLOPS: f64 = 13.45;
-    /// Peak memory bandwidth (GB/s).
-    pub const PEAK_BW_GBS: f64 = 616.0;
-    /// Sustained matmul efficiency of the TF2 fp32 stack on these shapes
-    /// (non-fused attention, small batch): calibrated against the paper's
-    /// 22.1–114.9× end-to-end speedups.
-    pub const MATMUL_EFFICIENCY: f64 = 0.05;
-    /// Sustained bandwidth efficiency for memory-bound ops.
-    pub const MEM_EFFICIENCY: f64 = 0.55;
-    /// Fixed overhead per decoder step (kernel launches, host
-    /// synchronization, beam bookkeeping) in microseconds. TF2 seq2seq
-    /// decoding measures 10²-scale per-step latencies; this constant
-    /// dominates the generative workloads exactly as the paper's
-    /// GPU baselines do.
-    pub const DECODE_STEP_OVERHEAD_US: f64 = 10_000.0;
-    /// Fixed overhead per encoder layer invocation (µs).
-    pub const LAYER_OVERHEAD_US: f64 = 50.0;
-    /// Board power under load (W), for GOP/J comparisons.
-    pub const POWER_W: f64 = 250.0;
-}
-
-/// TPUv3 single-board constants (Section V-A2 uses one board, 8 cores).
-pub mod tpu {
-    /// Peak bf16 throughput (TFLOP/s) of a TPUv3 board.
-    pub const PEAK_TFLOPS: f64 = 420.0;
-    /// HBM bandwidth (GB/s per board).
-    pub const PEAK_BW_GBS: f64 = 900.0;
-    /// Sustained matmul efficiency at these batch sizes. TPUs need large
-    /// batches to fill the MXUs; the paper's TPU is only ~2.5× faster than
-    /// its GPU on average (22.1/8.7), so the sustained fraction is small.
-    pub const MATMUL_EFFICIENCY: f64 = 0.015;
-    /// Bandwidth efficiency.
-    pub const MEM_EFFICIENCY: f64 = 0.5;
-    /// Per-decoder-step overhead (µs).
-    pub const DECODE_STEP_OVERHEAD_US: f64 = 8_000.0;
-    /// Per-layer overhead (µs).
-    pub const LAYER_OVERHEAD_US: f64 = 40.0;
-    /// Board power (W).
-    pub const POWER_W: f64 = 200.0;
-}
-
 #[cfg(test)]
 mod tests {
     #[test]
     #[allow(clippy::assertions_on_constants)] // sanity-pin the calibration constants
     fn constants_are_sane() {
         assert!(super::LAYOUT_REORG_OVERHEAD >= 1.0);
-        assert!(super::gpu::MATMUL_EFFICIENCY < 1.0);
-        assert!(super::tpu::PEAK_TFLOPS > super::gpu::PEAK_TFLOPS);
     }
 }

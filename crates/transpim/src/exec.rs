@@ -615,8 +615,8 @@ impl Executor {
     /// one walk and one repeat — O(body) whatever `count` is.
     ///
     /// A body that nests a repeat is walked once per iteration instead:
-    /// the inner repeat takes the marks, and [`FaultSession`] marks do not
-    /// nest.
+    /// the inner repeat takes the marks, since neither [`Engine`] nor
+    /// [`FaultSession`] marks nest.
     fn price_repeat(
         &mut self,
         count: u64,

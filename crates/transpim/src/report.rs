@@ -76,11 +76,6 @@ impl SimReport {
         self.stats.latency_ns * 1e-6
     }
 
-    /// Per-sequence latency in milliseconds.
-    pub fn latency_per_seq_ms(&self) -> f64 {
-        self.latency_ms() / self.batch.max(1) as f64
-    }
-
     /// Achieved throughput in GOP/s.
     pub fn throughput_gops(&self) -> f64 {
         if self.stats.latency_ns <= 0.0 {
@@ -97,20 +92,6 @@ impl SimReport {
         } else {
             self.total_ops as f64 * 1e-9 / j
         }
-    }
-
-    /// Decode throughput in generated tokens per second, given how many
-    /// tokens this run generated (`decode_len × batch`).
-    ///
-    /// Taken as a parameter rather than stored: report documents must
-    /// depend only on the priced statistics, never on how the program was
-    /// compiled (compressed and unrolled compilations of one workload
-    /// serialize to byte-identical reports).
-    pub fn decode_tokens_per_s(&self, decode_tokens: u64) -> f64 {
-        if self.stats.latency_ns <= 0.0 {
-            return 0.0;
-        }
-        decode_tokens as f64 * 1e9 / self.stats.latency_ns
     }
 
     /// Average power in watts.
@@ -206,12 +187,9 @@ mod tests {
     fn derived_metrics() {
         let r = report();
         assert!((r.latency_ms() - 2.0).abs() < 1e-12);
-        assert!((r.latency_per_seq_ms() - 1.0).abs() < 1e-12);
         assert!((r.throughput_gops() - 2000.0).abs() < 1e-9);
         assert!((r.gop_per_joule() - 4.0 / 0.003).abs() < 1e-6);
         assert!((r.utilization() - 0.5).abs() < 1e-12);
-        // 2 ms for 128 generated tokens → 64k tokens/s.
-        assert!((r.decode_tokens_per_s(128) - 64_000.0).abs() < 1e-9);
     }
 
     #[test]

@@ -34,6 +34,11 @@ cargo fmt --all -- --check
 echo "==> cargo clippy (deny warnings)"
 cargo clippy --offline --workspace --all-targets -- -D warnings
 
+# Every intra-doc link must resolve, so deleting an item cannot leave a
+# dangling link in the docs of what remains.
+echo "==> cargo doc (deny warnings)"
+RUSTDOCFLAGS="-D warnings" cargo doc --offline --workspace --no-deps
+
 if [[ $fast -eq 0 ]]; then
   echo "==> cargo build --release"
   cargo build --offline --workspace --release

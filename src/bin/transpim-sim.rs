@@ -19,7 +19,6 @@ use transpim::accelerator::Accelerator;
 use transpim::exec::Executor;
 use transpim::report::SimReport;
 use transpim::{ChromeTraceSink, FaultScenario, FaultSession, MetricsSink, SimError, SinkHandle};
-use transpim_bench::{run_grid, GridCell};
 
 /// Capacity checks: the batch's input must fit the memory (an error), the
 /// token dataflow's per-bank working set should fit a bank (a warning).
@@ -91,7 +90,6 @@ struct Options {
     p_sub: u32,
     p_add: u32,
     all: bool,
-    jobs: usize,
     json: Option<String>,
     trace: Option<String>,
     metrics: Option<String>,
@@ -120,9 +118,8 @@ OPTIONS:
   --batch <N>          override batch size
   --seq-len <N>        override sequence length
   --decode <N>         override generated-token count
-  --all                run all 8 dataflow×architecture systems
-  --jobs <N>           worker threads for --all (default: TRANSPIM_THREADS
-                       or the machine's available parallelism)
+  --all                run all 8 dataflow×architecture systems, one after
+                       another
   --json <PATH>        write the report(s) as JSON
   --trace <PATH>       write a Chrome-tracing timeline (open in
                        chrome://tracing or https://ui.perfetto.dev); with
@@ -131,7 +128,8 @@ OPTIONS:
   --metrics <PATH>     write flat aggregated metrics (JSON, or CSV when
                        PATH ends in .csv); with --all, one suffixed file
                        per system
-  --dump-ir <PATH>     write the compiled dataflow program as JSON
+  --dump-ir <PATH>     write the compiled dataflow program as JSON; with
+                       --all, one suffixed file per system
   --faults <PATH>      inject a fault scenario (JSON form of FaultScenario:
                        failed banks, stuck bit-planes, dead/degraded ring
                        links, transient flips, broken dividers) and run in
@@ -184,7 +182,6 @@ fn parse_args(args: &[String]) -> Result<Options, String> {
         p_sub: 16,
         p_add: 4,
         all: false,
-        jobs: transpim_par::max_threads(),
         json: None,
         trace: None,
         metrics: None,
@@ -232,12 +229,6 @@ fn parse_args(args: &[String]) -> Result<Options, String> {
                 decode = Some(value("--decode")?.parse().map_err(|e| format!("--decode: {e}"))?)
             }
             "--all" => o.all = true,
-            "--jobs" => {
-                o.jobs = value("--jobs")?.parse().map_err(|e| format!("--jobs: {e}"))?;
-                if o.jobs == 0 {
-                    return Err("--jobs must be positive".into());
-                }
-            }
             "--json" => o.json = Some(value("--json")?),
             "--trace" => o.trace = Some(value("--trace")?),
             "--metrics" => o.metrics = Some(value("--metrics")?),
@@ -305,142 +296,49 @@ fn push_headline_metrics(m: &mut MetricsSink, report: &SimReport, overhead: Opti
     }
 }
 
+/// Report `msg` as the run's error and end it with exit code 1.
+fn fail(msg: impl std::fmt::Display) -> ExitCode {
+    eprintln!("error: {msg}");
+    ExitCode::from(1)
+}
+
 /// Write `text` to stdout. A reader that closed early (a broken pipe) is
 /// not an error: the run goes on without stdout and still writes its files.
 fn print_stdout(text: &str) -> Result<(), ExitCode> {
     match io::stdout().lock().write_all(text.as_bytes()) {
         Err(e) if e.kind() != io::ErrorKind::BrokenPipe => {
-            eprintln!("error: writing stdout: {e}");
-            Err(ExitCode::from(1))
+            Err(fail(format!("writing stdout: {e}")))
         }
         _ => Ok(()),
     }
 }
 
-fn main() -> ExitCode {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let opts = match parse_args(&args) {
-        Ok(o) => o,
-        Err(msg) => {
-            if !msg.is_empty() {
-                eprintln!("error: {msg}\n");
-            }
-            eprint!("{USAGE}");
-            return if msg.is_empty() { ExitCode::SUCCESS } else { ExitCode::from(2) };
-        }
-    };
-
-    let arch = ArchConfig::new(opts.arch)
-        .with_stacks(opts.stacks)
-        .with_acu(opts.p_sub, opts.p_add)
-        .validated()
-        .map_err(|e| e.to_string())
-        .and_then(|arch| transpim_repro_capacity::fits(&opts.workload, &arch).map(|()| arch));
-    let arch = match arch {
-        Ok(arch) => arch,
-        Err(msg) => {
-            eprintln!("error: {msg}");
-            return ExitCode::from(2);
-        }
-    };
-
-    if opts.all {
-        let mut cells = Vec::new();
-        for kind in ArchKind::ALL {
-            for df in DataflowKind::ALL {
-                let arch = ArchConfig { kind, ..arch.clone() };
-                cells.push(GridCell::custom(arch, df, &opts.workload));
-            }
-        }
-        let outputs = run_grid(opts.jobs, opts.trace.is_some(), opts.metrics.is_some(), cells);
-        let mut reports = Vec::new();
-        for output in outputs {
-            let report = output.report;
-            if let Err(code) = print_stdout(&format!("{}\n", report.summary())) {
-                return code;
-            }
-            if let (Some(path), Some(trace)) = (&opts.trace, output.trace) {
-                let path = suffixed(path, &report.system);
-                if let Err(e) = trace.write_to(&path) {
-                    eprintln!("error: writing {path}: {e}");
-                    return ExitCode::from(1);
-                }
-                eprintln!("[trace written to {path} — open in chrome://tracing or Perfetto]");
-            }
-            if let (Some(path), Some(mut metrics)) = (&opts.metrics, output.metrics) {
-                push_headline_metrics(&mut metrics, &report, None);
-                let path = suffixed(path, &report.system);
-                if let Err(e) = metrics.write_to(&path) {
-                    eprintln!("error: writing {path}: {e}");
-                    return ExitCode::from(1);
-                }
-                eprintln!("[metrics written to {path}]");
-            }
-            reports.push(report);
-        }
-        if let Some(path) = &opts.json {
-            let json = match serde_json::to_string_pretty(&reports) {
-                Ok(j) => j,
-                Err(e) => {
-                    eprintln!("error: serializing reports: {e}");
-                    return ExitCode::from(1);
-                }
-            };
-            if let Err(e) = std::fs::write(path, json) {
-                eprintln!("error: writing {path}: {e}");
-                return ExitCode::from(1);
-            }
-        }
-        return ExitCode::SUCCESS;
-    }
-
-    // Load the fault scenario up front so a bad file is a one-line
-    // diagnostic before any simulation work starts. Without --faults the
-    // run is the empty scenario: the fault-free simulation.
-    let scenario = match &opts.faults {
-        Some(path) => match FaultScenario::from_json_file(path) {
-            Ok(s) => s,
-            Err(e) => {
-                eprintln!("error: {path}: {e}");
-                return ExitCode::from(2);
-            }
-        },
-        None => FaultScenario::empty(0),
-    };
-
+/// One system's run: the IR dump, the simulation (and, when the scenario
+/// injects faults, the fault-free run its overhead is measured against),
+/// and the trace and metrics files. `--all` runs every system through
+/// here, writing each file under a per-system suffix.
+fn run_system(
+    opts: &Options,
+    arch: ArchConfig,
+    dataflow: DataflowKind,
+    scenario: &FaultScenario,
+) -> Result<(SimReport, Option<Overhead>), ExitCode> {
+    let system = arch.system_label(dataflow.label());
+    let output = |path: &str| if opts.all { suffixed(path, &system) } else { path.to_owned() };
     let acc = Accelerator::new(arch);
 
     // Optional IR dump: the program that is priced, compiled over the
     // banks the scenario leaves healthy.
     if let Some(path) = &opts.dump_ir {
-        let session = match FaultSession::new(&scenario, acc.arch().system_info()) {
-            Ok(s) => s,
-            Err(e) => {
-                // The same error, and exit code, as the simulation's.
-                eprintln!("error: {}", SimError::from(e));
-                return ExitCode::from(1);
-            }
-        };
-        let prog = acc.compile_degraded(&opts.workload, opts.dataflow, &session);
-        match serde_json::to_string_pretty(&prog) {
-            Ok(json) => {
-                if let Err(e) = std::fs::write(path, json) {
-                    eprintln!("error: writing {path}: {e}");
-                    return ExitCode::from(1);
-                }
-                eprintln!("[IR with {} steps written to {path}]", prog.len());
-            }
-            Err(e) => {
-                eprintln!("error: serializing IR: {e}");
-                return ExitCode::from(1);
-            }
-        }
-    }
-
-    // Capacity check: does the token dataflow's per-bank working set fit?
-    {
-        use transpim_repro_capacity::check;
-        check(&opts.workload, acc.arch());
+        let path = output(path);
+        // The same error, and exit code, as the simulation's.
+        let session = FaultSession::new(scenario, acc.arch().system_info())
+            .map_err(|e| fail(SimError::from(e)))?;
+        let prog = acc.compile_degraded(&opts.workload, dataflow, &session);
+        let json = serde_json::to_string_pretty(&prog)
+            .map_err(|e| fail(format!("serializing IR: {e}")))?;
+        std::fs::write(&path, json).map_err(|e| fail(format!("writing {path}: {e}")))?;
+        eprintln!("[IR with {} steps written to {path}]", prog.len());
     }
 
     // Attach observability sinks only for the outputs that were asked for;
@@ -455,29 +353,44 @@ fn main() -> ExitCode {
 
     let simulate = |scenario: &FaultScenario, sink| {
         let mut exec = Executor::new(acc.arch().clone());
-        acc.simulate_on(&mut exec, &opts.workload, opts.dataflow, scenario, sink).map_err(|e| {
+        acc.simulate_on(&mut exec, &opts.workload, dataflow, scenario, sink).map_err(|e| {
             eprintln!("error: {e}");
             // A workload too large for the statistics is bad input, like
             // an oversized batch; an uncorrectable fault is a result.
             ExitCode::from(if e == SimError::OutOfRange { 2 } else { 1 })
         })
     };
-    let report = match simulate(&scenario, sink) {
-        Ok(r) => r,
-        Err(code) => return code,
-    };
+    let report = simulate(scenario, sink)?;
     // A degraded run's overhead is measured against the fault-free run,
     // priced only when there is a fault to account.
     let overhead = match &report.faults {
-        Some(_) => match simulate(&FaultScenario::empty(0), SinkHandle::null()) {
-            Ok(clean) => Some(Overhead {
+        Some(_) => {
+            let clean = simulate(&FaultScenario::empty(0), SinkHandle::null())?;
+            Some(Overhead {
                 latency_ns: report.stats.latency_ns - clean.stats.latency_ns,
                 energy_pj: report.stats.total_energy_pj() - clean.stats.total_energy_pj(),
-            }),
-            Err(code) => return code,
-        },
+            })
+        }
         None => None,
     };
+
+    if let (Some(path), Some(chrome)) = (&opts.trace, &chrome) {
+        let path = output(path);
+        chrome.borrow().write_to(&path).map_err(|e| fail(format!("writing {path}: {e}")))?;
+        eprintln!("[trace written to {path} — open in chrome://tracing or Perfetto]");
+    }
+    if let (Some(path), Some(metrics)) = (&opts.metrics, &metrics) {
+        let path = output(path);
+        push_headline_metrics(&mut metrics.borrow_mut(), &report, overhead);
+        metrics.borrow().write_to(&path).map_err(|e| fail(format!("writing {path}: {e}")))?;
+        eprintln!("[metrics written to {path}]");
+    }
+    Ok((report, overhead))
+}
+
+/// A single run's stdout: the summary, the fault accounting of a degraded
+/// run, and the per-scope breakdown.
+fn detailed_summary(report: &SimReport, overhead: Option<Overhead>) -> String {
     let mut out = format!("{}\n", report.summary());
     if let (Some(f), Some(o)) = (&report.faults, overhead) {
         let _ = writeln!(out);
@@ -510,37 +423,82 @@ fn main() -> ExitCode {
             s.total_energy_pj() * 1e-9
         );
     }
-    if let Err(code) = print_stdout(&out) {
-        return code;
+    out
+}
+
+fn main() -> ExitCode {
+    let args: Vec<String> = std::env::args().skip(1).collect();
+    let opts = match parse_args(&args) {
+        Ok(o) => o,
+        Err(msg) => {
+            if !msg.is_empty() {
+                eprintln!("error: {msg}\n");
+            }
+            eprint!("{USAGE}");
+            return if msg.is_empty() { ExitCode::SUCCESS } else { ExitCode::from(2) };
+        }
+    };
+    match run(&opts) {
+        Ok(()) => ExitCode::SUCCESS,
+        Err(code) => code,
     }
+}
+
+/// Run the one system, or under `--all` the eight, in order; the first
+/// failing system ends the run with its error.
+fn run(opts: &Options) -> Result<(), ExitCode> {
+    let arch = ArchConfig::new(opts.arch)
+        .with_stacks(opts.stacks)
+        .with_acu(opts.p_sub, opts.p_add)
+        .validated()
+        .map_err(|e| e.to_string())
+        .and_then(|arch| transpim_repro_capacity::fits(&opts.workload, &arch).map(|()| arch))
+        .map_err(|msg| {
+            eprintln!("error: {msg}");
+            ExitCode::from(2)
+        })?;
+
+    // Load the fault scenario up front so a bad file is a one-line
+    // diagnostic before any simulation work starts. Without --faults the
+    // run is the empty scenario: the fault-free simulation.
+    let scenario = match &opts.faults {
+        Some(path) => FaultScenario::from_json_file(path).map_err(|e| {
+            eprintln!("error: {path}: {e}");
+            ExitCode::from(2)
+        })?,
+        None => FaultScenario::empty(0),
+    };
+
+    // Capacity check: does the token dataflow's per-bank working set fit?
+    // It depends on the geometry and the workload, which every system of
+    // an --all run shares.
+    transpim_repro_capacity::check(&opts.workload, &arch);
+
+    let systems: Vec<(ArchConfig, DataflowKind)> = if opts.all {
+        ArchKind::ALL
+            .iter()
+            .flat_map(|&kind| DataflowKind::ALL.map(|df| (ArchConfig { kind, ..arch.clone() }, df)))
+            .collect()
+    } else {
+        vec![(arch, opts.dataflow)]
+    };
+    let mut reports = Vec::new();
+    for (arch, dataflow) in systems {
+        let (report, overhead) = run_system(opts, arch, dataflow, &scenario)?;
+        let out = if opts.all {
+            format!("{}\n", report.summary())
+        } else {
+            detailed_summary(&report, overhead)
+        };
+        print_stdout(&out)?;
+        reports.push(report);
+    }
+
     if let Some(path) = &opts.json {
-        match report.to_json() {
-            Ok(json) => {
-                if let Err(e) = std::fs::write(path, json) {
-                    eprintln!("error: writing {path}: {e}");
-                    return ExitCode::from(1);
-                }
-            }
-            Err(e) => {
-                eprintln!("error: serializing report: {e}");
-                return ExitCode::from(1);
-            }
-        }
+        let json =
+            if opts.all { serde_json::to_string_pretty(&reports) } else { reports[0].to_json() }
+                .map_err(|e| fail(format!("serializing report: {e}")))?;
+        std::fs::write(path, json).map_err(|e| fail(format!("writing {path}: {e}")))?;
     }
-    if let (Some(path), Some(chrome)) = (&opts.trace, &chrome) {
-        if let Err(e) = chrome.borrow().write_to(path) {
-            eprintln!("error: writing {path}: {e}");
-            return ExitCode::from(1);
-        }
-        eprintln!("[trace written to {path} — open in chrome://tracing or Perfetto]");
-    }
-    if let (Some(path), Some(metrics)) = (&opts.metrics, &metrics) {
-        push_headline_metrics(&mut metrics.borrow_mut(), &report, overhead);
-        if let Err(e) = metrics.borrow().write_to(path) {
-            eprintln!("error: writing {path}: {e}");
-            return ExitCode::from(1);
-        }
-        eprintln!("[metrics written to {path}]");
-    }
-    ExitCode::SUCCESS
+    Ok(())
 }

@@ -3,8 +3,9 @@
 //! it never prints a report for an invalid machine, and never panics or
 //! aborts on an oversized workload. A workload that fits the memory but
 //! whose simulated totals leave the statistics' range exits 2 as well, and
-//! so does a fault scenario whose event counts pass 2^64. A reader that
-//! closes stdout early does not make it panic either.
+//! so does a fault scenario whose event counts pass 2^64, and `--all`
+//! stops at the first system that fails. A reader that closes stdout early
+//! does not make it panic either.
 
 use std::process::{Command, Stdio};
 
@@ -59,6 +60,18 @@ fn long_decode_beyond_the_tally_range_is_an_error_not_a_crash() {
 #[test]
 fn long_layer_prompt_beyond_the_tally_range_is_an_error_not_a_crash() {
     assert_out_of_range(&["--workload", "pubmed", "--seq-len", "4000000", "--dataflow", "layer"]);
+}
+
+#[test]
+fn all_systems_stop_at_the_first_tally_range_error() {
+    // `--all` runs each system the way a single run does, so the first
+    // system that leaves the range ends the run with the same error.
+    assert_out_of_range(&["--workload", "pubmed", "--seq-len", "4000000", "--all"]);
+}
+
+#[test]
+fn removed_options_are_unknown() {
+    assert_rejected(&["--jobs", "2"], "unknown option '--jobs'");
 }
 
 #[test]
@@ -177,6 +190,35 @@ fn dump_ir_under_failed_banks_writes_the_priced_program() {
     let failed = dump("bank", Some(r#"{"FailedBank":{"bank":3}}"#));
     assert_ne!(failed, clean, "the dump ignored the failed bank");
     assert_eq!(dump("link", Some(r#"{"DeadLink":{"group":0}}"#)), clean);
+    std::fs::remove_dir_all(&dir).expect("temp dir removed");
+}
+
+#[test]
+fn dump_ir_under_all_writes_one_suffixed_file_per_system() {
+    let dir = temp_dir("dump-ir-all");
+    let ir = dir.join("ir.json");
+    let stdout =
+        stdout_of(&["--workload", "imdb", "--all", "--dump-ir", ir.to_str().expect("utf-8")]);
+    assert_eq!(stdout.lines().count(), 8, "one summary line per system:\n{stdout}");
+    let mut written: Vec<String> = std::fs::read_dir(&dir)
+        .expect("temp dir lists")
+        .map(|e| e.expect("entry").file_name().to_string_lossy().into_owned())
+        .collect();
+    written.sort();
+    let mut want: Vec<String> = ["layer", "token"]
+        .iter()
+        .flat_map(|df| {
+            ["transpim", "transpim-nb", "originalpim", "nbp"]
+                .map(|arch| format!("ir.{df}-{arch}.json"))
+        })
+        .collect();
+    want.sort();
+    assert_eq!(written, want);
+    for name in &written {
+        let text = std::fs::read_to_string(dir.join(name)).expect("IR written");
+        let value: serde_json::Value = serde_json::from_str(&text).expect("IR parses");
+        assert!(value["steps"].as_array().is_some_and(|s| !s.is_empty()), "{name}");
+    }
     std::fs::remove_dir_all(&dir).expect("temp dir removed");
 }
 

@@ -23,7 +23,8 @@ where
 
 #[test]
 fn hbm_config_roundtrips() {
-    let cfg = HbmConfig::builder().stacks(4).build();
+    let mut cfg = HbmConfig::default();
+    cfg.geometry.stacks = 4;
     assert_eq!(roundtrip(&cfg), cfg);
 }
 
