@@ -24,7 +24,7 @@ use transpim_hbm::energy::EnergyParams;
 use transpim_hbm::engine::tracks;
 use transpim_hbm::geometry::{BankId, HbmGeometry};
 use transpim_hbm::resource::{ResourceMap, MAX_ROUTE_RESOURCES};
-use transpim_obs::{CounterEvent, SinkHandle, SpanEvent};
+use transpim_obs::{SinkHandle, SpanEvent};
 
 /// One bank-to-bank transfer of `bytes`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
@@ -272,10 +272,12 @@ impl SlotProfile {
 /// 3T-vs-8T schedule is directly visible from these events in a trace
 /// viewer: the `slot` argument and the span starts group hops into slots.
 ///
-/// Hop names (`hop 3->4`) and per-bank counter names (`util.bank 3`) end
-/// in an instance label, and slots and bank ids are label arguments
-/// ([`transpim_obs::ArgValue::Label`]): metrics fold them into one `hop`
-/// count and total and one `util.bank` min/p50/max.
+/// A hop name (`hop 3->4`) ends in an instance label, and slots and bank
+/// ids are label arguments ([`transpim_obs::ArgValue::Label`]): metrics
+/// fold the spans into one `hop` count and total. No per-bank occupancy
+/// counter is emitted: in a ring step or reduction tree each source bank
+/// sends one hop, so its span's duration over the set's makespan already
+/// is that bank's busy fraction, on the same track.
 pub fn emit_hop_events(
     sink: &SinkHandle,
     map: &ResourceMap,
@@ -303,30 +305,6 @@ pub fn emit_hop_events(
             .with_label("slot", u64::from(p.slot))
             .with_label("dst_bank", u64::from(p.dst.0)),
         );
-    }
-    // Per-bank occupancy over this transfer set: the fraction of the
-    // makespan each source bank spends driving its link, per source bank
-    // in ascending order.
-    let makespan = placements.iter().map(|p| p.start_ns + p.dur_ns).fold(0.0, f64::max);
-    if makespan > 0.0 {
-        let srcs = || placements.iter().map(|p| p.src.0);
-        let (first, last) = (srcs().min().unwrap_or(0), srcs().max().unwrap_or(0));
-        let mut busy: Vec<Option<f64>> = vec![None; (last - first) as usize + 1];
-        for p in placements {
-            *busy[(p.src.0 - first) as usize].get_or_insert(0.0) += p.dur_ns;
-        }
-        for (bank, busy_ns) in (first..).zip(busy) {
-            let Some(busy_ns) = busy_ns else { continue };
-            name.clear();
-            let _ = write!(name, "util.bank {bank}");
-            sink.counter(&CounterEvent::sample(
-                name.as_str(),
-                tracks::resource(map.bank(BankId(bank))),
-                base_ns,
-                "busy_frac",
-                busy_ns / makespan,
-            ));
-        }
     }
 }
 
@@ -560,9 +538,11 @@ mod tests {
             assert!(e.ts + e.dur.unwrap() <= (1000.0 + r.latency_ns) / 1000.0 + 1e-9);
             assert!(e.args.contains_key("slot"));
         }
-        // Every source bank also samples its occupancy of the step.
-        let counters: Vec<_> = events.iter().filter(|e| e.ph == "C").collect();
-        assert_eq!(counters.len(), 8);
+        // One hop per source bank, each on its bank's own track, and no
+        // per-bank counter beside them.
+        let tracks: std::collections::BTreeSet<_> = spans.iter().map(|e| e.tid).collect();
+        assert_eq!(tracks.len(), 8);
+        assert_eq!(events.iter().filter(|e| e.ph == "C").count(), 0);
         // Disabled sink: emission is a no-op.
         emit_hop_events(&SinkHandle::null(), &map, 0.0, 1.0, &placed);
     }

@@ -146,7 +146,9 @@ impl HbmGeometry {
     ///
     /// # Errors
     ///
-    /// [`ConfigError::NonPositive`] naming the first zero dimension.
+    /// [`ConfigError::NonPositive`] naming the first zero dimension, and
+    /// [`ConfigError::OutOfRange`] if the channel, group or bank count
+    /// overflows `u32`.
     pub fn validate(&self) -> Result<(), ConfigError> {
         let dims = [
             ("geometry.stacks", self.stacks),
@@ -163,6 +165,22 @@ impl HbmGeometry {
             if value == 0 {
                 return Err(ConfigError::NonPositive(name));
             }
+        }
+        let banks = self
+            .stacks
+            .checked_mul(self.channels_per_stack)
+            .and_then(|channels| channels.checked_mul(self.groups_per_channel))
+            .and_then(|groups| groups.checked_mul(self.banks_per_group));
+        if banks.is_none() {
+            return Err(ConfigError::OutOfRange(format!(
+                "geometry.stacks {} × {} channels × {} groups × {} banks overflows the {} \
+                 banks a u32 bank id can number",
+                self.stacks,
+                self.channels_per_stack,
+                self.groups_per_channel,
+                self.banks_per_group,
+                u32::MAX
+            )));
         }
         Ok(())
     }
@@ -312,5 +330,15 @@ mod tests {
         assert!(g.validate().is_ok());
         let err = HbmGeometry { banks_per_group: 0, ..g }.validate().expect_err("zero dimension");
         assert!(err.to_string().contains("banks_per_group"));
+        // 2^24 stacks of 256 banks wrap a u32 bank count to 0, one more
+        // stack to 256; 2^24 - 1 stacks still fit.
+        for stacks in [1 << 24, (1 << 24) + 1, u32::MAX] {
+            let err = HbmGeometry::with_stacks(stacks).validate().expect_err("bank overflow");
+            assert!(matches!(err, ConfigError::OutOfRange(_)), "{err}");
+            assert!(err.to_string().contains(&format!("geometry.stacks {stacks} ")), "{err}");
+        }
+        assert!(HbmGeometry::with_stacks((1 << 24) - 1).validate().is_ok());
+        let wide = HbmGeometry { channels_per_stack: 1 << 16, groups_per_channel: 1 << 16, ..g };
+        assert!(wide.validate().is_err(), "a group count past u32 overflows too");
     }
 }

@@ -7,9 +7,10 @@
 //! diffs between runs are line diffs.
 //!
 //! An event's *kind* is its name up to the first space; the rest labels
-//! one instance (`hop 3->4`, `util.bank 3`), which a trace shows and the
-//! metrics fold: spans of a kind into one count and total, and a counter's
-//! per-instance last values into their `min`, `p50` and `max`.
+//! one instance (`hop 3->4` is an instance of `hop`), which a trace shows
+//! and the metrics fold: spans of a kind into one count and total, and a
+//! labelled counter's per-instance last values into their `min`, `p50` and
+//! `max`.
 //!
 //! A span's `count` argument is its multiplicity ([`SpanEvent::with_count`]):
 //! `count` grows by it, so a summary of n events counts n times. Other

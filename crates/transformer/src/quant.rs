@@ -31,26 +31,6 @@ impl QuantMatrix {
         Self { rows: m.rows(), cols: m.cols(), data, scale }
     }
 
-    /// Number of rows.
-    pub fn rows(&self) -> usize {
-        self.rows
-    }
-
-    /// Number of columns.
-    pub fn cols(&self) -> usize {
-        self.cols
-    }
-
-    /// Raw quantized value at `(r, c)`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if out of range.
-    pub fn get(&self, r: usize, c: usize) -> i8 {
-        assert!(r < self.rows && c < self.cols, "index out of range");
-        self.data[r * self.cols + c]
-    }
-
     /// Dequantize back to f32.
     pub fn dequantize(&self) -> Matrix {
         Matrix::from_vec(
@@ -92,8 +72,9 @@ mod tests {
             let n = vals.len();
             let m = Matrix::from_vec(1, n, vals);
             let q = QuantMatrix::quantize(&m);
-            for c in 0..n {
-                prop_assert!(q.get(0, c) >= -127); // i8 ⇒ upper bound is the type
+            prop_assert_eq!(q.data.len(), n);
+            for &v in &q.data {
+                prop_assert!(v >= -127); // i8 ⇒ upper bound is the type
             }
         }
 

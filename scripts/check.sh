@@ -99,11 +99,11 @@ echo "    $(ls results/*.json | wc -l) JSON files and all_figures.txt match"
 
 # A traced decode is bounded by the compiled program, not by the unrolled
 # decode length: the default traced Token-LM run must write a trace under
-# 1 MB, and the Layer-LM run (one decoder-layer repeat per token, so its
-# trace grows per token but not per layer) one under 3 MB; both fewer than
+# 600 KB, and the Layer-LM run (one decoder-layer repeat per token, so its
+# trace grows per token but not per layer) one under 2 MB; both fewer than
 # 500 metric keys (one per line in the pretty JSON).
 echo "==> bounded trace (transpim-sim --workload lm [--dataflow layer] --trace --metrics)"
-for bound in "token 1000000" "layer 3000000"; do
+for bound in "token 600000" "layer 2000000"; do
   read -r dataflow max_bytes <<< "$bound"
   cargo run --release --offline --quiet --bin transpim-sim -- --workload lm \
     --dataflow "$dataflow" --trace "$cli_dir/lm.trace.json" \

@@ -35,6 +35,15 @@ fn zero_design_knobs_name_the_field() {
 }
 
 #[test]
+fn stack_counts_past_the_u32_bank_range_are_an_error_not_a_wrap() {
+    // 2^24 stacks of 256 banks wrap the bank count to 0, one more to 256.
+    for stacks in ["16777216", "16777217"] {
+        assert_rejected(&["--stacks", stacks], &format!("geometry.stacks {stacks} "));
+        assert_eq!(run(&["--stacks", stacks]).1.lines().count(), 1, "--stacks {stacks}");
+    }
+}
+
+#[test]
 fn oversized_workloads_are_an_error_not_a_crash() {
     // Each needs terabytes of activations; the default 8 stacks hold 64 GiB.
     assert_rejected(&["--seq-len", "4294967295"], "--seq-len 4294967295");

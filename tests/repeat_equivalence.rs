@@ -206,7 +206,7 @@ fn compressed_traces_summarize_what_unrolled_traces_spell_out() {
 #[test]
 fn traced_decode_is_bounded_by_the_compiled_program() {
     // Token-LM at decode 4096 unrolls to 32× the steps of decode 128; its
-    // trace may not grow by more than 5%.
+    // trace may grow by at most 250 events (it grows by 189).
     let acc = Accelerator::new(ArchConfig::new(ArchKind::TransPim));
     let events = |decode_len: usize| {
         let mut w = Workload::lm();
@@ -224,10 +224,7 @@ fn traced_decode_is_bounded_by_the_compiled_program() {
         n
     };
     let (short, long) = (events(128), events(4096));
-    assert!(
-        long as f64 <= 1.05 * short as f64,
-        "decode 4096 traced {long} events against {short} at decode 128"
-    );
+    assert!(long <= short + 250, "decode 4096 traced {long} events against {short} at decode 128");
 }
 
 #[test]

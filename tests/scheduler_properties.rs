@@ -3,9 +3,11 @@
 //! must be well-formed for every bank pair, the slot scheduler must place
 //! hops exactly like a straightforward round-based scheduler with a
 //! per-slot `HashSet` (on ring steps, reduction trees and arbitrary hop
-//! sets, including ones that need more than 64 slots), and a
-//! topology's slot profile must price every byte count exactly as that
-//! scheduler does.
+//! sets, including ones that need more than 64 slots), a topology's
+//! slot profile must price every byte count exactly as that scheduler
+//! does, and in the traced exemplar of a ring step or reduction tree each
+//! source bank must send exactly one hop, whose span then gives the
+//! bank's busy fraction.
 
 use proptest::prelude::*;
 use std::collections::HashSet;
@@ -282,4 +284,80 @@ fn empty_hop_set_is_free() {
     let r = schedule_hops(&map, &xfer, &[]);
     assert_eq!(r.latency_ns, 0.0);
     assert_eq!(r.slots, 0);
+}
+
+/// A traced run's exemplar of a ring step or reduction tree: every hop
+/// placed, each tree level offset by the latency of the levels before it.
+fn exemplar(map: &ResourceMap, xfer: &TransferCostModel, levels: &[Vec<Hop>]) -> Vec<HopPlacement> {
+    let mut all = Vec::new();
+    let mut offset = 0.0;
+    for hops in levels {
+        let (r, placed) = schedule_hops_placed(map, xfer, hops);
+        all.extend(placed.into_iter().map(|mut p| {
+            p.start_ns += offset;
+            p
+        }));
+        offset += r.latency_ns;
+    }
+    all
+}
+
+/// The per-bank occupancy samples hop emission once wrote beside the hop
+/// spans, as `(source bank, busy fraction)` in ascending bank order.
+fn busy_fractions(placements: &[HopPlacement]) -> Vec<(u32, f64)> {
+    let makespan = placements.iter().map(|p| p.start_ns + p.dur_ns).fold(0.0, f64::max);
+    let mut samples = Vec::new();
+    if makespan > 0.0 {
+        let srcs = || placements.iter().map(|p| p.src.0);
+        let (first, last) = (srcs().min().unwrap_or(0), srcs().max().unwrap_or(0));
+        let mut busy: Vec<Option<f64>> = vec![None; (last - first) as usize + 1];
+        for p in placements {
+            *busy[(p.src.0 - first) as usize].get_or_insert(0.0) += p.dur_ns;
+        }
+        for (bank, busy_ns) in (first..).zip(busy) {
+            let Some(busy_ns) = busy_ns else { continue };
+            samples.push((bank, busy_ns / makespan));
+        }
+    }
+    samples
+}
+
+/// Hop spans carry everything a per-bank occupancy counter did: in the
+/// exemplar of a ring step or reduction tree, each source bank sends
+/// exactly one hop, so its span's duration over the makespan is, bit for
+/// bit, the bank's busy fraction.
+#[test]
+fn each_source_bank_sends_once_so_its_hop_is_its_busy_fraction() {
+    let g = HbmGeometry::default();
+    // With and without ring links, and with bank group 1's link dead.
+    for (ring_links, dead) in [(true, &[][..]), (false, &[]), (true, &[1])] {
+        let map =
+            &ResourceMap::new(g, BusParams::default(), ring_links).with_ring_faults(dead, &[]);
+        let xfer = TransferCostModel::new(g, EnergyParams::default(), ring_links);
+        for count in 1..=300u32 {
+            let ids: Vec<BankId> = (0..count).map(BankId).collect();
+            let mut tree = Vec::new();
+            let mut stride = 1;
+            while stride < ids.len() {
+                tree.push(pairwise_reduce_hops(&ids, stride, 1024));
+                stride *= 2;
+            }
+            for levels in [vec![ring_step_hops(&ids, 1024)], tree] {
+                let placed = exemplar(map, &xfer, &levels);
+                let makespan = placed.iter().map(|p| p.start_ns + p.dur_ns).fold(0.0, f64::max);
+                let mut hops: Vec<(u32, f64)> =
+                    placed.iter().map(|p| (p.src.0, p.dur_ns / makespan)).collect();
+                hops.sort_by_key(|&(bank, _)| bank);
+                let senders = hops.len();
+                hops.dedup_by_key(|&mut (bank, _)| bank);
+                assert_eq!(hops.len(), senders, "{count} banks: a source bank sends twice");
+                let want = busy_fractions(&placed);
+                assert_eq!(hops.len(), want.len(), "{count} banks");
+                for ((bank, frac), (want_bank, want_frac)) in hops.iter().zip(&want) {
+                    assert_eq!(bank, want_bank, "{count} banks");
+                    assert_eq!(frac.to_bits(), want_frac.to_bits(), "{count} banks, bank {bank}");
+                }
+            }
+        }
+    }
 }
