@@ -57,6 +57,13 @@ pub fn tree_reduce(values: &[u64]) -> u128 {
     }
 }
 
+/// Levels of a `width`-input adder tree, `ceil(log2 width)` and at least
+/// 1: the cycles its pipeline takes to drain. Integer bit arithmetic, equal
+/// to the f64 `log2().ceil()` for every width.
+fn tree_depth(width: u32) -> u32 {
+    (width.max(2) - 1).ilog2() + 1
+}
+
 /// Latency/energy model for ACU vector reductions.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct AcuReduceModel {
@@ -96,8 +103,7 @@ impl AcuReduceModel {
         let t = &self.timing;
         let per_activation =
             t.t_rc.max(t.t_rcd + f64::from(self.params.p_add) * t.t_ccd_l + t.t_rp());
-        let pipeline_drain = (f64::from(self.params.tree_width.max(2)).log2().ceil()
-            + f64::from(bits))
+        let pipeline_drain = (f64::from(tree_depth(self.params.tree_width)) + f64::from(bits))
             / self.params.clock_ghz;
         self.row_activations(vec_len, bits) as f64 * per_activation + pipeline_drain
     }
@@ -176,6 +182,16 @@ mod tests {
         let one = m.bank_latency_ns(512, 8, 16); // one round across 16 ACUs
         let two = m.bank_latency_ns(512, 8, 17); // 17 vectors → 2 rounds
         assert!((two - 2.0 * one).abs() < 1e-9);
+    }
+
+    #[test]
+    fn integer_tree_depth_equals_the_float_ceil_log2() {
+        let float = |w: u32| f64::from(w.max(2)).log2().ceil();
+        let powers = (0..32).map(|k| 1u32 << k);
+        let near_powers = powers.flat_map(|p| [p - 1, p, p.saturating_add(1)]);
+        for w in (1..=65_536).chain([u32::MAX]).chain(near_powers) {
+            assert_eq!(f64::from(tree_depth(w)).to_bits(), float(w).to_bits(), "width {w}");
+        }
     }
 
     #[test]

@@ -352,17 +352,23 @@ impl Program {
     }
 
     /// Append `times` consecutive iterations of one block, drained from
-    /// `block` (left empty for reuse): the raw steps for one iteration, a
-    /// [`Step::Repeat`] for more. A block equal to the body of the repeat
-    /// that ends the program extends that repeat instead, so a run the
-    /// compiler derives in pieces (the decoder's `ceil(t/N)` plateaus)
+    /// `block` (left empty, its buffer kept for the next block): the raw
+    /// steps for one iteration, a [`Step::Repeat`] for more. A new repeat's
+    /// body is allocated at its exact length, so a decode loop of one
+    /// repeat per token holds no slack. A block equal to the body of the
+    /// repeat that ends the program extends that repeat instead, so a run
+    /// the compiler derives in pieces (the decoder's `ceil(t/N)` plateaus)
     /// stays one step.
     pub fn push_block_times(&mut self, block: &mut Vec<Step>, times: u64) {
         if times > 0 && !block.is_empty() {
             match self.steps.last_mut() {
                 Some(Step::Repeat { count, body }) if body == block => *count += times,
                 _ if times == 1 => self.extend(block.drain(..)),
-                _ => self.push(Step::repeat(times, std::mem::take(block))),
+                _ => {
+                    let mut body = Vec::with_capacity(block.len());
+                    body.append(block);
+                    self.push(Step::repeat(times, body));
+                }
             }
         }
         block.clear();
@@ -538,6 +544,45 @@ mod tests {
         prog.push_block_times(&mut vec![mul(5, 100)], 0);
         prog.push_block_times(&mut Vec::new(), 3);
         assert_eq!(prog.len(), 2);
+    }
+
+    /// Every `Repeat` body in `steps`, nested ones included.
+    fn repeat_bodies(steps: &[Step]) -> Vec<&Vec<Step>> {
+        let mut out = Vec::new();
+        for s in steps {
+            if let Step::Repeat { body, .. } = s {
+                out.push(body);
+                out.extend(repeat_bodies(body));
+            }
+        }
+        out
+    }
+
+    #[test]
+    fn committed_repeat_bodies_are_allocated_at_their_exact_length() {
+        // One buffer, refilled step by step the way the compilers do, so
+        // it grows past each block's length.
+        let mut prog = Program::new();
+        let mut block = Vec::new();
+        for (len, times) in [(3, 4), (3, 2), (5, 1), (24, 7), (2, 3), (9, 5)] {
+            block.extend((0..len).map(|i| mul(i, 100)));
+            prog.push_block_times(&mut block, times);
+            assert!(block.is_empty() && block.capacity() >= len as usize, "buffer kept");
+        }
+        // (3, 2) merged into the repeat of (3, 4); (5, 1) went in raw.
+        assert_eq!(prog.len(), 1 + 5 + 3);
+        assert_eq!(prog.unrolled_len(), 3 * 6 + 5 + 24 * 7 + 2 * 3 + 9 * 5);
+        let bodies = repeat_bodies(prog.steps());
+        assert_eq!(bodies.iter().map(|b| b.len()).collect::<Vec<_>>(), [3, 24, 2, 9]);
+        // A small Layer-LM decode: one decoder-layer repeat per token.
+        let mut lm = transpim_transformer::workload::Workload::lm();
+        lm.decode_len = 5;
+        let layer = crate::layer_flow::compile(&lm, 2048);
+        let decode_bodies = repeat_bodies(layer.steps());
+        assert_eq!(decode_bodies.len(), 5);
+        for body in bodies.into_iter().chain(decode_bodies) {
+            assert_eq!(body.capacity(), body.len(), "a {}-step body holds slack", body.len());
+        }
     }
 
     #[test]

@@ -13,19 +13,25 @@
 //! # Exact accounting
 //!
 //! Lumps accumulate in integer fixed point (2^-64 ns, pJ and bytes; see
-//! `stats.rs`), so totals do not depend on the order of the additions. A
-//! repeated body therefore prices as body × count: take a [`Mark`], record
-//! one iteration, then [`Engine::repeat_since`]. A mark costs what the body
-//! touches, not what the engine holds: it copies the total when taken and
-//! each scope's tally when the body first records into that scope, and
-//! `repeat_since` multiplies just those tallies, skipping the fields the
+//! `stats.rs`), so totals do not depend on the order of the additions. Each
+//! lump is recorded once, in its scope's tally; beside the tallies the
+//! engine keeps only a running time per category, which places spans and
+//! utilization samples on the timeline. The run's total is derived at the
+//! end, as the exact sum of the scope tallies.
+//!
+//! A repeated body therefore prices as body × count: take a [`Mark`],
+//! record one iteration, then [`Engine::repeat_since`]. A mark costs what
+//! the body touches, not what the engine holds: it copies the running time
+//! when taken and each scope's tally when the body first records into that
+//! scope, and `repeat_since` multiplies just those, skipping the fields the
 //! body left unchanged. One mark is open at a time — a repeat whose body
 //! nests a repeat leaves the mark to the inner one — and its buffer is
 //! reused, so a repeat iteration allocates nothing. The f64 [`SimStats`] and
 //! [`ScopedStats`] are built once, by [`Engine::into_stats`]. A value or
 //! total past the tally's range (2^64 ns, pJ or bytes) does not panic where
-//! it is recorded: the tally saturates and flags it, and
-//! [`Engine::into_stats`] returns the error once per run.
+//! it is recorded: the tally saturates and flags it, the total's merge
+//! carries the flag (and raises it for a sum of in-range scopes past the
+//! range), and [`Engine::into_stats`] returns the error once per run.
 //!
 //! # Observability
 //!
@@ -86,7 +92,7 @@ fn util_counter(category: Category) -> &'static str {
 }
 
 /// The phase engine: records lumps, advances simulated time, and
-/// accumulates global and per-scope statistics.
+/// accumulates per-scope statistics, from which it derives the global ones.
 ///
 /// # Example
 ///
@@ -103,13 +109,13 @@ fn util_counter(category: Category) -> &'static str {
 /// ```
 #[derive(Debug, Clone)]
 pub struct Engine {
-    total: Tally,
+    /// Time recorded per category, in tally units (saturating): the
+    /// timeline the spans and utilization samples are placed on.
+    time: [u128; 4],
     /// One slot per scope label seen by [`Engine::set_scope`], so recording
     /// a lump indexes a `Vec` instead of looking a label up.
     scopes: Vec<Scope>,
     scope: usize,
-    /// The total when the open mark was taken.
-    mark_total: Tally,
     /// `(scope slot, its tally before the open mark's body first recorded
     /// into it)`. The buffer outlives the mark, so the next mark reuses it.
     touched: Vec<(usize, Tally)>,
@@ -136,14 +142,22 @@ struct Scope {
 #[must_use = "a mark stays open until Engine::repeat_since closes it"]
 pub struct Mark {
     scope: usize,
+    /// The running time when the mark was taken.
+    time: [u128; 4],
 }
 
-/// Every tally of an [`Engine`], taken at the start of a traced summary
-/// window; see [`Engine::emit_summary`].
+/// The running time and every scope tally of an [`Engine`], taken at the
+/// start of a traced summary window; see [`Engine::emit_summary`].
 #[derive(Debug, Clone)]
 pub struct Snapshot {
-    total: Tally,
+    time: [u128; 4],
     scopes: Vec<Tally>,
+}
+
+/// The sum of a running time's categories (saturating: a total past the
+/// range fails [`Engine::into_stats`] through the scope tallies).
+fn total_units(time: &[u128; 4]) -> u128 {
+    time.iter().fold(0, |a, &b| a.saturating_add(b))
 }
 
 impl Default for Engine {
@@ -157,14 +171,13 @@ impl Engine {
     /// sink.
     pub fn new() -> Self {
         Self {
-            total: Tally::default(),
+            time: [0; 4],
             scopes: vec![Scope {
                 label: String::from("init"),
                 tally: Tally::default(),
                 snapped: false,
             }],
             scope: 0,
-            mark_total: Tally::default(),
             touched: Vec::new(),
             open: false,
             sink: SinkHandle::null(),
@@ -201,7 +214,7 @@ impl Engine {
     /// Current simulated time: nanoseconds elapsed since the engine
     /// started. The next lump's span starts here.
     pub fn now_ns(&self) -> f64 {
-        self.total.latency_ns()
+        from_units(total_units(&self.time))
     }
 
     /// The latency stretch applied to every lump (≥ 1; refresh model).
@@ -265,7 +278,7 @@ impl Engine {
         if self.open && !self.scopes[self.scope].snapped {
             self.snapshot_scope();
         }
-        self.total.record(&lump);
+        self.time[lump.category] = self.time[lump.category].saturating_add(lump.time);
         self.scopes[self.scope].tally.record(&lump);
         if emit {
             self.sample_utilization(category);
@@ -290,7 +303,7 @@ impl Engine {
                 tracks::category(category),
                 now_ns,
                 "busy_frac",
-                self.total.time_ns(category) / now_ns,
+                from_units(self.time[category.index()]) / now_ns,
             ));
         }
     }
@@ -326,7 +339,7 @@ impl Engine {
             return;
         }
         self.name_category_tracks();
-        let start_units = start.total.time_units();
+        let start_units = total_units(&start.time);
         let start_ns = from_units(start_units);
         self.sink.span(
             &SpanEvent::new("repeat", "repeat", tracks::RING, start_ns, self.now_ns() - start_ns)
@@ -363,22 +376,21 @@ impl Engine {
     /// Every tally, for the summary of a traced window
     /// ([`Engine::emit_summary`]).
     pub fn snapshot(&self) -> Snapshot {
-        Snapshot { total: self.total, scopes: self.scopes.iter().map(|s| s.tally).collect() }
+        Snapshot { time: self.time, scopes: self.scopes.iter().map(|s| s.tally).collect() }
     }
 
     /// Open a mark before recording a body that will repeat. It copies the
-    /// total now and each scope's tally when the body first records into
-    /// it; [`Engine::repeat_since`] closes it.
+    /// running time now and each scope's tally when the body first records
+    /// into it; [`Engine::repeat_since`] closes it.
     ///
     /// # Panics
     ///
     /// If a mark is already open: marks do not nest.
     pub fn mark(&mut self) -> Mark {
         assert!(!self.open, "a mark is already open; marks do not nest");
-        self.mark_total = self.total;
         self.touched.clear();
         self.open = true;
-        Mark { scope: self.scope }
+        Mark { scope: self.scope, time: self.time }
     }
 
     /// Whether the current scope is the one `mark` was taken in — the
@@ -413,22 +425,28 @@ impl Engine {
             }
         }
         if times > 0 {
-            self.total.repeat_since(&self.mark_total, times);
+            for (now, before) in self.time.iter_mut().zip(mark.time) {
+                *now = now.saturating_add((*now - before).saturating_mul(u128::from(times)));
+            }
         }
     }
 
-    /// Consume the engine, returning `(global, per-scope)` statistics.
-    /// Scopes that recorded no lump are left out.
+    /// Consume the engine, returning `(global, per-scope)` statistics. The
+    /// global statistics are those of the merged scope tallies: every lump
+    /// was recorded in exactly one scope. Scopes that recorded no lump are
+    /// left out.
     ///
     /// # Errors
     ///
     /// [`OutOfRange`] if any value recorded, or any total, left the tally
     /// range.
     pub fn into_stats(self) -> Result<(SimStats, ScopedStats), OutOfRange> {
-        // Every lump and repeat enters the total too, so it carries the
-        // range flag of every scope.
         debug_assert!(!self.open, "the mark is closed by the end of a run");
-        let total = self.total.to_stats()?;
+        let mut total = Tally::default();
+        for s in &self.scopes {
+            total.merge(&s.tally);
+        }
+        let total = total.to_stats()?;
         let scoped = self
             .scopes
             .into_iter()
@@ -587,6 +605,23 @@ mod tests {
         let mark = e.mark();
         body(&mut e);
         e.repeat_since(mark, 3);
+    }
+
+    #[test]
+    fn a_total_past_the_range_fails_the_run_although_each_scope_fits() {
+        // 0.75 · 2^64 ns is in range; two scopes of it sum past the range.
+        let big = 0.75 * 2f64.powi(64);
+        let mut e = Engine::new();
+        e.set_scope("a");
+        e.lump(Category::Arithmetic, big, 1.0, 0.0);
+        e.set_scope("b");
+        e.lump(Category::Arithmetic, big, 1.0, 0.0);
+        assert_eq!(e.into_stats(), Err(OutOfRange));
+        // One such scope alone is a valid run.
+        let mut e = Engine::new();
+        e.set_scope("a");
+        e.lump(Category::Arithmetic, big, 1.0, 0.0);
+        assert_eq!(e.into_stats().expect("in range").0.latency_ns, big);
     }
 
     #[test]

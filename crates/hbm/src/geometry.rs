@@ -147,8 +147,8 @@ impl HbmGeometry {
     /// # Errors
     ///
     /// [`ConfigError::NonPositive`] naming the first zero dimension, and
-    /// [`ConfigError::OutOfRange`] if the channel, group or bank count
-    /// overflows `u32`.
+    /// [`ConfigError::OutOfRange`] if the resource ids
+    /// ([`HbmGeometry::resource_count`]) overflow `u32`.
     pub fn validate(&self) -> Result<(), ConfigError> {
         let dims = [
             ("geometry.stacks", self.stacks),
@@ -166,23 +166,27 @@ impl HbmGeometry {
                 return Err(ConfigError::NonPositive(name));
             }
         }
-        let banks = self
-            .stacks
-            .checked_mul(self.channels_per_stack)
-            .and_then(|channels| channels.checked_mul(self.groups_per_channel))
-            .and_then(|groups| groups.checked_mul(self.banks_per_group));
-        if banks.is_none() {
+        // Bank, group and channel ids are resource ids too, so this also
+        // bounds every count `total_banks` and its siblings compute.
+        if self.resource_count().is_none() {
             return Err(ConfigError::OutOfRange(format!(
-                "geometry.stacks {} × {} channels × {} groups × {} banks overflows the {} \
-                 banks a u32 bank id can number",
+                "geometry.stacks {} needs more than the {} resource ids a u32 can number \
+                 (banks, bank-group buses, ring links, channel buses, stack links and the host)",
                 self.stacks,
-                self.channels_per_stack,
-                self.groups_per_channel,
-                self.banks_per_group,
                 u32::MAX
             )));
         }
         Ok(())
+    }
+
+    /// Number of contended resources (see [`crate::resource::ResourceMap`]):
+    /// banks + 2 × bank groups (bus and ring link) + channels + stacks +
+    /// the host. `None` if the count overflows the `u32` resource ids.
+    pub fn resource_count(&self) -> Option<u32> {
+        let channels = self.stacks.checked_mul(self.channels_per_stack)?;
+        let groups = channels.checked_mul(self.groups_per_channel)?;
+        let banks = groups.checked_mul(self.banks_per_group)?;
+        [groups, groups, channels, self.stacks, 1].into_iter().try_fold(banks, u32::checked_add)
     }
 
     /// Convert structured coordinates to a flat ring-ordered [`BankId`].
@@ -330,14 +334,17 @@ mod tests {
         assert!(g.validate().is_ok());
         let err = HbmGeometry { banks_per_group: 0, ..g }.validate().expect_err("zero dimension");
         assert!(err.to_string().contains("banks_per_group"));
-        // 2^24 stacks of 256 banks wrap a u32 bank count to 0, one more
-        // stack to 256; 2^24 - 1 stacks still fit.
-        for stacks in [1 << 24, (1 << 24) + 1, u32::MAX] {
-            let err = HbmGeometry::with_stacks(stacks).validate().expect_err("bank overflow");
+        // The resource ids (393 per default stack, plus the host) overflow
+        // u32 before the bank count does: 10,928,669 stacks number
+        // 4,294,966,918 of them, one more stack wraps. 2^24 stacks of 256
+        // banks also wrap the bank count to 0, one more stack to 256.
+        assert_eq!(HbmGeometry::with_stacks(10_928_669).resource_count(), Some(4_294_966_918));
+        assert!(HbmGeometry::with_stacks(10_928_669).validate().is_ok());
+        for stacks in [10_928_670, (1 << 24) - 1, 1 << 24, (1 << 24) + 1, u32::MAX] {
+            let err = HbmGeometry::with_stacks(stacks).validate().expect_err("id overflow");
             assert!(matches!(err, ConfigError::OutOfRange(_)), "{err}");
             assert!(err.to_string().contains(&format!("geometry.stacks {stacks} ")), "{err}");
         }
-        assert!(HbmGeometry::with_stacks((1 << 24) - 1).validate().is_ok());
         let wide = HbmGeometry { channels_per_stack: 1 << 16, groups_per_channel: 1 << 16, ..g };
         assert!(wide.validate().is_err(), "a group count past u32 overflows too");
     }

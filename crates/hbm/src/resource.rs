@@ -190,10 +190,15 @@ impl ResourceMap {
     }
 
     /// Total number of distinct resources (banks + groups + channels +
-    /// stacks + host + per-group ring-link tokens).
+    /// stacks + host + per-group ring-link tokens):
+    /// [`HbmGeometry::resource_count`].
+    ///
+    /// # Panics
+    ///
+    /// If the count overflows `u32`, which [`HbmGeometry::validate`]
+    /// rejects.
     pub fn len(&self) -> u32 {
-        let g = &self.geometry;
-        g.total_banks() + g.total_groups() + g.total_channels() + g.stacks + 1 + g.total_groups()
+        self.geometry.resource_count().expect("a validated geometry numbers its resources in u32")
     }
 
     /// Always false; maps are never empty.

@@ -1,7 +1,8 @@
 //! Accounting types: operation categories, latency/energy/bandwidth counters.
 //!
-//! The phase engine accumulates into a private exact `Tally` and converts
-//! to the f64 [`SimStats`]/[`ScopedStats`] view once, at the end of a run.
+//! The phase engine accumulates each scope into a private exact `Tally`,
+//! derives the run's total by merging them, and converts to the f64
+//! [`SimStats`]/[`ScopedStats`] view once, at the end of a run.
 
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
@@ -254,11 +255,12 @@ fn add_units(a: u128, b: u128, out_of_range: &mut bool) -> u128 {
     })
 }
 
-/// One lump in tally units: converted once, recorded in several tallies.
+/// One lump in tally units: converted once, recorded in its scope's tally
+/// and the engine's running time.
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct Lump {
-    category: usize,
-    time: u128,
+    pub(crate) category: usize,
+    pub(crate) time: u128,
     energy: u128,
     bytes: u128,
     /// Whether every value was inside the tally range; one that was not is
@@ -285,11 +287,13 @@ impl Lump {
 /// (lumps are plain counts).
 ///
 /// Integer addition is associative, so a tally does not depend on the order
-/// its lumps arrive in, and a repeated body adds exactly as body × count
-/// ([`Tally::repeat_since`]). Each field holds totals below 2^64 ns, pJ
-/// or bytes: 2^64 ns is about 584 simulated years. A value or total
-/// outside that range saturates and sets a sticky flag instead of
-/// panicking, and [`Tally::to_stats`] reports it once, at the end of a run.
+/// its lumps arrive in, a repeated body adds exactly as body × count
+/// ([`Tally::repeat_since`]), and the tally of a whole run is exactly the
+/// [`Tally::merge`] of its scopes' tallies. Each field holds totals below
+/// 2^64 ns, pJ or bytes: 2^64 ns is about 584 simulated years. A value or
+/// total outside that range saturates and sets a sticky flag instead of
+/// panicking (a merge carries it), and [`Tally::to_stats`] reports it
+/// once, at the end of a run.
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub(crate) struct Tally {
     time: [u128; 4],
@@ -362,20 +366,19 @@ impl Tally {
         self.out_of_range = flag;
     }
 
-    /// Total time recorded, in tally units (saturating: a total past the
-    /// range fails [`Tally::to_stats`]).
-    pub(crate) fn time_units(&self) -> u128 {
-        self.time.iter().fold(0, |a, &b| a.saturating_add(b))
-    }
-
-    /// Total time recorded: the makespan, in ns.
-    pub(crate) fn latency_ns(&self) -> f64 {
-        from_units(self.time_units())
-    }
-
-    /// Time recorded under `category`, in ns.
-    pub(crate) fn time_ns(&self, category: Category) -> f64 {
-        from_units(self.time[category.index()])
+    /// Add everything `other` recorded: the tally of both tallies' lumps.
+    /// A sum past the range saturates and sets the flag, and `other`'s
+    /// flag carries over.
+    pub(crate) fn merge(&mut self, other: &Tally) {
+        let mut flag = self.out_of_range | other.out_of_range;
+        let fields = [&mut self.time, &mut self.energy, &mut self.bytes, &mut self.lumps];
+        let others = [&other.time, &other.energy, &other.bytes, &other.lumps];
+        for (xs, os) in fields.into_iter().zip(others) {
+            for (x, &o) in xs.iter_mut().zip(os) {
+                *x = add_units(*x, o, &mut flag);
+            }
+        }
+        self.out_of_range = flag;
     }
 
     /// The f64 view.
@@ -510,6 +513,24 @@ mod tests {
         // And for bytes.
         let split = [(Category::Other, 0.0, 0.0, big), (Category::Arithmetic, 0.0, 0.0, big)];
         assert_eq!(tally(&split).to_stats(), Err(OutOfRange));
+    }
+
+    #[test]
+    fn merge_is_the_tally_of_both_lump_sequences() {
+        let a = [(Category::Other, 1.1, 2.2, 3.0), (Category::Arithmetic, 0.7, 0.1, 0.0)];
+        let b = [(Category::Arithmetic, 5.3, 1.7, 8.0), (Category::Reduction, 0.3, 0.0, 1.0)];
+        let mut merged = tally(&a);
+        merged.merge(&tally(&b));
+        assert_eq!(merged, tally(&[a, b].concat()));
+        // A sum past the range saturates and flags; a flag carries over.
+        let big = tally(&[(Category::Other, 0.75 * UNITS_PER_ONE, 0.0, 0.0)]);
+        let mut t = big;
+        t.merge(&big);
+        assert_eq!(t.to_stats(), Err(OutOfRange));
+        let flagged = tally(&[(Category::Other, -1.0, 0.0, 0.0)]);
+        let mut t = Tally::default();
+        t.merge(&flagged);
+        assert_eq!(t.to_stats(), Err(OutOfRange));
     }
 
     #[test]

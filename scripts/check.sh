@@ -155,6 +155,7 @@ for required in \
   differential_fuzz::correctable_faults_stay_within_error_budget \
   differential_fuzz::uncorrectable_faults_surface_as_sim_error \
   differential_fuzz::lump_order_is_irrelevant \
+  differential_fuzz::engine_total_is_the_exact_sum_of_its_scopes \
   differential_fuzz::degraded_compression_is_an_exact_encoding \
   differential_fuzz::flip_threshold_matches_drawn_flips \
   differential_fuzz::clean_scan_matches_observed_draws \

@@ -44,6 +44,16 @@ fn stack_counts_past_the_u32_bank_range_are_an_error_not_a_wrap() {
 }
 
 #[test]
+fn stack_counts_past_the_u32_resource_range_are_an_error_not_a_wrap() {
+    // 393 resource ids per default stack, plus the host: from 10,928,670
+    // stacks the ids pass u32 although the bank count still fits.
+    for stacks in ["10928670", "16777215"] {
+        assert_rejected(&["--stacks", stacks], &format!("geometry.stacks {stacks} "));
+        assert_eq!(run(&["--stacks", stacks]).1.lines().count(), 1, "--stacks {stacks}");
+    }
+}
+
+#[test]
 fn oversized_workloads_are_an_error_not_a_crash() {
     // Each needs terabytes of activations; the default 8 stacks hold 64 GiB.
     assert_rejected(&["--seq-len", "4294967295"], "--seq-len 4294967295");

@@ -24,9 +24,13 @@
 //!    fault-free run.
 //! 6. **Uncorrectable faults** — an unprotected flip storm must surface as
 //!    a typed `SimError::Uncorrectable`, never a panic or silent success.
-//! 7. **Lump order** — the engine's statistics must not depend on the order
-//!    lumps are recorded in: the exact tally is what lets a repeat price as
-//!    body × count and keeps every job count byte-identical.
+//! 7. **Lump order and scope split** — the engine's statistics must not
+//!    depend on the order lumps are recorded in: the exact tally is what
+//!    lets a repeat price as body × count and keeps every job count
+//!    byte-identical. Nor may they depend on how lumps split into scopes:
+//!    the total derived from the scope tallies must equal, bit for bit and
+//!    out-of-range error included, that of one scope recording the same
+//!    lumps with every repeat unrolled.
 //! 8. **Degraded compression vs unrolled** — under any fault scenario, a
 //!    program with plain, scope-changing and nested repeats must price
 //!    exactly as its unrolled form: statistics, fault
@@ -64,7 +68,7 @@ use transpim_dataflow::functional::encoder_layer_sharded;
 use transpim_dataflow::ir::{Program, Step};
 use transpim_dataflow::layer_functional::encoder_layer_layerflow;
 use transpim_hbm::engine::Engine;
-use transpim_hbm::stats::{Category, ScopedStats, SimStats};
+use transpim_hbm::stats::{Category, OutOfRange, ScopedStats, SimStats};
 use transpim_obs::{ArgValue, CounterEvent, InstantEvent, SpanEvent, TrackId};
 use transpim_transformer::matrix::Matrix;
 use transpim_transformer::model::{ModelConfig, ModelWeights};
@@ -430,6 +434,68 @@ proptest! {
         lumps.sort_by_key(|l| l.6);
         prop_assert_eq!(first, record(&lumps, latency_scale));
     }
+
+    #[test]
+    fn engine_total_is_the_exact_sum_of_its_scopes(
+        segments in proptest::collection::vec(
+            (
+                proptest::collection::vec(
+                    (0usize..4, 0usize..4, 0.0f64..1.0, -12i32..52, 0.0f64..1e9, 0.0f64..1e7),
+                    1..8,
+                ),
+                1u64..6,
+            ),
+            1..6,
+        ),
+        huge_exponent in 63i32..66,
+        latency_scale in 1.0f64..1.1,
+    ) {
+        // One lump in sixteen is huge (below 2^63, 2^64 or 2^65 ns), a few
+        // per case, so in-range totals and every kind of overflow occur:
+        // one lump out of range, one scope's sum, or only the sum of the
+        // scopes.
+        let latency = |mantissa: f64, exponent: i32| {
+            mantissa * 2f64.powi(if exponent < 48 { exponent } else { huge_exponent })
+        };
+        let mut scoped = Engine::new();
+        scoped.set_latency_scale(latency_scale);
+        let mut single = Engine::new();
+        single.set_latency_scale(latency_scale);
+        for (body, count) in &segments {
+            let record_body = |e: &mut Engine| {
+                for &(scope, category, mantissa, exponent, energy_pj, bytes) in body {
+                    e.set_scope(SCOPES[scope]);
+                    e.lump(Category::ALL[category], latency(mantissa, exponent), energy_pj, bytes);
+                }
+            };
+            // The executor's protocol: a body that ends in another scope
+            // than it started in is marked again after one iteration.
+            let mut mark = scoped.mark();
+            record_body(&mut scoped);
+            let mut rest = count - 1;
+            if rest > 0 && !scoped.in_scope_of(&mark) {
+                scoped.repeat_since(mark, 0);
+                mark = scoped.mark();
+                record_body(&mut scoped);
+                rest -= 1;
+            }
+            scoped.repeat_since(mark, rest);
+            for _ in 0..*count {
+                for &(_, category, mantissa, exponent, energy_pj, bytes) in body {
+                    let l = latency(mantissa, exponent);
+                    single.lump(Category::ALL[category], l, energy_pj, bytes);
+                }
+            }
+        }
+        prop_assert_eq!(total_bits(scoped), total_bits(single));
+    }
+}
+
+/// The bits of an engine's total statistics, or its range error.
+fn total_bits(e: Engine) -> Result<Vec<u64>, OutOfRange> {
+    let (s, _) = e.into_stats()?;
+    let fields = [[s.latency_ns, s.bytes_moved].as_slice(), &s.time_ns, &s.energy_pj].concat();
+    Ok(fields.into_iter().map(f64::to_bits).collect())
 }
 
 // ---------------------------------------------------------------------------
