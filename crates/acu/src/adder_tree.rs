@@ -24,6 +24,7 @@ use transpim_hbm::timing::TimingParams;
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct AcuParams {
     /// ACUs per bank (= simultaneously activated subarrays), Table I: 16.
+    /// It also sets the in-subarray PIM lanes per bank.
     pub p_sub: u32,
     /// Pipelined bit-serial adder trees per ACU, Table I: 4.
     pub p_add: u32,

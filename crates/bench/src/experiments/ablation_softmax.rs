@@ -12,6 +12,7 @@ use rand::{Rng, SeedableRng};
 use serde::Serialize;
 use std::fmt::{self, Write};
 use transpim::report::SimReport;
+use transpim_acu::adder_tree::AcuParams;
 use transpim_hbm::config::HbmConfig;
 use transpim_pim::cost::{PimCostModel, PimCostParams, PimOp};
 use transpim_transformer::matrix::Matrix;
@@ -34,7 +35,9 @@ pub(super) fn render(_: &[&SimReport], out: &mut String) -> Result<Vec<Json>, fm
     let exact = softmax_exact(&scores);
 
     let hbm = HbmConfig::default();
-    let cost = PimCostModel::new(hbm.geometry, hbm.timing, hbm.energy, PimCostParams::default());
+    let p_sub = AcuParams::default().p_sub;
+    let cost =
+        PimCostModel::new(hbm.geometry, hbm.timing, hbm.energy, p_sub, PimCostParams::default());
 
     let mut rows = Vec::new();
     writeln!(

@@ -261,6 +261,73 @@ pub enum Step {
     },
 }
 
+/// A sized step's work: in the busiest bank (`per_bank`) and system-wide
+/// (`total`). Each compiler derives every `Size` from one sharding rule
+/// over one work expression, so the two halves cannot drift apart; the
+/// constructors below fill the matching fields of each sized [`Step`].
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Size {
+    per_bank: u64,
+    total: u64,
+}
+
+impl Size {
+    /// `per_bank` in the busiest bank, `total` system-wide.
+    pub(crate) fn new(per_bank: u64, total: u64) -> Self {
+        Self { per_bank, total }
+    }
+
+    /// [`Step::PointwiseMul`] of `a_bits`×`b_bits` lanes.
+    pub(crate) fn mul(self, a_bits: u32, b_bits: u32) -> Step {
+        Step::PointwiseMul {
+            elems_per_bank: self.per_bank,
+            total_elems: self.total,
+            a_bits,
+            b_bits,
+        }
+    }
+
+    /// [`Step::PointwiseAdd`] at `bits` width.
+    pub(crate) fn add(self, bits: u32) -> Step {
+        Step::PointwiseAdd { elems_per_bank: self.per_bank, total_elems: self.total, bits }
+    }
+
+    /// [`Step::Exp`] at `bits` width and Taylor `order`.
+    pub(crate) fn exp(self, bits: u32, order: u32) -> Step {
+        Step::Exp { elems_per_bank: self.per_bank, total_elems: self.total, bits, order }
+    }
+
+    /// [`Step::Reduce`] of vectors of `vec_len` `bits`-wide elements.
+    pub(crate) fn reduce(self, vec_len: u32, bits: u32) -> Step {
+        Step::Reduce { vec_len, bits, vectors_per_bank: self.per_bank, total_vectors: self.total }
+    }
+
+    /// [`Step::Recip`].
+    pub(crate) fn recip(self) -> Step {
+        Step::Recip { per_bank: self.per_bank, total: self.total }
+    }
+
+    /// [`Step::Replicate`] of a `value_bits` value into `copies` copies.
+    pub(crate) fn replicate(self, value_bits: u32, copies: u32) -> Step {
+        Step::Replicate {
+            value_bits,
+            copies,
+            count_per_bank: self.per_bank,
+            total_count: self.total,
+        }
+    }
+
+    /// [`Step::IntraBankCopy`] of these bytes.
+    pub(crate) fn copy(self) -> Step {
+        Step::IntraBankCopy { bytes_per_bank: self.per_bank, total_bytes: self.total }
+    }
+
+    /// [`Step::MemTouch`] of these bytes.
+    pub(crate) fn touch(self) -> Step {
+        Step::MemTouch { bytes_per_bank: self.per_bank, total_bytes: self.total }
+    }
+}
+
 impl Step {
     /// Scope constructor.
     pub fn scope(label: impl Into<Cow<'static, str>>) -> Self {
@@ -477,7 +544,7 @@ mod tests {
     }
 
     fn mul(per_bank: u64, total: u64) -> Step {
-        Step::PointwiseMul { elems_per_bank: per_bank, total_elems: total, a_bits: 8, b_bits: 8 }
+        Size::new(per_bank, total).mul(8, 8)
     }
 
     /// Repeat totals must be exact: compare body × count accounting against

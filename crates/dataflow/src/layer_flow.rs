@@ -17,7 +17,7 @@
 //! over all banks); only the movement differs — which is exactly the
 //! comparison the paper's Figure 10/11 makes.
 
-use crate::ir::{BankRange, Precision, Program, Step};
+use crate::ir::{BankRange, Precision, Program, Size, Step};
 use transpim_transformer::model::ModelConfig;
 use transpim_transformer::workload::Workload;
 
@@ -97,155 +97,59 @@ fn encoder_layer(
     let dff = cfg.d_ff as u64;
     let act_b = u64::from(p.act_bits) / 8;
     let sm_b = u64::from(p.softmax_bits) / 8;
-    let per_bank = |total: u64| total.div_ceil(n);
+    // The sharding rule: a layer's `x` of work spread over all `N` banks.
+    let spread = |x: u64| Size::new(x.div_ceil(n), x);
 
     // ---- FC: reload inputs (duplicated 3× for the Q/K/V banks), broadcast
     // weights, compute, store Q/K/V.
     prog.push(Step::scope("enc.fc"));
     prog.push(Step::ShuffleAll { total_bytes: 3 * l * d * act_b * b });
     prog.push(Step::HostBroadcast { bytes: 3 * d * d * act_b, banks: total_banks });
-    prog.push(Step::PointwiseMul {
-        elems_per_bank: per_bank(3 * l * d * d * b),
-        total_elems: 3 * l * d * d * b,
-        a_bits: p.act_bits,
-        b_bits: p.act_bits,
-    });
-    prog.push(Step::Reduce {
-        vec_len: d as u32,
-        bits: p.acc_bits,
-        vectors_per_bank: per_bank(3 * l * d * b),
-        total_vectors: 3 * l * d * b,
-    });
-    prog.push(Step::MemTouch {
-        bytes_per_bank: per_bank(3 * l * d * act_b * b),
-        total_bytes: 3 * l * d * act_b * b,
-    });
+    prog.push(spread(3 * l * d * d * b).mul(p.act_bits, p.act_bits));
+    prog.push(spread(3 * l * d * b).reduce(d as u32, p.acc_bits));
+    prog.push(spread(3 * l * d * act_b * b).touch());
 
     // ---- Attention scores: Q scattered to the banks owning score rows,
     // K duplicated into every one of them.
     prog.push(Step::scope("enc.attn"));
     prog.push(Step::ShuffleAll { total_bytes: l * d * act_b * b });
     prog.push(Step::BroadcastDup { bytes: l * d * act_b * b, banks: total_banks });
-    prog.push(Step::PointwiseMul {
-        elems_per_bank: per_bank(l * l * d * b),
-        total_elems: l * l * d * b,
-        a_bits: p.act_bits,
-        b_bits: p.act_bits,
-    });
-    prog.push(Step::Reduce {
-        vec_len: dh as u32,
-        bits: p.acc_bits,
-        vectors_per_bank: per_bank(l * l * h * b),
-        total_vectors: l * l * h * b,
-    });
+    prog.push(spread(l * l * d * b).mul(p.act_bits, p.act_bits));
+    prog.push(spread(l * l * h * b).reduce(dh as u32, p.acc_bits));
     // Score matrix written out for the Softmax stage.
-    prog.push(Step::MemTouch {
-        bytes_per_bank: per_bank(h * l * l * sm_b * b),
-        total_bytes: h * l * l * sm_b * b,
-    });
+    prog.push(spread(h * l * l * sm_b * b).touch());
 
     // ---- Softmax: scores reloaded and redistributed row-wise, then
     // written back — the quadratic reload of Figure 3(b).
     prog.push(Step::scope("enc.softmax"));
     prog.push(Step::ShuffleAll { total_bytes: 2 * h * l * l * sm_b * b });
-    prog.push(Step::Exp {
-        elems_per_bank: per_bank(l * l * h * b),
-        total_elems: l * l * h * b,
-        bits: p.softmax_bits,
-        order: p.taylor_order,
-    });
-    prog.push(Step::Reduce {
-        vec_len: l as u32,
-        bits: p.softmax_bits,
-        vectors_per_bank: per_bank(l * h * b),
-        total_vectors: l * h * b,
-    });
-    prog.push(Step::Recip { per_bank: per_bank(l * h * b), total: l * h * b });
-    prog.push(Step::Replicate {
-        value_bits: p.softmax_bits,
-        copies: l as u32,
-        count_per_bank: per_bank(l * h * b),
-        total_count: l * h * b,
-    });
-    prog.push(Step::PointwiseMul {
-        elems_per_bank: per_bank(l * l * h * b),
-        total_elems: l * l * h * b,
-        a_bits: p.softmax_bits,
-        b_bits: p.softmax_bits,
-    });
+    prog.push(spread(l * l * h * b).exp(p.softmax_bits, p.taylor_order));
+    prog.push(spread(l * h * b).reduce(l as u32, p.softmax_bits));
+    prog.push(spread(l * h * b).recip());
+    prog.push(spread(l * h * b).replicate(p.softmax_bits, l as u32));
+    prog.push(spread(l * l * h * b).mul(p.softmax_bits, p.softmax_bits));
 
     // ---- Weighted values: probabilities reloaded, V duplicated.
     prog.push(Step::scope("enc.attn"));
     prog.push(Step::ShuffleAll { total_bytes: h * l * l * sm_b * b });
     prog.push(Step::BroadcastDup { bytes: l * d * act_b * b, banks: total_banks });
-    prog.push(Step::PointwiseMul {
-        elems_per_bank: per_bank(l * l * d * b),
-        total_elems: l * l * d * b,
-        a_bits: p.softmax_bits,
-        b_bits: p.act_bits,
-    });
-    prog.push(Step::Reduce {
-        vec_len: l as u32,
-        bits: p.acc_bits,
-        vectors_per_bank: per_bank(l * d * b),
-        total_vectors: l * d * b,
-    });
+    prog.push(spread(l * l * d * b).mul(p.softmax_bits, p.act_bits));
+    prog.push(spread(l * d * b).reduce(l as u32, p.acc_bits));
     prog.push(Step::HostBroadcast { bytes: d * d * act_b, banks: total_banks });
-    prog.push(Step::PointwiseMul {
-        elems_per_bank: per_bank(l * d * d * b),
-        total_elems: l * d * d * b,
-        a_bits: p.act_bits,
-        b_bits: p.act_bits,
-    });
-    prog.push(Step::Reduce {
-        vec_len: d as u32,
-        bits: p.acc_bits,
-        vectors_per_bank: per_bank(l * d * b),
-        total_vectors: l * d * b,
-    });
-    prog.push(Step::PointwiseAdd {
-        elems_per_bank: per_bank(l * d * b),
-        total_elems: l * d * b,
-        bits: p.act_bits,
-    });
+    prog.push(spread(l * d * d * b).mul(p.act_bits, p.act_bits));
+    prog.push(spread(l * d * b).reduce(d as u32, p.acc_bits));
+    prog.push(spread(l * d * b).add(p.act_bits));
 
     // ---- FFN: attention output reloaded, weights broadcast.
     prog.push(Step::scope("enc.ffn"));
     prog.push(Step::ShuffleAll { total_bytes: l * d * act_b * b });
     prog.push(Step::HostBroadcast { bytes: 2 * d * dff * act_b, banks: total_banks });
-    prog.push(Step::PointwiseMul {
-        elems_per_bank: per_bank(l * d * dff * b),
-        total_elems: l * d * dff * b,
-        a_bits: p.act_bits,
-        b_bits: p.act_bits,
-    });
-    prog.push(Step::Reduce {
-        vec_len: d as u32,
-        bits: p.acc_bits,
-        vectors_per_bank: per_bank(l * dff * b),
-        total_vectors: l * dff * b,
-    });
-    prog.push(Step::PointwiseMul {
-        elems_per_bank: per_bank(l * dff * d * b),
-        total_elems: l * dff * d * b,
-        a_bits: p.act_bits,
-        b_bits: p.act_bits,
-    });
-    prog.push(Step::Reduce {
-        vec_len: dff as u32,
-        bits: p.acc_bits,
-        vectors_per_bank: per_bank(l * d * b),
-        total_vectors: l * d * b,
-    });
-    prog.push(Step::PointwiseAdd {
-        elems_per_bank: per_bank(l * d * b),
-        total_elems: l * d * b,
-        bits: p.act_bits,
-    });
-    prog.push(Step::MemTouch {
-        bytes_per_bank: per_bank(l * d * act_b * b),
-        total_bytes: l * d * act_b * b,
-    });
+    prog.push(spread(l * d * dff * b).mul(p.act_bits, p.act_bits));
+    prog.push(spread(l * dff * b).reduce(d as u32, p.acc_bits));
+    prog.push(spread(l * dff * d * b).mul(p.act_bits, p.act_bits));
+    prog.push(spread(l * d * b).reduce(dff as u32, p.acc_bits));
+    prog.push(spread(l * d * b).add(p.act_bits));
+    prog.push(spread(l * d * act_b * b).touch());
 }
 
 fn decoder_step_layer(
@@ -264,7 +168,12 @@ fn decoder_step_layer(
     let dff = cfg.d_ff as u64;
     let act_b = u64::from(p.act_bits) / 8;
     let sm_b = u64::from(p.softmax_bits) / 8;
-    let per_bank = |total: u64| total.div_ceil(n);
+    // The sharding rules: `x` of work spread over all `N` banks, the same
+    // `k` on each bank (the softmax and S·V partial sums), and `k` once
+    // per sequence at the tree root (the reciprocal).
+    let spread = |x: u64| Size::new(x.div_ceil(n), x);
+    let each = |k: u64| Size::new(k, k * n * b);
+    let root = |k: u64| Size::new(k, k * b);
     let ctx = l + t; // attended positions
 
     // Whole-memory-per-layer: the decoder's single-token matvecs are
@@ -276,45 +185,15 @@ fn decoder_step_layer(
         (4 * d * d + if cfg.cross_attention { 4 * d * d } else { 0 } + 2 * d * dff) * act_b;
     out.push(Step::HostScatter { total_bytes: weight_bytes });
     out.push(Step::ShuffleAll { total_bytes: (2 * ctx * d * act_b + d * act_b) * b });
-    out.push(Step::PointwiseMul {
-        elems_per_bank: per_bank(3 * d * d * b),
-        total_elems: 3 * d * d * b,
-        a_bits: p.act_bits,
-        b_bits: p.act_bits,
-    });
-    out.push(Step::Reduce {
-        vec_len: d as u32,
-        bits: p.acc_bits,
-        vectors_per_bank: per_bank(3 * d * b),
-        total_vectors: 3 * d * b,
-    });
+    out.push(spread(3 * d * d * b).mul(p.act_bits, p.act_bits));
+    out.push(spread(3 * d * b).reduce(d as u32, p.acc_bits));
 
     out.push(Step::scope("dec.attn"));
     out.push(Step::BroadcastDup { bytes: d * act_b * b, banks: total_banks }); // q to all banks
-    out.push(Step::PointwiseMul {
-        elems_per_bank: per_bank(ctx * d * b),
-        total_elems: ctx * d * b,
-        a_bits: p.act_bits,
-        b_bits: p.act_bits,
-    });
-    out.push(Step::Reduce {
-        vec_len: (d / h) as u32,
-        bits: p.acc_bits,
-        vectors_per_bank: per_bank(ctx * h * b),
-        total_vectors: ctx * h * b,
-    });
-    out.push(Step::Exp {
-        elems_per_bank: per_bank(ctx * h * b),
-        total_elems: ctx * h * b,
-        bits: p.softmax_bits,
-        order: p.taylor_order,
-    });
-    out.push(Step::Reduce {
-        vec_len: ctx.div_ceil(n).max(1) as u32,
-        bits: p.softmax_bits,
-        vectors_per_bank: h,
-        total_vectors: h * n * b,
-    });
+    out.push(spread(ctx * d * b).mul(p.act_bits, p.act_bits));
+    out.push(spread(ctx * h * b).reduce((d / h) as u32, p.acc_bits));
+    out.push(spread(ctx * h * b).exp(p.softmax_bits, p.taylor_order));
+    out.push(each(h).reduce(ctx.div_ceil(n).max(1) as u32, p.softmax_bits));
     out.push(Step::PairwiseReduceTree {
         banks,
         bytes: h * sm_b,
@@ -322,26 +201,11 @@ fn decoder_step_layer(
         elems: h,
         parallel: b as u32,
     });
-    out.push(Step::Recip { per_bank: h, total: h * b });
+    out.push(root(h).recip());
     out.push(Step::BroadcastDup { bytes: h * sm_b * b, banks: total_banks });
-    out.push(Step::PointwiseMul {
-        elems_per_bank: per_bank(ctx * h * b),
-        total_elems: ctx * h * b,
-        a_bits: p.softmax_bits,
-        b_bits: p.softmax_bits,
-    });
-    out.push(Step::PointwiseMul {
-        elems_per_bank: per_bank(ctx * d * b),
-        total_elems: ctx * d * b,
-        a_bits: p.softmax_bits,
-        b_bits: p.act_bits,
-    });
-    out.push(Step::Reduce {
-        vec_len: ctx.div_ceil(n).max(1) as u32,
-        bits: p.acc_bits,
-        vectors_per_bank: d,
-        total_vectors: d * n * b,
-    });
+    out.push(spread(ctx * h * b).mul(p.softmax_bits, p.softmax_bits));
+    out.push(spread(ctx * d * b).mul(p.softmax_bits, p.act_bits));
+    out.push(each(d).reduce(ctx.div_ceil(n).max(1) as u32, p.acc_bits));
     out.push(Step::PairwiseReduceTree {
         banks,
         bytes: d * sm_b,
@@ -350,36 +214,13 @@ fn decoder_step_layer(
         parallel: b as u32,
     });
     let proj_matvecs: u64 = if cfg.cross_attention { 4 } else { 2 };
-    out.push(Step::PointwiseMul {
-        elems_per_bank: per_bank(proj_matvecs * d * d * b),
-        total_elems: proj_matvecs * d * d * b,
-        a_bits: p.act_bits,
-        b_bits: p.act_bits,
-    });
-    out.push(Step::Reduce {
-        vec_len: d as u32,
-        bits: p.acc_bits,
-        vectors_per_bank: per_bank(proj_matvecs * d * b),
-        total_vectors: proj_matvecs * d * b,
-    });
+    out.push(spread(proj_matvecs * d * d * b).mul(p.act_bits, p.act_bits));
+    out.push(spread(proj_matvecs * d * b).reduce(d as u32, p.acc_bits));
 
     out.push(Step::scope("dec.ffn"));
-    out.push(Step::PointwiseMul {
-        elems_per_bank: per_bank(2 * d * dff * b),
-        total_elems: 2 * d * dff * b,
-        a_bits: p.act_bits,
-        b_bits: p.act_bits,
-    });
-    out.push(Step::Reduce {
-        vec_len: d as u32,
-        bits: p.acc_bits,
-        vectors_per_bank: per_bank(2 * dff * b),
-        total_vectors: 2 * dff * b,
-    });
-    out.push(Step::MemTouch {
-        bytes_per_bank: per_bank(d * act_b * b),
-        total_bytes: d * act_b * b,
-    });
+    out.push(spread(2 * d * dff * b).mul(p.act_bits, p.act_bits));
+    out.push(spread(2 * dff * b).reduce(d as u32, p.acc_bits));
+    out.push(spread(d * act_b * b).touch());
 }
 
 #[cfg(test)]

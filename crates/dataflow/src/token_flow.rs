@@ -12,7 +12,7 @@
 //! against its locally-held `K`/`V` columns, and the partial outputs are
 //! combined with the multi-step pairwise reduction tree of Section IV-B2.
 
-use crate::ir::{BankRange, Precision, Program, Step};
+use crate::ir::{BankRange, Precision, Program, Size, Step};
 use crate::sharding::Sharding;
 use serde::{Deserialize, Serialize};
 use transpim_transformer::model::ModelConfig;
@@ -133,32 +133,19 @@ fn encoder_layer(
     let act_b = u64::from(p.act_bits) / 8;
     let sm_b = u64::from(p.softmax_bits) / 8;
     let active = banks.count * batch;
+    // The sharding rule: `k` of work per token, on the busiest bank's `r`
+    // tokens and on all `L` tokens of the `b` sequences.
+    let tokens = |k: u64| Size::new(r * k, l * b * k);
 
     // ---- FC layer: Q/K/V projections, weights broadcast to every bank.
     prog.push(Step::scope("enc.fc"));
     prog.push(Step::HostBroadcast { bytes: 3 * d * d * act_b, banks: active });
     // Figure 8(a): three replicated operand copies staged for row-parallel
     // point-wise multiplication.
-    prog.push(Step::IntraBankCopy {
-        bytes_per_bank: 3 * r * d * act_b,
-        total_bytes: 3 * l * d * act_b * b,
-    });
-    prog.push(Step::PointwiseMul {
-        elems_per_bank: 3 * r * d * d,
-        total_elems: 3 * l * d * d * b,
-        a_bits: p.act_bits,
-        b_bits: p.act_bits,
-    });
-    prog.push(Step::Reduce {
-        vec_len: d as u32,
-        bits: p.acc_bits,
-        vectors_per_bank: 3 * r * d,
-        total_vectors: 3 * l * d * b,
-    });
-    prog.push(Step::MemTouch {
-        bytes_per_bank: 3 * r * d * act_b,
-        total_bytes: 3 * l * d * act_b * b,
-    });
+    prog.push(tokens(3 * d * act_b).copy());
+    prog.push(tokens(3 * d * d).mul(p.act_bits, p.act_bits));
+    prog.push(tokens(3 * d).reduce(d as u32, p.acc_bits));
+    prog.push(tokens(3 * d * act_b).touch());
 
     // ---- Attention scores: intra-shard block plus N−1 ring steps with K.
     prog.push(Step::scope("enc.attn"));
@@ -170,50 +157,17 @@ fn encoder_layer(
             parallel: batch,
         });
     }
-    prog.push(Step::PointwiseMul {
-        elems_per_bank: r * l * d,
-        total_elems: l * l * d * b,
-        a_bits: p.act_bits,
-        b_bits: p.act_bits,
-    });
-    prog.push(Step::Reduce {
-        vec_len: dh as u32,
-        bits: p.acc_bits,
-        vectors_per_bank: r * l * h,
-        total_vectors: l * l * h * b,
-    });
-    prog.push(Step::MemTouch {
-        bytes_per_bank: r * l * h * sm_b,
-        total_bytes: l * l * h * sm_b * b,
-    });
+    prog.push(tokens(l * d).mul(p.act_bits, p.act_bits));
+    prog.push(tokens(l * h).reduce(dh as u32, p.acc_bits));
+    prog.push(tokens(l * h * sm_b).touch());
 
     // ---- Softmax: fully local (each bank owns its score rows).
     prog.push(Step::scope("enc.softmax"));
-    prog.push(Step::Exp {
-        elems_per_bank: r * l * h,
-        total_elems: l * l * h * b,
-        bits: p.softmax_bits,
-        order: p.taylor_order,
-    });
-    prog.push(Step::Reduce {
-        vec_len: seq_len,
-        bits: p.softmax_bits,
-        vectors_per_bank: r * h,
-        total_vectors: l * h * b,
-    });
-    prog.push(Step::Recip { per_bank: r * h, total: l * h * b });
-    prog.push(Step::Replicate {
-        value_bits: p.softmax_bits,
-        copies: seq_len,
-        count_per_bank: r * h,
-        total_count: l * h * b,
-    });
-    prog.push(Step::PointwiseMul {
-        elems_per_bank: r * l * h,
-        total_elems: l * l * h * b,
-        a_bits: p.softmax_bits,
-        b_bits: p.softmax_bits,
-    });
+    prog.push(tokens(l * h).exp(p.softmax_bits, p.taylor_order));
+    prog.push(tokens(h).reduce(seq_len, p.softmax_bits));
+    prog.push(tokens(h).recip());
+    prog.push(tokens(h).replicate(p.softmax_bits, seq_len));
+    prog.push(tokens(l * h).mul(p.softmax_bits, p.softmax_bits));
 
     // ---- Attention output: ring with V, then the output projection.
     prog.push(Step::scope("enc.attn"));
@@ -225,70 +179,22 @@ fn encoder_layer(
             parallel: batch,
         });
     }
-    prog.push(Step::PointwiseMul {
-        elems_per_bank: r * l * d,
-        total_elems: l * l * d * b,
-        a_bits: p.softmax_bits,
-        b_bits: p.act_bits,
-    });
-    prog.push(Step::Reduce {
-        vec_len: seq_len,
-        bits: p.acc_bits,
-        vectors_per_bank: r * d,
-        total_vectors: l * d * b,
-    });
+    prog.push(tokens(l * d).mul(p.softmax_bits, p.act_bits));
+    prog.push(tokens(d).reduce(seq_len, p.acc_bits));
     prog.push(Step::HostBroadcast { bytes: d * d * act_b, banks: active });
-    prog.push(Step::PointwiseMul {
-        elems_per_bank: r * d * d,
-        total_elems: l * d * d * b,
-        a_bits: p.act_bits,
-        b_bits: p.act_bits,
-    });
-    prog.push(Step::Reduce {
-        vec_len: d as u32,
-        bits: p.acc_bits,
-        vectors_per_bank: r * d,
-        total_vectors: l * d * b,
-    });
-    prog.push(Step::PointwiseAdd {
-        elems_per_bank: r * d,
-        total_elems: l * d * b,
-        bits: p.act_bits,
-    });
+    prog.push(tokens(d * d).mul(p.act_bits, p.act_bits));
+    prog.push(tokens(d).reduce(d as u32, p.acc_bits));
+    prog.push(tokens(d).add(p.act_bits));
 
     // ---- FFN: two local matmuls with broadcast weights.
     prog.push(Step::scope("enc.ffn"));
     prog.push(Step::HostBroadcast { bytes: 2 * d * dff * act_b, banks: active });
-    prog.push(Step::PointwiseMul {
-        elems_per_bank: r * d * dff,
-        total_elems: l * d * dff * b,
-        a_bits: p.act_bits,
-        b_bits: p.act_bits,
-    });
-    prog.push(Step::Reduce {
-        vec_len: d as u32,
-        bits: p.acc_bits,
-        vectors_per_bank: r * dff,
-        total_vectors: l * dff * b,
-    });
-    prog.push(Step::PointwiseMul {
-        elems_per_bank: r * dff * d,
-        total_elems: l * dff * d * b,
-        a_bits: p.act_bits,
-        b_bits: p.act_bits,
-    });
-    prog.push(Step::Reduce {
-        vec_len: dff as u32,
-        bits: p.acc_bits,
-        vectors_per_bank: r * d,
-        total_vectors: l * d * b,
-    });
-    prog.push(Step::PointwiseAdd {
-        elems_per_bank: r * d,
-        total_elems: l * d * b,
-        bits: p.act_bits,
-    });
-    prog.push(Step::MemTouch { bytes_per_bank: r * d * act_b, total_bytes: l * d * act_b * b });
+    prog.push(tokens(d * dff).mul(p.act_bits, p.act_bits));
+    prog.push(tokens(dff).reduce(d as u32, p.acc_bits));
+    prog.push(tokens(dff * d).mul(p.act_bits, p.act_bits));
+    prog.push(tokens(d).reduce(dff as u32, p.acc_bits));
+    prog.push(tokens(d).add(p.act_bits));
+    prog.push(tokens(d * act_b).touch());
 }
 
 /// One decoder block for generated-token index `t` (Section III-C,
@@ -311,6 +217,12 @@ fn decoder_step_layer(
     let b = u64::from(batch);
     let act_b = u64::from(p.act_bits) / 8;
     let sm_b = u64::from(p.softmax_bits) / 8;
+    // The sharding rules: a matvec's `x` output lanes split over the `N`
+    // banks, the same `k` on each bank (attention over local K/V), and
+    // `k` once per sequence at the tree root (the reciprocal).
+    let split = |x: u64| Size::new(x.div_ceil(n), x * b);
+    let each = |k: u64| Size::new(k, k * n * b);
+    let root = |k: u64| Size::new(k, k * b);
 
     // Context tokens the busiest bank attends over: the sharded encoder
     // context (cross-attention) or the sharded prefix (decoder-only), plus
@@ -326,49 +238,18 @@ fn decoder_step_layer(
     // slices, then Q_new broadcast (K_new/V_new stay with their owner).
     out.push(Step::scope("dec.fc"));
     out.push(Step::OneToAll { src: banks.start, banks, bytes: d * act_b, parallel: batch });
-    let fc_mults = 3 * d * d;
-    out.push(Step::PointwiseMul {
-        elems_per_bank: fc_mults.div_ceil(n),
-        total_elems: fc_mults * b,
-        a_bits: p.act_bits,
-        b_bits: p.act_bits,
-    });
-    out.push(Step::Reduce {
-        vec_len: d as u32,
-        bits: p.acc_bits,
-        vectors_per_bank: (3 * d).div_ceil(n),
-        total_vectors: 3 * d * b,
-    });
+    out.push(split(3 * d * d).mul(p.act_bits, p.act_bits));
+    out.push(split(3 * d).reduce(d as u32, p.acc_bits));
     out.push(Step::OneToAll { src: banks.start, banks, bytes: d * act_b, parallel: batch });
 
     // ---- Attention of the new token against distributed K/V columns.
     out.push(Step::scope("dec.attn"));
-    out.push(Step::PointwiseMul {
-        elems_per_bank: r_att * d,
-        total_elems: r_att * d * n * b,
-        a_bits: p.act_bits,
-        b_bits: p.act_bits,
-    });
-    out.push(Step::Reduce {
-        vec_len: (d / h) as u32,
-        bits: p.acc_bits,
-        vectors_per_bank: r_att * h,
-        total_vectors: r_att * h * n * b,
-    });
+    out.push(each(r_att * d).mul(p.act_bits, p.act_bits));
+    out.push(each(r_att * h).reduce((d / h) as u32, p.acc_bits));
     // Distributed Softmax over the single score row: local exponents,
     // tree-reduced row sum, reciprocal broadcast back.
-    out.push(Step::Exp {
-        elems_per_bank: r_att * h,
-        total_elems: r_att * h * n * b,
-        bits: p.softmax_bits,
-        order: p.taylor_order,
-    });
-    out.push(Step::Reduce {
-        vec_len: r_att.max(1) as u32,
-        bits: p.softmax_bits,
-        vectors_per_bank: h,
-        total_vectors: h * n * b,
-    });
+    out.push(each(r_att * h).exp(p.softmax_bits, p.taylor_order));
+    out.push(each(h).reduce(r_att.max(1) as u32, p.softmax_bits));
     out.push(Step::PairwiseReduceTree {
         banks,
         bytes: h * sm_b,
@@ -376,27 +257,12 @@ fn decoder_step_layer(
         elems: h,
         parallel: batch,
     });
-    out.push(Step::Recip { per_bank: h, total: h * b });
+    out.push(root(h).recip());
     out.push(Step::OneToAll { src: banks.start, banks, bytes: h * sm_b, parallel: batch });
-    out.push(Step::PointwiseMul {
-        elems_per_bank: r_att * h,
-        total_elems: r_att * h * n * b,
-        a_bits: p.softmax_bits,
-        b_bits: p.softmax_bits,
-    });
+    out.push(each(r_att * h).mul(p.softmax_bits, p.softmax_bits));
     // Weighted values: per-bank partial output, then the reduction tree.
-    out.push(Step::PointwiseMul {
-        elems_per_bank: r_att * d,
-        total_elems: r_att * d * n * b,
-        a_bits: p.softmax_bits,
-        b_bits: p.act_bits,
-    });
-    out.push(Step::Reduce {
-        vec_len: r_att.max(1) as u32,
-        bits: p.acc_bits,
-        vectors_per_bank: d,
-        total_vectors: d * n * b,
-    });
+    out.push(each(r_att * d).mul(p.softmax_bits, p.act_bits));
+    out.push(each(d).reduce(r_att.max(1) as u32, p.acc_bits));
     out.push(Step::PairwiseReduceTree {
         banks,
         bytes: d * sm_b,
@@ -409,34 +275,14 @@ fn decoder_step_layer(
     // encoder context (already included in r_att for cost purposes when
     // cross_attention is on; the extra Q/O projections are charged here).
     let proj_matvecs: u64 = if cfg.cross_attention { 2 + 2 } else { 2 }; // Wo (+Wq2, Wo2)
-    out.push(Step::PointwiseMul {
-        elems_per_bank: (proj_matvecs * d * d).div_ceil(n),
-        total_elems: proj_matvecs * d * d * b,
-        a_bits: p.act_bits,
-        b_bits: p.act_bits,
-    });
-    out.push(Step::Reduce {
-        vec_len: d as u32,
-        bits: p.acc_bits,
-        vectors_per_bank: (proj_matvecs * d).div_ceil(n),
-        total_vectors: proj_matvecs * d * b,
-    });
+    out.push(split(proj_matvecs * d * d).mul(p.act_bits, p.act_bits));
+    out.push(split(proj_matvecs * d).reduce(d as u32, p.acc_bits));
 
     // ---- FFN matvecs, output-parallel on resident slices.
     out.push(Step::scope("dec.ffn"));
-    out.push(Step::PointwiseMul {
-        elems_per_bank: (2 * d * dff).div_ceil(n),
-        total_elems: 2 * d * dff * b,
-        a_bits: p.act_bits,
-        b_bits: p.act_bits,
-    });
-    out.push(Step::Reduce {
-        vec_len: d as u32,
-        bits: p.acc_bits,
-        vectors_per_bank: (2 * dff).div_ceil(n),
-        total_vectors: 2 * dff * b,
-    });
-    out.push(Step::MemTouch { bytes_per_bank: d * act_b, total_bytes: d * act_b * n * b });
+    out.push(split(2 * d * dff).mul(p.act_bits, p.act_bits));
+    out.push(split(2 * dff).reduce(d as u32, p.acc_bits));
+    out.push(each(d * act_b).touch());
 }
 
 #[cfg(test)]

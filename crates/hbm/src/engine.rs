@@ -460,7 +460,7 @@ impl Engine {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use transpim_obs::{ChromeTraceSink, NullSink};
+    use transpim_obs::{ChromeTraceSink, FanoutSink};
 
     #[test]
     fn sink_records_phases_in_order() {
@@ -698,7 +698,9 @@ mod tests {
     fn null_sink_runs_match_untraced_runs_exactly() {
         let mut plain = engine();
         body(&mut plain);
-        let mut nulled = Engine::with_sink(SinkHandle::new(NullSink));
+        // A sink that reports itself disabled (an empty fanout) gives the
+        // handle the no-op path.
+        let mut nulled = Engine::with_sink(SinkHandle::new(FanoutSink::new(Vec::new())));
         nulled.set_latency_scale(1.25);
         nulled.set_scope("dec.fc");
         nulled.lump(Category::Reduction, 1.1, 0.9, 0.0);

@@ -10,8 +10,8 @@
 //!   [`event::TrackId`] timelines,
 //! * [`sink`] — the pluggable [`Sink`] trait, which receives events by
 //!   reference, the cheap cloneable [`SinkHandle`] the simulation layers
-//!   carry, the zero-overhead [`NullSink`], and a [`FanoutSink`]
-//!   multiplexer that hands the same event to every child,
+//!   carry (a disabled handle is the zero-overhead path), and a
+//!   [`FanoutSink`] multiplexer that hands the same event to every child,
 //! * [`chrome`] — a Chrome-tracing / Perfetto JSON sink
 //!   (`chrome://tracing` loads its output directly) that renders each
 //!   record once, on receipt, and sorts an index of them on export,
@@ -48,7 +48,7 @@ pub mod sink;
 pub use chrome::{ChromeEvent, ChromeTraceSink};
 pub use event::{ArgValue, CounterEvent, InstantEvent, SpanEvent, TrackId};
 pub use metrics::MetricsSink;
-pub use sink::{FanoutSink, NullSink, Sink, SinkHandle};
+pub use sink::{FanoutSink, Sink, SinkHandle};
 
 use std::fmt;
 

@@ -8,9 +8,8 @@
 //!
 //! An event's *kind* is its name up to the first space; the rest labels
 //! one instance (`hop 3->4` is an instance of `hop`), which a trace shows
-//! and the metrics fold: spans of a kind into one count and total, and a
-//! labelled counter's per-instance last values into their `min`, `p50` and
-//! `max`.
+//! and the metrics fold into the kind: spans into one count and total,
+//! instants into one count, and counter samples into the last one.
 //!
 //! A span's `count` argument is its multiplicity ([`SpanEvent::with_count`]):
 //! `count` grows by it, so a summary of n events counts n times. Other
@@ -56,8 +55,8 @@ fn update<V: Default>(map: &mut BTreeMap<String, V>, key: &str, f: impl FnOnce(&
 pub struct MetricsSink {
     /// Span totals by category, then kind.
     spans: BTreeMap<String, BTreeMap<String, SpanAccum>>,
-    /// Last value per `<kind>.<series>` and instance label.
-    counters: BTreeMap<String, BTreeMap<String, f64>>,
+    /// Last value per `<kind>.<series>`.
+    counters: BTreeMap<String, f64>,
     instants: BTreeMap<String, u64>,
     extra: BTreeMap<String, f64>,
     /// Reused buffer for a counter's `<kind>.<series>` key.
@@ -101,9 +100,7 @@ impl MetricsSink {
                 }
             }
         }
-        for (key, instances) in other.counters {
-            self.counters.entry(key).or_default().extend(instances);
-        }
+        self.counters.extend(other.counters);
         for (name, count) in other.instants {
             *self.instants.entry(name).or_default() += count;
         }
@@ -124,17 +121,8 @@ impl MetricsSink {
                 out.insert(format!("{base}.{arg}"), *sum);
             }
         }
-        for (key, instances) in &self.counters {
-            if let (1, Some(value)) = (instances.len(), instances.get("")) {
-                out.insert(format!("counter.{key}"), *value);
-                continue;
-            }
-            let mut values: Vec<f64> = instances.values().copied().collect();
-            values.sort_by(f64::total_cmp);
-            let n = values.len();
-            for (stat, i) in [("min", 0), ("p50", (n - 1) / 2), ("max", n - 1)] {
-                out.insert(format!("counter.{key}.{stat}"), values[i]);
-            }
+        for (key, value) in &self.counters {
+            out.insert(format!("counter.{key}"), *value);
         }
         for (name, count) in &self.instants {
             out.insert(format!("event.{name}.count"), *count as f64);
@@ -222,13 +210,11 @@ impl Sink for MetricsSink {
     }
 
     fn counter(&mut self, event: &CounterEvent<'_>) {
-        let (kind, label) = kind_and_label(&event.name);
+        let kind = kind_and_label(&event.name).0;
         for (series, value) in &event.values {
             self.key.clear();
             self.key.extend([kind, ".", series.as_ref()]);
-            update(&mut self.counters, &self.key, |instances| {
-                update(instances, label, |last| *last = *value)
-            });
+            update(&mut self.counters, &self.key, |last| *last = *value);
         }
     }
 }
@@ -282,6 +268,10 @@ mod tests {
                     .with_arg("total_ns", 1e9),
             );
         }
+        for (bank, busy) in [(0, 0.5), (1, 0.25)] {
+            let name = format!("util.bank {bank}");
+            m.counter(&CounterEvent::sample(name, TrackId(64), 0.0, "busy", busy));
+        }
         let flat = m.to_flat();
         assert_eq!(flat["span.arithmetic.dec.attn.count"], 24.0);
         assert_eq!(flat["span.arithmetic.dec.attn.total_ns"], 32.0);
@@ -290,27 +280,9 @@ mod tests {
         // argument names never become keys of their own.
         assert_eq!(flat["span.ring.hop.count"], 2.0);
         assert_eq!(flat["span.ring.hop.total_ns"], 8.0);
-        assert_eq!(flat.len(), 5, "{flat:?}");
-    }
-
-    #[test]
-    fn labelled_counters_fold_into_min_median_max() {
-        let mut m = MetricsSink::new();
-        for (bank, busy) in [(0, 0.5), (1, 0.25), (2, 1.0), (1, 0.75), (3, 0.125)] {
-            m.counter(&CounterEvent::sample(
-                format!("util.bank {bank}"),
-                TrackId(64),
-                0.0,
-                "busy",
-                busy,
-            ));
-        }
-        let flat = m.to_flat();
-        // Bank 1's last value, 0.75, replaced its first.
-        assert_eq!(flat["counter.util.bank.busy.min"], 0.125);
-        assert_eq!(flat["counter.util.bank.busy.p50"], 0.5);
-        assert_eq!(flat["counter.util.bank.busy.max"], 1.0);
-        assert_eq!(flat.len(), 3, "{flat:?}");
+        // A labelled counter keeps its kind's last sample.
+        assert_eq!(flat["counter.util.bank.busy"], 0.25);
+        assert_eq!(flat.len(), 6, "{flat:?}");
     }
 
     #[test]

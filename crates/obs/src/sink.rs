@@ -1,5 +1,5 @@
 //! The [`Sink`] trait, the [`SinkHandle`] the simulation layers carry, and
-//! the built-in [`NullSink`] / [`FanoutSink`].
+//! the [`FanoutSink`] multiplexer.
 
 use crate::event::{CounterEvent, InstantEvent, SpanEvent, TrackId};
 use std::cell::RefCell;
@@ -124,24 +124,6 @@ impl SinkHandle {
     }
 }
 
-/// Sink that drops everything and reports itself disabled, so a
-/// [`SinkHandle`] built from it takes the no-op path. Useful as an explicit
-/// "tracing off" value in APIs that require a sink.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct NullSink;
-
-impl Sink for NullSink {
-    fn enabled(&self) -> bool {
-        false
-    }
-
-    fn span(&mut self, _: &SpanEvent<'_>) {}
-
-    fn instant(&mut self, _: &InstantEvent<'_>) {}
-
-    fn counter(&mut self, _: &CounterEvent<'_>) {}
-}
-
 /// Multiplexer: forwards every event to each child handle (e.g. a Chrome
 /// trace and a metrics file from one run).
 #[derive(Default)]
@@ -196,7 +178,6 @@ mod tests {
         let h = SinkHandle::null();
         assert!(!h.is_enabled());
         h.span(&SpanEvent::new("x", "c", TrackId::DEFAULT, 0.0, 1.0)); // no-op
-        assert!(!SinkHandle::new(NullSink).is_enabled());
         assert!(!SinkHandle::default().is_enabled());
     }
 
@@ -238,7 +219,7 @@ mod tests {
 
     #[test]
     fn fanout_of_disabled_children_is_disabled() {
-        let fan = FanoutSink::new(vec![SinkHandle::null(), SinkHandle::new(NullSink)]);
+        let fan = FanoutSink::new(vec![SinkHandle::null(), SinkHandle::default()]);
         assert!(!fan.enabled());
         assert!(!SinkHandle::new(fan).is_enabled());
     }

@@ -37,23 +37,17 @@ use transpim_hbm::energy::EnergyParams;
 use transpim_hbm::geometry::HbmGeometry;
 use transpim_hbm::timing::TimingParams;
 
-/// Tunable PIM parameters.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+/// Tunable PIM parameters. The number of simultaneously activated
+/// subarrays per bank is the ACU's `P_sub` (one ACU per activated
+/// subarray), passed to [`PimCostModel::new`].
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct PimCostParams {
-    /// Simultaneously activated subarrays per bank (Table I: 16).
-    pub p_sub: u32,
     /// Enforce the JEDEC four-activation window (`t_FAW`) on the
     /// subarray-row activation stream. Commodity DRAM limits activations
     /// for power-delivery reasons; PIM designs (including the paper's)
     /// implicitly assume a relaxed window for the low-current mat-row
     /// activations. Enabling this prices the conservative reading.
     pub enforce_faw: bool,
-}
-
-impl Default for PimCostParams {
-    fn default() -> Self {
-        Self { p_sub: 16, enforce_faw: false }
-    }
 }
 
 /// A row-parallel point-wise PIM operation over a batch of lanes.
@@ -118,18 +112,21 @@ pub struct PimCostModel {
     geometry: HbmGeometry,
     timing: TimingParams,
     energy: EnergyParams,
+    p_sub: u32,
     params: PimCostParams,
 }
 
 impl PimCostModel {
-    /// Build a cost model.
+    /// Build a cost model that activates `p_sub` subarrays per bank at
+    /// once (Table I: 16).
     pub fn new(
         geometry: HbmGeometry,
         timing: TimingParams,
         energy: EnergyParams,
+        p_sub: u32,
         params: PimCostParams,
     ) -> Self {
-        Self { geometry, timing, energy, params }
+        Self { geometry, timing, energy, p_sub, params }
     }
 
     /// The PIM parameters.
@@ -139,7 +136,7 @@ impl PimCostModel {
 
     /// Lanes processed per bank per batch.
     pub fn lanes_per_bank(&self) -> u64 {
-        self.geometry.pim_lanes_per_bank(self.params.p_sub)
+        self.geometry.pim_lanes_per_bank(self.p_sub)
     }
 
     /// Number of lock-step batches needed for `elems_per_bank` lanes.
@@ -155,7 +152,7 @@ impl PimCostModel {
     pub fn batch_latency_ns(&self, op: PimOp) -> f64 {
         let mut period = self.timing.t_aap();
         if self.params.enforce_faw {
-            period = period.max(f64::from(self.params.p_sub) * self.timing.t_faw / 4.0);
+            period = period.max(f64::from(self.p_sub) * self.timing.t_faw / 4.0);
         }
         op.aaps() as f64 * period
     }
@@ -251,6 +248,7 @@ mod tests {
             HbmGeometry::default(),
             TimingParams::default(),
             EnergyParams::default(),
+            16,
             PimCostParams::default(),
         )
     }
@@ -357,11 +355,12 @@ mod tests {
     fn faw_enforcement_slows_wide_activation() {
         // 16 simultaneous subarray activations per AAP vs 4 per 16 ns:
         // the sustainable AAP period rises from 45 ns to 64 ns (1.42x).
-        let params = PimCostParams { enforce_faw: true, ..PimCostParams::default() };
+        let params = PimCostParams { enforce_faw: true };
         let faw = PimCostModel::new(
             HbmGeometry::default(),
             TimingParams::default(),
             EnergyParams::default(),
+            16,
             params,
         );
         let free = model();
@@ -373,7 +372,8 @@ mod tests {
             HbmGeometry::default(),
             TimingParams::default(),
             EnergyParams::default(),
-            PimCostParams { p_sub: 4, enforce_faw: true },
+            4,
+            params,
         );
         assert!((narrow.batch_latency_ns(op) / 248.0 - 45.0).abs() < 1e-9);
     }

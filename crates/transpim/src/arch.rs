@@ -61,7 +61,8 @@ pub struct ArchConfig {
     pub hbm: HbmConfig,
     /// ACU parameters (`P_sub`, `P_add`, tree width, clock).
     pub acu: AcuParams,
-    /// In-subarray PIM parameters.
+    /// In-subarray PIM parameters (the activated subarrays per bank are
+    /// `acu.p_sub`).
     pub pim: PimCostParams,
     /// Overlap ring-broadcast steps with the block compute they feed
     /// (Section III-B2 interleaves "ring broadcast and compute steps";
@@ -98,7 +99,6 @@ impl ArchConfig {
     pub fn with_acu(mut self, p_sub: u32, p_add: u32) -> Self {
         self.acu.p_sub = p_sub;
         self.acu.p_add = p_add;
-        self.pim.p_sub = p_sub;
         self
     }
 
@@ -132,7 +132,6 @@ impl ArchConfig {
             ("acu.p_sub", self.acu.p_sub),
             ("acu.p_add", self.acu.p_add),
             ("acu.tree_width", self.acu.tree_width),
-            ("pim.p_sub", self.pim.p_sub),
         ] {
             if v == 0 {
                 return Err(ConfigError::NonPositive(field));
@@ -268,7 +267,6 @@ mod tests {
         let a = ArchConfig::new(ArchKind::TransPim).with_stacks(2).with_acu(8, 2);
         assert_eq!(a.hbm.geometry.stacks, 2);
         assert_eq!(a.acu.p_sub, 8);
-        assert_eq!(a.pim.p_sub, 8);
         assert_eq!(a.system_label("Token"), "Token-TransPIM");
     }
 

@@ -131,7 +131,7 @@ impl Executor {
         let table = CostTable::new(&arch);
         let hbm = &arch.hbm;
         let map = ResourceMap::new(hbm.geometry, table.bus, table.buffered);
-        let pim = PimCostModel::new(hbm.geometry, hbm.timing, hbm.energy, arch.pim);
+        let pim = PimCostModel::new(hbm.geometry, hbm.timing, hbm.energy, arch.acu.p_sub, arch.pim);
         let acu = AcuReduceModel::new(hbm.geometry, hbm.timing, hbm.energy, arch.acu);
         let buffer = table.buffered.then(|| DataBufferModel::new(hbm.timing, hbm.energy));
         let rowclone = RowCloneModel::new(hbm.geometry, hbm.timing, hbm.energy);

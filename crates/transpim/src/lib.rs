@@ -63,6 +63,4 @@ pub use transpim_dataflow::ir::Step;
 
 // Re-export the observability surface so downstream tooling can attach
 // sinks without depending on `transpim-obs` directly.
-pub use transpim_obs::{
-    ChromeTraceSink, FanoutSink, MetricsSink, NullSink, ObsError, Sink, SinkHandle,
-};
+pub use transpim_obs::{ChromeTraceSink, FanoutSink, MetricsSink, ObsError, Sink, SinkHandle};

@@ -160,6 +160,7 @@ for required in \
   differential_fuzz::flip_threshold_matches_drawn_flips \
   differential_fuzz::clean_scan_matches_observed_draws \
   differential_fuzz::chrome_writer_matches_reference_writer \
+  differential_fuzz::matvec_products_are_conserved \
   serde_roundtrips::random_programs_roundtrip_and_keep_wire_shape
 do
   if ! grep -q "^${required}$(printf '\t')" "$summary"; then

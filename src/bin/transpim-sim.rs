@@ -113,7 +113,7 @@ OPTIONS:
   --arch <ARCH>        transpim | transpim-nb | pim | nbp [default: transpim]
   --dataflow <FLOW>    token | layer                      [default: token]
   --stacks <N>         HBM stacks (1..)                   [default: 8]
-  --p-sub <N>          ACUs per bank                      [default: 16]
+  --p-sub <N>          active subarrays (= ACUs) per bank [default: 16]
   --p-add <N>          adder trees per ACU                [default: 4]
   --batch <N>          override batch size
   --seq-len <N>        override sequence length

@@ -1,7 +1,7 @@
 //! Differential fuzz harness: randomized cross-checks between independent
 //! implementations of the same semantics.
 //!
-//! Ten comparisons, each over ≥128 generated cases (fixed seeds in CI via
+//! Eleven checks, each over ≥128 generated cases (fixed seeds in CI via
 //! `TRANSPIM_PROPTEST_SEED` in `scripts/check.sh`):
 //!
 //! 1. **banksim vs f32** — the bit-accurate Figure 8 datapath must agree
@@ -51,6 +51,11 @@
 //!     empty and repeated argument keys, names that need escaping, and
 //!     special numbers; also when the stream is split across sinks that
 //!     are absorbed in order.
+//! 11. **Matvec products** — every `PointwiseMul` the compilers follow
+//!     with a `Reduce` multiplies exactly the reduced vectors times their
+//!     length: system-wide in every Token step and every Layer encoder
+//!     step, and per bank in the Token encoder, whose shards hold whole
+//!     tokens. A work expression that drops or gains a factor fails it.
 
 use proptest::prelude::*;
 use transpim::accelerator::Accelerator;
@@ -971,5 +976,67 @@ proptest! {
         }
         prop_assert_eq!(merged.len(), records.len());
         prop_assert_eq!(merged.to_json_string().expect("renders"), expected);
+    }
+}
+
+// ---------------------------------------------------------------------------
+// (11) Matvec products: multiplies = reduced vectors × vector length
+// ---------------------------------------------------------------------------
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(128))]
+
+    #[test]
+    fn matvec_products_are_conserved(
+        enc in 0usize..3,
+        dec in 1usize..3,
+        heads in 1usize..4,
+        dh in 1usize..5,
+        d_ff in 1usize..9,
+        seq in 1usize..65,
+        decode in 2usize..6,
+        batch in 1usize..3,
+        banks in 1u32..17,
+    ) {
+        let w = small_workload(enc, dec, heads, dh, d_ff, seq, decode, batch);
+        for df in DataflowKind::ALL {
+            let program = df.compile(&w, banks).unroll();
+            let token = df == DataflowKind::Token;
+            let (mut scope, mut pairs) = ("", 0);
+            for pair in program.steps().windows(2) {
+                if let Step::Scope(s) = &pair[0] {
+                    scope = s;
+                }
+                let (
+                    Step::PointwiseMul { elems_per_bank, total_elems, .. },
+                    Step::Reduce { vec_len, vectors_per_bank, total_vectors, .. },
+                ) = (&pair[0], &pair[1])
+                else {
+                    continue;
+                };
+                let (len, encoder) = (u64::from(*vec_len), scope.starts_with("enc."));
+                pairs += 1;
+                // The Layer decoder's partial-sum reductions and both
+                // decoders' per-bank matvec splits round up per bank, so
+                // they are not products of their multiplies.
+                if token || encoder {
+                    prop_assert_eq!(
+                        *total_elems,
+                        total_vectors * len,
+                        "{:?} {}: total multiplies vs {} vectors of {}",
+                        df, scope, total_vectors, len
+                    );
+                }
+                if token && encoder {
+                    prop_assert_eq!(
+                        *elems_per_bank,
+                        vectors_per_bank * len,
+                        "{:?} {}: per-bank multiplies vs {} vectors of {}",
+                        df, scope, vectors_per_bank, len
+                    );
+                }
+            }
+            prop_assert!(pairs > 0, "{:?}: no multiply→reduce pair", df);
+        }
     }
 }

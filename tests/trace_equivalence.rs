@@ -11,7 +11,8 @@ use transpim_pim::cost::{PimCostModel, PimCostParams, PimOp};
 
 fn pim_model() -> PimCostModel {
     let hbm = HbmConfig::default();
-    PimCostModel::new(hbm.geometry, hbm.timing, hbm.energy, PimCostParams::default())
+    let p_sub = AcuParams::default().p_sub;
+    PimCostModel::new(hbm.geometry, hbm.timing, hbm.energy, p_sub, PimCostParams::default())
 }
 
 #[test]
