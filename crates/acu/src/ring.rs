@@ -23,7 +23,7 @@ use std::fmt::Write;
 use transpim_hbm::energy::EnergyParams;
 use transpim_hbm::engine::tracks;
 use transpim_hbm::geometry::{BankId, HbmGeometry};
-use transpim_hbm::resource::{ResourceMap, MAX_ROUTE_RESOURCES};
+use transpim_hbm::resource::{ResourceMap, Route, MAX_ROUTE_RESOURCES};
 use transpim_obs::{SinkHandle, SpanEvent};
 
 /// One bank-to-bank transfer of `bytes`.
@@ -128,7 +128,8 @@ pub fn schedule_hops_placed(
     if hops.is_empty() {
         return (ScheduleResult::default(), Vec::new());
     }
-    let mut assigned = assign_slots(map, hops);
+    let mut assigned = Vec::with_capacity(hops.len());
+    assign_slots(map, hops, &mut SlotScratch::default(), |i, s, bw| assigned.push((i, s, bw)));
     // Stable, so each slot keeps its hops in priority order.
     assigned.sort_by_key(|&(_, s, _)| s);
     let mut placements = Vec::with_capacity(hops.len());
@@ -156,10 +157,33 @@ pub fn schedule_hops_placed(
     (ScheduleResult { latency_ns: latency, energy_pj: energy, bytes, slots: slot + 1 }, placements)
 }
 
-/// The slot scheduler's core: every hop of `hops` (payloads ignored), in
-/// priority order, as `(index into hops, slot, route bandwidth)`. Slots are
-/// numbered from 0, and a hop never opens slot `s` before slots `0..s` each
-/// hold a hop.
+/// Priority buckets: routes hold 2 to [`MAX_ROUTE_RESOURCES`] resources,
+/// and each count splits into even and odd group positions.
+const BUCKETS: usize = 2 * (MAX_ROUTE_RESOURCES - 1);
+
+/// The slot scheduler's buffers, kept across the levels of one topology so
+/// that they are allocated once for all of them. Each is sized by the hop
+/// set or by its [`ResourceWindow`](transpim_hbm::resource::ResourceWindow),
+/// never by the whole map.
+#[derive(Default)]
+struct SlotScratch {
+    /// Each hop's route within the window.
+    routes: Vec<Route>,
+    /// Each hop's priority bucket and position in its bank group.
+    keys: Vec<(usize, u32)>,
+    /// Hop indices by source bank.
+    by_src: Vec<u32>,
+    /// `(group position, hop index)` in priority order.
+    order: Vec<(u32, u32)>,
+    /// `busy[w * n + r]` holds bit `s % 64` for each slot `s` of word
+    /// `w = s / 64` that window resource `r` of `n` is taken in.
+    busy: Vec<u64>,
+}
+
+/// The slot scheduler's core: hands `place` every hop of `hops` (payloads
+/// ignored), in priority order, as `(index into hops, slot, route
+/// bandwidth)`. Slots are numbered from 0, and a hop never opens slot `s`
+/// before slots `0..s` each hold a hop.
 ///
 /// Priority puts hops occupying more resources first, then even positions
 /// in a bank group before odd ones, then position, source bank and index.
@@ -169,53 +193,85 @@ pub fn schedule_hops_placed(
 /// fits, in priority order: in both, a hop's slot is the first one free of
 /// the higher-priority hops' resources, and by induction on priority those
 /// hops hold the same slots in both.
-fn assign_slots(map: &ResourceMap, hops: &[Hop]) -> Vec<(usize, u32, f64)> {
-    let bpg = map.geometry().banks_per_group;
+///
+/// Resources are numbered within the window of banks the hops span, so
+/// memory is linear in the hops and that window (times the slot words past
+/// the first 64 slots), whatever the geometry.
+fn assign_slots(
+    map: &ResourceMap,
+    hops: &[Hop],
+    s: &mut SlotScratch,
+    mut place: impl FnMut(usize, u32, f64),
+) {
+    if hops.is_empty() {
+        return;
+    }
     assert!(u32::try_from(hops.len()).is_ok(), "a hop set is indexed by u32");
-    let routed: Vec<_> = hops.iter().map(|h| map.route(h.src, h.dst)).collect();
-    // The priority key packed into one integer, index lowest.
-    let mut order: Vec<u128> = hops
-        .iter()
-        .zip(&routed)
-        .enumerate()
-        .map(|(i, (h, route))| {
-            let pos = h.src.0 % bpg;
-            let fewer = (MAX_ROUTE_RESOURCES - route.resources.len()) as u128;
-            fewer << 97
-                | u128::from(pos % 2) << 96
-                | u128::from(pos) << 64
-                | u128::from(h.src.0) << 32
-                | i as u128
-        })
-        .collect();
-    order.sort_unstable();
+    let (first, last) = hops.iter().fold((u32::MAX, 0), |(lo, hi), h| {
+        (lo.min(h.src.0).min(h.dst.0), hi.max(h.src.0).max(h.dst.0))
+    });
+    let window = map.window(BankId(first), BankId(last));
+    s.routes.clear();
+    s.routes.extend(hops.iter().map(|h| map.route_in(&window, h.src, h.dst)));
+    s.keys.clear();
+    s.keys.extend(hops.iter().zip(&s.routes).map(|(h, route)| {
+        let pos = window.group_position(h.src);
+        let fewer = MAX_ROUTE_RESOURCES - route.resources.len();
+        (fewer * 2 + (pos % 2) as usize, pos)
+    }));
 
-    // `busy[w * n + r]` holds bit `s % 64` for each slot `s` of word
-    // `w = s / 64` that resource `r` is taken in. A hop that finds every
-    // slot so far taken appends the next word for all resources.
-    let n = map.len() as usize;
-    let mut busy = vec![0u64; n];
-    let mut placed = Vec::with_capacity(hops.len());
-    for key in order {
-        let i = key as u32 as usize;
-        let route = &routed[i];
+    // The priority order without comparing whole keys: index order by
+    // source (stable, one linear scan when sources ascend, as in ring
+    // steps and tree levels), a counting pass into the buckets of resource
+    // count and parity that keeps that order, then a stable sort by group
+    // position within each bucket.
+    s.by_src.clear();
+    s.by_src.extend(0..hops.len() as u32);
+    s.by_src.sort_by_key(|&i| hops[i as usize].src);
+    let mut sizes = [0usize; BUCKETS];
+    for &(bucket, _) in &s.keys {
+        sizes[bucket] += 1;
+    }
+    let mut next = [0usize; BUCKETS];
+    for b in 1..BUCKETS {
+        next[b] = next[b - 1] + sizes[b - 1];
+    }
+    s.order.clear();
+    s.order.resize(hops.len(), (0, 0));
+    for &i in &s.by_src {
+        let (bucket, pos) = s.keys[i as usize];
+        s.order[next[bucket]] = (pos, i);
+        next[bucket] += 1;
+    }
+    let mut start = 0;
+    for end in next {
+        s.order[start..end].sort_by_key(|&(pos, _)| pos);
+        start = end;
+    }
+
+    // A hop that finds every slot so far taken appends the next word for
+    // all resources of the window.
+    let n = window.len();
+    s.busy.clear();
+    s.busy.resize(n, 0);
+    for &(_, i) in &s.order {
+        let route = &s.routes[i as usize];
         let mut base = 0;
         let slot = loop {
-            if base == busy.len() {
-                busy.resize(base + n, 0);
+            if base == s.busy.len() {
+                s.busy.resize(base + n, 0);
             }
-            let taken = route.resources.iter().fold(0, |acc, r| acc | busy[base + r.0 as usize]);
+            let taken = route.resources.iter().fold(0, |acc, r| acc | s.busy[base + r.0 as usize]);
             if taken != u64::MAX {
                 break base / n * 64 + taken.trailing_ones() as usize;
             }
             base += n;
         };
         for r in route.resources.iter() {
-            busy[base + r.0 as usize] |= 1 << (slot % 64);
+            s.busy[base + r.0 as usize] |= 1 << (slot % 64);
         }
-        placed.push((i, slot as u32, route.bandwidth_gbs));
+        place(i as usize, slot as u32, route.bandwidth_gbs);
     }
-    placed
 }
 
 /// The payload-independent shape of a set of hops that all carry the same
@@ -235,13 +291,23 @@ pub struct SlotProfile {
 impl SlotProfile {
     /// Schedule `hops` once; their payloads are ignored.
     pub fn new(map: &ResourceMap, hops: &[Hop]) -> Self {
+        Self::scheduled(map, hops, &mut SlotScratch::default())
+    }
+
+    /// [`SlotProfile::new`] of each level of one topology (a ring step's
+    /// one level, or a reduction tree's halving levels), all scheduled in
+    /// the same buffers.
+    pub fn levels(map: &ResourceMap, levels: &[Vec<Hop>]) -> Vec<Self> {
+        let mut scratch = SlotScratch::default();
+        levels.iter().map(|hops| Self::scheduled(map, hops, &mut scratch)).collect()
+    }
+
+    fn scheduled(map: &ResourceMap, hops: &[Hop], scratch: &mut SlotScratch) -> Self {
         let mut slot_gbs: Vec<f64> = Vec::new();
-        for (_, s, bw) in assign_slots(map, hops) {
-            match slot_gbs.get_mut(s as usize) {
-                Some(min) => *min = min.min(bw),
-                None => slot_gbs.push(bw),
-            }
-        }
+        assign_slots(map, hops, scratch, |_, s, bw| match slot_gbs.get_mut(s as usize) {
+            Some(min) => *min = min.min(bw),
+            None => slot_gbs.push(bw),
+        });
         Self { slot_gbs, hops: hops.len() }
     }
 
@@ -333,45 +399,59 @@ pub fn pairwise_reduce_hops(banks: &[BankId], stride: usize, bytes: u64) -> Vec<
     hops
 }
 
-/// Cost of a full one-to-all broadcast of `bytes` from one bank to every
-/// bank in `banks` (the decoder's `Q_new` distribution): the source drives
-/// its group and channel segments once; crossing to other channels/stacks
-/// goes up through the stack link and host bus, then fans out down every
-/// channel in parallel (broadcast write on each channel bus).
+/// Cost of a full one-to-all broadcast of `bytes` from one bank to each of
+/// the `count` banks from `first` on (the decoder's `Q_new` distribution):
+/// the source drives its group and channel segments once; crossing to
+/// other channels/stacks goes up through the stack link and host bus, then
+/// fans out down every channel in parallel (broadcast write on each channel
+/// bus).
 pub fn one_to_all_broadcast(
     map: &ResourceMap,
     xfer: &TransferCostModel,
     src: BankId,
-    banks: &[BankId],
+    first: BankId,
+    count: u32,
     bytes: u64,
 ) -> ScheduleResult {
     let g = map.geometry();
     let bus = map.bus();
-    let channels: std::collections::BTreeSet<u32> =
-        banks.iter().map(|&b| g.channel_of(b)).collect();
-    let stacks: std::collections::BTreeSet<u32> = banks.iter().map(|&b| g.coord(b).stack).collect();
+    // A run's channels and stacks are contiguous: its ends count them.
+    let (channels, stacks, src_stack_in_run) = match count.checked_sub(1) {
+        None => (0, 0, false),
+        Some(rest) => {
+            let (a, z) = (g.coord(first), g.coord(BankId(first.0 + rest)));
+            let src_stack = g.coord(src).stack;
+            (
+                g.channel_at(z) - g.channel_at(a) + 1,
+                z.stack - a.stack + 1,
+                (a.stack..=z.stack).contains(&src_stack),
+            )
+        }
+    };
     let b = bytes as f64;
     // Store-and-forward up the hierarchy, then one parallel fan-out level.
     let mut latency = b / bus.group_gbs + b / bus.channel_gbs;
-    if stacks.len() > 1 || !stacks.contains(&g.coord(src).stack) {
+    if stacks > 1 || !src_stack_in_run {
         latency += b / bus.stack_gbs + b / bus.host_gbs;
     }
-    if channels.len() > 1 {
+    if channels > 1 {
         latency += b / bus.channel_gbs; // parallel broadcast down the channels
     }
     let bits = (bytes * 8) as f64;
-    let mut energy = xfer.bank_write_energy_pj(bytes) // source read ≈ one write's worth
-        + bits * xfer.energy.e_io * (1.0 + stacks.len() as f64)
-        + bits * xfer.energy.e_post_gsa * channels.len() as f64;
-    for &bank in banks {
-        if bank != src {
-            energy += xfer.bank_write_energy_pj(bytes);
-        }
+    let write = xfer.bank_write_energy_pj(bytes);
+    let mut energy = write // source read ≈ one write's worth
+        + bits * xfer.energy.e_io * (1.0 + f64::from(stacks))
+        + bits * xfer.energy.e_post_gsa * f64::from(channels);
+    // One write per receiving bank, added one by one as a sum over the
+    // banks would add them.
+    let src_in_run = src.0.checked_sub(first.0).is_some_and(|i| i < count);
+    for _ in 0..count - u32::from(src_in_run) {
+        energy += write;
     }
     ScheduleResult {
         latency_ns: latency,
         energy_pj: energy,
-        bytes: bytes as f64 * banks.len() as f64,
+        bytes: bytes as f64 * f64::from(count),
         slots: 1,
     }
 }
@@ -562,10 +642,8 @@ mod tests {
         let g = HbmGeometry::default();
         let map = ResourceMap::new(g, BusParams::default(), true);
         let x = TransferCostModel::new(g, EnergyParams::default(), true);
-        let local: Vec<BankId> = (0..4).map(BankId).collect();
-        let wide: Vec<BankId> = (0..2048).step_by(32).map(BankId).collect();
-        let small = one_to_all_broadcast(&map, &x, BankId(0), &local, 1024);
-        let big = one_to_all_broadcast(&map, &x, BankId(0), &wide, 1024);
+        let small = one_to_all_broadcast(&map, &x, BankId(0), BankId(0), 4, 1024);
+        let big = one_to_all_broadcast(&map, &x, BankId(0), BankId(0), 2048, 1024);
         assert!(big.latency_ns > small.latency_ns);
         assert!(big.energy_pj > small.energy_pj);
     }

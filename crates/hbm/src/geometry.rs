@@ -246,11 +246,6 @@ impl HbmGeometry {
         BankCoord { stack, channel, group, bank }
     }
 
-    /// Global channel index of a bank (stacks × channels flattened).
-    pub fn channel_of(&self, id: BankId) -> u32 {
-        self.channel_at(self.coord(id))
-    }
-
     /// Global channel index of the bank at `c`.
     pub fn channel_at(&self, c: BankCoord) -> u32 {
         c.stack * self.channels_per_stack + c.channel
@@ -301,8 +296,9 @@ mod tests {
         let group_of = |id| g.group_at(g.coord(BankId(id)));
         assert_eq!(group_of(0), group_of(3));
         assert_ne!(group_of(3), group_of(4));
-        assert_eq!(g.channel_of(BankId(0)), g.channel_of(BankId(31)));
-        assert_ne!(g.channel_of(BankId(31)), g.channel_of(BankId(32)));
+        let channel_of = |id| g.channel_at(g.coord(BankId(id)));
+        assert_eq!(channel_of(0), channel_of(31));
+        assert_ne!(channel_of(31), channel_of(32));
     }
 
     #[test]

@@ -189,23 +189,6 @@ impl ResourceMap {
         &self.bus
     }
 
-    /// Total number of distinct resources (banks + groups + channels +
-    /// stacks + host + per-group ring-link tokens):
-    /// [`HbmGeometry::resource_count`].
-    ///
-    /// # Panics
-    ///
-    /// If the count overflows `u32`, which [`HbmGeometry::validate`]
-    /// rejects.
-    pub fn len(&self) -> u32 {
-        self.geometry.resource_count().expect("a validated geometry numbers its resources in u32")
-    }
-
-    /// Always false; maps are never empty.
-    pub fn is_empty(&self) -> bool {
-        false
-    }
-
     /// Resource of a bank (its row buffer / array port).
     pub fn bank(&self, id: BankId) -> ResourceId {
         debug_assert!(id.0 < self.geometry.total_banks());
@@ -215,34 +198,24 @@ impl ResourceMap {
     /// Resource of a bank-group bus (global group index).
     pub fn group_bus(&self, group: u32) -> ResourceId {
         debug_assert!(group < self.geometry.total_groups());
-        ResourceId(self.geometry.total_banks() + group)
+        self.whole().group_bus(group)
     }
 
     /// Resource of a channel bus (global channel index).
     pub fn channel_bus(&self, channel: u32) -> ResourceId {
         debug_assert!(channel < self.geometry.total_channels());
-        ResourceId(self.geometry.total_banks() + self.geometry.total_groups() + channel)
+        self.whole().channel_bus(channel)
     }
 
     /// Resource of a stack's TSV/base-die link.
     pub fn stack_link(&self, stack: u32) -> ResourceId {
         debug_assert!(stack < self.geometry.stacks);
-        ResourceId(
-            self.geometry.total_banks()
-                + self.geometry.total_groups()
-                + self.geometry.total_channels()
-                + stack,
-        )
+        self.whole().stack_link(stack)
     }
 
     /// Resource of the shared host bus.
     pub fn host_bus(&self) -> ResourceId {
-        ResourceId(
-            self.geometry.total_banks()
-                + self.geometry.total_groups()
-                + self.geometry.total_channels()
-                + self.geometry.stacks,
-        )
+        self.whole().host_bus()
     }
 
     /// Ring-link token of a bank group: at most one intra-group ring hop can
@@ -250,46 +223,89 @@ impl ResourceMap {
     /// this constraint).
     pub fn ring_link(&self, group: u32) -> ResourceId {
         debug_assert!(group < self.geometry.total_groups());
-        ResourceId(
-            self.geometry.total_banks()
-                + self.geometry.total_groups()
-                + self.geometry.total_channels()
-                + self.geometry.stacks
-                + 1
-                + group,
-        )
+        self.whole().ring_link(group)
+    }
+
+    /// The [`ResourceWindow`] of the banks `first..=last`.
+    ///
+    /// # Panics
+    ///
+    /// If `last` comes before `first` or is past the last bank.
+    pub fn window(&self, first: BankId, last: BankId) -> ResourceWindow {
+        let g = &self.geometry;
+        assert!(
+            first <= last && last.0 < g.total_banks(),
+            "bank window {first}..={last} outside the {} banks",
+            g.total_banks()
+        );
+        let div = [g.banks_per_group, g.banks_per_channel(), g.banks_per_stack()].map(Divisor::new);
+        let (a, z) = (Place::new(div, first), Place::new(div, last));
+        let banks = z.bank - a.bank + 1;
+        let groups = z.group - a.group + 1;
+        let group_base = banks;
+        let channel_base = group_base + groups;
+        let stack_base = channel_base + (z.channel - a.channel + 1);
+        let host = stack_base + (z.stack - a.stack + 1);
+        ResourceWindow {
+            div,
+            banks_per_group: g.banks_per_group,
+            first: a,
+            last: z.bank,
+            group_base,
+            channel_base,
+            stack_base,
+            host,
+            len: host as usize + 1 + groups as usize,
+        }
+    }
+
+    /// The window of every bank, which numbers resources like the map.
+    fn whole(&self) -> ResourceWindow {
+        self.window(BankId(0), BankId(self.geometry.total_banks() - 1))
     }
 
     /// Route a bank-to-bank transfer. Both banks are always occupied; the
     /// intermediate segments depend on how far apart the banks are in the
     /// hierarchy and on whether ring links exist.
+    ///
+    /// # Panics
+    ///
+    /// If either bank is past the last bank.
     pub fn route(&self, src: BankId, dst: BankId) -> Route {
-        let g = &self.geometry;
-        let (sc, dc) = (g.coord(src), g.coord(dst));
-        let mut resources = RouteResources::banks(self.bank(src), self.bank(dst));
+        self.route_in(&self.whole(), src, dst)
+    }
+
+    /// [`Self::route`] with the resources numbered within window `w`.
+    ///
+    /// # Panics
+    ///
+    /// If either bank is outside the window.
+    pub fn route_in(&self, w: &ResourceWindow, src: BankId, dst: BankId) -> Route {
+        assert!(w.holds(src) && w.holds(dst), "route {src} -> {dst} leaves its bank window");
+        let mut resources = RouteResources::banks(w.bank(src), w.bank(dst));
         let mut bw = f64::INFINITY;
 
-        let (src_group, dst_group) = (g.group_at(sc), g.group_at(dc));
-        let (src_channel, dst_channel) = (g.channel_at(sc), g.channel_at(dc));
-
+        // Each level of the hierarchy is placed only if the banks share
+        // every level above it.
+        let (src_group, dst_group) = (w.group_of(src), w.group_of(dst));
         let neighbors = src.0.abs_diff(dst.0) == 1;
         if src_group == dst_group && self.ring_links && neighbors && !self.link_dead(src_group) {
             // Dedicated neighbor link inside a bank group, possibly running
             // below nominal bandwidth when degraded.
-            resources.push(self.ring_link(src_group));
+            resources.push(w.ring_link(src_group));
             bw = bw.min(self.bus.ring_link_gbs * self.link_factor(src_group));
             return Route { resources, bandwidth_gbs: bw };
         }
 
         if src_group == dst_group {
-            resources.push(self.group_bus(src_group));
+            resources.push(w.group_bus(src_group));
             bw = bw.min(self.bus.group_gbs);
             if !self.ring_links || self.link_dead(src_group) {
                 // Original HBM datapath: every transfer is mediated by the
                 // single shared channel bus and controller. A dead neighbor
                 // link degrades its group to this path — the Figure 9
                 // fallback from the 3T to the 8T schedule.
-                resources.push(self.channel_bus(src_channel));
+                resources.push(w.channel_bus(w.channel_of(src)));
                 if self.ring_links {
                     // Dead-link detour on a machine built around the
                     // dedicated links: the payload is staged in the channel
@@ -307,10 +323,11 @@ impl ResourceMap {
         }
 
         // Different groups: occupy both group buses.
-        resources.push(self.group_bus(src_group));
-        resources.push(self.group_bus(dst_group));
+        resources.push(w.group_bus(src_group));
+        resources.push(w.group_bus(dst_group));
         bw = bw.min(self.bus.group_gbs);
 
+        let (src_channel, dst_channel) = (w.channel_of(src), w.channel_of(dst));
         if src_channel == dst_channel {
             // With the TransPIM broadcast units, the bank-group bus segments
             // are decoupled from the global channel bus, so a cross-group
@@ -320,27 +337,158 @@ impl ResourceMap {
             // Without them, every transfer rides the single shared channel
             // bus and controller.
             if !self.ring_links {
-                resources.push(self.channel_bus(src_channel));
+                resources.push(w.channel_bus(src_channel));
                 bw = bw.min(self.bus.channel_gbs);
             }
             return Route { resources, bandwidth_gbs: bw };
         }
 
-        resources.push(self.channel_bus(src_channel));
-        resources.push(self.channel_bus(dst_channel));
+        resources.push(w.channel_bus(src_channel));
+        resources.push(w.channel_bus(dst_channel));
         bw = bw.min(self.bus.channel_gbs);
 
-        if sc.stack == dc.stack {
-            resources.push(self.stack_link(sc.stack));
+        let (src_stack, dst_stack) = (w.stack_of(src), w.stack_of(dst));
+        if src_stack == dst_stack {
+            resources.push(w.stack_link(src_stack));
             bw = bw.min(self.bus.stack_gbs);
             return Route { resources, bandwidth_gbs: bw };
         }
 
-        resources.push(self.stack_link(sc.stack));
-        resources.push(self.stack_link(dc.stack));
-        resources.push(self.host_bus());
+        resources.push(w.stack_link(src_stack));
+        resources.push(w.stack_link(dst_stack));
+        resources.push(w.host_bus());
         bw = bw.min(self.bus.stack_gbs).min(self.bus.host_gbs);
         Route { resources, bandwidth_gbs: bw }
+    }
+}
+
+/// Exact division of any `u32` by a fixed `d ≥ 1` as one widening multiply
+/// and shift (Lemire, Kaser and Kurz, "Faster remainder by direct
+/// computation", 2019): with `m = ⌈2^64 / d⌉`, `⌊n / d⌋ = ⌊m·n / 2^64⌋` for
+/// every `n < 2^32`, because 64 fraction bits cover the 32 bits of `n` plus
+/// the at most 32 of `d`. `m` fits 64 bits for every `d ≥ 2`; `d = 1`
+/// passes `n` through a mask instead.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct Divisor {
+    m: u64,
+    /// All ones when `d = 1`, else zero.
+    identity: u32,
+}
+
+impl Divisor {
+    /// The constants for `d`. A zero `d` (a geometry without banks, which
+    /// routes nothing) divides everything to 0.
+    fn new(d: u32) -> Self {
+        match d {
+            0 => Self { m: 0, identity: 0 },
+            1 => Self { m: 0, identity: u32::MAX },
+            d => Self { m: u64::MAX / u64::from(d) + 1, identity: 0 },
+        }
+    }
+
+    fn div(self, n: u32) -> u32 {
+        ((u128::from(self.m) * u128::from(n)) >> 64) as u32 | (n & self.identity)
+    }
+}
+
+/// A bank and the global indices of its bank group, channel and stack.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct Place {
+    bank: u32,
+    group: u32,
+    channel: u32,
+    stack: u32,
+}
+
+impl Place {
+    /// Bank `b` placed by the divisions by banks per group, per channel and
+    /// per stack.
+    fn new(div: [Divisor; 3], b: BankId) -> Self {
+        let [group, channel, stack] = div.map(|d| d.div(b.0));
+        Self { bank: b.0, group, channel, stack }
+    }
+}
+
+/// Dense numbering of the resources that transfers among the banks
+/// `first..=last` can occupy ([`ResourceMap::window`]), so that what a
+/// schedule tracks per resource is sized by the banks it spans, not by the
+/// map. The kinds come in the map's order, each numbered from the window's
+/// first element: the banks, the bus of each bank group the window touches,
+/// each channel bus, each stack link, the host bus, then each group's ring
+/// link. The window of every bank numbers resources exactly as
+/// [`ResourceMap::bank`] and the other accessors do.
+///
+/// A window also holds its map's bank → group, channel and stack divisions
+/// as multiply-shift constants, so routing within it divides nothing.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct ResourceWindow {
+    /// Divisions by banks per group, per channel and per stack.
+    div: [Divisor; 3],
+    banks_per_group: u32,
+    first: Place,
+    last: u32,
+    group_base: u32,
+    channel_base: u32,
+    stack_base: u32,
+    host: u32,
+    len: usize,
+}
+
+impl ResourceWindow {
+    /// Number of resource ids in the window: every id [`ResourceMap::route_in`]
+    /// returns for it is below this.
+    pub fn len(&self) -> usize {
+        self.len
+    }
+
+    /// Always false; a window holds at least one bank.
+    pub fn is_empty(&self) -> bool {
+        false
+    }
+
+    /// Position of bank `b` within its bank group.
+    pub fn group_position(&self, b: BankId) -> u32 {
+        b.0 - self.group_of(b) * self.banks_per_group
+    }
+
+    fn holds(&self, b: BankId) -> bool {
+        (self.first.bank..=self.last).contains(&b.0)
+    }
+
+    fn group_of(&self, b: BankId) -> u32 {
+        self.div[0].div(b.0)
+    }
+
+    fn channel_of(&self, b: BankId) -> u32 {
+        self.div[1].div(b.0)
+    }
+
+    fn stack_of(&self, b: BankId) -> u32 {
+        self.div[2].div(b.0)
+    }
+
+    fn bank(&self, b: BankId) -> ResourceId {
+        ResourceId(b.0 - self.first.bank)
+    }
+
+    fn group_bus(&self, group: u32) -> ResourceId {
+        ResourceId(self.group_base + (group - self.first.group))
+    }
+
+    fn channel_bus(&self, channel: u32) -> ResourceId {
+        ResourceId(self.channel_base + (channel - self.first.channel))
+    }
+
+    fn stack_link(&self, stack: u32) -> ResourceId {
+        ResourceId(self.stack_base + (stack - self.first.stack))
+    }
+
+    fn host_bus(&self) -> ResourceId {
+        ResourceId(self.host)
+    }
+
+    fn ring_link(&self, group: u32) -> ResourceId {
+        ResourceId(self.host + 1 + (group - self.first.group))
     }
 }
 
@@ -371,7 +519,8 @@ mod tests {
             assert!(seen.insert(m.stack_link(s)));
         }
         assert!(seen.insert(m.host_bus()));
-        assert_eq!(seen.len() as u32, m.len());
+        assert_eq!(seen.len(), m.whole().len());
+        assert_eq!(Some(seen.len() as u32), g.resource_count());
     }
 
     #[test]
@@ -519,5 +668,99 @@ mod tests {
         }
         assert_eq!(seen, [true; 4]);
         assert_eq!(widest, MAX_ROUTE_RESOURCES, "a cross-stack hop fills the bound");
+    }
+
+    /// Two stacks of 5 channels of 3 groups of 3 banks: banks per group,
+    /// channel and stack (3, 9, 45) are not powers of two, so no division
+    /// here is a shift.
+    fn odd_geometry() -> HbmGeometry {
+        HbmGeometry {
+            stacks: 2,
+            channels_per_stack: 5,
+            groups_per_channel: 3,
+            banks_per_group: 3,
+            ..HbmGeometry::default()
+        }
+    }
+
+    #[test]
+    fn multiply_shift_division_is_exact() {
+        let edges =
+            [0, 1, 2, 3, 5, 7, 9, 45, 255, 256, 1 << 31, (1 << 31) + 1, u32::MAX - 1, u32::MAX];
+        let mut x = 0x9e37_79b9_7f4a_7c15u64;
+        let mut random = || {
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            x as u32 >> (x >> 59)
+        };
+        let numerators: Vec<u32> = edges.into_iter().chain((0..2000).map(|_| random())).collect();
+        let divisors: Vec<u32> =
+            edges.into_iter().filter(|&d| d > 0).chain((0..200).map(|_| random().max(1))).collect();
+        for &d in &divisors {
+            let div = Divisor::new(d);
+            for &n in &numerators {
+                assert_eq!(div.div(n), n / d, "{n} / {d}");
+            }
+        }
+    }
+
+    #[test]
+    fn banks_are_placed_like_their_coordinates() {
+        for g in [odd_geometry(), HbmGeometry::default(), HbmGeometry::with_stacks(6_000_000)] {
+            let m = ResourceMap::new(g, BusParams::default(), true);
+            let w = m.whole();
+            let n = g.total_banks();
+            let step = (n / 5000).max(1);
+            for b in (0..n).step_by(step as usize).chain([n - 1]) {
+                let (b, c) = (BankId(b), g.coord(BankId(b)));
+                assert_eq!(
+                    (w.group_of(b), w.channel_of(b), w.stack_of(b)),
+                    (g.group_at(c), g.channel_at(c), c.stack)
+                );
+                assert_eq!(w.group_position(b), c.bank);
+            }
+        }
+    }
+
+    #[test]
+    fn windows_rename_the_map_densely() {
+        let g = odd_geometry();
+        let n = g.total_banks();
+        for ring in [true, false] {
+            let m =
+                ResourceMap::new(g, BusParams::default(), ring).with_ring_faults(&[4], &[(7, 0.5)]);
+            for (first, last) in [(0, n - 1), (0, 0), (4, 5), (2, 11), (8, 52), (40, 50), (13, 89)]
+            {
+                let w = m.window(BankId(first), BankId(last));
+                // Window id -> map id and back: both ways a function, so the
+                // window renames without merging or splitting a resource.
+                let mut to_map = std::collections::HashMap::new();
+                let mut to_window = std::collections::HashMap::new();
+                for src in first..=last {
+                    for dst in first..=last {
+                        let (local, global) = (
+                            m.route_in(&w, BankId(src), BankId(dst)),
+                            m.route(BankId(src), BankId(dst)),
+                        );
+                        assert_eq!(local.bandwidth_gbs, global.bandwidth_gbs);
+                        assert_eq!(local.resources.len(), global.resources.len());
+                        for (l, r) in local.resources.iter().zip(global.resources.iter()) {
+                            assert!((l.0 as usize) < w.len(), "{src}->{dst} in {first}..={last}");
+                            assert_eq!(*to_map.entry(*l).or_insert(*r), *r);
+                            assert_eq!(*to_window.entry(*r).or_insert(*l), *l);
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "leaves its bank window")]
+    fn routes_stay_in_their_window() {
+        let m = map(true);
+        let w = m.window(BankId(4), BankId(7));
+        m.route_in(&w, BankId(3), BankId(4));
     }
 }

@@ -852,12 +852,20 @@ impl Executor {
             return *r;
         }
         let r = if let Schedule::OneToAll { src } = kind {
-            one_to_all_broadcast(&self.map, &self.xfer, BankId(src), &banks.to_vec(), bytes)
+            one_to_all_broadcast(
+                &self.map,
+                &self.xfer,
+                BankId(src),
+                BankId(banks.start),
+                banks.count,
+                bytes,
+            )
         } else {
             let map = &self.map;
-            let levels = self.topologies.entry((kind, banks)).or_insert_with(|| {
-                hop_levels(kind, banks, 0).iter().map(|hops| SlotProfile::new(map, hops)).collect()
-            });
+            let levels = self
+                .topologies
+                .entry((kind, banks))
+                .or_insert_with(|| SlotProfile::levels(map, &hop_levels(kind, banks, 0)));
             let mut total = ScheduleResult::default();
             for level in levels.iter() {
                 let r = level.price(&self.xfer, bytes);

@@ -148,6 +148,9 @@ for required in \
   scheduler_properties::slot_scheduler_matches_hashset_reference \
   scheduler_properties::first_fit_matches_the_reference_on_arbitrary_hop_sets \
   scheduler_properties::slot_profile_prices_every_byte_count_like_the_reference \
+  scheduler_properties::first_fit_matches_the_reference_on_a_non_power_of_two_geometry \
+  scheduler_properties::slot_profile_prices_like_the_reference_on_a_non_power_of_two_geometry \
+  scheduler_properties::one_to_all_matches_the_set_reference \
   differential_fuzz::banksim_attention_matches_f32_within_tolerance \
   differential_fuzz::repeat_compression_is_an_exact_encoding \
   differential_fuzz::token_and_layer_flow_encoders_agree \

@@ -3,17 +3,19 @@
 //! must be well-formed for every bank pair, the slot scheduler must place
 //! hops exactly like a straightforward round-based scheduler with a
 //! per-slot `HashSet` (on ring steps, reduction trees and arbitrary hop
-//! sets, including ones that need more than 64 slots), a topology's
-//! slot profile must price every byte count exactly as that scheduler
-//! does, and in the traced exemplar of a ring step or reduction tree each
-//! source bank must send exactly one hop, whose span then gives the
-//! bank's busy fraction.
+//! sets, including ones that need more than 64 slots, and on a geometry
+//! whose bank counts per group, channel and stack are not powers of two),
+//! a topology's slot profile must price every byte count exactly as that
+//! scheduler does, a one-to-all broadcast over a bank run must cost
+//! exactly what it did counted over per-bank sets, and in the traced
+//! exemplar of a ring step or reduction tree each source bank must send
+//! exactly one hop, whose span then gives the bank's busy fraction.
 
 use proptest::prelude::*;
-use std::collections::HashSet;
+use std::collections::{BTreeSet, HashSet};
 use transpim_acu::ring::{
-    pairwise_reduce_hops, ring_step_hops, schedule_hops, schedule_hops_placed, Hop, HopPlacement,
-    ScheduleResult, SlotProfile, TransferCostModel,
+    one_to_all_broadcast, pairwise_reduce_hops, ring_step_hops, schedule_hops,
+    schedule_hops_placed, Hop, HopPlacement, ScheduleResult, SlotProfile, TransferCostModel,
 };
 use transpim_hbm::energy::EnergyParams;
 use transpim_hbm::geometry::{BankId, HbmGeometry};
@@ -25,6 +27,19 @@ fn small_geometry() -> HbmGeometry {
         channels_per_stack: 2,
         groups_per_channel: 2,
         banks_per_group: 4,
+        ..HbmGeometry::default()
+    }
+}
+
+/// Two stacks of 5 channels of 3 groups of 3 banks (90 banks, 30 groups):
+/// banks per group, channel and stack (3, 9, 45) are not powers of two, so
+/// no division the router makes is a shift.
+fn odd_geometry() -> HbmGeometry {
+    HbmGeometry {
+        stacks: 2,
+        channels_per_stack: 5,
+        groups_per_channel: 3,
+        banks_per_group: 3,
         ..HbmGeometry::default()
     }
 }
@@ -85,6 +100,137 @@ fn reference_schedule(
     let energy_pj = hops.iter().map(|h| xfer.hop_energy_pj(h.bytes)).sum();
     let bytes = hops.iter().map(|h| h.bytes as f64).sum();
     (ScheduleResult { latency_ns: latency, energy_pj, bytes, slots }, placements)
+}
+
+/// `first_fit_matches_the_reference_on_arbitrary_hop_sets` on geometry
+/// `g`: hops between any banks, then a serial set on one channel without
+/// ring links. Inputs are reduced modulo `g`'s banks, groups and channels.
+#[allow(clippy::too_many_arguments)]
+fn check_first_fit(
+    g: HbmGeometry,
+    pairs: &[(u32, u32, u64)],
+    channel: u32,
+    serial: &[(u32, u32)],
+    bytes: u64,
+    ring_links: bool,
+    dead: &[u32],
+    degraded: &[(u32, f64)],
+) -> TestCaseResult {
+    let (n, groups) = (g.total_banks(), g.total_groups());
+    let dead: Vec<u32> = dead.iter().map(|d| d % groups).collect();
+    let degraded: Vec<(u32, f64)> = degraded.iter().map(|&(d, f)| (d % groups, f)).collect();
+    let map =
+        ResourceMap::new(g, BusParams::default(), ring_links).with_ring_faults(&dead, &degraded);
+    let xfer = TransferCostModel::new(g, EnergyParams::default(), ring_links);
+    let hops: Vec<Hop> = pairs
+        .iter()
+        .map(|&(s, k, b)| {
+            let (s, k) = (s % n, 1 + k % (n - 1));
+            Hop { src: BankId(s), dst: BankId((s + k) % n), bytes: b }
+        })
+        .collect();
+    let (got, placed) = schedule_hops_placed(&map, &xfer, &hops);
+    let (want, want_placed) = reference_schedule(&map, &xfer, &hops);
+    prop_assert_eq!(got, want);
+    prop_assert_eq!(placed, want_placed);
+
+    let map = ResourceMap::new(g, BusParams::default(), false);
+    let xfer = TransferCostModel::new(g, EnergyParams::default(), false);
+    let per_channel = g.banks_per_channel();
+    let first = channel % g.total_channels() * per_channel;
+    let hops: Vec<Hop> = serial
+        .iter()
+        .map(|&(s, k)| {
+            let (s, k) = (s % per_channel, 1 + k % (per_channel - 1));
+            Hop { src: BankId(first + s), dst: BankId(first + (s + k) % per_channel), bytes }
+        })
+        .collect();
+    let (got, placed) = schedule_hops_placed(&map, &xfer, &hops);
+    let (want, want_placed) = reference_schedule(&map, &xfer, &hops);
+    prop_assert_eq!(got.slots as usize, hops.len());
+    prop_assert_eq!(got, want);
+    prop_assert_eq!(placed, want_placed);
+    Ok(())
+}
+
+/// `slot_profile_prices_every_byte_count_like_the_reference` on geometry
+/// `g`, for the ring step and reduction tree over `count` banks from
+/// `first` (both reduced to fit `g`).
+fn check_slot_profile(
+    g: HbmGeometry,
+    first: u32,
+    count: u32,
+    bytes: &[u64],
+    ring_links: bool,
+    dead: &[u32],
+    degraded: &[(u32, f64)],
+) -> TestCaseResult {
+    let (n, groups) = (g.total_banks(), g.total_groups());
+    let dead: Vec<u32> = dead.iter().map(|d| d % groups).collect();
+    let degraded: Vec<(u32, f64)> = degraded.iter().map(|&(d, f)| (d % groups, f)).collect();
+    let map =
+        ResourceMap::new(g, BusParams::default(), ring_links).with_ring_faults(&dead, &degraded);
+    let xfer = TransferCostModel::new(g, EnergyParams::default(), ring_links);
+    let first = first % n;
+    let ids: Vec<BankId> = (first..(first + count).min(n)).map(BankId).collect();
+    let mut levels = vec![ring_step_hops(&ids, 0)];
+    let mut stride = 1;
+    while stride < ids.len() {
+        levels.push(pairwise_reduce_hops(&ids, stride, 0));
+        stride *= 2;
+    }
+    let profiles = SlotProfile::levels(&map, &levels);
+    for (level, profile) in levels.iter().zip(&profiles) {
+        prop_assert_eq!(profile, &SlotProfile::new(&map, level));
+        for &b in bytes {
+            let hops: Vec<Hop> = level.iter().map(|h| Hop { bytes: b, ..*h }).collect();
+            let (want, _) = reference_schedule(&map, &xfer, &hops);
+            let got = profile.price(&xfer, b);
+            prop_assert_eq!(got, want, "{} B", b);
+            prop_assert_eq!(got.latency_ns.to_bits(), want.latency_ns.to_bits());
+        }
+    }
+    Ok(())
+}
+
+/// The one-to-all broadcast as it was priced over a list of banks, with
+/// the channels and stacks it reaches counted in `BTreeSet`s: what
+/// `one_to_all_broadcast` over a contiguous run must reproduce bit for bit.
+fn one_to_all_reference(
+    map: &ResourceMap,
+    xfer: &TransferCostModel,
+    energy: &EnergyParams,
+    src: BankId,
+    banks: &[BankId],
+    bytes: u64,
+) -> ScheduleResult {
+    let g = map.geometry();
+    let bus = map.bus();
+    let channels: BTreeSet<u32> = banks.iter().map(|&b| g.channel_at(g.coord(b))).collect();
+    let stacks: BTreeSet<u32> = banks.iter().map(|&b| g.coord(b).stack).collect();
+    let b = bytes as f64;
+    let mut latency = b / bus.group_gbs + b / bus.channel_gbs;
+    if stacks.len() > 1 || !stacks.contains(&g.coord(src).stack) {
+        latency += b / bus.stack_gbs + b / bus.host_gbs;
+    }
+    if channels.len() > 1 {
+        latency += b / bus.channel_gbs;
+    }
+    let bits = (bytes * 8) as f64;
+    let mut energy_pj = xfer.bank_write_energy_pj(bytes)
+        + bits * energy.e_io * (1.0 + stacks.len() as f64)
+        + bits * energy.e_post_gsa * channels.len() as f64;
+    for &bank in banks {
+        if bank != src {
+            energy_pj += xfer.bank_write_energy_pj(bytes);
+        }
+    }
+    ScheduleResult {
+        latency_ns: latency,
+        energy_pj,
+        bytes: bytes as f64 * banks.len() as f64,
+        slots: 1,
+    }
 }
 
 proptest! {
@@ -275,6 +421,68 @@ proptest! {
             b.latency_ns,
             n.latency_ns
         );
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(128))]
+
+    #[test]
+    fn first_fit_matches_the_reference_on_a_non_power_of_two_geometry(
+        pairs in proptest::collection::vec((0u32..90, 1u32..90, 0u64..1 << 20), 0..48),
+        channel in 0u32..10,
+        serial in proptest::collection::vec((0u32..9, 1u32..9), 65..160),
+        bytes in 64u64..8192,
+        ring_links in any::<bool>(),
+        dead in proptest::collection::vec(0u32..30, 0..3),
+        degraded in proptest::collection::vec((0u32..30, 0.05f64..1.0), 0..3),
+    ) {
+        check_first_fit(
+            odd_geometry(), &pairs, channel, &serial, bytes, ring_links, &dead, &degraded,
+        )?;
+    }
+
+    #[test]
+    fn slot_profile_prices_like_the_reference_on_a_non_power_of_two_geometry(
+        first in 0u32..90,
+        count in 0u32..91,
+        bytes in proptest::collection::vec(0u64..1 << 40, 2..5),
+        ring_links in any::<bool>(),
+        dead in proptest::collection::vec(0u32..30, 0..3),
+        degraded in proptest::collection::vec((0u32..30, 0.05f64..1.0), 0..3),
+    ) {
+        check_slot_profile(odd_geometry(), first, count, &bytes, ring_links, &dead, &degraded)?;
+    }
+
+    #[test]
+    fn one_to_all_matches_the_set_reference(
+        first in 0u32..2048,
+        count in 0u32..2049,
+        src in 0u32..2048,
+        bytes in 0u64..1 << 40,
+        buffered in any::<bool>(),
+    ) {
+        for g in [small_geometry(), HbmGeometry::default(), odd_geometry()] {
+            let n = g.total_banks();
+            let energy = EnergyParams::default();
+            let map = ResourceMap::new(g, BusParams::default(), buffered);
+            let xfer = TransferCostModel::new(g, energy, buffered);
+            let first = first % n;
+            let drawn = count % (n - first + 1);
+            // The drawn run, a single bank and no bank; each from the drawn
+            // source, the run's first and last bank, and the bank after it.
+            for count in [drawn, 1, 0] {
+                let run: Vec<BankId> = (first..first + count).map(BankId).collect();
+                let last = first + count.saturating_sub(1);
+                for src in [src % n, first, last, (first + count) % n] {
+                    let got = one_to_all_broadcast(&map, &xfer, BankId(src), BankId(first), count, bytes);
+                    let want = one_to_all_reference(&map, &xfer, &energy, BankId(src), &run, bytes);
+                    prop_assert_eq!(got, want, "{} banks from {}, source {}", count, first, src);
+                    prop_assert_eq!(got.latency_ns.to_bits(), want.latency_ns.to_bits());
+                    prop_assert_eq!(got.energy_pj.to_bits(), want.energy_pj.to_bits());
+                }
+            }
+        }
     }
 }
 

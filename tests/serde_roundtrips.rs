@@ -28,6 +28,25 @@ fn hbm_config_roundtrips() {
     assert_eq!(roundtrip(&cfg), cfg);
 }
 
+/// The JSON writer prints an integral float below 1e15 from its integer
+/// digits; that must be what `{v:.1}` prints, and from 1e15 on (2^52 too)
+/// the shortest form `{v}` prints, pretty or compact.
+#[test]
+fn integral_floats_print_as_precision_one_formatting_does() {
+    for v in [0.0, -0.0, 1.0, -1.0, 2f64.powi(49), 1e15 - 1.0, -(1e15 - 1.0)] {
+        assert_eq!(serde_json::to_string(&v).expect("serialize"), format!("{v:.1}"), "{v:e}");
+    }
+    for v in [1e15, -1e15, 2f64.powi(52), 0.5, -2.25] {
+        assert_eq!(serde_json::to_string(&v).expect("serialize"), format!("{v}"), "{v:e}");
+    }
+    assert_eq!(serde_json::to_string(&-0.0f64).expect("serialize"), "-0.0");
+    let nested = vec![vec![1e15, -0.0], vec![]];
+    assert_eq!(
+        serde_json::to_string_pretty(&nested).expect("serialize"),
+        "[\n  [\n    1000000000000000,\n    -0.0\n  ],\n  []\n]"
+    );
+}
+
 #[test]
 fn arch_config_roundtrips_all_kinds() {
     for kind in ArchKind::ALL {
