@@ -19,12 +19,11 @@
 
 use crate::data_buffer::DataBufferModel;
 use serde::{Deserialize, Serialize};
-use std::fmt::Write;
 use transpim_hbm::energy::EnergyParams;
 use transpim_hbm::engine::tracks;
 use transpim_hbm::geometry::{BankId, HbmGeometry};
 use transpim_hbm::resource::{ResourceMap, Route, MAX_ROUTE_RESOURCES};
-use transpim_obs::{SinkHandle, SpanEvent};
+use transpim_obs::{ArgValue, SinkHandle, SpanEvent};
 
 /// One bank-to-bank transfer of `bytes`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
@@ -359,7 +358,10 @@ pub fn emit_hop_events(
     let mut name = String::new();
     for p in placements {
         name.clear();
-        let _ = write!(name, "hop {}->{}", p.src.0, p.dst.0);
+        name.push_str("hop ");
+        push_decimal(&mut name, p.src.0);
+        name.push_str("->");
+        push_decimal(&mut name, p.dst.0);
         sink.span(
             &SpanEvent::new(
                 name.as_str(),
@@ -368,10 +370,27 @@ pub fn emit_hop_events(
                 base_ns + p.start_ns * scale,
                 p.dur_ns * scale,
             )
-            .with_label("slot", u64::from(p.slot))
-            .with_label("dst_bank", u64::from(p.dst.0)),
+            .with_args(&[
+                ("slot", ArgValue::Label(u64::from(p.slot))),
+                ("dst_bank", ArgValue::Label(u64::from(p.dst.0))),
+            ]),
         );
     }
+}
+
+/// Append `v` in decimal, as `Display` prints it, one digit at a time.
+fn push_decimal(out: &mut String, mut v: u32) {
+    let mut digits = [0u8; 10];
+    let mut at = digits.len();
+    loop {
+        at -= 1;
+        digits[at] = b'0' + (v % 10) as u8;
+        v /= 10;
+        if v == 0 {
+            break;
+        }
+    }
+    out.extend(digits[at..].iter().map(|&d| char::from(d)));
 }
 
 /// Hops of one ring-broadcast step over `banks` (each bank sends `bytes` to
@@ -625,6 +644,15 @@ mod tests {
         assert_eq!(events.iter().filter(|e| e.ph == "C").count(), 0);
         // Disabled sink: emission is a no-op.
         emit_hop_events(&SinkHandle::null(), &map, 0.0, 1.0, &placed);
+    }
+
+    #[test]
+    fn hop_names_print_bank_ids_as_display_does() {
+        for v in [0, 7, 10, 99, 2047, 65_536, u32::MAX] {
+            let mut name = String::from("hop ");
+            push_decimal(&mut name, v);
+            assert_eq!(name, format!("hop {v}"));
+        }
     }
 
     #[test]

@@ -270,8 +270,7 @@ impl Engine {
                     self.now_ns(),
                     latency,
                 )
-                .with_arg("energy_pj", energy_pj)
-                .with_arg("bytes", bytes),
+                .with_args(&[("energy_pj", energy_pj.into()), ("bytes", bytes.into())]),
             );
         }
         let lump = Lump::new(category, latency, energy_pj, bytes);
@@ -343,7 +342,7 @@ impl Engine {
         let start_ns = from_units(start_units);
         self.sink.span(
             &SpanEvent::new("repeat", "repeat", tracks::RING, start_ns, self.now_ns() - start_ns)
-                .with_count(iterations),
+                .with_args(&[("count", iterations.into())]),
         );
         for c in Category::ALL {
             let mut at = start_units;
@@ -361,9 +360,11 @@ impl Engine {
                         from_units(at),
                         from_units(d.time),
                     )
-                    .with_arg("energy_pj", d.energy_pj)
-                    .with_arg("bytes", d.bytes)
-                    .with_count(d.lumps),
+                    .with_args(&[
+                        ("energy_pj", d.energy_pj.into()),
+                        ("bytes", d.bytes.into()),
+                        ("count", d.lumps.into()),
+                    ]),
                 );
                 at = at.saturating_add(d.time);
             }

@@ -8,7 +8,7 @@
 //!
 //! [trace-event format]: https://docs.google.com/document/d/1CvAClvFfyA5R-PhYUmn5OOQtYMH4h6I0nSsKchNAySU
 
-use crate::event::{ArgValue, CounterEvent, InstantEvent, SpanEvent, TrackId};
+use crate::event::{Arg, ArgValue, CounterEvent, InstantEvent, SpanEvent, TrackId};
 use crate::json::{self, JsonBuf};
 use crate::sink::Sink;
 use serde::{Deserialize, Serialize};
@@ -70,8 +70,11 @@ impl ChromeEvent {
     }
 }
 
-const PID: u64 = 1;
 const NS_PER_US: f64 = 1000.0;
+
+/// What follows a record's timestamp up to its track id: the simulator
+/// is process 1.
+const PID_TID: &[u8] = b",\"pid\":1,\"tid\":";
 
 /// Where one rendered record sits in the buffer, and its sort key.
 #[derive(Debug, Clone, Copy)]
@@ -98,44 +101,35 @@ impl Entry {
 /// in order, the last value of a repeated key winning. Writes nothing for
 /// no arguments. Selecting the next key by a scan costs O(n²) in the
 /// argument count, which is a handful, and allocates nothing.
-fn write_args<T>(
-    out: &mut JsonBuf,
-    args: &[T],
-    key: impl Fn(&T) -> &str,
-    value: impl Fn(&mut JsonBuf, &T),
-) {
+fn write_args(out: &mut JsonBuf, args: &[Arg<'_>]) {
     if args.is_empty() {
         return;
     }
-    out.text.push_str(",\"args\":{");
+    out.push(b",\"args\":{");
     let mut prev: Option<&str> = None;
     loop {
-        let mut next: Option<&T> = None;
+        let mut next: Option<&Arg<'_>> = None;
         for arg in args {
-            let k = key(arg);
-            if prev.is_none_or(|p| k > p) && next.is_none_or(|n| k <= key(n)) {
+            let k = arg.0;
+            if prev.is_none_or(|p| k > p) && next.is_none_or(|n| k <= n.0) {
                 next = Some(arg);
             }
         }
-        let Some(arg) = next else { break };
+        let Some((key, value)) = next else { break };
         if prev.is_some() {
-            out.text.push(',');
+            out.push(b",");
         }
-        json::write_str(&mut out.text, key(arg));
-        out.text.push(':');
-        value(out, arg);
-        prev = Some(key(arg));
+        out.write_str(key);
+        out.push(b":");
+        match value {
+            // A label is just a number in a trace.
+            ArgValue::Num(n) => out.write_f64(*n),
+            ArgValue::Label(id) => out.write_f64(*id as f64),
+            ArgValue::Str(s) => out.write_str(s),
+        }
+        prev = Some(key);
     }
-    out.text.push('}');
-}
-
-/// Write an event argument: a label is just a number in a trace.
-fn write_arg_value(out: &mut JsonBuf, value: &ArgValue) {
-    match value {
-        ArgValue::Num(n) => out.write_f64(*n),
-        ArgValue::Label(id) => out.write_f64(*id as f64),
-        ArgValue::Str(s) => json::write_str(&mut out.text, s),
-    }
+    out.push(b"}");
 }
 
 /// Sink that renders each trace-event record as it arrives and writes
@@ -172,8 +166,8 @@ impl ChromeTraceSink {
     /// run: export sorts stably, so records with equal `(ts, tid)` keep
     /// their append order.
     pub fn absorb(&mut self, other: ChromeTraceSink) {
-        let shift = self.buf.text.len();
-        self.buf.text.push_str(&other.buf.text);
+        let shift = self.buf.bytes.len();
+        self.buf.push(&other.buf.bytes);
         self.index.extend(other.index.iter().map(|e| Entry {
             start: e.start + shift,
             end: e.end + shift,
@@ -205,9 +199,12 @@ impl ChromeTraceSink {
         let records: Vec<Value> = self
             .sorted_index()
             .iter()
-            .map(|e| serde_json::from_str(&self.buf.text[e.start..e.end]))
-            .collect::<Result<_, _>>()
-            .expect("the sink renders every record as a JSON object");
+            .map(|e| {
+                let record = std::str::from_utf8(&self.buf.bytes[e.start..e.end]).ok()?;
+                serde_json::from_str(record).ok()
+            })
+            .collect::<Option<_>>()
+            .expect("the sink renders every record as a UTF-8 JSON object");
         records.iter().map(ChromeEvent::decode).collect()
     }
 
@@ -222,17 +219,17 @@ impl ChromeTraceSink {
     /// returns `Ok`.
     pub fn to_json_string(&self) -> Result<String, crate::ObsError> {
         let index = self.sorted_index();
-        let text = &self.buf.text;
-        let mut out = String::with_capacity(text.len() + index.len() + 2);
-        out.push('[');
+        let bytes = &self.buf.bytes;
+        let mut out = Vec::with_capacity(bytes.len() + index.len() + 2);
+        out.push(b'[');
         for (i, e) in index.iter().enumerate() {
             if i > 0 {
-                out.push(',');
+                out.push(b',');
             }
-            out.push_str(&text[e.start..e.end]);
+            out.extend_from_slice(&bytes[e.start..e.end]);
         }
-        out.push(']');
-        Ok(out)
+        out.push(b']');
+        json::into_string(out)
     }
 
     /// Serialize and write the trace to `path`.
@@ -244,71 +241,80 @@ impl ChromeTraceSink {
         std::fs::write(path, self.to_json_string()?).map_err(crate::ObsError::from)
     }
 
-    /// Render one record — `name`, `cat`, `ph`, `ts` in microseconds,
-    /// `dur` when present, `pid`, `tid` — with `args` writing its
-    /// arguments, and index it.
-    #[allow(clippy::too_many_arguments)]
-    fn record(
-        &mut self,
-        name: &str,
-        cat: &str,
-        ph: &str,
-        ts: f64,
-        dur: Option<f64>,
-        tid: u64,
-        args: impl FnOnce(&mut JsonBuf),
-    ) {
-        let out = &mut self.buf;
-        let start = out.text.len();
-        out.text.push_str("{\"name\":");
-        json::write_str(&mut out.text, name);
-        out.text.push_str(",\"cat\":");
-        json::write_str(&mut out.text, cat);
-        out.text.push_str(",\"ph\":");
-        json::write_str(&mut out.text, ph);
-        out.text.push_str(",\"ts\":");
-        out.write_f64(ts);
-        if let Some(dur) = dur {
-            out.text.push_str(",\"dur\":");
-            out.write_f64(dur);
-        }
-        out.text.push_str(",\"pid\":");
-        json::write_u64(&mut out.text, PID);
-        out.text.push_str(",\"tid\":");
-        json::write_u64(&mut out.text, tid);
-        args(out);
-        out.text.push('}');
-        let rank = u8::from(ph != "M");
+    /// Index the record `render` appends to the buffer.
+    fn record(&mut self, rank: u8, ts: f64, tid: u64, render: impl FnOnce(&mut JsonBuf)) {
+        let start = self.buf.bytes.len();
+        render(&mut self.buf);
         let ts = if ts.is_nan() { f64::NAN } else { ts + 0.0 };
-        self.index.push(Entry { rank, ts, tid, start, end: out.text.len() });
+        self.index.push(Entry { rank, ts, tid, start, end: self.buf.bytes.len() });
     }
+}
+
+/// `{"name":<name>,"cat":<cat>`: how a span or instant record opens.
+fn open(out: &mut JsonBuf, name: &str, cat: &str) {
+    out.push(b"{\"name\":");
+    out.write_str(name);
+    out.push(b",\"cat\":");
+    out.write_str(cat);
+}
+
+/// `,"pid":1,"tid":<tid>`, the arguments and the closing brace: how a
+/// span or instant record ends.
+fn close(out: &mut JsonBuf, tid: u64, args: &[Arg<'_>]) {
+    out.push(PID_TID);
+    out.write_u64(tid);
+    write_args(out, args);
+    out.push(b"}");
 }
 
 impl Sink for ChromeTraceSink {
     fn span(&mut self, event: &SpanEvent<'_>) {
         let (ts, dur) = (event.start_ns / NS_PER_US, event.dur_ns / NS_PER_US);
-        self.record(&event.name, &event.category, "X", ts, Some(dur), event.track.0, |out| {
-            write_args(out, &event.args, |(k, _)| k, |out, (_, v)| write_arg_value(out, v))
+        self.record(1, ts, event.track.0, |out| {
+            open(out, &event.name, &event.category);
+            out.push(b",\"ph\":\"X\",\"ts\":");
+            out.write_f64(ts);
+            out.push(b",\"dur\":");
+            out.write_f64(dur);
+            close(out, event.track.0, event.args);
         });
     }
 
     fn instant(&mut self, event: &InstantEvent<'_>) {
         let ts = event.ts_ns / NS_PER_US;
-        self.record(&event.name, &event.category, "i", ts, None, event.track.0, |out| {
-            write_args(out, &event.args, |(k, _)| k, |out, (_, v)| write_arg_value(out, v))
+        self.record(1, ts, event.track.0, |out| {
+            open(out, &event.name, &event.category);
+            out.push(b",\"ph\":\"i\",\"ts\":");
+            out.write_f64(ts);
+            close(out, event.track.0, event.args);
         });
     }
 
     fn counter(&mut self, event: &CounterEvent<'_>) {
         let ts = event.ts_ns / NS_PER_US;
-        self.record(&event.name, "counter", "C", ts, None, event.track.0, |out| {
-            write_args(out, &event.values, |(k, _)| k, |out, (_, v)| out.write_f64(*v))
+        self.record(1, ts, event.track.0, |out| {
+            out.push(b"{\"name\":");
+            out.write_str(&event.name);
+            out.push(b",\"cat\":\"counter\",\"ph\":\"C\",\"ts\":");
+            out.write_f64(ts);
+            out.push(PID_TID);
+            out.write_u64(event.track.0);
+            out.push(b",\"args\":{");
+            out.write_str(&event.series);
+            out.push(b":");
+            out.write_f64(event.value);
+            out.push(b"}}");
         });
     }
 
     fn track_name(&mut self, track: TrackId, name: &str) {
-        self.record("thread_name", "__metadata", "M", 0.0, None, track.0, |out| {
-            write_args(out, &[name], |_| "name", |out, name| json::write_str(&mut out.text, name))
+        self.record(0, 0.0, track.0, |out| {
+            out.push(b"{\"name\":\"thread_name\",\"cat\":\"__metadata\",\"ph\":\"M\",\"ts\":0");
+            out.push(PID_TID);
+            out.write_u64(track.0);
+            out.push(b",\"args\":{\"name\":");
+            out.write_str(name);
+            out.push(b"}}");
         });
     }
 }
@@ -322,7 +328,7 @@ mod tests {
         s.track_name(TrackId(2), "arithmetic");
         s.span(
             &SpanEvent::new("fc", "arithmetic", TrackId(2), 2000.0, 1000.0)
-                .with_arg("energy_pj", 7.0),
+                .with_args(&[("energy_pj", 7.0.into())]),
         );
         s.span(&SpanEvent::new("attn", "data-movement", TrackId(1), 0.0, 2000.0));
         s.counter(&CounterEvent::sample("util", TrackId(3), 500.0, "busy", 0.25));
@@ -367,7 +373,7 @@ mod tests {
         first.track_name(TrackId(2), "arithmetic");
         first.span(
             &SpanEvent::new("fc", "arithmetic", TrackId(2), 2000.0, 1000.0)
-                .with_arg("energy_pj", 7.0),
+                .with_args(&[("energy_pj", 7.0.into())]),
         );
         let mut second = ChromeTraceSink::new();
         second.span(&SpanEvent::new("attn", "data-movement", TrackId(1), 0.0, 2000.0));
@@ -407,14 +413,13 @@ mod tests {
     #[test]
     fn args_export_in_key_order_and_the_last_duplicate_wins() {
         let mut s = ChromeTraceSink::new();
-        s.span(
-            &SpanEvent::new("fc", "arithmetic", TrackId(2), 0.0, 1.0)
-                .with_arg("energy_pj", 1.0)
-                .with_arg("bytes", 2.0)
-                .with_label("slot", 3)
-                .with_arg("bytes", 4.0)
-                .with_arg("label", "x"),
-        );
+        s.span(&SpanEvent::new("fc", "arithmetic", TrackId(2), 0.0, 1.0).with_args(&[
+            ("energy_pj", 1.0.into()),
+            ("bytes", 2.0.into()),
+            ("slot", ArgValue::Label(3)),
+            ("bytes", 4.0.into()),
+            ("label", "x".into()),
+        ]));
         let json = s.to_json_string().unwrap();
         assert!(json.ends_with(r#""args":{"bytes":4,"energy_pj":1,"label":"x","slot":3}}]"#));
     }

@@ -71,13 +71,15 @@ impl From<String> for ArgValue {
 /// category) or owned when the emitter had to format it.
 pub type Text<'a> = Cow<'a, str>;
 
-/// Attached arguments, in the order they were attached.
-pub type Args<'a> = Vec<(Text<'a>, ArgValue)>;
+/// One attached argument: a key and its value.
+pub type Arg<'a> = (&'a str, ArgValue);
 
 /// A complete interval on a track: something that took time.
 ///
-/// Events borrow their text where they can: sinks receive them by
-/// reference ([`crate::Sink`]) and copy only what they keep.
+/// Events borrow their text and arguments: an emitter builds its argument
+/// list on its own stack and passes the event by reference
+/// ([`crate::Sink`]), so emitting one allocates nothing, and a sink
+/// copies only what it keeps.
 #[derive(Debug, Clone, PartialEq)]
 pub struct SpanEvent<'a> {
     /// Human-readable name (scope label, hop label, op label).
@@ -91,8 +93,12 @@ pub struct SpanEvent<'a> {
     pub start_ns: f64,
     /// Duration, in simulated nanoseconds (≥ 0).
     pub dur_ns: f64,
-    /// Attached arguments.
-    pub args: Args<'a>,
+    /// Attached arguments, in the order the emitter listed them. A
+    /// `count` argument is the span's multiplicity: it stands for that
+    /// many events, such as the lumps of a collapsed repeat window.
+    /// Metrics count it `count` times; a trace shows it once, with the
+    /// argument.
+    pub args: &'a [Arg<'a>],
 }
 
 impl<'a> SpanEvent<'a> {
@@ -104,33 +110,12 @@ impl<'a> SpanEvent<'a> {
         start_ns: f64,
         dur_ns: f64,
     ) -> Self {
-        Self {
-            name: name.into(),
-            category: category.into(),
-            track,
-            start_ns,
-            dur_ns,
-            args: Vec::new(),
-        }
+        Self { name: name.into(), category: category.into(), track, start_ns, dur_ns, args: &[] }
     }
 
-    /// Attach one argument (builder style).
-    pub fn with_arg(mut self, key: impl Into<Text<'a>>, value: impl Into<ArgValue>) -> Self {
-        self.args.push((key.into(), value.into()));
-        self
-    }
-
-    /// Attach one numeric label argument (builder style); see
-    /// [`ArgValue::Label`].
-    pub fn with_label(self, key: impl Into<Text<'a>>, id: u64) -> Self {
-        self.with_arg(key, ArgValue::Label(id))
-    }
-
-    /// Give this span a multiplicity: it stands for `count` events, such
-    /// as the lumps of a collapsed repeat window. Metrics count it `count`
-    /// times; a trace shows it once, with a `count` argument.
-    pub fn with_count(self, count: u64) -> Self {
-        self.with_arg("count", count)
+    /// Attach `args` (builder style), replacing any attached before.
+    pub fn with_args(self, args: &'a [Arg<'a>]) -> Self {
+        Self { args, ..self }
     }
 }
 
@@ -145,8 +130,8 @@ pub struct InstantEvent<'a> {
     pub track: TrackId,
     /// Timestamp, in simulated nanoseconds.
     pub ts_ns: f64,
-    /// Attached arguments.
-    pub args: Args<'a>,
+    /// Attached arguments, in the order the emitter listed them.
+    pub args: &'a [Arg<'a>],
 }
 
 impl<'a> InstantEvent<'a> {
@@ -157,31 +142,32 @@ impl<'a> InstantEvent<'a> {
         track: TrackId,
         ts_ns: f64,
     ) -> Self {
-        Self { name: name.into(), category: category.into(), track, ts_ns, args: Vec::new() }
+        Self { name: name.into(), category: category.into(), track, ts_ns, args: &[] }
     }
 
-    /// Attach one argument (builder style).
-    pub fn with_arg(mut self, key: impl Into<Text<'a>>, value: impl Into<ArgValue>) -> Self {
-        self.args.push((key.into(), value.into()));
-        self
+    /// Attach `args` (builder style), replacing any attached before.
+    pub fn with_args(self, args: &'a [Arg<'a>]) -> Self {
+        Self { args, ..self }
     }
 }
 
-/// A sampled counter value series (utilization, occupancy, queue depth).
+/// One sample of a counter series (utilization, occupancy, queue depth).
 #[derive(Debug, Clone, PartialEq)]
 pub struct CounterEvent<'a> {
-    /// Counter series name (one chart per name in trace viewers).
+    /// Counter name (one chart per name in trace viewers).
     pub name: Text<'a>,
     /// Track the counter renders on.
     pub track: TrackId,
     /// Sample timestamp, in simulated nanoseconds.
     pub ts_ns: f64,
-    /// `(series, value)` samples taken at `ts_ns`.
-    pub values: Vec<(Text<'a>, f64)>,
+    /// Series the sample belongs to.
+    pub series: Text<'a>,
+    /// Value sampled at `ts_ns`.
+    pub value: f64,
 }
 
 impl<'a> CounterEvent<'a> {
-    /// A counter with a single `(series, value)` sample.
+    /// The sample `value` of `series` at `ts_ns`.
     pub fn sample(
         name: impl Into<Text<'a>>,
         track: TrackId,
@@ -189,7 +175,7 @@ impl<'a> CounterEvent<'a> {
         series: impl Into<Text<'a>>,
         value: f64,
     ) -> Self {
-        Self { name: name.into(), track, ts_ns, values: vec![(series.into(), value)] }
+        Self { name: name.into(), track, ts_ns, series: series.into(), value }
     }
 }
 
@@ -199,24 +185,20 @@ mod tests {
 
     #[test]
     fn builders_attach_args() {
-        let s = SpanEvent::new("fc", "arithmetic", TrackId(2), 1.0, 5.0)
-            .with_arg("energy_pj", 10.0)
-            .with_arg("label", "a");
+        let args = [("energy_pj", 10.0.into()), ("label", "a".into())];
+        let s = SpanEvent::new("fc", "arithmetic", TrackId(2), 1.0, 5.0).with_args(&args);
         assert_eq!(s.args.len(), 2);
         assert_eq!(s.args[0].1, ArgValue::Num(10.0));
         assert_eq!(s.args[1].1, ArgValue::Str("a".into()));
-    }
-
-    #[test]
-    fn with_count_attaches_count_arg() {
-        let s = SpanEvent::new("repeat", "repeat", TrackId(16), 0.0, 5.0).with_count(7);
-        assert_eq!(s.args, vec![("count".into(), ArgValue::Num(7.0))]);
+        let i = InstantEvent::new("mark", "ring", TrackId(4), 1.0).with_args(&args[..1]);
+        assert_eq!(i.args, [("energy_pj", ArgValue::Num(10.0))]);
     }
 
     #[test]
     fn labels_are_numeric_args() {
-        let s = SpanEvent::new("hop 0->1", "ring", TrackId(64), 0.0, 5.0).with_label("slot", 2);
-        assert_eq!(s.args, vec![("slot".into(), ArgValue::Label(2))]);
+        let args = [("slot", ArgValue::Label(2))];
+        let s = SpanEvent::new("hop 0->1", "ring", TrackId(64), 0.0, 5.0).with_args(&args);
+        assert_eq!(s.args, [("slot", ArgValue::Label(2))]);
         assert_eq!(serde_json::to_string(&ArgValue::Label(2)).unwrap(), "2");
     }
 
@@ -231,6 +213,6 @@ mod tests {
     #[test]
     fn counter_sample_is_single_series() {
         let c = CounterEvent::sample("util", TrackId::DEFAULT, 3.0, "busy", 0.5);
-        assert_eq!(c.values, vec![("busy".into(), 0.5)]);
+        assert_eq!((c.series.as_ref(), c.value), ("busy", 0.5));
     }
 }

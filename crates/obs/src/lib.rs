@@ -14,7 +14,8 @@
 //!   [`FanoutSink`] multiplexer that hands the same event to every child,
 //! * [`chrome`] — a Chrome-tracing / Perfetto JSON sink
 //!   (`chrome://tracing` loads its output directly) that renders each
-//!   record once, on receipt, and sorts an index of them on export,
+//!   record once, on receipt, as bytes into one buffer, and sorts an index
+//!   of them on export,
 //! * [`metrics`] — a flat key→value metrics sink with JSON and CSV export
 //!   for the `results/` pipeline.
 //!
@@ -26,7 +27,7 @@
 //! let chrome = ChromeTraceSink::shared();
 //! let sink = SinkHandle::from_shared(chrome.clone());
 //! sink.span(&SpanEvent::new("fc", "arithmetic", TrackId(1), 0.0, 100.0)
-//!     .with_arg("energy_pj", 5_000.0));
+//!     .with_args(&[("energy_pj", 5_000.0.into())]));
 //! let json = chrome.borrow().to_json_string().unwrap();
 //! assert!(json.contains("\"name\":\"fc\""));
 //! ```
@@ -34,10 +35,11 @@
 //! Emission discipline: layers that might run hot must gate work behind
 //! [`SinkHandle::is_enabled`] — a disabled handle makes every emission a
 //! no-op without allocation, so untraced runs behave exactly like runs
-//! without any observability compiled in. Traced emission allocates only
-//! for text it has to format: events borrow their names (a scope label),
-//! categories and argument keys are `&'static str`, and a sink copies
-//! only what it keeps.
+//! without any observability compiled in. Traced emission allocates
+//! nothing per event: events borrow their names (a scope label, a hop name
+//! written into a reused buffer), categories and argument keys are
+//! `&'static str`, argument lists live on the emitter's stack, a counter
+//! carries its one sample inline, and a sink copies only what it keeps.
 
 pub mod chrome;
 pub mod event;

@@ -11,12 +11,13 @@
 //! and the metrics fold into the kind: spans into one count and total,
 //! instants into one count, and counter samples into the last one.
 //!
-//! A span's `count` argument is its multiplicity ([`SpanEvent::with_count`]):
+//! A span's `count` argument is its multiplicity ([`SpanEvent::args`]):
 //! `count` grows by it, so a summary of n events counts n times. Other
 //! numeric arguments are summed, except [`ArgValue::Label`]s and an
 //! argument named `total_ns`: `count` and `total_ns` are reserved keys.
 
 use crate::event::{ArgValue, CounterEvent, InstantEvent, SpanEvent};
+use crate::json;
 use crate::sink::Sink;
 use crate::ObsError;
 use std::cell::RefCell;
@@ -141,21 +142,21 @@ impl MetricsSink {
     /// returns `Ok`.
     pub fn to_json_string(&self) -> Result<String, ObsError> {
         let flat = self.to_flat();
-        let mut out = String::from("{");
+        let mut out = b"{".to_vec();
         for (i, (key, value)) in flat.iter().enumerate() {
             if i > 0 {
-                out.push(',');
+                out.push(b',');
             }
-            out.push_str("\n  ");
-            crate::json::write_str(&mut out, key);
-            out.push_str(": ");
-            crate::json::write_f64(&mut out, *value);
+            out.extend_from_slice(b"\n  ");
+            json::write_str(&mut out, key);
+            out.extend_from_slice(b": ");
+            json::write_f64(&mut out, *value);
         }
         if !flat.is_empty() {
-            out.push('\n');
+            out.push(b'\n');
         }
-        out.push('}');
-        Ok(out)
+        out.push(b'}');
+        json::into_string(out)
     }
 
     /// Render the flat metrics as `metric,value` CSV lines (with header).
@@ -190,10 +191,10 @@ impl Sink for MetricsSink {
         update(&mut self.spans, &event.category, |kinds| {
             update(kinds, kind, |a| {
                 let mut multiplicity = 1;
-                for (key, value) in &event.args {
+                for &(key, ref value) in event.args {
                     match *value {
                         ArgValue::Num(n) if key == "count" => multiplicity = n as u64,
-                        ArgValue::Num(v) if !RESERVED.contains(&key.as_ref()) => {
+                        ArgValue::Num(v) if !RESERVED.contains(&key) => {
                             update(&mut a.arg_sums, key, |sum| *sum += v);
                         }
                         _ => {}
@@ -210,28 +211,25 @@ impl Sink for MetricsSink {
     }
 
     fn counter(&mut self, event: &CounterEvent<'_>) {
-        let kind = kind_and_label(&event.name).0;
-        for (series, value) in &event.values {
-            self.key.clear();
-            self.key.extend([kind, ".", series.as_ref()]);
-            update(&mut self.counters, &self.key, |last| *last = *value);
-        }
+        self.key.clear();
+        self.key.extend([kind_and_label(&event.name).0, ".", &event.series]);
+        update(&mut self.counters, &self.key, |last| *last = event.value);
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::event::TrackId;
+    use crate::event::{Arg, TrackId};
+
+    fn fc<'a>(start_ns: f64, dur_ns: f64, args: &'a [Arg<'a>]) -> SpanEvent<'a> {
+        SpanEvent::new("fc", "arithmetic", TrackId(1), start_ns, dur_ns).with_args(args)
+    }
 
     fn filled() -> MetricsSink {
         let mut m = MetricsSink::new();
-        m.span(
-            &SpanEvent::new("fc", "arithmetic", TrackId(1), 0.0, 10.0).with_arg("energy_pj", 3.0),
-        );
-        m.span(
-            &SpanEvent::new("fc", "arithmetic", TrackId(1), 10.0, 5.0).with_arg("energy_pj", 2.0),
-        );
+        m.span(&fc(0.0, 10.0, &[("energy_pj", 3.0.into())]));
+        m.span(&fc(10.0, 5.0, &[("energy_pj", 2.0.into())]));
         m.span(&SpanEvent::new("attn", "data-movement", TrackId(1), 15.0, 7.0));
         m.instant(&InstantEvent::new("ring-step", "ring", TrackId(2), 1.0));
         m.counter(&CounterEvent::sample("util", TrackId(3), 2.0, "busy", 0.5));
@@ -257,15 +255,13 @@ mod tests {
         let mut m = MetricsSink::new();
         m.span(
             &SpanEvent::new("dec.attn", "arithmetic", TrackId(1), 0.0, 30.0)
-                .with_arg("energy_pj", 6.0)
-                .with_count(23),
+                .with_args(&[("energy_pj", 6.0.into()), ("count", 23u64.into())]),
         );
         m.span(&SpanEvent::new("dec.attn", "arithmetic", TrackId(1), 30.0, 2.0));
         for (hop, slot) in [("hop 0->1", 0), ("hop 1->2", 1)] {
             m.span(
                 &SpanEvent::new(hop, "ring", TrackId(64), 0.0, 4.0)
-                    .with_label("slot", slot)
-                    .with_arg("total_ns", 1e9),
+                    .with_args(&[("slot", ArgValue::Label(slot)), ("total_ns", 1e9.into())]),
             );
         }
         for (bank, busy) in [(0, 0.5), (1, 0.25)] {
@@ -290,14 +286,10 @@ mod tests {
         // Split the event stream of `filled()` across two per-job sinks;
         // merging them in submission order must reproduce the shared sink.
         let mut first = MetricsSink::new();
-        first.span(
-            &SpanEvent::new("fc", "arithmetic", TrackId(1), 0.0, 10.0).with_arg("energy_pj", 3.0),
-        );
+        first.span(&fc(0.0, 10.0, &[("energy_pj", 3.0.into())]));
         first.counter(&CounterEvent::sample("util", TrackId(3), 2.0, "busy", 0.5));
         let mut second = MetricsSink::new();
-        second.span(
-            &SpanEvent::new("fc", "arithmetic", TrackId(1), 10.0, 5.0).with_arg("energy_pj", 2.0),
-        );
+        second.span(&fc(10.0, 5.0, &[("energy_pj", 2.0.into())]));
         second.span(&SpanEvent::new("attn", "data-movement", TrackId(1), 15.0, 7.0));
         second.instant(&InstantEvent::new("ring-step", "ring", TrackId(2), 1.0));
         second.counter(&CounterEvent::sample("util", TrackId(3), 4.0, "busy", 0.75));

@@ -343,7 +343,7 @@ impl Executor {
         }
         engine.sink().instant(
             &InstantEvent::new(name, "fault", tracks::FAULT, engine.now_ns())
-                .with_arg("flips", flips),
+                .with_args(&[("flips", flips.into())]),
         );
     }
 
@@ -389,11 +389,13 @@ impl Executor {
                                 tracks::RING,
                                 engine.now_ns(),
                             )
-                            .with_arg("ring_ns", ring_lat)
-                            .with_arg("mul_ns", mul_lat)
-                            .with_arg("visible_ring_ns", visible_ring)
-                            .with_arg("banks", u64::from(banks.count))
-                            .with_arg("repeat", *repeat),
+                            .with_args(&[
+                                ("ring_ns", ring_lat.into()),
+                                ("mul_ns", mul_lat.into()),
+                                ("visible_ring_ns", visible_ring.into()),
+                                ("banks", banks.count.into()),
+                                ("repeat", (*repeat).into()),
+                            ]),
                         );
                     }
                     // The overlap window is computed from the fault-free
@@ -509,10 +511,12 @@ impl Executor {
                 if engine.emitting() {
                     engine.sink().instant(
                         &InstantEvent::new("one-to-all", "ring", tracks::RING, engine.now_ns())
-                            .with_arg("src_bank", u64::from(src))
-                            .with_arg("banks", u64::from(banks.count))
-                            .with_arg("bytes", bytes)
-                            .with_arg("slots", u64::from(r.slots)),
+                            .with_args(&[
+                                ("src_bank", src.into()),
+                                ("banks", banks.count.into()),
+                                ("bytes", bytes.into()),
+                                ("slots", r.slots.into()),
+                            ]),
                     );
                 }
                 self.emit(
@@ -939,10 +943,12 @@ impl Executor {
                     base,
                     r.latency_ns * repeat as f64 * scale,
                 )
-                .with_arg("banks", u64::from(banks.count))
-                .with_arg("bytes_per_hop", bytes)
-                .with_arg("slots", u64::from(r.slots))
-                .with_arg("rounds", repeat),
+                .with_args(&[
+                    ("banks", banks.count.into()),
+                    ("bytes_per_hop", bytes.into()),
+                    ("slots", r.slots.into()),
+                    ("rounds", repeat.into()),
+                ]),
             );
             return;
         }
@@ -955,9 +961,11 @@ impl Executor {
                     base + r.latency_ns * scale,
                     r.latency_ns * (repeat - 1) as f64 * scale,
                 )
-                .with_arg("banks", u64::from(banks.count))
-                .with_arg("bytes_per_hop", bytes)
-                .with_arg("slots", u64::from(r.slots)),
+                .with_args(&[
+                    ("banks", banks.count.into()),
+                    ("bytes_per_hop", bytes.into()),
+                    ("slots", r.slots.into()),
+                ]),
             );
         }
     }
@@ -975,8 +983,7 @@ impl Executor {
                     engine.now_ns(),
                     total_ns * engine.latency_scale(),
                 )
-                .with_arg("banks", u64::from(banks.count))
-                .with_arg("bytes", bytes),
+                .with_args(&[("banks", banks.count.into()), ("bytes", bytes.into())]),
             );
         }
     }

@@ -47,6 +47,11 @@ fi
 echo "==> cargo test"
 cargo test --offline --workspace -q
 
+# The vendored serde and serde_json are path patches, not workspace
+# members, so --workspace never reaches their own unit tests.
+echo "==> vendored crates' unit tests (serde, serde_json)"
+cargo test --offline -q -p serde -p serde_json
+
 # The workspace suite above already runs this, but a broken parallel
 # engine must fail the gate with its own name on the line.
 echo "==> parallel determinism (jobs=1 vs jobs=N byte-identical)"

@@ -704,7 +704,7 @@ mod reference_chrome {
         events: Vec<ChromeEvent>,
     }
 
-    fn args_map(args: &[(std::borrow::Cow<'_, str>, ArgValue)]) -> BTreeMap<String, ArgValue> {
+    fn args_map(args: &[(&str, ArgValue)]) -> BTreeMap<String, ArgValue> {
         args.iter()
             .map(|(key, value)| match value {
                 ArgValue::Label(id) => (key.to_string(), ArgValue::Num(*id as f64)),
@@ -722,19 +722,19 @@ mod reference_chrome {
         pub fn span(&mut self, e: &SpanEvent<'_>) {
             let ts = e.start_ns / 1000.0;
             let mut r = event(&e.name, &e.category, "X", ts, Some(e.dur_ns / 1000.0), e.track.0);
-            r.args = args_map(&e.args);
+            r.args = args_map(e.args);
             self.events.push(r);
         }
 
         pub fn instant(&mut self, e: &InstantEvent<'_>) {
             let mut r = event(&e.name, &e.category, "i", e.ts_ns / 1000.0, None, e.track.0);
-            r.args = args_map(&e.args);
+            r.args = args_map(e.args);
             self.events.push(r);
         }
 
         pub fn counter(&mut self, e: &CounterEvent<'_>) {
             let mut r = event(&e.name, "counter", "C", e.ts_ns / 1000.0, None, e.track.0);
-            r.args = e.values.iter().map(|(k, v)| (k.to_string(), ArgValue::Num(*v))).collect();
+            r.args.insert(e.series.to_string(), ArgValue::Num(e.value));
             self.events.push(r);
         }
 
@@ -900,28 +900,24 @@ fn feed(spec: &RecordSpec, sink: &mut ChromeTraceSink, reference: &mut reference
     let (kind, name, cat, track, (ts_pick, dur_pick, bits), args) = spec;
     let (name, cat, track) = (TEXTS[*name], TEXTS[*cat], TrackId(*track));
     let ts = timestamp_ns(*ts_pick, *bits);
+    let args: Vec<(&str, ArgValue)> =
+        args.iter().map(|&(key, vk, pick, b)| (TEXTS[key], arg_value(vk, pick, b))).collect();
     match kind % 4 {
         0 => {
-            let mut e =
-                SpanEvent::new(name, cat, track, ts, number(*dur_pick, bits.rotate_left(7)));
-            for &(key, vk, pick, b) in args {
-                e = e.with_arg(TEXTS[key], arg_value(vk, pick, b));
-            }
+            let dur = number(*dur_pick, bits.rotate_left(7));
+            let e = SpanEvent::new(name, cat, track, ts, dur).with_args(&args);
             sink.span(&e);
             reference.span(&e);
         }
         1 => {
-            let mut e = InstantEvent::new(name, cat, track, ts);
-            for &(key, vk, pick, b) in args {
-                e = e.with_arg(TEXTS[key], arg_value(vk, pick, b));
-            }
+            let e = InstantEvent::new(name, cat, track, ts).with_args(&args);
             sink.instant(&e);
             reference.instant(&e);
         }
         2 => {
-            let mut e = CounterEvent::sample(name, track, ts, cat, number(*dur_pick, *bits));
-            e.values
-                .extend(args.iter().map(|&(key, _, pick, b)| (TEXTS[key].into(), number(pick, b))));
+            // A counter carries one sample: the generated arguments are
+            // not used.
+            let e = CounterEvent::sample(name, track, ts, cat, number(*dur_pick, *bits));
             sink.counter(&e);
             reference.counter(&e);
         }

@@ -214,3 +214,43 @@ fn fanout_children_write_what_a_sink_attached_alone_writes() {
         }
     }
 }
+
+/// 64-bit FNV-1a of `bytes`.
+fn fnv1a(bytes: &[u8]) -> u64 {
+    bytes
+        .iter()
+        .fold(0xcbf2_9ce4_8422_2325, |h, &b| (h ^ u64::from(b)).wrapping_mul(0x100_0000_01b3))
+}
+
+/// The trace and metrics documents of the traced LM runs are pinned byte
+/// for byte: the digests are those of the files `transpim-sim --workload
+/// lm [--dataflow layer] --trace --metrics` writes. A change that moves
+/// trace or metrics bytes on purpose updates them and says why.
+#[test]
+fn traced_lm_documents_match_their_pinned_digests() {
+    let acc = Accelerator::new(ArchConfig::new(ArchKind::TransPim));
+    let lm = Workload::lm();
+    let pinned = [
+        (DataflowKind::Token, (522_506, 0xe602_850c_7394_89c9), (6_135, 0xbfb6_f418_5b24_c07a)),
+        (DataflowKind::Layer, (1_696_131, 0x8b99_3178_5173_885b), (5_672, 0x17b1_16e3_57b8_2a69)),
+    ];
+    for (df, trace_pin, metrics_pin) in pinned {
+        let (chrome, metrics) = (ChromeTraceSink::shared(), MetricsSink::shared());
+        let sink = SinkHandle::fanout(vec![
+            SinkHandle::from_shared(chrome.clone()),
+            SinkHandle::from_shared(metrics.clone()),
+        ]);
+        let report = acc.simulate_with_sink(&lm, df, sink);
+        // The headline figures `transpim-sim --metrics` adds.
+        let mut m = metrics.borrow_mut();
+        m.push_metric("report.latency_ms", report.latency_ms());
+        m.push_metric("report.energy_mj", report.stats.total_energy_pj() * 1e-9);
+        m.push_metric("report.bytes_moved", report.stats.bytes_moved);
+        m.push_metric("report.utilization", report.utilization());
+        let trace = chrome.borrow().to_json_string().unwrap();
+        let metrics = m.to_json_string().unwrap();
+        let digest = |doc: &str| (doc.len(), fnv1a(doc.as_bytes()));
+        assert_eq!(digest(&trace), trace_pin, "{df:?}: trace bytes moved");
+        assert_eq!(digest(&metrics), metrics_pin, "{df:?}: metrics bytes moved");
+    }
+}
