@@ -14,9 +14,17 @@
 //! once and an iteration count, denoting `count` identical copies of the
 //! body, so a compressed program denotes precisely the same step sequence
 //! as its [`Program::unroll`]. Compilers commit runs of identical blocks
-//! with [`Program::push_block_times`]; a block that differs from the last
+//! with [`Emitter::push_block_times`]; a block that differs from the last
 //! one starts a new run, so compression is a pure encoding choice, never a
 //! semantic one.
+//!
+//! # Emitters
+//!
+//! The compilers write their steps, in execution order, into an
+//! [`Emitter`]: a [`Program`] keeps them all, while a consumer such as the
+//! `transpim` executor's step stream prices each one as soon as it is
+//! final. Both see the same steps, since the only step a compiler revisits
+//! is the last one, which a repeating block extends.
 
 use serde::{Deserialize, Serialize};
 use std::borrow::Cow;
@@ -400,6 +408,41 @@ fn step_count(step: &Step) -> u64 {
     }
 }
 
+/// Where a compiler writes its steps, in execution order. A compiler only
+/// appends; the one step it may still change is the last, which
+/// [`Emitter::push_block_times`] extends when a block repeats it. So a
+/// consumer may take every step but the last as final.
+pub trait Emitter {
+    /// Append a step.
+    fn push(&mut self, step: Step);
+
+    /// The last step appended, while it may still change.
+    fn last_mut(&mut self) -> Option<&mut Step>;
+
+    /// Append `times` consecutive iterations of one block, drained from
+    /// `block` (left empty, its buffer kept for the next block): the raw
+    /// steps for one iteration, a [`Step::Repeat`] for more. A new repeat's
+    /// body is allocated at its exact length, so a decode loop of one
+    /// repeat per token holds no slack. A block equal to the body of the
+    /// repeat that ends the steps so far extends that repeat instead, so a
+    /// run the compiler derives in pieces (the decoder's `ceil(t/N)`
+    /// plateaus) stays one step.
+    fn push_block_times(&mut self, block: &mut Vec<Step>, times: u64) {
+        if times > 0 && !block.is_empty() {
+            match self.last_mut() {
+                Some(Step::Repeat { count, body }) if body == block => *count += times,
+                _ if times == 1 => block.drain(..).for_each(|step| self.push(step)),
+                _ => {
+                    let mut body = Vec::with_capacity(block.len());
+                    body.append(block);
+                    self.push(Step::repeat(times, body));
+                }
+            }
+        }
+        block.clear();
+    }
+}
+
 /// A compiled dataflow program: its steps, in execution order. On the
 /// wire it is `{"steps": [...]}`, the shape the CLI's `--dump-ir` writes.
 #[derive(Debug, Clone, PartialEq, Default, Serialize, Deserialize)]
@@ -413,32 +456,11 @@ impl Program {
         Self::default()
     }
 
-    /// Append a step.
-    pub fn push(&mut self, step: Step) {
-        self.steps.push(step);
-    }
-
-    /// Append `times` consecutive iterations of one block, drained from
-    /// `block` (left empty, its buffer kept for the next block): the raw
-    /// steps for one iteration, a [`Step::Repeat`] for more. A new repeat's
-    /// body is allocated at its exact length, so a decode loop of one
-    /// repeat per token holds no slack. A block equal to the body of the
-    /// repeat that ends the program extends that repeat instead, so a run
-    /// the compiler derives in pieces (the decoder's `ceil(t/N)` plateaus)
-    /// stays one step.
-    pub fn push_block_times(&mut self, block: &mut Vec<Step>, times: u64) {
-        if times > 0 && !block.is_empty() {
-            match self.steps.last_mut() {
-                Some(Step::Repeat { count, body }) if body == block => *count += times,
-                _ if times == 1 => self.extend(block.drain(..)),
-                _ => {
-                    let mut body = Vec::with_capacity(block.len());
-                    body.append(block);
-                    self.push(Step::repeat(times, body));
-                }
-            }
-        }
-        block.clear();
+    /// The program of the steps `emit` writes into an empty one.
+    pub fn build(emit: impl FnOnce(&mut Program)) -> Self {
+        let mut prog = Self::new();
+        emit(&mut prog);
+        prog
     }
 
     /// The steps, in execution order ([`Step::Repeat`] not expanded).
@@ -500,6 +522,16 @@ impl Program {
     /// to check work conservation across dataflows.
     pub fn total_mul_elems(&self) -> u64 {
         body_totals(&self.steps).mul
+    }
+}
+
+impl Emitter for Program {
+    fn push(&mut self, step: Step) {
+        self.steps.push(step);
+    }
+
+    fn last_mut(&mut self) -> Option<&mut Step> {
+        self.steps.last_mut()
     }
 }
 

@@ -17,7 +17,7 @@
 //! over all banks); only the movement differs — which is exactly the
 //! comparison the paper's Figure 10/11 makes.
 
-use crate::ir::{BankRange, Precision, Program, Size, Step};
+use crate::ir::{BankRange, Emitter, Precision, Program, Size, Step};
 use transpim_transformer::model::ModelConfig;
 use transpim_transformer::workload::Workload;
 
@@ -28,7 +28,16 @@ pub fn compile(workload: &Workload, total_banks: u32) -> Program {
 
 /// Compile with explicit precision.
 pub fn compile_with(workload: &Workload, total_banks: u32, p: Precision) -> Program {
-    let mut prog = Program::new();
+    Program::build(|out| emit_with(workload, total_banks, p, out))
+}
+
+/// [`compile`], writing the steps into `out`.
+pub fn emit(workload: &Workload, total_banks: u32, out: &mut impl Emitter) {
+    emit_with(workload, total_banks, Precision::default(), out);
+}
+
+/// [`compile_with`], writing the steps into `prog`.
+pub fn emit_with(workload: &Workload, total_banks: u32, p: Precision, prog: &mut impl Emitter) {
     let cfg = &workload.model;
     let b = workload.batch as u64;
 
@@ -39,7 +48,7 @@ pub fn compile_with(workload: &Workload, total_banks: u32, p: Precision) -> Prog
 
     let enc_layers = if cfg.encoder_layers > 0 { cfg.encoder_layers } else { cfg.decoder_layers };
     for _ in 0..enc_layers {
-        encoder_layer(&mut prog, cfg, workload.seq_len as u64, b, total_banks, p);
+        encoder_layer(prog, cfg, workload.seq_len as u64, b, total_banks, p);
     }
 
     if cfg.decoder_layers > 0 && workload.decode_len > 0 {
@@ -56,7 +65,6 @@ pub fn compile_with(workload: &Workload, total_banks: u32, p: Precision) -> Prog
             prog.push_block_times(&mut block, layers);
         }
     }
-    prog
 }
 
 /// Bytes loaded for one encoder layer at sequence length `l` — the
@@ -83,7 +91,7 @@ pub fn encoder_layer_loaded_bytes(
 }
 
 fn encoder_layer(
-    prog: &mut Program,
+    prog: &mut impl Emitter,
     cfg: &ModelConfig,
     l: u64,
     b: u64,

@@ -3,8 +3,9 @@
 //! This crate lowers a Transformer workload into a [`ir::Program`] — a
 //! sequence of architecture-independent steps (PIM batches, ACU reductions,
 //! ring-broadcast rounds, host loads, …) that the `transpim` crate's
-//! execution engine prices on a concrete architecture. Two compilers are
-//! provided:
+//! execution engine prices on a concrete architecture. The compilers write
+//! into any [`ir::Emitter`], so a consumer can also take the steps as they
+//! are emitted, without building the program. Two compilers are provided:
 //!
 //! * [`token_flow`] — the paper's contribution: input tokens are sharded
 //!   across banks ([`sharding`]), every layer's computation for a shard
@@ -32,6 +33,6 @@ pub mod layer_functional;
 pub mod sharding;
 pub mod token_flow;
 
-pub use ir::{BankRange, Program, Step};
+pub use ir::{BankRange, Emitter, Program, Step};
 pub use sharding::Sharding;
 pub use token_flow::DecoderPlacement;

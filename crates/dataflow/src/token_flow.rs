@@ -12,7 +12,7 @@
 //! against its locally-held `K`/`V` columns, and the partial outputs are
 //! combined with the multi-step pairwise reduction tree of Section IV-B2.
 
-use crate::ir::{BankRange, Precision, Program, Size, Step};
+use crate::ir::{BankRange, Emitter, Precision, Program, Size, Step};
 use crate::sharding::Sharding;
 use serde::{Deserialize, Serialize};
 use transpim_transformer::model::ModelConfig;
@@ -36,8 +36,13 @@ pub enum DecoderPlacement {
 /// Compile `workload` for a system with `total_banks` banks using the
 /// default (paper) precision.
 pub fn compile(workload: &Workload, total_banks: u32) -> Program {
+    Program::build(|out| emit(workload, total_banks, out))
+}
+
+/// [`compile`], writing the steps into `out`.
+pub fn emit(workload: &Workload, total_banks: u32, out: &mut impl Emitter) {
     let sharding = Sharding::new(total_banks, workload.batch as u32, workload.seq_len as u32);
-    compile_with(workload, &sharding, Precision::default())
+    emit_full(workload, &sharding, Precision::default(), DecoderPlacement::Balanced, out);
 }
 
 /// Compile with an explicit sharding and precision.
@@ -53,7 +58,17 @@ pub fn compile_full(
     p: Precision,
     placement: DecoderPlacement,
 ) -> Program {
-    let mut prog = Program::new();
+    Program::build(|out| emit_full(workload, sharding, p, placement, out))
+}
+
+/// [`compile_full`], writing the steps into `prog`.
+pub fn emit_full(
+    workload: &Workload,
+    sharding: &Sharding,
+    p: Precision,
+    placement: DecoderPlacement,
+    prog: &mut impl Emitter,
+) {
     let cfg = &workload.model;
     let shard = sharding.sequences[0];
     let batch = sharding.sequences.len() as u32;
@@ -71,7 +86,7 @@ pub fn compile_full(
     // residently: 16 layers × ~11 MB per bank exceeds a 32 MB bank).
     let enc_layers = if cfg.encoder_layers > 0 { cfg.encoder_layers } else { cfg.decoder_layers };
     for _ in 0..enc_layers {
-        encoder_layer(&mut prog, cfg, shard.banks, shard.seq_len, batch, p);
+        encoder_layer(prog, cfg, shard.banks, shard.seq_len, batch, p);
     }
 
     // Decoder generation loop.
@@ -108,14 +123,13 @@ pub fn compile_full(
             t = run_end;
         }
     }
-    prog
 }
 
 /// Work sizes of one encoder block on one sequence shard, emitted once and
 /// scaled to `batch` parallel sequences for energy.
 #[allow(clippy::too_many_arguments)]
 fn encoder_layer(
-    prog: &mut Program,
+    prog: &mut impl Emitter,
     cfg: &ModelConfig,
     banks: BankRange,
     seq_len: u32,

@@ -53,16 +53,21 @@ impl Accelerator {
     /// [`Accelerator::compile`] over the banks `session` leaves healthy:
     /// tokens re-shard over the surviving pool, which the program addresses
     /// renumbered contiguously in ring order. Session validation
-    /// guarantees at least one healthy bank. This is the program
-    /// [`Accelerator::simulate_on`] prices.
+    /// guarantees at least one healthy bank. These are the steps
+    /// [`Accelerator::simulate_on`] prices, one by one as they compile,
+    /// without building the program.
     pub fn compile_degraded(
         &self,
         workload: &Workload,
         dataflow: DataflowKind,
         session: &FaultSession,
     ) -> Program {
-        let healthy = self.arch.hbm.geometry.total_banks() - session.failed_bank_count();
-        dataflow.compile(workload, healthy)
+        dataflow.compile(workload, self.healthy_banks(session))
+    }
+
+    /// The banks `session` leaves healthy.
+    fn healthy_banks(&self, session: &FaultSession) -> u32 {
+        self.arch.hbm.geometry.total_banks() - session.failed_bank_count()
     }
 
     /// Compile `workload` under `dataflow` and simulate it.
@@ -117,6 +122,13 @@ impl Accelerator {
     /// `sink`. Every simulation goes through here; an empty scenario is
     /// the fault-free run.
     ///
+    /// Each step is priced as the compiler emits it
+    /// ([`Executor::run_streamed`]): the steps are those of
+    /// [`Accelerator::compile_degraded`], priced as
+    /// [`Executor::run_degraded_with_sink`] prices that program, but no
+    /// program is built, so a simulation holds one repeat body of IR
+    /// whatever the decode length.
+    ///
     /// Degradation reuses the paper's own mechanisms: tokens re-shard
     /// around failed banks, ring traffic re-routes around dead neighbor
     /// links over the shared channel bus (Figure 9's 8T path), stuck
@@ -161,9 +173,10 @@ impl Accelerator {
             "executor architecture does not match accelerator architecture"
         );
         let mut session = FaultSession::new(scenario, self.arch.system_info())?;
-        let program = self.compile_degraded(workload, dataflow, &session);
+        let banks = self.healthy_banks(&session);
         exec.apply_ring_faults(&session);
-        let (stats, scoped) = exec.run_degraded_with_sink(&program, &mut session, sink)?;
+        let (stats, scoped) =
+            exec.run_streamed(&mut session, sink, |out| dataflow.emit(workload, banks, out))?;
         Ok(SimReport {
             system: self.arch.system_label(dataflow.label()),
             arch: self.arch.kind,

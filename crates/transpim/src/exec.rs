@@ -40,7 +40,7 @@ use transpim_acu::ring::{
     self, emit_hop_events, one_to_all_broadcast, pairwise_reduce_hops, ring_step_hops,
     schedule_hops_placed, Hop, HopPlacement, ScheduleResult, SlotProfile, TransferCostModel,
 };
-use transpim_dataflow::ir::{BankRange, Program, Step};
+use transpim_dataflow::ir::{BankRange, Emitter, Program, Step};
 use transpim_fault::{FaultScenario, FaultSession, FlipOutcome};
 use transpim_hbm::engine::{tracks, Engine};
 use transpim_hbm::geometry::BankId;
@@ -187,8 +187,7 @@ impl Executor {
     }
 
     /// Run a program under a fault session, with an observability sink
-    /// attached. This is the one pricing body; an empty session is the
-    /// fault-free run.
+    /// attached. An empty session is the fault-free run.
     ///
     /// Under a non-empty session every lump is repriced through the
     /// degradation policies (stuck-plane serialization, ECC checks and
@@ -212,14 +211,32 @@ impl Executor {
         session: &mut FaultSession,
         sink: SinkHandle,
     ) -> Result<(SimStats, ScopedStats), SimError> {
-        self.detail_emitted.clear();
-        let mut engine = Engine::with_sink(sink);
-        engine.set_latency_scale(1.0 + self.arch.hbm.timing.refresh_overhead());
-        self.run_segment(program.steps(), &mut engine, session)?;
-        if !session.in_range() {
-            return Err(SimError::OutOfRange);
+        let mut pricer = Pricer::new(self, session, sink);
+        for step in program.steps() {
+            pricer.feed(step);
         }
-        Ok(engine.into_stats()?)
+        pricer.finish()
+    }
+
+    /// [`Executor::run_degraded_with_sink`] of the steps `compile` writes
+    /// into the [`StepStream`] it is handed, priced as they are written:
+    /// no [`Program`] is built, so the run holds one step of IR (one
+    /// repeat body, for a decode loop) whatever the decode length. The
+    /// statistics, trace events, fault draws and any error are those of
+    /// pricing the program the same steps build.
+    ///
+    /// # Errors
+    ///
+    /// As [`Executor::run_degraded_with_sink`].
+    pub fn run_streamed(
+        &mut self,
+        session: &mut FaultSession,
+        sink: SinkHandle,
+        compile: impl FnOnce(&mut StepStream<'_>),
+    ) -> Result<(SimStats, ScopedStats), SimError> {
+        let mut stream = StepStream { pricer: Pricer::new(self, session, sink), last: None };
+        compile(&mut stream);
+        stream.finish()
     }
 
     /// Rewire the resource map around the session's ring-link faults: dead
@@ -239,433 +256,6 @@ impl Executor {
         self.schedules.clear();
         self.topologies.clear();
         self.map_faulted = true;
-    }
-
-    /// Gate every priced lump through the fault session and record it on
-    /// the engine. An empty session records the lump as priced.
-    ///
-    /// # Errors
-    ///
-    /// [`SimError::Uncorrectable`] for flips the ECC scheme cannot absorb.
-    fn emit(
-        &self,
-        engine: &mut Engine,
-        session: &mut FaultSession,
-        category: Category,
-        mut latency_ns: f64,
-        mut energy_pj: f64,
-        bytes: f64,
-    ) -> Result<(), SimError> {
-        if !session.is_empty() {
-            (latency_ns, energy_pj) =
-                self.degrade(engine, session, category, latency_ns, energy_pj, bytes)?;
-        }
-        engine.lump(category, latency_ns, energy_pj, bytes);
-        Ok(())
-    }
-
-    /// Apply the lump-level degradation policies:
-    ///
-    /// * a compute category served by [`Unit::Pim`] serializes over the
-    ///   subarrays surviving stuck bit-planes;
-    /// * data movement pays the ECC check-bit bandwidth tax, per-flip
-    ///   SECDED corrections (one extra row cycle + activation each), and
-    ///   one bounded retry of the whole transfer when parity detects a
-    ///   flip it cannot repair;
-    /// * an unprotected flip is uncorrectable — the simulator knows it
-    ///   happened, so silent corruption is reported as an error.
-    ///
-    /// Only `DataMovement` traffic is ECC-checked; `MemTouch` capacity
-    /// walks never leave the arrays.
-    fn degrade(
-        &self,
-        engine: &mut Engine,
-        sess: &mut FaultSession,
-        category: Category,
-        mut latency_ns: f64,
-        mut energy_pj: f64,
-        bytes: f64,
-    ) -> Result<(f64, f64), SimError> {
-        let in_array = match category {
-            Category::Arithmetic => self.table.arithmetic == Unit::Pim,
-            Category::Reduction => self.table.reduction == Unit::Pim,
-            Category::DataMovement | Category::Other => false,
-        };
-        if in_array {
-            let slow = sess.pim_slowdown();
-            if slow > 1.0 {
-                latency_ns += latency_ns * (slow - 1.0);
-            }
-        }
-        if category == Category::DataMovement {
-            let tax = sess.ecc_overhead_fraction();
-            if tax > 0.0 {
-                latency_ns += latency_ns * tax;
-                energy_pj += energy_pj * tax;
-            }
-            match sess.observe_transfer(bytes) {
-                FlipOutcome::None => {}
-                FlipOutcome::Corrected(flips) => {
-                    latency_ns += flips as f64 * self.arch.hbm.timing.t_rc;
-                    energy_pj += flips as f64 * self.arch.hbm.energy.e_act;
-                    Self::fault_event(engine, sess, "ecc-correct", flips);
-                }
-                FlipOutcome::Retry(flips) => {
-                    // One bounded re-read of the transfer (check bits
-                    // included); the retry itself is not re-drawn.
-                    latency_ns *= 2.0;
-                    energy_pj *= 2.0;
-                    Self::fault_event(engine, sess, "parity-retry", flips);
-                }
-                FlipOutcome::Uncorrectable(flips) => {
-                    Self::fault_event(engine, sess, "uncorrectable-flip", flips);
-                    return Err(SimError::Uncorrectable {
-                        fault: format!(
-                            "{flips} transient bit flip(s) on a {bytes:.0}-byte transfer \
-                             with no correcting ECC scheme"
-                        ),
-                        at_ns: Some(engine.now_ns()),
-                    });
-                }
-            }
-        }
-        Ok((latency_ns, energy_pj))
-    }
-
-    /// Emit a fault instant on the dedicated fault track. The track is
-    /// named lazily on the first event so fault-free traces never see it.
-    fn fault_event(engine: &Engine, sess: &mut FaultSession, name: &'static str, flips: u64) {
-        if !engine.emitting() {
-            return;
-        }
-        if sess.mark_fault_track_named() {
-            engine.sink().track_name(tracks::FAULT, "faults");
-        }
-        engine.sink().instant(
-            &InstantEvent::new(name, "fault", tracks::FAULT, engine.now_ns())
-                .with_args(&[("flips", flips.into())]),
-        );
-    }
-
-    /// Price a step slice — a whole program or one repeat-body iteration.
-    /// The pipelined-ring fusion window applies within the slice (compiled
-    /// repeat bodies begin with a scope and end with a memory touch, so
-    /// fusion never wants to cross an iteration boundary).
-    fn run_segment(
-        &mut self,
-        steps: &[Step],
-        engine: &mut Engine,
-        session: &mut FaultSession,
-    ) -> Result<(), SimError> {
-        let mut i = 0;
-        while i < steps.len() {
-            // Pipelined ring: a ring broadcast immediately followed by the
-            // point-wise multiply (and reduction) it feeds executes round
-            // by round — transfer of round k+1 overlaps compute of round k
-            // — so the pair costs max(transfer, compute) instead of the
-            // barrier sum. Only the ring's share can hide; breakdown
-            // attribution keeps the visible residual as movement.
-            if self.arch.pipelined_ring {
-                if let (
-                    Some(Step::RingBroadcast { banks, bytes_per_hop, repeat, parallel }),
-                    Some(Step::PointwiseMul { elems_per_bank, total_elems, a_bits, b_bits }),
-                ) = (steps.get(i), steps.get(i + 1))
-                {
-                    let ring = self.schedule(Schedule::Ring, *banks, *bytes_per_hop);
-                    let ring_lat = ring.latency_ns * *repeat as f64;
-                    let (mul_lat, mul_pj) = self.pointwise(
-                        PimOp::Mul { a_bits: *a_bits, b_bits: *b_bits },
-                        *elems_per_bank,
-                        *total_elems,
-                    );
-                    let visible_ring = (ring_lat - mul_lat).max(0.0);
-                    if engine.emitting() {
-                        // Per-hop detail is meaningless here — rounds overlap
-                        // the multiply — so mark the fused pair instead.
-                        engine.sink().instant(
-                            &InstantEvent::new(
-                                "pipelined-ring",
-                                "ring",
-                                tracks::RING,
-                                engine.now_ns(),
-                            )
-                            .with_args(&[
-                                ("ring_ns", ring_lat.into()),
-                                ("mul_ns", mul_lat.into()),
-                                ("visible_ring_ns", visible_ring.into()),
-                                ("banks", banks.count.into()),
-                                ("repeat", (*repeat).into()),
-                            ]),
-                        );
-                    }
-                    // The overlap window is computed from the fault-free
-                    // compute latency; degradation applies to the residual
-                    // lumps afterwards (conservative — a slowed multiply
-                    // could hide more of the ring than we credit).
-                    self.emit(
-                        engine,
-                        session,
-                        Category::DataMovement,
-                        visible_ring,
-                        ring.energy_pj * *repeat as f64 * f64::from(*parallel),
-                        ring.bytes * *repeat as f64 * f64::from(*parallel),
-                    )?;
-                    self.emit(engine, session, Category::Arithmetic, mul_lat, mul_pj, 0.0)?;
-                    i += 2;
-                    continue;
-                }
-            }
-            self.price(&steps[i], engine, session)?;
-            i += 1;
-        }
-        Ok(())
-    }
-
-    fn price(
-        &mut self,
-        step: &Step,
-        engine: &mut Engine,
-        session: &mut FaultSession,
-    ) -> Result<(), SimError> {
-        match *step {
-            Step::Scope(ref label) => engine.set_scope(label),
-
-            Step::Repeat { count, ref body } => self.price_repeat(count, body, engine, session)?,
-
-            Step::PointwiseMul { elems_per_bank, total_elems, a_bits, b_bits } => {
-                let (lat, pj) =
-                    self.pointwise(PimOp::Mul { a_bits, b_bits }, elems_per_bank, total_elems);
-                self.emit(engine, session, Category::Arithmetic, lat, pj, 0.0)?;
-            }
-            Step::PointwiseAdd { elems_per_bank, total_elems, bits } => {
-                let (lat, pj) = self.pointwise(PimOp::Add { bits }, elems_per_bank, total_elems);
-                self.emit(engine, session, Category::Arithmetic, lat, pj, 0.0)?;
-            }
-            Step::Exp { elems_per_bank, total_elems, bits, order } => {
-                let (lat, pj) =
-                    self.pointwise(PimOp::ExpTaylor { bits, order }, elems_per_bank, total_elems);
-                self.emit(engine, session, Category::Arithmetic, lat, pj, 0.0)?;
-            }
-
-            Step::Reduce { vec_len, bits, vectors_per_bank, total_vectors } => {
-                let (lat, pj) = self.reduce(vec_len, bits, vectors_per_bank, total_vectors);
-                self.emit(engine, session, Category::Reduction, lat, pj, 0.0)?;
-            }
-            Step::Recip { per_bank, total } => {
-                let (lat, pj) = if self.table.reciprocal == Unit::Acu
-                    && !session.broken_dividers().is_empty()
-                {
-                    self.recip_degraded(per_bank, total, session.broken_divider_fraction())
-                } else {
-                    self.recip(per_bank, total)
-                };
-                self.emit(engine, session, Category::Reduction, lat, pj, 0.0)?;
-            }
-
-            Step::Replicate { value_bits, copies, count_per_bank, total_count } => {
-                let (per_ns, per_pj) = ring::replicate_in_bank(
-                    self.buffer.as_ref(),
-                    &self.arch.hbm.timing,
-                    &self.arch.hbm.energy,
-                    value_bits,
-                    copies,
-                );
-                let lat = per_ns * count_per_bank as f64;
-                let pj = per_pj * total_count as f64;
-                let bytes = total_count as f64 * f64::from(copies) * f64::from(value_bits) / 8.0;
-                self.emit(engine, session, Category::DataMovement, lat, pj, bytes)?;
-            }
-
-            Step::HostBroadcast { bytes, banks } => {
-                let (lat, pj) = self.host_broadcast(bytes, banks);
-                self.emit(
-                    engine,
-                    session,
-                    Category::DataMovement,
-                    lat,
-                    pj,
-                    bytes as f64 * f64::from(banks.max(1)),
-                )?;
-            }
-            Step::HostScatter { total_bytes } => {
-                let (lat, pj) = self.host_scatter(total_bytes);
-                self.emit(engine, session, Category::DataMovement, lat, pj, total_bytes as f64)?;
-            }
-
-            Step::RingBroadcast { banks, bytes_per_hop, repeat, parallel } => {
-                let r = self.schedule(Schedule::Ring, banks, bytes_per_hop);
-                if engine.emitting() {
-                    self.emit_ring_hops(engine, banks, bytes_per_hop, repeat, &r);
-                }
-                self.emit(
-                    engine,
-                    session,
-                    Category::DataMovement,
-                    r.latency_ns * repeat as f64,
-                    r.energy_pj * repeat as f64 * f64::from(parallel),
-                    r.bytes * repeat as f64 * f64::from(parallel),
-                )?;
-            }
-            Step::OneToAll { src, banks, bytes, parallel } => {
-                let r = self.schedule(Schedule::OneToAll { src }, banks, bytes);
-                if engine.emitting() {
-                    engine.sink().instant(
-                        &InstantEvent::new("one-to-all", "ring", tracks::RING, engine.now_ns())
-                            .with_args(&[
-                                ("src_bank", src.into()),
-                                ("banks", banks.count.into()),
-                                ("bytes", bytes.into()),
-                                ("slots", r.slots.into()),
-                            ]),
-                    );
-                }
-                self.emit(
-                    engine,
-                    session,
-                    Category::DataMovement,
-                    r.latency_ns,
-                    r.energy_pj * f64::from(parallel),
-                    r.bytes * f64::from(parallel),
-                )?;
-            }
-            Step::PairwiseReduceTree { banks, bytes, bits, elems, parallel } => {
-                let r = self.schedule(Schedule::Tree, banks, bytes);
-                if engine.emitting() {
-                    self.emit_tree_hops(engine, banks, bytes, r.latency_ns);
-                }
-                self.emit(
-                    engine,
-                    session,
-                    Category::DataMovement,
-                    r.latency_ns,
-                    r.energy_pj * f64::from(parallel),
-                    r.bytes * f64::from(parallel),
-                )?;
-                // One in-bank add per tree level.
-                let levels = 32 - banks.count.max(1).leading_zeros() as u64;
-                let (lat, pj) = self.pointwise(PimOp::Add { bits }, elems, elems * levels);
-                self.emit(
-                    engine,
-                    session,
-                    Category::Reduction,
-                    lat * levels as f64,
-                    pj * f64::from(parallel),
-                    0.0,
-                )?;
-            }
-
-            Step::BroadcastDup { bytes, banks } => {
-                let (lat, pj) = self.broadcast_dup(bytes, banks);
-                self.emit(
-                    engine,
-                    session,
-                    Category::DataMovement,
-                    lat,
-                    pj,
-                    bytes as f64 * f64::from(banks.max(1)),
-                )?;
-            }
-            Step::IntraBankCopy { bytes_per_bank, total_bytes } => {
-                let (lat, pj) = match &self.buffer {
-                    Some(b) => (
-                        b.inter_subarray_copy_ns(bytes_per_bank),
-                        b.inter_subarray_copy_pj(total_bytes),
-                    ),
-                    None => (
-                        self.rowclone.buffered_copy_latency_ns(bytes_per_bank),
-                        self.rowclone.buffered_copy_energy_pj(total_bytes),
-                    ),
-                };
-                self.emit(engine, session, Category::DataMovement, lat, pj, total_bytes as f64)?;
-            }
-            Step::ShuffleAll { total_bytes } => {
-                let (lat, pj) = self.shuffle_all(total_bytes);
-                self.emit(engine, session, Category::DataMovement, lat, pj, total_bytes as f64)?;
-            }
-
-            Step::MemTouch { bytes_per_bank, total_bytes } => {
-                let (lat, pj) = self.mem_touch(bytes_per_bank, total_bytes);
-                self.emit(engine, session, Category::Other, lat, pj, total_bytes as f64)?;
-            }
-        }
-        Ok(())
-    }
-
-    /// Price `count` iterations of a repeat body.
-    ///
-    /// Iteration 0 is priced (and emitted) like any other steps. The other
-    /// iterations run with the engine quiet, and a traced run sees them as
-    /// one summary ([`Engine::emit_summary`]): the trace is bounded by the
-    /// compiled program, while statistics and phase aggregates still cover
-    /// every lump.
-    ///
-    /// Every iteration prices the same lumps, so the body prices as
-    /// body × count: a *template* — a walked iteration that drew no flip
-    /// and ends in the scope it started in — is added again once per
-    /// following flip-free iteration. Each walked iteration runs between an
-    /// [`Engine::mark`] and a [`FaultSession::mark`], and both
-    /// `repeat_since` calls close them, with the count of clean iterations
-    /// to add (0 for a walked iteration that does not qualify). Exact,
-    /// because the engine's tallies and the session's draw counter are
-    /// integers; the marks copy only what the body touches and reuse their
-    /// buffers, so an iteration allocates nothing. The session's pure scan
-    /// [`FaultSession::clean_iterations`] of the template's logged flip
-    /// thresholds says how many iterations in a row draw no flip; the
-    /// flipping iteration after them is walked, so its outcome, fault
-    /// events and error time are the unrolled ones, and the next walked
-    /// iteration that qualifies becomes the template. Iteration 0 is the
-    /// template when it qualifies; it does not when it starts in another
-    /// scope than the rest. Without flip draws (any empty session) this is
-    /// one walk and one repeat — O(body) whatever `count` is.
-    ///
-    /// A body that nests a repeat is walked once per iteration instead:
-    /// the inner repeat takes the marks, since neither [`Engine`] nor
-    /// [`FaultSession`] marks nest.
-    fn price_repeat(
-        &mut self,
-        count: u64,
-        body: &[Step],
-        engine: &mut Engine,
-        session: &mut FaultSession,
-    ) -> Result<(), SimError> {
-        if count == 0 || body.is_empty() {
-            return Ok(());
-        }
-        let nested = body.iter().any(|s| matches!(s, Step::Repeat { .. }));
-        let mut marks = (!nested).then(|| (engine.mark(), session.mark()));
-        self.run_segment(body, engine, session)?;
-        let window = (count > 1 && engine.emitting()).then(|| engine.snapshot());
-        if window.is_some() {
-            engine.set_quiet(true);
-        }
-        if nested {
-            for _ in 1..count {
-                self.run_segment(body, engine, session)?;
-            }
-        } else {
-            let mut left = count - 1;
-            while let Some((engine_mark, session_mark)) = marks.take() {
-                let clean =
-                    if engine.in_scope_of(&engine_mark) && !session.flipped_since(&session_mark) {
-                        session.clean_iterations(&session_mark, left)
-                    } else {
-                        0
-                    };
-                engine.repeat_since(engine_mark, clean);
-                session.repeat_since(session_mark, clean);
-                left -= clean;
-                if left > 0 {
-                    marks = Some((engine.mark(), session.mark()));
-                    self.run_segment(body, engine, session)?;
-                    left -= 1;
-                }
-            }
-        }
-        if let Some(start) = window {
-            engine.set_quiet(false);
-            engine.emit_summary(&start, count - 1);
-        }
-        Ok(())
     }
 
     // ---- compute pricing -------------------------------------------------
@@ -999,6 +589,509 @@ impl Executor {
     /// separately by [`Step::PairwiseReduceTree`]).
     pub fn reduce_tree_cost(&mut self, banks: BankRange, bytes: u64) -> ScheduleResult {
         self.schedule(Schedule::Tree, banks, bytes)
+    }
+}
+
+/// The steps a compiler writes, priced as each one becomes final: the
+/// emitter [`Executor::run_streamed`] hands the compiler. It holds back
+/// only the last step, which [`Emitter::push_block_times`] may still
+/// extend, and prices it once the next push or the end of compilation
+/// settles it. Every earlier step is priced and dropped as it is settled,
+/// so a run never holds more than one step.
+pub struct StepStream<'a> {
+    pricer: Pricer<'a>,
+    last: Option<Step>,
+}
+
+impl StepStream<'_> {
+    /// Price the held step, then the run's statistics.
+    fn finish(self) -> Result<(SimStats, ScopedStats), SimError> {
+        let Self { mut pricer, last } = self;
+        if let Some(step) = last {
+            pricer.feed(&step);
+        }
+        pricer.finish()
+    }
+}
+
+impl Emitter for StepStream<'_> {
+    fn push(&mut self, step: Step) {
+        if let Some(settled) = self.last.replace(step) {
+            self.pricer.feed(&settled);
+        }
+    }
+
+    fn last_mut(&mut self) -> Option<&mut Step> {
+        self.last.as_mut()
+    }
+}
+
+/// The fields of a [`Step::RingBroadcast`].
+#[derive(Debug, Clone, Copy)]
+struct Ring {
+    banks: BankRange,
+    bytes_per_hop: u64,
+    repeat: u64,
+    parallel: u32,
+}
+
+/// Prices steps one at a time, in order, on one engine under one fault
+/// session: the one pricing body behind every run, whether its steps come
+/// from a [`Program`] or from a [`StepStream`]. Each repeat-body iteration
+/// is priced as a segment of its own.
+///
+/// With the pipelined ring, a ring broadcast waits for the step after it:
+/// a multiply fuses with it, anything else (the end of a segment
+/// included) prices it alone first. The first error is kept, and nothing
+/// is priced after it.
+struct Pricer<'a> {
+    exec: &'a mut Executor,
+    session: &'a mut FaultSession,
+    engine: Engine,
+    /// The ring broadcast waiting for the step after it.
+    ring: Option<Ring>,
+    /// The run's first error.
+    error: Option<SimError>,
+}
+
+impl<'a> Pricer<'a> {
+    /// A run's pricer. Phase latencies include the DRAM refresh stretch
+    /// (each bank loses `t_RFC` of every `t_REFI`), and the per-topology
+    /// trace detail starts afresh.
+    fn new(exec: &'a mut Executor, session: &'a mut FaultSession, sink: SinkHandle) -> Self {
+        exec.detail_emitted.clear();
+        let mut engine = Engine::with_sink(sink);
+        engine.set_latency_scale(1.0 + exec.arch.hbm.timing.refresh_overhead());
+        Self { exec, session, engine, ring: None, error: None }
+    }
+
+    /// Price the next top-level step, unless an earlier one failed.
+    fn feed(&mut self, step: &Step) {
+        if self.error.is_none() {
+            if let Err(e) = self.step(step) {
+                self.error = Some(e);
+            }
+        }
+    }
+
+    /// The run's statistics, once every step is fed.
+    fn finish(mut self) -> Result<(SimStats, ScopedStats), SimError> {
+        if let Some(e) = self.error.take() {
+            return Err(e);
+        }
+        self.flush()?;
+        if !self.session.in_range() {
+            return Err(SimError::OutOfRange);
+        }
+        Ok(self.engine.into_stats()?)
+    }
+
+    /// Price a step slice as one segment: a repeat body's iteration.
+    fn segment(&mut self, steps: &[Step]) -> Result<(), SimError> {
+        for step in steps {
+            self.step(step)?;
+        }
+        self.flush()
+    }
+
+    /// Price the next step of the current segment.
+    fn step(&mut self, step: &Step) -> Result<(), SimError> {
+        if let Some(ring) = self.ring.take() {
+            if let Step::PointwiseMul { elems_per_bank, total_elems, a_bits, b_bits } = *step {
+                let mul = PimOp::Mul { a_bits, b_bits };
+                return self.pipelined(ring, mul, elems_per_bank, total_elems);
+            }
+            self.ring_broadcast(ring)?;
+        }
+        match *step {
+            Step::RingBroadcast { banks, bytes_per_hop, repeat, parallel }
+                if self.exec.arch.pipelined_ring =>
+            {
+                self.ring = Some(Ring { banks, bytes_per_hop, repeat, parallel });
+                Ok(())
+            }
+            _ => self.price(step),
+        }
+    }
+
+    /// Price a held ring broadcast alone: the segment ended, or what
+    /// followed it was no multiply.
+    fn flush(&mut self) -> Result<(), SimError> {
+        match self.ring.take() {
+            Some(ring) => self.ring_broadcast(ring),
+            None => Ok(()),
+        }
+    }
+
+    /// Pipelined ring: a ring broadcast immediately followed by the
+    /// point-wise multiply (and reduction) it feeds executes round by
+    /// round — transfer of round k+1 overlaps compute of round k — so the
+    /// pair costs max(transfer, compute) instead of the barrier sum. Only
+    /// the ring's share can hide; breakdown attribution keeps the visible
+    /// residual as movement.
+    fn pipelined(
+        &mut self,
+        ring: Ring,
+        mul: PimOp,
+        elems_per_bank: u64,
+        total_elems: u64,
+    ) -> Result<(), SimError> {
+        let Ring { banks, bytes_per_hop, repeat, parallel } = ring;
+        let r = self.exec.schedule(Schedule::Ring, banks, bytes_per_hop);
+        let ring_lat = r.latency_ns * repeat as f64;
+        let (mul_lat, mul_pj) = self.exec.pointwise(mul, elems_per_bank, total_elems);
+        let visible_ring = (ring_lat - mul_lat).max(0.0);
+        if self.engine.emitting() {
+            // Per-hop detail is meaningless here — rounds overlap the
+            // multiply — so mark the fused pair instead.
+            self.engine.sink().instant(
+                &InstantEvent::new("pipelined-ring", "ring", tracks::RING, self.engine.now_ns())
+                    .with_args(&[
+                        ("ring_ns", ring_lat.into()),
+                        ("mul_ns", mul_lat.into()),
+                        ("visible_ring_ns", visible_ring.into()),
+                        ("banks", banks.count.into()),
+                        ("repeat", repeat.into()),
+                    ]),
+            );
+        }
+        // The overlap window is computed from the fault-free compute
+        // latency; degradation applies to the residual lumps afterwards
+        // (conservative — a slowed multiply could hide more of the ring
+        // than we credit).
+        self.lump(
+            Category::DataMovement,
+            visible_ring,
+            r.energy_pj * repeat as f64 * f64::from(parallel),
+            r.bytes * repeat as f64 * f64::from(parallel),
+        )?;
+        self.lump(Category::Arithmetic, mul_lat, mul_pj, 0.0)
+    }
+
+    /// `repeat` rounds of one ring step.
+    fn ring_broadcast(&mut self, ring: Ring) -> Result<(), SimError> {
+        let Ring { banks, bytes_per_hop, repeat, parallel } = ring;
+        let r = self.exec.schedule(Schedule::Ring, banks, bytes_per_hop);
+        if self.engine.emitting() {
+            self.exec.emit_ring_hops(&self.engine, banks, bytes_per_hop, repeat, &r);
+        }
+        self.lump(
+            Category::DataMovement,
+            r.latency_ns * repeat as f64,
+            r.energy_pj * repeat as f64 * f64::from(parallel),
+            r.bytes * repeat as f64 * f64::from(parallel),
+        )
+    }
+
+    fn price(&mut self, step: &Step) -> Result<(), SimError> {
+        let exec = &mut *self.exec;
+        match *step {
+            Step::Scope(ref label) => self.engine.set_scope(label),
+
+            Step::Repeat { count, ref body } => self.price_repeat(count, body)?,
+
+            Step::PointwiseMul { elems_per_bank, total_elems, a_bits, b_bits } => {
+                let (lat, pj) =
+                    exec.pointwise(PimOp::Mul { a_bits, b_bits }, elems_per_bank, total_elems);
+                self.lump(Category::Arithmetic, lat, pj, 0.0)?;
+            }
+            Step::PointwiseAdd { elems_per_bank, total_elems, bits } => {
+                let (lat, pj) = exec.pointwise(PimOp::Add { bits }, elems_per_bank, total_elems);
+                self.lump(Category::Arithmetic, lat, pj, 0.0)?;
+            }
+            Step::Exp { elems_per_bank, total_elems, bits, order } => {
+                let (lat, pj) =
+                    exec.pointwise(PimOp::ExpTaylor { bits, order }, elems_per_bank, total_elems);
+                self.lump(Category::Arithmetic, lat, pj, 0.0)?;
+            }
+
+            Step::Reduce { vec_len, bits, vectors_per_bank, total_vectors } => {
+                let (lat, pj) = exec.reduce(vec_len, bits, vectors_per_bank, total_vectors);
+                self.lump(Category::Reduction, lat, pj, 0.0)?;
+            }
+            Step::Recip { per_bank, total } => {
+                let (lat, pj) = if exec.table.reciprocal == Unit::Acu
+                    && !self.session.broken_dividers().is_empty()
+                {
+                    exec.recip_degraded(per_bank, total, self.session.broken_divider_fraction())
+                } else {
+                    exec.recip(per_bank, total)
+                };
+                self.lump(Category::Reduction, lat, pj, 0.0)?;
+            }
+
+            Step::Replicate { value_bits, copies, count_per_bank, total_count } => {
+                let (per_ns, per_pj) = ring::replicate_in_bank(
+                    exec.buffer.as_ref(),
+                    &exec.arch.hbm.timing,
+                    &exec.arch.hbm.energy,
+                    value_bits,
+                    copies,
+                );
+                let lat = per_ns * count_per_bank as f64;
+                let pj = per_pj * total_count as f64;
+                let bytes = total_count as f64 * f64::from(copies) * f64::from(value_bits) / 8.0;
+                self.lump(Category::DataMovement, lat, pj, bytes)?;
+            }
+
+            Step::HostBroadcast { bytes, banks } => {
+                let (lat, pj) = exec.host_broadcast(bytes, banks);
+                let moved = bytes as f64 * f64::from(banks.max(1));
+                self.lump(Category::DataMovement, lat, pj, moved)?;
+            }
+            Step::HostScatter { total_bytes } => {
+                let (lat, pj) = exec.host_scatter(total_bytes);
+                self.lump(Category::DataMovement, lat, pj, total_bytes as f64)?;
+            }
+
+            Step::RingBroadcast { banks, bytes_per_hop, repeat, parallel } => {
+                self.ring_broadcast(Ring { banks, bytes_per_hop, repeat, parallel })?;
+            }
+            Step::OneToAll { src, banks, bytes, parallel } => {
+                let r = exec.schedule(Schedule::OneToAll { src }, banks, bytes);
+                if self.engine.emitting() {
+                    self.engine.sink().instant(
+                        &InstantEvent::new(
+                            "one-to-all",
+                            "ring",
+                            tracks::RING,
+                            self.engine.now_ns(),
+                        )
+                        .with_args(&[
+                            ("src_bank", src.into()),
+                            ("banks", banks.count.into()),
+                            ("bytes", bytes.into()),
+                            ("slots", r.slots.into()),
+                        ]),
+                    );
+                }
+                self.lump(
+                    Category::DataMovement,
+                    r.latency_ns,
+                    r.energy_pj * f64::from(parallel),
+                    r.bytes * f64::from(parallel),
+                )?;
+            }
+            Step::PairwiseReduceTree { banks, bytes, bits, elems, parallel } => {
+                let r = exec.schedule(Schedule::Tree, banks, bytes);
+                if self.engine.emitting() {
+                    exec.emit_tree_hops(&self.engine, banks, bytes, r.latency_ns);
+                }
+                self.lump(
+                    Category::DataMovement,
+                    r.latency_ns,
+                    r.energy_pj * f64::from(parallel),
+                    r.bytes * f64::from(parallel),
+                )?;
+                // One in-bank add per tree level.
+                let levels = 32 - banks.count.max(1).leading_zeros() as u64;
+                let (lat, pj) = self.exec.pointwise(PimOp::Add { bits }, elems, elems * levels);
+                self.lump(Category::Reduction, lat * levels as f64, pj * f64::from(parallel), 0.0)?;
+            }
+
+            Step::BroadcastDup { bytes, banks } => {
+                let (lat, pj) = exec.broadcast_dup(bytes, banks);
+                let moved = bytes as f64 * f64::from(banks.max(1));
+                self.lump(Category::DataMovement, lat, pj, moved)?;
+            }
+            Step::IntraBankCopy { bytes_per_bank, total_bytes } => {
+                let (lat, pj) = match &exec.buffer {
+                    Some(b) => (
+                        b.inter_subarray_copy_ns(bytes_per_bank),
+                        b.inter_subarray_copy_pj(total_bytes),
+                    ),
+                    None => (
+                        exec.rowclone.buffered_copy_latency_ns(bytes_per_bank),
+                        exec.rowclone.buffered_copy_energy_pj(total_bytes),
+                    ),
+                };
+                self.lump(Category::DataMovement, lat, pj, total_bytes as f64)?;
+            }
+            Step::ShuffleAll { total_bytes } => {
+                let (lat, pj) = exec.shuffle_all(total_bytes);
+                self.lump(Category::DataMovement, lat, pj, total_bytes as f64)?;
+            }
+
+            Step::MemTouch { bytes_per_bank, total_bytes } => {
+                let (lat, pj) = exec.mem_touch(bytes_per_bank, total_bytes);
+                self.lump(Category::Other, lat, pj, total_bytes as f64)?;
+            }
+        }
+        Ok(())
+    }
+
+    /// Price `count` iterations of a repeat body.
+    ///
+    /// Iteration 0 is priced (and emitted) like any other steps. The other
+    /// iterations run with the engine quiet, and a traced run sees them as
+    /// one summary ([`Engine::emit_summary`]): the trace is bounded by the
+    /// compiled program, while statistics and phase aggregates still cover
+    /// every lump.
+    ///
+    /// Every iteration prices the same lumps, so the body prices as
+    /// body × count: a *template* — a walked iteration that drew no flip
+    /// and ends in the scope it started in — is added again once per
+    /// following flip-free iteration. Each walked iteration runs between an
+    /// [`Engine::mark`] and a [`FaultSession::mark`], and both
+    /// `repeat_since` calls close them, with the count of clean iterations
+    /// to add (0 for a walked iteration that does not qualify). Exact,
+    /// because the engine's tallies and the session's draw counter are
+    /// integers; the marks copy only what the body touches and reuse their
+    /// buffers, so an iteration allocates nothing. The session's pure scan
+    /// [`FaultSession::clean_iterations`] of the template's logged flip
+    /// thresholds says how many iterations in a row draw no flip; the
+    /// flipping iteration after them is walked, so its outcome, fault
+    /// events and error time are the unrolled ones, and the next walked
+    /// iteration that qualifies becomes the template. Iteration 0 is the
+    /// template when it qualifies; it does not when it starts in another
+    /// scope than the rest. Without flip draws (any empty session) this is
+    /// one walk and one repeat — O(body) whatever `count` is.
+    ///
+    /// A body that nests a repeat is walked once per iteration instead:
+    /// the inner repeat takes the marks, since neither [`Engine`] nor
+    /// [`FaultSession`] marks nest.
+    fn price_repeat(&mut self, count: u64, body: &[Step]) -> Result<(), SimError> {
+        if count == 0 || body.is_empty() {
+            return Ok(());
+        }
+        let nested = body.iter().any(|s| matches!(s, Step::Repeat { .. }));
+        let mut marks = (!nested).then(|| (self.engine.mark(), self.session.mark()));
+        self.segment(body)?;
+        let window = (count > 1 && self.engine.emitting()).then(|| self.engine.snapshot());
+        if window.is_some() {
+            self.engine.set_quiet(true);
+        }
+        if nested {
+            for _ in 1..count {
+                self.segment(body)?;
+            }
+        } else {
+            let mut left = count - 1;
+            while let Some((engine_mark, session_mark)) = marks.take() {
+                let clean = if self.engine.in_scope_of(&engine_mark)
+                    && !self.session.flipped_since(&session_mark)
+                {
+                    self.session.clean_iterations(&session_mark, left)
+                } else {
+                    0
+                };
+                self.engine.repeat_since(engine_mark, clean);
+                self.session.repeat_since(session_mark, clean);
+                left -= clean;
+                if left > 0 {
+                    marks = Some((self.engine.mark(), self.session.mark()));
+                    self.segment(body)?;
+                    left -= 1;
+                }
+            }
+        }
+        if let Some(start) = window {
+            self.engine.set_quiet(false);
+            self.engine.emit_summary(&start, count - 1);
+        }
+        Ok(())
+    }
+
+    /// Gate a priced lump through the fault session and record it on the
+    /// engine. An empty session records the lump as priced.
+    ///
+    /// # Errors
+    ///
+    /// [`SimError::Uncorrectable`] for flips the ECC scheme cannot absorb.
+    fn lump(
+        &mut self,
+        category: Category,
+        mut latency_ns: f64,
+        mut energy_pj: f64,
+        bytes: f64,
+    ) -> Result<(), SimError> {
+        if !self.session.is_empty() {
+            (latency_ns, energy_pj) = self.degrade(category, latency_ns, energy_pj, bytes)?;
+        }
+        self.engine.lump(category, latency_ns, energy_pj, bytes);
+        Ok(())
+    }
+
+    /// Apply the lump-level degradation policies:
+    ///
+    /// * a compute category served by [`Unit::Pim`] serializes over the
+    ///   subarrays surviving stuck bit-planes;
+    /// * data movement pays the ECC check-bit bandwidth tax, per-flip
+    ///   SECDED corrections (one extra row cycle + activation each), and
+    ///   one bounded retry of the whole transfer when parity detects a
+    ///   flip it cannot repair;
+    /// * an unprotected flip is uncorrectable — the simulator knows it
+    ///   happened, so silent corruption is reported as an error.
+    ///
+    /// Only `DataMovement` traffic is ECC-checked; `MemTouch` capacity
+    /// walks never leave the arrays.
+    fn degrade(
+        &mut self,
+        category: Category,
+        mut latency_ns: f64,
+        mut energy_pj: f64,
+        bytes: f64,
+    ) -> Result<(f64, f64), SimError> {
+        let table = &self.exec.table;
+        let in_array = match category {
+            Category::Arithmetic => table.arithmetic == Unit::Pim,
+            Category::Reduction => table.reduction == Unit::Pim,
+            Category::DataMovement | Category::Other => false,
+        };
+        if in_array {
+            let slow = self.session.pim_slowdown();
+            if slow > 1.0 {
+                latency_ns += latency_ns * (slow - 1.0);
+            }
+        }
+        if category == Category::DataMovement {
+            let tax = self.session.ecc_overhead_fraction();
+            if tax > 0.0 {
+                latency_ns += latency_ns * tax;
+                energy_pj += energy_pj * tax;
+            }
+            match self.session.observe_transfer(bytes) {
+                FlipOutcome::None => {}
+                FlipOutcome::Corrected(flips) => {
+                    latency_ns += flips as f64 * self.exec.arch.hbm.timing.t_rc;
+                    energy_pj += flips as f64 * self.exec.arch.hbm.energy.e_act;
+                    self.fault_event("ecc-correct", flips);
+                }
+                FlipOutcome::Retry(flips) => {
+                    // One bounded re-read of the transfer (check bits
+                    // included); the retry itself is not re-drawn.
+                    latency_ns *= 2.0;
+                    energy_pj *= 2.0;
+                    self.fault_event("parity-retry", flips);
+                }
+                FlipOutcome::Uncorrectable(flips) => {
+                    self.fault_event("uncorrectable-flip", flips);
+                    return Err(SimError::Uncorrectable {
+                        fault: format!(
+                            "{flips} transient bit flip(s) on a {bytes:.0}-byte transfer \
+                             with no correcting ECC scheme"
+                        ),
+                        at_ns: Some(self.engine.now_ns()),
+                    });
+                }
+            }
+        }
+        Ok((latency_ns, energy_pj))
+    }
+
+    /// Emit a fault instant on the dedicated fault track. The track is
+    /// named lazily on the first event so fault-free traces never see it.
+    fn fault_event(&mut self, name: &'static str, flips: u64) {
+        if !self.engine.emitting() {
+            return;
+        }
+        if self.session.mark_fault_track_named() {
+            self.engine.sink().track_name(tracks::FAULT, "faults");
+        }
+        self.engine.sink().instant(
+            &InstantEvent::new(name, "fault", tracks::FAULT, self.engine.now_ns())
+                .with_args(&[("flips", flips.into())]),
+        );
     }
 }
 

@@ -2,7 +2,7 @@
 
 use crate::arch::ArchKind;
 use serde::{Deserialize, Serialize};
-use transpim_dataflow::ir::Program;
+use transpim_dataflow::ir::{Emitter, Program};
 use transpim_dataflow::{layer_flow, token_flow};
 use transpim_fault::FaultStats;
 use transpim_hbm::stats::{Category, ScopedStats, SimStats};
@@ -31,9 +31,14 @@ impl DataflowKind {
 
     /// Compile `workload` under this dataflow for `banks` banks.
     pub fn compile(self, workload: &Workload, banks: u32) -> Program {
+        Program::build(|out| self.emit(workload, banks, out))
+    }
+
+    /// [`DataflowKind::compile`], writing the steps into `out`.
+    pub fn emit(self, workload: &Workload, banks: u32, out: &mut impl Emitter) {
         match self {
-            DataflowKind::Token => token_flow::compile(workload, banks),
-            DataflowKind::Layer => layer_flow::compile(workload, banks),
+            DataflowKind::Token => token_flow::emit(workload, banks, out),
+            DataflowKind::Layer => layer_flow::emit(workload, banks, out),
         }
     }
 }

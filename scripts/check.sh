@@ -169,6 +169,7 @@ for required in \
   differential_fuzz::clean_scan_matches_observed_draws \
   differential_fuzz::chrome_writer_matches_reference_writer \
   differential_fuzz::matvec_products_are_conserved \
+  differential_fuzz::streamed_simulation_prices_the_compiled_program \
   serde_roundtrips::random_programs_roundtrip_and_keep_wire_shape
 do
   if ! grep -q "^${required}$(printf '\t')" "$summary"; then

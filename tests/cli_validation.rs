@@ -213,6 +213,59 @@ fn dump_ir_under_failed_banks_writes_the_priced_program() {
 }
 
 #[test]
+fn dump_ir_is_the_program_the_report_priced() {
+    // The simulation prices each step as the compiler emits it and never
+    // builds the program; the dump builds it from the same steps. Priced
+    // on its own, the dump must give the run's report statistics and
+    // fault accounting.
+    use transpim::exec::Executor;
+    use transpim::fault::{FaultScenario, FaultSession};
+    use transpim::{ArchConfig, ArchKind, SinkHandle};
+    use transpim_dataflow::ir::Program;
+
+    let dir = temp_dir("dump-ir-priced");
+    let scenario_path = dir.join("scenario.json");
+    let failed_bank = r#"{"seed":0,"faults":[{"FailedBank":{"bank":3}}]}"#;
+    std::fs::write(&scenario_path, failed_bank).expect("scenario file");
+    let systems: [&[&str]; 2] =
+        [&["--workload", "imdb"], &["--workload", "lm", "--dataflow", "layer", "--decode", "8"]];
+    for system in systems {
+        for scenario in [None, Some(&scenario_path)] {
+            let (ir, report) = (dir.join("ir.json"), dir.join("report.json"));
+            let mut args = system.to_vec();
+            args.extend(["--dump-ir", ir.to_str().expect("utf-8")]);
+            args.extend(["--json", report.to_str().expect("utf-8")]);
+            if let Some(path) = scenario {
+                args.extend(["--faults", path.to_str().expect("utf-8")]);
+            }
+            stdout_of(&args);
+            let text = std::fs::read_to_string(&ir).expect("IR written");
+            let program: Program = serde_json::from_str(&text).expect("IR parses");
+            let text = std::fs::read_to_string(&report).expect("report written");
+            let report: transpim::SimReport = serde_json::from_str(&text).expect("report parses");
+
+            let scenario = match scenario {
+                Some(_) => serde_json::from_str(failed_bank).expect("scenario parses"),
+                None => FaultScenario::empty(0),
+            };
+            let arch = ArchConfig::new(ArchKind::TransPim);
+            let mut session =
+                FaultSession::new(&scenario, arch.system_info()).expect("valid scenario");
+            let mut exec = Executor::new(arch);
+            exec.apply_ring_faults(&session);
+            let (stats, scoped) = exec
+                .run_degraded_with_sink(&program, &mut session, SinkHandle::null())
+                .expect("the dump prices");
+            assert_eq!(stats, report.stats, "{args:?}");
+            assert_eq!(scoped, report.scoped, "{args:?}");
+            let faults = (!session.is_empty()).then(|| session.stats());
+            assert_eq!(faults, report.faults, "{args:?}");
+        }
+    }
+    std::fs::remove_dir_all(&dir).expect("temp dir removed");
+}
+
+#[test]
 fn dump_ir_under_all_writes_one_suffixed_file_per_system() {
     let dir = temp_dir("dump-ir-all");
     let ir = dir.join("ir.json");

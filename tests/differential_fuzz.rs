@@ -1,7 +1,7 @@
 //! Differential fuzz harness: randomized cross-checks between independent
 //! implementations of the same semantics.
 //!
-//! Eleven checks, each over ≥128 generated cases (fixed seeds in CI via
+//! Twelve checks, each over ≥128 generated cases (fixed seeds in CI via
 //! `TRANSPIM_PROPTEST_SEED` in `scripts/check.sh`):
 //!
 //! 1. **banksim vs f32** — the bit-accurate Figure 8 datapath must agree
@@ -56,6 +56,15 @@
 //!     length: system-wide in every Token step and every Layer encoder
 //!     step, and per bank in the Token encoder, whose shards hold whole
 //!     tokens. A work expression that drops or gains a factor fails it.
+//! 12. **Streamed vs compiled** — `Accelerator::simulate_on` prices each
+//!     step as the compiler emits it, without building the program; it
+//!     must write byte for byte the report, trace and metrics (or return
+//!     the error) that pricing the dumped program writes, for both
+//!     dataflows on every architecture, with and without the pipelined
+//!     ring, fault-free, under SECDED with flips and a failed bank, and
+//!     under unprotected flips. A generated stream of repeated blocks
+//!     (merged repeats, ring + multiply pairs) must price as the program
+//!     it builds.
 
 use proptest::prelude::*;
 use transpim::accelerator::Accelerator;
@@ -66,11 +75,11 @@ use transpim::fault::{EccScheme, Fault, FaultScenario, FaultSession, FaultStats,
 use transpim::report::DataflowKind;
 use transpim::SimError;
 use transpim::SinkHandle;
-use transpim::{ChromeTraceSink, Sink};
+use transpim::{ChromeTraceSink, MetricsSink, SimReport, Sink};
 use transpim_bench::fuzz::{arch_for, sized_step, small_workload, SIZED_STEP_KINDS};
 use transpim_bench::{run_grid, GridCell};
 use transpim_dataflow::functional::encoder_layer_sharded;
-use transpim_dataflow::ir::{Program, Step};
+use transpim_dataflow::ir::{Emitter, Program, Step};
 use transpim_dataflow::layer_functional::encoder_layer_layerflow;
 use transpim_hbm::engine::Engine;
 use transpim_hbm::stats::{Category, OutOfRange, ScopedStats, SimStats};
@@ -78,6 +87,7 @@ use transpim_obs::{ArgValue, CounterEvent, InstantEvent, SpanEvent, TrackId};
 use transpim_transformer::matrix::Matrix;
 use transpim_transformer::model::{ModelConfig, ModelWeights};
 use transpim_transformer::softmax::SoftmaxKind;
+use transpim_transformer::workload::Workload;
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -1033,6 +1043,159 @@ proptest! {
                 }
             }
             prop_assert!(pairs > 0, "{:?}: no multiply→reduce pair", df);
+        }
+    }
+}
+
+// ---------------------------------------------------------------------------
+// (12) Streamed simulation vs the compiled program
+// ---------------------------------------------------------------------------
+
+/// The three fault cases: none; a seeded SECDED scenario with flips and
+/// static faults, whose failed bank re-shards the program; unprotected
+/// flips, which fail the run at the first flip.
+fn fault_case(case: u8, seed: u64, rate: usize, total_banks: u32) -> FaultScenario {
+    let flips = Fault::TransientFlips { per_gib: FLIP_RATES[rate] };
+    let bank = |shift: u32| (seed >> shift) as u32 % total_banks;
+    match case % 3 {
+        0 => FaultScenario::empty(seed),
+        1 => FaultScenario {
+            seed,
+            ecc: EccScheme::Secded,
+            faults: vec![
+                flips,
+                Fault::FailedBank { bank: bank(0) },
+                Fault::StuckBitPlanes { bank: bank(16), planes: 1 + bank(32) % 15 },
+                Fault::BrokenDivider { bank: bank(48) },
+                Fault::DeadLink { group: bank(8) % 8 },
+            ],
+        },
+        _ => FaultScenario { seed, ecc: EccScheme::None, faults: vec![flips] },
+    }
+}
+
+/// What `run` returns on a null sink, or on a trace and metrics sink
+/// together with the bytes of both documents.
+fn observed<T>(traced: bool, run: impl FnOnce(SinkHandle) -> T) -> (T, String, String) {
+    if !traced {
+        return (run(SinkHandle::null()), String::new(), String::new());
+    }
+    let chrome = ChromeTraceSink::shared();
+    let metrics = MetricsSink::shared();
+    let out = run(SinkHandle::fanout(vec![
+        SinkHandle::from_shared(chrome.clone()),
+        SinkHandle::from_shared(metrics.clone()),
+    ]));
+    let trace = chrome.borrow().to_json_string().expect("trace serializes");
+    let metrics = metrics.borrow().to_json_string().expect("metrics serialize");
+    (out, trace, metrics)
+}
+
+/// [`Accelerator::simulate_on`] with the program built first: the dump's
+/// steps, priced by [`Executor::run_degraded_with_sink`].
+fn simulate_compiled(
+    acc: &Accelerator,
+    w: &Workload,
+    df: DataflowKind,
+    scenario: &FaultScenario,
+    sink: SinkHandle,
+) -> Result<SimReport, SimError> {
+    let arch = acc.arch();
+    let mut session = FaultSession::new(scenario, arch.system_info())?;
+    let program = acc.compile_degraded(w, df, &session);
+    let mut exec = Executor::new(arch.clone());
+    exec.apply_ring_faults(&session);
+    let (stats, scoped) = exec.run_degraded_with_sink(&program, &mut session, sink)?;
+    Ok(SimReport {
+        system: arch.system_label(df.label()),
+        arch: arch.kind,
+        dataflow: df,
+        workload: w.name.clone(),
+        stats,
+        scoped,
+        total_ops: w.total_ops(),
+        batch: w.batch,
+        faults: (!session.is_empty()).then(|| session.stats()),
+    })
+}
+
+/// A generated block stream: each block pushed `times` times. Shape 0
+/// pushes the previous block again, so it merges into the repeat before
+/// it; shape 1 is a new block; shape 2 a ring broadcast and the multiply
+/// the pipelined ring fuses with it.
+type BlockSpec = (Vec<StepSpec>, u64, u8);
+
+fn push_blocks(specs: &[BlockSpec], out: &mut impl Emitter) {
+    let mut block: Vec<Step> = Vec::new();
+    for (steps, times, shape) in specs {
+        if *shape != 0 || block.is_empty() {
+            let (_, s0, s1, s2, w0, w1) = steps[0];
+            block = match shape {
+                2 => vec![
+                    sized_step(8, [s0, s1, s2], [w0, w1]),
+                    sized_step(0, [s1, s2, s0], [w1, w0]),
+                ],
+                _ => steps.iter().map(spec_step).collect(),
+            };
+        }
+        out.push_block_times(&mut block.clone(), *times);
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(128))]
+
+    #[test]
+    fn streamed_simulation_prices_the_compiled_program(
+        (arch, pipelined, df_idx) in (0u8..4, any::<bool>(), 0usize..2),
+        (enc, dec, heads, dh) in (0usize..3, 0usize..3, 1usize..4, 1usize..4),
+        (seq, decode, batch) in (1usize..65, 0usize..9, 1usize..4),
+        blocks in proptest::collection::vec(
+            (proptest::collection::vec(step_spec(), 1..4), 1u64..6, 0u8..3),
+            1..5,
+        ),
+        (case, rate, seed) in (0u8..3, 1usize..4, any::<u64>()),
+    ) {
+        // At most two layers, at least one.
+        let (enc, dec) = match (enc, dec) {
+            (0, 0) => (1, 0),
+            (e, d) if e + d > 2 => (1, 1),
+            layers => layers,
+        };
+        let arch = arch_for(arch).with_pipelined_ring(pipelined);
+        let scenario = fault_case(case, seed, rate, arch.system_info().total_banks);
+        let w = small_workload(enc, dec, heads, dh, 4 * heads * dh, seq, decode, batch);
+        let df = DataflowKind::ALL[df_idx];
+        let acc = Accelerator::new(arch.clone());
+        let json = |r: Result<SimReport, SimError>| r.map(|r| r.to_json().expect("report"));
+        for traced in [false, true] {
+            // The simulation streams the compiled steps into the pricer…
+            let streamed = observed(traced, |sink| {
+                let mut exec = Executor::new(arch.clone());
+                json(acc.simulate_on(&mut exec, &w, df, &scenario, sink))
+            });
+            let compiled =
+                observed(traced, |sink| json(simulate_compiled(&acc, &w, df, &scenario, sink)));
+            prop_assert_eq!(&streamed, &compiled, "{} {} traced {}", arch.kind, df, traced);
+
+            // …and a generated stream of repeated blocks prices as the
+            // program it builds: merged repeats, fused ring pairs and all.
+            let priced = |stream: bool, sink| {
+                let mut session =
+                    FaultSession::new(&scenario, arch.system_info()).expect("valid scenario");
+                let mut exec = Executor::new(arch.clone());
+                exec.apply_ring_faults(&session);
+                let priced = if stream {
+                    exec.run_streamed(&mut session, sink, |out| push_blocks(&blocks, out))
+                } else {
+                    let program = Program::build(|p| push_blocks(&blocks, p));
+                    exec.run_degraded_with_sink(&program, &mut session, sink)
+                };
+                (priced, session.stats())
+            };
+            let streamed = observed(traced, |sink| priced(true, sink));
+            let compiled = observed(traced, |sink| priced(false, sink));
+            prop_assert_eq!(&streamed, &compiled, "{} blocks traced {}", arch.kind, traced);
         }
     }
 }

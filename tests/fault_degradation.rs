@@ -7,7 +7,7 @@ use transpim::arch::{ArchConfig, ArchKind};
 use transpim::exec::Executor;
 use transpim::fault::{EccScheme, Fault, FaultScenario, FaultSession};
 use transpim::SinkHandle;
-use transpim_dataflow::ir::{BankRange, Program, Step};
+use transpim_dataflow::ir::{BankRange, Emitter, Program, Step};
 use transpim_hbm::stats::SimStats;
 
 fn session(arch: &ArchConfig, faults: Vec<Fault>, ecc: EccScheme) -> FaultSession {

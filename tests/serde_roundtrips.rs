@@ -7,7 +7,7 @@ use transpim::arch::{ArchConfig, ArchKind};
 use transpim::report::DataflowKind;
 use transpim::Accelerator;
 use transpim_bench::fuzz::{arch_for, sized_step, small_workload, SIZED_STEP_KINDS};
-use transpim_dataflow::ir::{Program, Step};
+use transpim_dataflow::ir::{Emitter, Program, Step};
 use transpim_dataflow::token_flow;
 use transpim_hbm::config::HbmConfig;
 use transpim_transformer::model::ModelConfig;
